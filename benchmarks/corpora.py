@@ -3,7 +3,7 @@ corpus carries.
 
 The conversations come from the program's own generator
 (`chatscreen.synthgen`), which plants the predator pattern and returns the
-truth: predator ids and positive conversation ids. The screening corpus is
+truth: predator ids and positive conversation ids. A screening corpus is
 then roughened with noise drawn from a seeded `random.Random`, so the same
 seed always gives the same bytes.
 """
@@ -30,17 +30,13 @@ URLS = ("http://example.com/a{n}", "https://chat.example.org/room?id={n}",
 NON_ASCII = ("é", "ñ", "ü", "’", "ç")
 NON_ASCII_TOKENS = ("日本", "¿¿", "☃")
 
-# Per-message probabilities of each kind of noise.
-NOISE_RATES = {
-    "emoticon": 0.15,
-    "url": 0.05,
-    "number": 0.08,
-    "elongation": 0.10,
-    "abbreviation": 0.10,
-    "non_ascii": 0.06,
-    "long": 0.03,
-    "stock_line": 0.10,     # a stock line is inserted after the message
-}
+# Probability that one kind of noise strikes a message. It is no estimate of
+# real chat traffic: no measured rate is available to the benchmark, so
+# every kind gets the same rate and no normalization rule weighs more than
+# another. At 10%, each kind strikes over a thousand messages of a
+# screening corpus, enough for its cost to show and its checks to bite.
+# Replace with measured per-kind rates once a real corpus is at hand.
+NOISE_RATE = 0.10
 LONG_EXTRA = (40, 60)        # tokens appended to a long message
 
 
@@ -50,31 +46,30 @@ def _elongate(token: str, rng: random.Random) -> str:
 
 def _noisy_text(text: str, rng: random.Random, background) -> str:
     tokens = text.split()
-    rates = NOISE_RATES
 
     def insert(tok):
         tokens.insert(rng.randint(0, len(tokens)), tok)
 
-    if rng.random() < rates["elongation"]:
+    if rng.random() < NOISE_RATE:
         i = rng.randrange(len(tokens))
         tokens[i] = _elongate(tokens[i], rng)
-    if rng.random() < rates["non_ascii"]:
+    if rng.random() < NOISE_RATE:
         if rng.random() < 0.5:
             i = rng.randrange(len(tokens))
             j = rng.randint(1, len(tokens[i]))
             tokens[i] = tokens[i][:j] + rng.choice(NON_ASCII) + tokens[i][j:]
         else:
             insert(rng.choice(NON_ASCII_TOKENS))
-    if rng.random() < rates["abbreviation"]:
+    if rng.random() < NOISE_RATE:
         insert(rng.choice(ABBREVIATIONS))
-    if rng.random() < rates["number"]:
+    if rng.random() < NOISE_RATE:
         insert(rng.choice(("{n}", "{n}.5", "-{n}", "+{n}")).format(
             n=rng.randint(0, 9999)))
-    if rng.random() < rates["url"]:
+    if rng.random() < NOISE_RATE:
         insert(rng.choice(URLS).format(n=rng.randint(0, 99999)))
-    if rng.random() < rates["emoticon"]:
+    if rng.random() < NOISE_RATE:
         insert(rng.choice(EMOTICONS))
-    if rng.random() < rates["long"]:
+    if rng.random() < NOISE_RATE:
         start = rng.randrange(len(background))
         extra = rng.randint(*LONG_EXTRA)
         tokens.extend(background[(start + k) % len(background)]
@@ -93,7 +88,7 @@ def add_noise(conversations, seed: int, background):
         for m in conv.messages:
             messages.append((m.author, m.time,
                              _noisy_text(m.text, rng, background)))
-            if rng.random() < NOISE_RATES["stock_line"]:
+            if rng.random() < NOISE_RATE:
                 messages.append((rng.choice(authors), m.time,
                                  rng.choice(STOCK_LINES)))
         noisy.append(corpus_io.Conversation(conv.id, [

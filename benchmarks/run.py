@@ -9,14 +9,19 @@ Workloads (see README.md in this directory):
   train-accept    set-up synthesizes the acceptance corpus; the timed part
                   is the full ten-stage `pipeline`.
   screen-heldout  set-up trains the three models on one corpus; the timed
-                  part screens a fresh, noisier corpus they never saw.
+                  part screens fresh, noisier batches of chats they never
+                  saw, one batch after another.
 
 Every program process runs in a worker (`worker.py`) with the BLAS pinned
 to one thread. The timed part is repeated in whole rounds until --seconds
-have passed (at least one round); times are medians over rounds. After
-each round the outputs are checked (`checks.py`). With --trace 0 the last
+have passed (at least one round); a round is one timed task (train-accept)
+or one per batch (screen-heldout), and times are medians over the timed
+tasks of all rounds, each scaled to the reference host's speed
+(`speed.py`). The first round's outputs are checked (`checks.py`),
+later rounds must repeat them byte for byte. With --trace 0 the last
 line of stdout is a JSON object with the end-to-end metrics; with
---trace 1 it carries the per-layer metrics of set-up plus the first round.
+--trace 1 it carries the per-layer metrics of the first round, and of
+set-up for the layers that round never called.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ OUT_ROOT = ROOT / ".bench_out"
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
 
-SETUP_REPEATS = 5            # corpus generations per train-accept set-up
+SETUP_REPEATS = 9            # corpus generations per train-accept set-up
 CORPUS_SEED = 2026           # configs/synth-accept.cfg's seed
 RUN_DEADLINE_S = 170.0       # no new round starts past this point
 
@@ -51,7 +56,11 @@ RUN_DEADLINE_S = 170.0       # no new round starts past this point
 # configs/synth-accept.cfg, and the screening corpus.
 SCREEN_TRAIN_CORPUS = {"n_conversations": 200, "predator_fraction": 0.25}
 SCREEN_TRAIN_RECIPE = {"scd_epochs": 40}
-SCREEN_CORPUS = {"n_conversations": 500, "predator_fraction": 0.5}
+# Ten batches of 100 conversations: the median over ten timed batches
+# rides out the host's changes of pace better than one long screening,
+# and quality is counted over all 1,000 conversations.
+SCREEN_BATCHES = 10
+SCREEN_BATCH = {"n_conversations": 100, "predator_fraction": 0.5}
 SCREEN_STAGES = ["preprocess", "vectorize", "eval-scd", "score-authors",
                  "identify"]
 MODEL_FILES = ("lm.model", "scd.model", "author.model")
@@ -72,10 +81,6 @@ def bootstrap() -> None:
     sys.path.insert(0, str(SRC))
 
 
-class WorkerError(RuntimeError):
-    pass
-
-
 class Worker:
     """Starts worker.py processes in one working directory and collects
     their results with the kernel's accounting of each."""
@@ -85,7 +90,10 @@ class Worker:
         self.deadline = deadline
         self.count = 0
 
-    def run(self, tasks: list[dict], trace: bool) -> dict:
+    def run(self, tasks: list[dict], trace: bool) -> tuple[dict | None,
+                                                           str | None]:
+        """(result, None), or (None, why) for a worker killed at the run
+        deadline or dead without writing its result."""
         self.count += 1
         stem = self.workdir / f"worker{self.count}"
         result_path = stem.with_suffix(".result.json")
@@ -110,10 +118,17 @@ class Worker:
             proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode != 0 or not result_path.is_file():
             tail = stem.with_suffix(".log").read_text(errors="replace")[-2000:]
-            raise WorkerError(f"worker exited with {proc.returncode}:\n{tail}")
+            print(f"benchmark: {stem.name} log tail:\n{tail}", file=sys.stderr)
+            why = f"exited with {proc.returncode}"
+            if time.monotonic() >= self.deadline:
+                why += " (killed at the run deadline)"
+            return None, why
         result = json.loads(result_path.read_text(encoding="utf-8"))
-        result["peak_rss_mb"] = usage.ru_maxrss / 1024.0   # KiB on Linux
-        return result
+        # ru_maxrss is in KiB on Linux; the speed probe's arrays stay
+        # resident throughout, so their bytes come off the peak whole
+        result["peak_rss_mb"] = (usage.ru_maxrss * 1024.0
+                                 - result["probe_bytes"]) / 2**20
+        return result, None
 
 
 class Ledger:
@@ -128,9 +143,14 @@ class Ledger:
         if reason is not None:
             self.failures.append(f"{name}: {reason}")
 
-    def stages(self, name: str, result: dict) -> None:
+    def worker(self, name: str, result: dict | None,
+               error: str | None) -> None:
         """One operation per stage a worker ran (or failed to run), and one
-        for its BLAS running on a single thread."""
+        for its BLAS running on a single thread; a worker that died is one
+        failed operation."""
+        if result is None:
+            self.record(f"{name}.worker", error)
+            return
         threads = result["blas_threads"]
         self.record(f"{name}.blas_one_thread",
                     None if threads in (1, None) else f"{threads} threads")
@@ -174,12 +194,13 @@ class TrainAccept:
     initializes and shuffles the training."""
 
     lm_eval = True
-    gate = True
+    gate = True          # criterion 7's gate is reported
 
     def __init__(self, seed: int, workdir: Path):
         self.seed = seed
         self.workdir = workdir
         self.corpus = workdir / "corpus0"
+        self.batches = [self.corpus]     # the input of each timed task
 
     def setup_tasks(self) -> list[dict]:
         spec = _synth_spec(CORPUS_SEED)
@@ -197,14 +218,17 @@ class TrainAccept:
                       None if same else "corpus bytes differ between "
                                         "generations from one seed")
 
-    def round_task(self, out: Path) -> dict:
-        return _stages_task(["pipeline"], self.corpus, out, self.seed)
+    def round_tasks(self, out: Path) -> list[dict]:
+        return [_stages_task(["pipeline"], self.corpus, out, self.seed)]
+
+    def round_outputs(self, out: Path) -> list[Path]:
+        return [out]
 
 
 class ScreenHeldout:
     """Set-up: a training corpus, `pipeline` over it with the screening
-    recipe, and a fresh noisy corpus. Timed: preprocess, vectorize,
-    eval-scd, score-authors and identify over the fresh corpus."""
+    recipe, and SCREEN_BATCHES fresh noisy corpora. Timed, once per batch:
+    preprocess, vectorize, eval-scd, score-authors and identify."""
 
     lm_eval = False
     gate = False
@@ -215,22 +239,23 @@ class ScreenHeldout:
         self.workdir = workdir
         self.train_corpus = workdir / "train-corpus"
         self.train_out = workdir / "train-out"
-        self.corpus = workdir / "screen-corpus"
+        self.batches = [workdir / "screen-corpus" / f"batch{k}"
+                        for k in range(SCREEN_BATCHES)]
         rng = Rng(seed)
-        self.screen_seed = rng.derive("bench-screen").seed
-        self.noise_seed = rng.derive("bench-noise").seed
+        self.seeds = [(rng.derive(f"bench-screen-{k}").seed,
+                       rng.derive(f"bench-noise-{k}").seed)
+                      for k in range(SCREEN_BATCHES)]
 
     def setup_tasks(self) -> list[dict]:
         # the models are fixed, as deployed ones are; --seed draws the
         # traffic they screen
         train_spec = dict(_synth_spec(CORPUS_SEED), **SCREEN_TRAIN_CORPUS)
-        screen_spec = dict(SCREEN_CORPUS, seed=self.screen_seed)
         return [
             _corpus_task(self.train_corpus, train_spec, None),
             _stages_task(["pipeline"], self.train_corpus, self.train_out,
                          CORPUS_SEED, SCREEN_TRAIN_RECIPE),
-            _corpus_task(self.corpus, screen_spec, self.noise_seed),
-        ]
+        ] + [_corpus_task(batch, dict(SCREEN_BATCH, seed=seed), noise_seed)
+             for batch, (seed, noise_seed) in zip(self.batches, self.seeds)]
 
     def setup_seconds(self, result: dict) -> float:
         return sum(t["wall_s"] for t in result["tasks"])
@@ -238,15 +263,21 @@ class ScreenHeldout:
     def setup_checks(self, ledger: Ledger) -> None:
         import checks
         view = _view(self.train_out, self.train_corpus)
-        for name, reason in checks.run_checks(view, self.seed, lm_eval=True,
-                                              gate=False):
+        for name, reason in checks.run_checks(view, self.seed, lm_eval=True):
             ledger.record(f"setup.{name}", reason)
 
-    def round_task(self, out: Path) -> dict:
-        out.mkdir(parents=True)
-        for name in MODEL_FILES:
-            shutil.copyfile(self.train_out / name, out / name)
-        return _stages_task(SCREEN_STAGES, self.corpus, out, self.seed)
+    def round_tasks(self, out: Path) -> list[dict]:
+        tasks = []
+        for batch_out, batch in zip(self.round_outputs(out), self.batches):
+            batch_out.mkdir(parents=True)
+            for name in MODEL_FILES:
+                shutil.copyfile(self.train_out / name, batch_out / name)
+            tasks.append(_stages_task(SCREEN_STAGES, batch, batch_out,
+                                      self.seed))
+        return tasks
+
+    def round_outputs(self, out: Path) -> list[Path]:
+        return [out / batch.name for batch in self.batches]
 
 
 WORKLOADS = {"train-accept": TrainAccept, "screen-heldout": ScreenHeldout}
@@ -261,8 +292,8 @@ def _view(out: Path, corpus_dir: Path):
 
 
 def _artifact_bytes(out: Path) -> dict[str, bytes]:
-    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
-            if p.is_file()}
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 def run(workload_name: str, seed: int, seconds: float, trace: bool,
@@ -275,14 +306,16 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
     workload = WORKLOADS[workload_name](seed, workdir)
     ledger = Ledger()
 
-    setup = workers.run(workload.setup_tasks(), trace)
-    ledger.stages("setup", setup)
+    setup, error = workers.run(workload.setup_tasks(), trace)
+    ledger.worker("setup", setup, error)
     setup_ok = not ledger.failures
     if setup_ok:
         workload.setup_checks(ledger)
 
-    rounds = []
-    first_out = None
+    rounds = []      # per round: duration, peak RSS, trace
+    timed = []       # per timed task of every round: wall, CPU, messages
+    checked = False
+    gate_note = None
     timed_start = time.monotonic()
     while setup_ok and (not rounds
                         or time.monotonic() - timed_start < seconds):
@@ -290,22 +323,37 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
                        + rounds[-1]["wall_s"] * 1.5 > RUN_DEADLINE_S):
             break
         out = workdir / f"round{len(rounds)}"
-        result = workers.run([workload.round_task(out)],
-                             trace and not rounds)
-        ledger.stages("timed", result)
-        task = result["tasks"][0]
-        rounds.append({"wall_s": task["wall_s"], "cpu_s": task["cpu_s"],
+        result, error = workers.run(workload.round_tasks(out),
+                                    trace and not rounds)
+        ledger.worker("timed", result, error)
+        if result is None:
+            break
+        tasks = result["tasks"]
+        rounds.append({"wall_s": sum(t["raw_wall_s"] for t in tasks),
                        "peak_rss_mb": result["peak_rss_mb"],
                        "trace": result["trace"]})
-        if not task["ok"]:
+        if not all(t["ok"] for t in tasks):
             break
-        if first_out is None:
-            first_out = out
-            view = _view(out, workload.corpus)
-            for name, reason in checks.run_checks(
-                    view, seed, lm_eval=workload.lm_eval, gate=workload.gate):
-                ledger.record(name, reason)
-            quality = checks.quality(view)
+        for task, batch in zip(tasks, workload.batches):
+            truth = json.loads((batch / "bench_truth.json").read_text())
+            timed.append({"wall_s": task["wall_s"], "cpu_s": task["cpu_s"],
+                          "raw_wall_s": task["raw_wall_s"],
+                          "speed": task.get("speed"),
+                          "messages": truth["messages"]})
+        if not checked:
+            checked = True
+            views = []
+            for batch_out, batch in zip(workload.round_outputs(out),
+                                        workload.batches):
+                prefix = "" if batch_out == out else f"{batch_out.name}."
+                views.append(_view(batch_out, batch))
+                for name, reason in checks.run_checks(
+                        views[-1], seed, lm_eval=workload.lm_eval):
+                    ledger.record(prefix + name, reason)
+            quality = checks.quality(views)
+            if workload.gate:
+                miss = checks.quality_gate(quality)
+                gate_note = "met" if miss is None else f"missed: {miss}"
             reference_bytes = _artifact_bytes(out)
         else:
             same = _artifact_bytes(out) == reference_bytes
@@ -313,21 +361,20 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
                           None if same else f"{out.name} differs from round0")
             shutil.rmtree(out)
 
-    correct = not ledger.failures and first_out is not None
+    correct = not ledger.failures and checked
     metrics = {}
-    if trace:
-        dumps = [setup["trace"]] + ([rounds[0]["trace"]] if rounds else [])
+    if trace and checked:
+        dumps = [setup["trace"], rounds[0]["trace"]]
         for name, (value, unit) in tracing.layer_metrics(
-                tracing.merge(dumps)).items():
+                tracing.pick(dumps)).items():
             metrics[name] = {"value": value, "unit": unit}
-    elif first_out is not None:
-        truth = json.loads((workload.corpus / "bench_truth.json").read_text())
-        wall = statistics.median(r["wall_s"] for r in rounds)
+    elif checked:
         values = {
             "setup_s": workload.setup_seconds(setup),
-            "wall_s": wall,
-            "cpu_s": statistics.median(r["cpu_s"] for r in rounds),
-            "msgs_per_s": truth["messages"] / wall,
+            "wall_s": statistics.median(t["wall_s"] for t in timed),
+            "cpu_s": statistics.median(t["cpu_s"] for t in timed),
+            "msgs_per_s": statistics.median(t["messages"] / t["wall_s"]
+                                            for t in timed),
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rounds),
             **quality,
         }
@@ -336,8 +383,10 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
     return {"correct": correct, "attempted": ledger.attempted,
             "failed": len(ledger.failures), "metrics": metrics,
             "_failures": ledger.failures,
-            "_round_walls": [r["wall_s"] for r in rounds],
-            "_blas_threads": setup["blas_threads"]}
+            "_tasks": timed,
+            "_gate": gate_note,
+            "_rounds": len(rounds),
+            "_blas_threads": setup["blas_threads"] if setup else None}
 
 
 def environment(blas_threads) -> dict:
@@ -367,20 +416,26 @@ def main(argv=None) -> int:
     try:
         result = run(args.workload, args.seed, args.seconds,
                      bool(args.trace), workdir)
-    except WorkerError as exc:
-        print(f"benchmark: {exc}", file=sys.stderr)
-        return 1
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
     failures = result.pop("_failures")
-    walls = result.pop("_round_walls")
+    tasks = result.pop("_tasks")
+    gate_note = result.pop("_gate")
+    n_rounds = result.pop("_rounds")
     blas_threads = result.pop("_blas_threads")
     for failure in failures:
         print(f"FAILED {failure}")
-    print(f"# {args.workload} seed={args.seed} rounds={len(walls)} "
-          f"round wall_s={' '.join(f'{w:.3f}' for w in walls)} "
+    print(f"# {args.workload} seed={args.seed} rounds={n_rounds} "
           f"attempted={result['attempted']} failed={result['failed']}")
+    if tasks:
+        print("# timed tasks, raw wall_s: "
+              + " ".join(f"{t['raw_wall_s']:.3f}" for t in tasks))
+    if tasks and tasks[0]["speed"] is not None:
+        print("# timed tasks, host speed: "
+              + " ".join(f"{t['speed']:.3f}" for t in tasks))
+    if gate_note:
+        print(f"# criterion 7 gate (reported, not counted): {gate_note}")
     for name, m in result["metrics"].items():
         print(f"{name} {m['value']:.6g} {m['unit']}")
     print("# env " + json.dumps(environment(blas_threads)))

@@ -70,7 +70,7 @@ def failed_checks(out: Path) -> list[str]:
     import checks
     view = run._view(out, out.parent / "corpus")
     return [name for name, reason in checks.run_checks(
-        view, SEED, lm_eval=True, gate=False) if reason is not None]
+        view, SEED, lm_eval=True) if reason is not None]
 
 
 def main() -> int:
@@ -81,11 +81,12 @@ def main() -> int:
         corpus, out = workdir / "corpus", workdir / "pristine"
         spec = dict(run._synth_spec(SEED), **CORPUS)
         worker = run.Worker(workdir, time.monotonic() + run.RUN_DEADLINE_S)
-        result = worker.run([
+        result, error = worker.run([
             run._corpus_task(corpus, spec, noise_seed=SEED),
             run._stages_task(["pipeline"], corpus, out, SEED, RECIPE)],
             trace=False)
-        errors = [t["error"] for t in result["tasks"] if not t["ok"]]
+        errors = [error] if result is None else [
+            t["error"] for t in result["tasks"] if not t["ok"]]
         if errors:
             print(f"selftest: pipeline failed: {errors}")
             return 1

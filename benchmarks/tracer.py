@@ -17,6 +17,10 @@ import math
 from pathlib import Path
 from time import perf_counter
 
+# The pipeline's ten stages, as `pipeline.run_<stage>` names them.
+STAGES = ("preprocess", "build_vocab", "train_lm", "eval_lm", "vectorize",
+          "train_scd", "eval_scd", "train_author", "score_authors", "identify")
+
 
 class _Stat:
     __slots__ = ("calls", "total", "self_time", "count", "samples")
@@ -91,14 +95,19 @@ class Tracer:
         setattr(module, attr, self.wrap(name, fn, **kw))
 
     def dump(self) -> dict:
-        """Raw per-span numbers, mergeable across processes."""
+        """Raw per-span numbers of this process. The distinct sentences
+        go with the sentence_vector span and the forward/backward counts
+        with train_scd's, so each travels with the span it describes."""
         out = {}
         for name, st in self.stats.items():
             out[name] = {"calls": st.calls, "s": st.total,
                          "self_s": st.self_time, "count": st.count,
                          "samples": st.samples}
-        out["_pairs"] = dict(self.pair_counts)
-        out["_distinct"] = len(self.distinct)
+        if "language_model.sentence_vector" in out:
+            out["language_model.sentence_vector"]["distinct"] = len(
+                self.distinct)
+        if "scd_classifier.train_scd" in out:
+            out["scd_classifier.train_scd"].update(self.pair_counts)
         return out
 
 
@@ -109,9 +118,7 @@ def install(tracer: Tracer) -> None:
                             language_model, lstm, model_store, pipeline,
                             preprocessing, scd_classifier)
 
-    for stage in ("preprocess", "build_vocab", "train_lm", "eval_lm",
-                  "vectorize", "train_scd", "eval_scd", "train_author",
-                  "score_authors", "identify"):
+    for stage in STAGES:
         tracer.patch(pipeline, f"run_{stage}", f"pipeline.{stage}")
 
     def add_steps(index):
@@ -200,31 +207,18 @@ def _quantile(sorted_values, q: float) -> float:
     return sorted_values[rank - 1]
 
 
-def merge(dumps) -> dict:
-    """Sum raw dumps from several worker processes."""
-    total: dict = {}
+def pick(dumps) -> dict:
+    """Each span's figures from the last of the dumps (in process order)
+    whose process called it. Figures of different processes are never
+    added up: on screen-heldout the forward path is the screening round's
+    alone, and the layers only training runs come from set-up."""
+    spans: dict = {}
     for dump in dumps:
         for name, raw in dump.items():
-            if name.startswith("_"):
-                if isinstance(raw, dict):
-                    acc = total.setdefault(name, {})
-                    for k, v in raw.items():
-                        acc[k] = acc.get(k, 0) + v
-                else:
-                    total[name] = total.get(name, 0) + raw
-                continue
-            acc = total.setdefault(name, dict(_EMPTY))
-            acc["calls"] += raw["calls"]
-            acc["s"] += raw["s"]
-            acc["self_s"] += raw["self_s"]
-            acc["count"] += raw["count"]
-            if raw["samples"] is not None:
-                acc["samples"] = (acc["samples"] or []) + raw["samples"]
-    return total
+            if raw["calls"]:
+                spans[name] = raw
+    return spans
 
-
-STAGES = ("preprocess", "build_vocab", "train_lm", "eval_lm", "vectorize",
-          "train_scd", "eval_scd", "train_author", "score_authors", "identify")
 
 # Per-layer metrics read straight off one span: "<span>.<field>".
 SPAN_METRICS = [f"pipeline.{stage}.s" for stage in STAGES] + [
@@ -267,12 +261,12 @@ def layer_metrics(raw: dict) -> dict:
     m["language_model.sentence_vector.p99_us"] = (
         _quantile(samples, 0.99) * 1e6, "us")
     m["language_model.sentence_vector.distinct_ratio"] = (
-        raw.get("_distinct", 0) / vectors["calls"] if vectors["calls"] else 0.0,
-        "ratio")
-    pairs = raw.get("_pairs", {"forward": 0, "backward": 0})
+        vectors.get("distinct", 0) / vectors["calls"]
+        if vectors["calls"] else 0.0, "ratio")
+    train_scd = raw.get("scd_classifier.train_scd") or _EMPTY
     m["scd_classifier.train_forward_per_backward"] = (
-        pairs["forward"] / pairs["backward"] if pairs["backward"] else 0.0,
-        "ratio")
+        train_scd["forward"] / train_scd["backward"]
+        if train_scd.get("backward") else 0.0, "ratio")
     m["model_store.bytes"] = (
         sum((raw.get(span) or _EMPTY)["count"]
             for span in ("model_store.save", "model_store.load")), "B")

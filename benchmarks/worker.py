@@ -1,5 +1,6 @@
 """One benchmark process: runs a list of tasks against the program and
-writes their timings to a JSON file.
+writes their timings to a JSON file. Untraced, each task's times are also
+given scaled to the reference host's speed (see `speed.py`).
 
     python3 benchmarks/worker.py <spec.json>
 
@@ -18,18 +19,14 @@ import time
 from pathlib import Path
 
 import corpora
+import speed
 import tracer as tracing
 from chatscreen import pipeline, synthgen
 from chatscreen.config import load_config
 
-STAGE_FUNCTIONS = {
-    "preprocess": "run_preprocess", "build-vocab": "run_build_vocab",
-    "train-lm": "run_train_lm", "eval-lm": "run_eval_lm",
-    "vectorize": "run_vectorize", "train-scd": "run_train_scd",
-    "eval-scd": "run_eval_scd", "train-author": "run_train_author",
-    "score-authors": "run_score_authors", "identify": "run_identify",
-    "pipeline": "run_pipeline",
-}
+# CLI stage name (`train-lm`) -> pipeline function (`run_train_lm`)
+STAGE_FUNCTIONS = {stage.replace("_", "-"): f"run_{stage}"
+                   for stage in tracing.STAGES + ("pipeline",)}
 
 
 def _cpu_seconds() -> float:
@@ -82,13 +79,17 @@ def _run_corpus(task: dict) -> dict:
 
 def main(spec_path: str) -> int:
     spec = json.loads(Path(spec_path).read_text(encoding="utf-8"))
-    tracer = None
+    tracer = probe = None
     if spec["trace"]:
         tracer = tracing.Tracer()
         tracing.install(tracer)
+    else:       # untraced times are scaled to the reference host's speed
+        probe = speed.Probe()
+        probe.start()
     results = []
     for task in spec["tasks"]:
         entry = {"op": task["op"], "ok": True, "done": []}
+        window = speed.Window(probe) if probe else None
         cpu0 = _cpu_seconds()
         t0 = time.perf_counter()
         try:
@@ -100,13 +101,21 @@ def main(spec_path: str) -> int:
         except Exception as exc:  # reported to run.py as a failed operation
             entry["ok"] = False
             entry["error"] = f"{type(exc).__name__}: {exc}"
-        entry["wall_s"] = time.perf_counter() - t0
-        entry["cpu_s"] = _cpu_seconds() - cpu0
+        wall, cpu = time.perf_counter() - t0, _cpu_seconds() - cpu0
+        entry["raw_wall_s"] = wall
+        if window:
+            spent, entry["speed"] = window.close()
+            wall = (wall - spent) * entry["speed"]
+            cpu = (cpu - spent) * entry["speed"]
+        entry["wall_s"], entry["cpu_s"] = wall, cpu
         results.append(entry)
         if not entry["ok"]:
             break
+    if probe:
+        probe.stop()
     out = {"tasks": results, "blas_threads": blas_threads(),
-           "trace": tracer.dump() if tracer else None}
+           "trace": tracer.dump() if tracer else None,
+           "probe_bytes": probe.footprint if probe else 0}
     Path(spec["result"]).write_text(json.dumps(out), encoding="utf-8")
     return 0
 
