@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PipelineConfig
 from .core_math import LOG_EPS, init_uniform, make_optimizer, row_softmax, softmax
 from .errors import NumericError, ShapeError, UsageError
 
@@ -56,7 +57,6 @@ class AuthorVerdict:
     author: str
     score: SentimentScore
     predicted_class: str = field(init=False)
-    flagged_predator: bool = False
 
     def __post_init__(self):
         self.predicted_class = self.score.argmax_class()
@@ -165,19 +165,6 @@ def score(model: ShallowModel, features: np.ndarray) -> SentimentScore:
                           n=float(probs[2]))
 
 
-@dataclass
-class AuthorTrainConfig:
-    k: int = 16
-    epochs: int = 8
-    lr: float = 0.1
-    optimizer: str = "sgd"
-    clip_norm: float = 5.0
-    batch_size: int = 32
-    min_feature_freq: int = DEFAULT_MIN_FEATURE_FREQ
-    bigrams: bool = True
-    balance: bool = True
-
-
 def _unit_loss_and_grads(model: ShallowModel, units, cached_ids):
     """Mean 3-class cross-entropy over units and grads for
     [embedding, class_w, class_b]."""
@@ -224,8 +211,9 @@ class AuthorEpochRecord:
                 f"acc={self.train_accuracy:.4f}")
 
 
-def train_author(model: ShallowModel, units, config: AuthorTrainConfig, rng):
-    """Minimize 3-class cross-entropy over (author, conversation) units.
+def train_author(model: ShallowModel, units, cfg: PipelineConfig, rng):
+    """Minimize 3-class cross-entropy over (author, conversation) units with
+    cfg's [author] recipe.
 
     All three classes must be present. With balance on, each epoch
     oversamples every class to the majority count. Returns (model, records).
@@ -240,14 +228,15 @@ def train_author(model: ShallowModel, units, config: AuthorTrainConfig, rng):
                          f"{missing}")
     cached = [model.feature_ids(u.lines) for u in units]
     records: list[AuthorEpochRecord] = []
-    if config.epochs == 0:
+    if cfg.author_epochs == 0:
         return model, records
-    optimizer = make_optimizer(config.optimizer, config.lr, config.clip_norm)
+    optimizer = make_optimizer(cfg.author_optimizer, cfg.author_lr,
+                               cfg.author_clip_norm)
     params = model.param_list()
     by_class = {c: [i for i, u in enumerate(units) if u.label == c]
                 for c in CLASSES}
-    for epoch in range(1, config.epochs + 1):
-        if config.balance:
+    for epoch in range(1, cfg.author_epochs + 1):
+        if cfg.author_balance:
             majority = max(len(v) for v in by_class.values())
             pool: list[int] = []
             for c in CLASSES:
@@ -258,8 +247,8 @@ def train_author(model: ShallowModel, units, config: AuthorTrainConfig, rng):
             pool = list(range(len(units)))
         order = rng.permutation(len(pool))
         epoch_loss, n_batches = 0.0, 0
-        for start in range(0, len(order), config.batch_size):
-            idx = [pool[i] for i in order[start:start + config.batch_size]]
+        for start in range(0, len(order), cfg.author_batch_size):
+            idx = [pool[i] for i in order[start:start + cfg.author_batch_size]]
             loss, grads = _unit_loss_and_grads(model, [units[i] for i in idx],
                                                [cached[i] for i in idx])
             if not np.isfinite(loss):

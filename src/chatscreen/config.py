@@ -7,7 +7,7 @@ hashing its name into the seed.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -21,120 +21,92 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _key(section: str, default):
+    """A field set in the file as `key = value` under `[section]`, where the
+    key is the field name less any `<section>_` prefix."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass
 class PipelineConfig:
-    # [paths]
-    corpus: str = ""
-    ground_truth: str = ""
-    out: str = "out"
-    # [preprocessing]
-    min_tf: int = 10
-    long_word_limit: int = 30
-    abbreviations: str = ""     # empty -> packaged table
-    emoticons: str = ""         # empty -> packaged patterns
-    # [lm]
-    lm_embedding_dim: int = 200
-    lm_hidden_dim: int = 200
-    lm_window: int = 35         # 50 suits review-length documents
-    lm_epochs: int = 5
-    lm_lr: float = 0.5
-    lm_optimizer: str = "sgd"
-    lm_batch_size: int = 16
-    lm_clip_norm: float = 5.0
-    # [scd]
-    scd_hidden_dim: int = 200
-    scd_chunk_len: int = 100
-    scd_threshold: float = 0.5
-    scd_neg_ratio: float = 5.0
-    scd_epochs: int = 10
-    scd_lr: float = 0.05
-    scd_optimizer: str = "sgd"
-    scd_batch_size: int = 32
-    scd_clip_norm: float = 5.0
-    scd_val_fraction: float = 0.2
-    scd_masked: bool = True
-    # [author]
-    author_k: int = 16
-    author_bigrams: bool = True
-    author_min_feature_freq: int = 5
-    author_epochs: int = 8
-    author_lr: float = 0.1
-    author_optimizer: str = "sgd"
-    author_batch_size: int = 32
-    author_clip_norm: float = 5.0
-    author_balance: bool = True
-    # [run]
-    seed: int = 1
-    use_bias: bool = True
-    # [synth]
-    synth_n_conversations: int = 500
-    synth_predator_fraction: float = 0.05
-    synth_geometric_p: float = 0.08
-    synth_marker_density: float = 0.3
-
-
-_SECTIONS = {
-    "paths": {"corpus": "corpus", "ground_truth": "ground_truth", "out": "out"},
-    "preprocessing": {"min_tf": "min_tf", "long_word_limit": "long_word_limit",
-                      "abbreviations": "abbreviations",
-                      "emoticons": "emoticons"},
-    "lm": {"embedding_dim": "lm_embedding_dim", "hidden_dim": "lm_hidden_dim",
-           "window": "lm_window", "epochs": "lm_epochs", "lr": "lm_lr",
-           "optimizer": "lm_optimizer", "batch_size": "lm_batch_size",
-           "clip_norm": "lm_clip_norm"},
-    "scd": {"hidden_dim": "scd_hidden_dim", "chunk_len": "scd_chunk_len",
-            "threshold": "scd_threshold", "neg_ratio": "scd_neg_ratio",
-            "epochs": "scd_epochs", "lr": "scd_lr",
-            "optimizer": "scd_optimizer", "batch_size": "scd_batch_size",
-            "clip_norm": "scd_clip_norm", "val_fraction": "scd_val_fraction",
-            "masked": "scd_masked"},
-    "author": {"k": "author_k", "bigrams": "author_bigrams",
-               "min_feature_freq": "author_min_feature_freq",
-               "epochs": "author_epochs", "lr": "author_lr",
-               "optimizer": "author_optimizer",
-               "batch_size": "author_batch_size",
-               "clip_norm": "author_clip_norm", "balance": "author_balance"},
-    "run": {"seed": "seed", "use_bias": "use_bias"},
-    "synth": {"n_conversations": "synth_n_conversations",
-              "predator_fraction": "synth_predator_fraction",
-              "geometric_p": "synth_geometric_p",
-              "marker_density": "synth_marker_density"},
-}
+    corpus: str = _key("paths", "")
+    ground_truth: str = _key("paths", "")
+    out: str = _key("paths", "out")
+    min_tf: int = _key("preprocessing", 10)
+    long_word_limit: int = _key("preprocessing", 30)
+    abbreviations: str = _key("preprocessing", "")  # empty: packaged table
+    emoticons: str = _key("preprocessing", "")  # empty: packaged patterns
+    lm_embedding_dim: int = _key("lm", 200)
+    lm_hidden_dim: int = _key("lm", 200)
+    lm_window: int = _key("lm", 35)
+    lm_epochs: int = _key("lm", 5)
+    lm_lr: float = _key("lm", 0.5)
+    lm_optimizer: str = _key("lm", "sgd")
+    lm_batch_size: int = _key("lm", 16)
+    lm_clip_norm: float = _key("lm", 5.0)
+    scd_hidden_dim: int = _key("scd", 200)
+    scd_chunk_len: int = _key("scd", 100)
+    scd_threshold: float = _key("scd", 0.5)
+    scd_neg_ratio: float = _key("scd", 5.0)
+    scd_epochs: int = _key("scd", 10)
+    scd_lr: float = _key("scd", 0.05)
+    scd_optimizer: str = _key("scd", "sgd")
+    scd_batch_size: int = _key("scd", 32)
+    scd_clip_norm: float = _key("scd", 5.0)
+    scd_val_fraction: float = _key("scd", 0.2)
+    scd_masked: bool = _key("scd", True)
+    author_k: int = _key("author", 16)
+    author_bigrams: bool = _key("author", True)
+    author_min_feature_freq: int = _key("author", 5)
+    author_epochs: int = _key("author", 8)
+    author_lr: float = _key("author", 0.1)
+    author_optimizer: str = _key("author", "sgd")
+    author_batch_size: int = _key("author", 32)
+    author_clip_norm: float = _key("author", 5.0)
+    author_balance: bool = _key("author", True)
+    seed: int = _key("run", 1)
+    use_bias: bool = _key("run", True)
+    synth_n_conversations: int = _key("synth", 500)
+    synth_predator_fraction: float = _key("synth", 0.05)
+    synth_geometric_p: float = _key("synth", 0.08)
+    synth_marker_density: float = _key("synth", 0.3)
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse and validate a configuration file against the schema above."""
+    """Parse and validate a configuration file against PipelineConfig's
+    fields."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    schema: dict[str, dict] = {}
+    for f in fields(PipelineConfig):
+        section = f.metadata["section"]
+        schema.setdefault(section, {})[f.name.removeprefix(f"{section}_")] = f
     cfg = PipelineConfig()
-    types = {f.name: f.type for f in fields(PipelineConfig)}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in schema:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        mapping = _SECTIONS[section]
         for key, raw in parser.items(section):
-            if key not in mapping:
+            if key not in schema[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in "
                                   f"[{section}]")
-            attr = mapping[key]
-            kind = types[attr]
+            target = schema[section][key]
             try:
-                if kind == "int":
+                if target.type == "int":
                     value = int(raw)
-                elif kind == "float":
+                elif target.type == "float":
                     value = float(raw)
-                elif kind == "bool":
+                elif target.type == "bool":
                     value = _parse_bool(raw)
                 else:
                     value = raw
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad value for {section}.{key}: "
                                   f"{raw!r} ({exc})") from exc
-            setattr(cfg, attr, value)
+            setattr(cfg, target.name, value)
     return cfg
 
 

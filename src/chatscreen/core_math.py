@@ -65,29 +65,6 @@ def init_uniform(rng: Rng, rows: int, cols: int, fan_in: int | None = None,
     return rng.uniform(-limit, limit, (rows, cols), dtype=dtype)
 
 
-def _require_2d(name: str, a: np.ndarray) -> None:
-    if not isinstance(a, np.ndarray) or a.ndim != 2:
-        raise ShapeError(f"{name} must be a 2-D array, got "
-                         f"{getattr(a, 'shape', type(a))}")
-
-
-def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """x @ w with an optional broadcast bias row."""
-    _require_2d("x", x)
-    _require_2d("w", w)
-    if x.shape[1] != w.shape[0]:
-        raise ShapeError(f"affine: inner dimensions disagree, x is {x.shape} "
-                         f"and w is {w.shape}")
-    out = x @ w
-    if b is not None:
-        b = np.asarray(b)
-        if b.ndim != 1 or b.shape[0] != w.shape[1]:
-            raise ShapeError(f"affine: bias shape {b.shape} does not match "
-                             f"output width {w.shape[1]}")
-        out = out + b
-    return out
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Element-wise logistic function, stable for large |x|."""
     x = np.asarray(x)
@@ -99,11 +76,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def tanh_act(x: np.ndarray) -> np.ndarray:
-    """Element-wise hyperbolic tangent."""
-    return np.tanh(np.asarray(x))
 
 
 def softmax(x) -> np.ndarray:
@@ -130,17 +102,6 @@ def row_log_softmax64(x: np.ndarray) -> np.ndarray:
     z = np.asarray(x, dtype=np.float64)
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def cross_entropy(pred, target_index: int) -> float:
-    """-ln(pred[target]) with the probability clamped below at LOG_EPS."""
-    p = np.asarray(pred, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise UsageError("cross_entropy expects a non-empty probability vector")
-    if not 0 <= int(target_index) < p.size:
-        raise UsageError(f"cross_entropy: target index {target_index} out of "
-                         f"range for {p.size} classes")
-    return float(-np.log(max(float(p[int(target_index)]), LOG_EPS)))
 
 
 def global_grad_norm(grads) -> float:

@@ -1,6 +1,5 @@
-"""Chat-corpus ingestion: conversation XML, ground-truth author lists,
-labeled review trees, and the grouping/filtering steps between parsing and
-training.
+"""Chat-corpus ingestion: conversation XML, ground-truth author lists, and
+the labeling and filtering steps between parsing and training.
 
 The XML dialect is one <conversations> root holding <conversation id="...">
 elements, each a sequence of <message line="N"> elements with <author>,
@@ -17,7 +16,7 @@ from pathlib import Path
 from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import ConfigError, CorpusParseError
+from .errors import CorpusParseError
 from .preprocessing import tokenize
 
 
@@ -40,22 +39,6 @@ class Conversation:
         for m in self.messages:
             seen.setdefault(m.author, None)
         return list(seen)
-
-
-@dataclass
-class LabeledCorpus:
-    conversations: list[Conversation]
-    predator_ids: set[str]
-    split: str = "train"
-
-
-@dataclass
-class AuthorDocument:
-    author: str
-    per_conversation_lines: dict[str, list[str]]
-
-    def line_count(self) -> int:
-        return sum(len(v) for v in self.per_conversation_lines.values())
 
 
 @dataclass
@@ -196,22 +179,6 @@ def write_ground_truth(author_ids, path) -> None:
     Path(path).write_text(lines, encoding="utf-8")
 
 
-def load_review_tree(root) -> list[tuple[str, str]]:
-    """Read pos/ and neg/ subdirectories of UTF-8 text files into
-    (text, label) records, files in lexicographic order."""
-    root = Path(root)
-    records: list[tuple[str, str]] = []
-    for label in ("pos", "neg"):
-        sub = root / label
-        if not sub.is_dir():
-            raise ConfigError(f"review tree {root} is missing the {label}/ "
-                              "subdirectory")
-        for f in sorted(sub.iterdir()):
-            if f.is_file():
-                records.append((f.read_text(encoding="utf-8"), label))
-    return records
-
-
 def label_conversations(conversations,
                         predator_ids) -> list[tuple[Conversation, bool]]:
     """Positive iff any message author is a known predator."""
@@ -280,25 +247,3 @@ def filter_corpus(labeled, predator_ids=None):
     report.predators_before = len(authors_before & predator_ids)
     report.predators_after = len(authors_after & predator_ids)
     return filtered, report
-
-
-def group_by_author(labeled) -> list[AuthorDocument]:
-    """One document per author, lines keyed by conversation id, original
-    order preserved."""
-    docs: dict[str, AuthorDocument] = {}
-    for conv, _positive in labeled:
-        for m in conv.messages:
-            doc = docs.get(m.author)
-            if doc is None:
-                doc = AuthorDocument(m.author, {})
-                docs[m.author] = doc
-            doc.per_conversation_lines.setdefault(conv.id, []).append(m.text)
-    return list(docs.values())
-
-
-def corpus_message_count(labeled) -> int:
-    return sum(len(c.messages) for c, _ in labeled)
-
-
-def author_line_total(docs) -> int:
-    return sum(d.line_count() for d in docs)

@@ -16,43 +16,19 @@ import numpy as np
 
 from .core_math import (LOG_EPS, init_uniform, make_optimizer, row_log_softmax64,
                         row_softmax)
+from .config import PipelineConfig
 from .errors import NumericError, ShapeError, UsageError
-from .lstm import LstmLayerParams, LstmState, backward_stack, forward_stack
+from .lstm import LstmLayerParams, backward_stack, forward_stack
 from .preprocessing import Vocabulary, encode
-
-DEFAULT_WINDOW_CHAT = 35
-DEFAULT_WINDOW_REVIEWS = 50
-
-
-@dataclass
-class LmTrainConfig:
-    window: int = DEFAULT_WINDOW_CHAT
-    epochs: int = 5
-    lr: float = 0.5
-    optimizer: str = "sgd"
-    clip_norm: float = 5.0
-    batch_size: int = 16
 
 
 @dataclass
 class LmEpochRecord:
     epoch: int
     train_ppl: float
-    val_ppl: float | None = None
 
     def format_line(self) -> str:
-        line = f"epoch={self.epoch} train_ppl={self.train_ppl:.6f}"
-        if self.val_ppl is not None:
-            line += f" val_ppl={self.val_ppl:.6f}"
-        return line
-
-
-@dataclass
-class SentenceVector:
-    """Top-layer hidden state at the final consumed token."""
-
-    values: np.ndarray
-    source_len: int
+        return f"epoch={self.epoch} train_ppl={self.train_ppl:.6f}"
 
 
 class LanguageModel:
@@ -108,10 +84,6 @@ class LanguageModel:
     def hidden_dim(self) -> int:
         return self.layer2.hidden_dim
 
-    @property
-    def dtype(self):
-        return self.embedding.dtype
-
     def param_list(self) -> list[np.ndarray]:
         return ([self.embedding] + self.layer1.param_list()
                 + self.layer2.param_list() + [self.out_w, self.out_b])
@@ -124,147 +96,99 @@ class LanguageModel:
                              self.out_b.astype(dtype), self.window)
 
 
-def _check_indices(indices, vocab_size: int) -> None:
-    for i in indices:
-        if not 0 <= i < vocab_size:
-            raise UsageError(f"token index {i} out of range for vocabulary "
-                             f"size {vocab_size}")
-
-
-@dataclass
-class LmForwardResult:
-    probs: np.ndarray                  # (T, |V|) next-token distributions
-    final_state1: LstmState
-    final_state2: LstmState
-
-
-def lm_forward(model: LanguageModel, indices) -> LmForwardResult:
-    """Next-token distribution after each prefix, plus the final layer
-    states."""
-    indices = list(indices)
-    if not indices:
-        raise UsageError("lm_forward: empty index list")
-    _check_indices(indices, len(model.vocab))
-    xs = model.embedding[np.asarray(indices)][:, None, :]
-    traces = forward_stack(xs, [model.layer1, model.layer2])
-    s2 = traces[1].S[:, 0, :]
-    probs = row_softmax(s2 @ model.out_w + model.out_b)
-    final1 = LstmState(traces[0].S[-1, 0].copy(), traces[0].C[-1, 0].copy())
-    final2 = LstmState(traces[1].S[-1, 0].copy(), traces[1].C[-1, 0].copy())
-    return LmForwardResult(probs, final1, final2)
-
-
-def sentence_vector(model: LanguageModel, tokens) -> SentenceVector:
+def sentence_vector(model: LanguageModel, tokens) -> np.ndarray:
     """Encode tokens (unknowns to UNK, EOS appended, truncated to the
     model's window) and return the top-layer hidden state at the last
     consumed token."""
     ids = encode(tokens, model.vocab, model.window)
     xs = model.embedding[np.asarray(ids)][:, None, :]
     traces = forward_stack(xs, [model.layer1, model.layer2])
-    return SentenceVector(values=traces[1].S[-1, 0].copy(),
-                          source_len=len(ids))
+    return traces[1].S[-1, 0].copy()
 
 
-def _batch_arrays(documents):
-    lens = np.array([len(d) for d in documents], dtype=np.int64)
-    ids = np.zeros((len(documents), int(lens.max())), dtype=np.int64)
-    for b, doc in enumerate(documents):
-        ids[b, :len(doc)] = doc
-    return ids, lens
+def _windows(model: LanguageModel, documents, order, batch_size: int):
+    """Forward passes over truncated windows of encoded documents.
 
-
-def _window_pass(model, X, Y, mask, states, want_grads: bool):
-    """Forward (and optionally backward) over one truncated window.
-
-    X, Y are (B, Tw) input/target index arrays, mask flags valid target
-    positions. states is ((s1, c1), (s2, c2)) carried per lane. Returns
-    (nll_sum, target_count, grads or None, new_states).
+    Documents are taken in `order`, batch_size lanes at a time; each lane
+    starts from zero states, which then carry from one window of model.window
+    steps to the next. Yields (window_start, inputs, targets, mask, traces)
+    with inputs, targets and mask flattened time-major to match the rows of
+    the stacked (T, B, H) states. The next window's forward runs only when
+    the consumer asks for it, so a parameter update made in between applies.
     """
-    B, Tw = X.shape
-    xs = model.embedding[X].transpose(1, 0, 2)
-    traces = forward_stack(np.ascontiguousarray(xs),
-                           [model.layer1, model.layer2], init_states=states)
-    s2_flat = traces[1].S.reshape(Tw * B, model.hidden_dim)
-    logits = s2_flat @ model.out_w + model.out_b
-    y_flat = Y.T.reshape(-1)
-    mask_flat = mask.T.reshape(-1)
-    probs = row_softmax(logits)
-    p_target = probs[np.arange(Tw * B), y_flat]
-    valid_p = np.maximum(p_target[mask_flat].astype(np.float64), LOG_EPS)
+    vocab_size = len(model.vocab)
+    for start in range(0, len(order), batch_size):
+        batch = [documents[i] for i in order[start:start + batch_size]]
+        lens = np.array([len(d) for d in batch], dtype=np.int64)
+        ids = np.zeros((len(batch), int(lens.max())), dtype=np.int64)
+        for b, doc in enumerate(batch):
+            ids[b, :len(doc)] = doc
+        bad = ids[(ids < 0) | (ids >= vocab_size)]
+        if bad.size:
+            raise UsageError(f"token index {bad[0]} out of range for "
+                             f"vocabulary size {vocab_size}")
+        states = None
+        for k in range(0, ids.shape[1] - 1, model.window):
+            tw = min(model.window, ids.shape[1] - 1 - k)
+            X = ids[:, k:k + tw]
+            mask = (k + 1 + np.arange(tw))[None, :] < lens[:, None]
+            xs = model.embedding[X].transpose(1, 0, 2)
+            traces = forward_stack(np.ascontiguousarray(xs),
+                                   [model.layer1, model.layer2],
+                                   init_states=states)
+            yield (k, X.T.reshape(-1), ids[:, k + 1:k + 1 + tw].T.reshape(-1),
+                   mask.T.reshape(-1), traces)
+            states = [(t.S[-1].copy(), t.C[-1].copy()) for t in traces]
+
+
+def _window_grads(model: LanguageModel, x, y, mask, traces):
+    """Masked next-token NLL sum, target count, and the gradients of the
+    mean NLL in model.param_list() order, for one window."""
+    s2 = traces[1].S.reshape(len(y), model.hidden_dim)
+    probs = row_softmax(s2 @ model.out_w + model.out_b)
+    rows = np.arange(len(y))
+    valid_p = np.maximum(probs[rows, y][mask].astype(np.float64), LOG_EPS)
     nll_sum = float(-np.log(valid_p).sum())
-    count = int(mask_flat.sum())
-    new_states = []
-    for trace in traces:
-        new_states.append((trace.S[-1].copy(), trace.C[-1].copy()))
-    if not want_grads:
-        return nll_sum, count, None, new_states
+    count = int(mask.sum())
     dlogits = probs
-    dlogits[np.arange(Tw * B), y_flat] -= 1.0
-    dlogits *= (mask_flat.astype(dlogits.dtype) / max(count, 1))[:, None]
-    d_out_w = s2_flat.T @ dlogits
+    dlogits[rows, y] -= 1.0
+    dlogits *= (mask.astype(dlogits.dtype) / max(count, 1))[:, None]
+    d_out_w = s2.T @ dlogits
     d_out_b = dlogits.sum(axis=0)
-    d_s2 = (dlogits @ model.out_w.T).reshape(Tw, B, model.hidden_dim)
+    d_s2 = (dlogits @ model.out_w.T).reshape(traces[1].S.shape)
     layer_grads, d_xs = backward_stack(traces, d_s2)
     d_emb = np.zeros_like(model.embedding)
-    np.add.at(d_emb, X.T.reshape(-1),
-              d_xs.reshape(Tw * B, model.embedding_dim))
-    grads = ([d_emb] + layer_grads[0].param_list()
-             + layer_grads[1].param_list() + [d_out_w, d_out_b])
-    return nll_sum, count, grads, new_states
+    np.add.at(d_emb, x, d_xs.reshape(len(x), model.embedding_dim))
+    grads = [d_emb] + layer_grads[0] + layer_grads[1] + [d_out_w, d_out_b]
+    return nll_sum, count, grads
 
 
-def _zero_states(model, batch: int):
-    dt = model.dtype
-    return [(np.zeros((batch, model.layer1.hidden_dim), dtype=dt),
-             np.zeros((batch, model.layer1.hidden_dim), dtype=dt)),
-            (np.zeros((batch, model.hidden_dim), dtype=dt),
-             np.zeros((batch, model.hidden_dim), dtype=dt))]
-
-
-def train_lm(documents, model: LanguageModel, config: LmTrainConfig, rng,
-             val_documents=None, log_fn=None) -> list[LmEpochRecord]:
-    """Truncated-BPTT training over encoded documents; one LmEpochRecord
-    per epoch, logged as "epoch=<n> train_ppl=<x> [val_ppl=<y>]"."""
+def train_lm(documents, model: LanguageModel, cfg: PipelineConfig, rng,
+             log_fn=None) -> list[LmEpochRecord]:
+    """Truncated-BPTT training over encoded documents with cfg's [lm]
+    recipe and the model's window; one LmEpochRecord per epoch, logged as
+    "epoch=<n> train_ppl=<x>"."""
     documents = [list(d) for d in documents]
     if not documents:
         raise UsageError("train_lm: empty corpus")
-    for doc in documents:
-        _check_indices(doc, len(model.vocab))
-    window = config.window
-    if window < 1:
-        raise UsageError(f"train_lm: window must be >= 1, got {window}")
-    optimizer = make_optimizer(config.optimizer, config.lr, config.clip_norm)
+    optimizer = make_optimizer(cfg.lm_optimizer, cfg.lm_lr, cfg.lm_clip_norm)
     params = model.param_list()
     records: list[LmEpochRecord] = []
-    for epoch in range(1, config.epochs + 1):
+    for epoch in range(1, cfg.lm_epochs + 1):
         order = rng.permutation(len(documents))
         epoch_nll, epoch_count = 0.0, 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [documents[i] for i in order[start:start + config.batch_size]]
-            ids, lens = _batch_arrays(batch)
-            states = _zero_states(model, len(batch))
-            maxlen = ids.shape[1]
-            for k in range(0, maxlen - 1, window):
-                tw = min(window, maxlen - 1 - k)
-                X = ids[:, k:k + tw]
-                Y = ids[:, k + 1:k + 1 + tw]
-                mask = (k + 1 + np.arange(tw))[None, :] < lens[:, None]
-                if not mask.any():
-                    break
-                nll, count, grads, states = _window_pass(model, X, Y, mask,
-                                                         states, True)
-                if not np.isfinite(nll):
-                    raise NumericError(
-                        f"train_lm: non-finite loss (lr={config.lr}, "
-                        f"epoch={epoch}, window_start={k})")
-                optimizer.step(params, grads)
-                epoch_nll += nll
-                epoch_count += count
-        train_ppl = float(np.exp(epoch_nll / max(epoch_count, 1)))
-        val_ppl = None
-        if val_documents:
-            val_ppl = perplexity(model, val_documents)
-        record = LmEpochRecord(epoch, train_ppl, val_ppl)
+        for k, x, y, mask, traces in _windows(model, documents, order,
+                                              cfg.lm_batch_size):
+            nll, count, grads = _window_grads(model, x, y, mask, traces)
+            if not np.isfinite(nll):
+                raise NumericError(
+                    f"train_lm: non-finite loss (lr={cfg.lm_lr}, "
+                    f"epoch={epoch}, window_start={k})")
+            optimizer.step(params, grads)
+            epoch_nll += nll
+            epoch_count += count
+        record = LmEpochRecord(epoch,
+                               float(np.exp(epoch_nll / max(epoch_count, 1))))
         records.append(record)
         if log_fn is not None:
             log_fn(record.format_line())
@@ -277,36 +201,13 @@ def perplexity(model: LanguageModel, documents, batch_size: int = 32) -> float:
     documents = [list(d) for d in documents if len(d) >= 2]
     if not documents:
         raise UsageError("perplexity: corpus has no next-token predictions")
-    for doc in documents:
-        _check_indices(doc, len(model.vocab))
     total_nll, total = 0.0, 0
-    for start in range(0, len(documents), batch_size):
-        batch = documents[start:start + batch_size]
-        ids, lens = _batch_arrays(batch)
-        states = _zero_states(model, len(batch))
-        maxlen = ids.shape[1]
-        window = max(model.window, 1)
-        for k in range(0, maxlen - 1, window):
-            tw = min(window, maxlen - 1 - k)
-            X = ids[:, k:k + tw]
-            Y = ids[:, k + 1:k + 1 + tw]
-            mask = (k + 1 + np.arange(tw))[None, :] < lens[:, None]
-            if not mask.any():
-                break
-            B = len(batch)
-            xs = model.embedding[X].transpose(1, 0, 2)
-            traces = forward_stack(np.ascontiguousarray(xs),
-                                   [model.layer1, model.layer2],
-                                   init_states=states)
-            s2_flat = traces[1].S.reshape(tw * B, model.hidden_dim)
-            logits = s2_flat @ model.out_w + model.out_b
-            logp = row_log_softmax64(logits)
-            y_flat = Y.T.reshape(-1)
-            mask_flat = mask.T.reshape(-1)
-            picked = logp[np.arange(tw * B), y_flat]
-            total_nll += float(-picked[mask_flat].sum())
-            total += int(mask_flat.sum())
-            states = [(t.S[-1].copy(), t.C[-1].copy()) for t in traces]
+    for _, _, y, mask, traces in _windows(model, documents,
+                                          range(len(documents)), batch_size):
+        s2 = traces[1].S.reshape(len(y), model.hidden_dim)
+        logp = row_log_softmax64(s2 @ model.out_w + model.out_b)
+        total_nll += float(-logp[np.arange(len(y)), y][mask].sum())
+        total += int(mask.sum())
     return float(np.exp(total_nll / total))
 
 
@@ -321,13 +222,9 @@ def training_loss_and_grads(model: LanguageModel, documents):
         if len(doc) > model.window + 1:
             raise UsageError("training_loss_and_grads: document longer than "
                              "one window")
-    ids, lens = _batch_arrays(documents)
-    tw = ids.shape[1] - 1
-    if tw < 1:
-        raise UsageError("training_loss_and_grads: no next-token targets")
-    X = ids[:, :tw]
-    Y = ids[:, 1:1 + tw]
-    mask = (1 + np.arange(tw))[None, :] < lens[:, None]
-    states = _zero_states(model, len(documents))
-    nll, count, grads, _ = _window_pass(model, X, Y, mask, states, True)
-    return nll / count, grads
+    for _, x, y, mask, traces in _windows(model, documents,
+                                          range(len(documents)),
+                                          len(documents)):
+        nll, count, grads = _window_grads(model, x, y, mask, traces)
+        return nll / count, grads
+    raise UsageError("training_loss_and_grads: no next-token targets")

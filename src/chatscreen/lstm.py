@@ -24,9 +24,6 @@ import numpy as np
 from .core_math import init_uniform, sigmoid
 from .errors import ShapeError, UsageError
 
-GATE_NAMES = ("i", "f", "o", "g")
-
-
 @dataclass
 class LstmLayerParams:
     """The eight gate matrices of one layer, plus optional biases.
@@ -130,31 +127,6 @@ class LstmLayerParams:
 
 
 @dataclass
-class LstmLayerGrads:
-    """Gradient accumulator shaped like LstmLayerParams."""
-
-    dUi: np.ndarray
-    dUf: np.ndarray
-    dUo: np.ndarray
-    dUg: np.ndarray
-    dWi: np.ndarray
-    dWf: np.ndarray
-    dWo: np.ndarray
-    dWg: np.ndarray
-    dbi: np.ndarray | None = None
-    dbf: np.ndarray | None = None
-    dbo: np.ndarray | None = None
-    dbg: np.ndarray | None = None
-
-    def param_list(self) -> list[np.ndarray]:
-        out = [self.dUi, self.dUf, self.dUo, self.dUg,
-               self.dWi, self.dWf, self.dWo, self.dWg]
-        if self.dbi is not None:
-            out += [self.dbi, self.dbf, self.dbo, self.dbg]
-        return out
-
-
-@dataclass
 class LstmState:
     """Hidden state s and cell state c of one layer at one timestep."""
 
@@ -184,10 +156,6 @@ class LstmTrace:
     TC: np.ndarray          # tanh(C)
     fused_u: np.ndarray = field(repr=False, default=None)
     fused_w: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def timesteps(self) -> int:
-        return self.xs.shape[0]
 
 
 def forward_steps(xs: np.ndarray, s0: np.ndarray, c0: np.ndarray,
@@ -226,7 +194,8 @@ def backward_steps(trace: LstmTrace, d_states: np.ndarray,
     """BPTT through one layer.
 
     d_states (T, B, H) holds the upstream gradient flowing into each
-    timestep's hidden state. Returns (grads, d_inputs (T, B, I), d_s0, d_c0).
+    timestep's hidden state. Returns (grads, d_inputs (T, B, I), d_s0, d_c0),
+    grads being contiguous arrays in LstmLayerParams.param_list() order.
     """
     p = trace.params
     T, B, H = trace.S.shape
@@ -262,16 +231,8 @@ def backward_steps(trace: LstmTrace, d_states: np.ndarray,
             db += dA.sum(axis=0)
         d_xs[t] = dA @ u.T
         ds_next = dA @ w.T
-    grads = LstmLayerGrads(
-        dUi=dU[:, :H].copy(), dUf=dU[:, H:2 * H].copy(),
-        dUo=dU[:, 2 * H:3 * H].copy(), dUg=dU[:, 3 * H:].copy(),
-        dWi=dW[:, :H].copy(), dWf=dW[:, H:2 * H].copy(),
-        dWo=dW[:, 2 * H:3 * H].copy(), dWg=dW[:, 3 * H:].copy())
-    if db is not None:
-        grads.dbi = db[:H].copy()
-        grads.dbf = db[H:2 * H].copy()
-        grads.dbo = db[2 * H:3 * H].copy()
-        grads.dbg = db[3 * H:].copy()
+    fused = (dU, dW) if db is None else (dU, dW, db)
+    grads = [g[..., j * H:(j + 1) * H].copy() for g in fused for j in range(4)]
     return grads, d_xs, ds_next, dc_next
 
 
@@ -289,49 +250,6 @@ def cell_step(x: np.ndarray, prev: LstmState,
     trace = forward_steps(x[None, None, :], prev.s[None, :], prev.c[None, :],
                           params)
     return LstmState(trace.S[0, 0].copy(), trace.C[0, 0].copy())
-
-
-def sequence_forward(xs, init: LstmState, params: LstmLayerParams):
-    """Run cell_step over a whole sequence.
-
-    Returns (states, trace): one LstmState per input vector, plus the cache
-    sequence_backward consumes.
-    """
-    seq = np.asarray(xs, dtype=params.Ui.dtype)
-    if seq.ndim == 1:
-        seq = seq[:, None]
-    if seq.size == 0 or seq.shape[0] == 0:
-        raise UsageError("sequence_forward: empty sequence")
-    if seq.ndim != 2 or seq.shape[1] != params.input_dim:
-        raise ShapeError(f"sequence_forward: sequence shape {seq.shape}, "
-                         f"expected (T, {params.input_dim})")
-    trace = forward_steps(seq[:, None, :], init.s[None, :], init.c[None, :],
-                          params)
-    states = [LstmState(trace.S[t, 0].copy(), trace.C[t, 0].copy())
-              for t in range(trace.timesteps)]
-    return states, trace
-
-
-def sequence_backward(trace: LstmTrace, d_states):
-    """Analytic gradients of a scalar loss given per-timestep upstream
-    gradients on the hidden states.
-
-    Returns (grads, d_inputs) with d_inputs one vector per timestep.
-    """
-    T = trace.timesteps
-    if len(d_states) != T:
-        raise UsageError(f"sequence_backward: {len(d_states)} gradients for "
-                         f"{T} cached timesteps")
-    h = trace.params.hidden_dim
-    dS = np.zeros_like(trace.S)
-    for t, d in enumerate(d_states):
-        d = np.asarray(d, dtype=dS.dtype)
-        if d.shape != (h,):
-            raise UsageError(f"sequence_backward: gradient {t} has shape "
-                             f"{d.shape}, expected ({h},)")
-        dS[t, 0] = d
-    grads, d_xs, _, _ = backward_steps(trace, dS)
-    return grads, [d_xs[t, 0].copy() for t in range(T)]
 
 
 def forward_stack(xs: np.ndarray, layers, init_states=None):
@@ -358,7 +276,7 @@ def forward_stack(xs: np.ndarray, layers, init_states=None):
 
 def backward_stack(traces, d_top: np.ndarray):
     """BPTT through a layer stack given upstream gradients on the top
-    layer's hidden states. Returns (per-layer grads, gradient on xs)."""
+    layer's hidden states. Returns (per-layer grad lists, gradient on xs)."""
     d_states = d_top
     grads = [None] * len(traces)
     for k in range(len(traces) - 1, -1, -1):

@@ -10,24 +10,20 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from . import author_classifier as ac
 from . import corpus_io, model_store, synthgen
 from .config import PipelineConfig
 from .core_math import Rng
-from .errors import UsageError
-from .language_model import (LanguageModel, LmTrainConfig, SentenceVector,
-                             perplexity, train_lm)
+from .errors import DataFormatError, UsageError
+from .language_model import LanguageModel, perplexity, train_lm
 from .metrics import (ConfusionCounts, ReportRow, accuracy, confusion,
                       format_metric, format_report, precision_recall_f)
 from .preprocessing import (NormRuleSet, Vocabulary, build_vocabulary,
                             default_rules, encode, load_abbreviations,
                             load_emoticon_patterns, normalize_text, tokenize,
                             vocab_from_lines, vocab_to_lines)
-from .scd_classifier import (Chunk, ConversationSequence, ScdTrainConfig,
-                             chunk_and_pad, predict_scd, train_scd,
-                             vectorize_conversation)
+from .scd_classifier import (Chunk, ConversationSequence, chunk_and_pad,
+                             predict_scd, train_scd, vectorize_conversation)
 
 NORMALIZED_XML = "normalized.xml"
 FILTER_REPORT = "filter_report.txt"
@@ -82,12 +78,15 @@ def _load_truth(cfg: PipelineConfig) -> set[str]:
     return corpus_io.parse_ground_truth(cfg.ground_truth)
 
 
-def _load_normalized(cfg: PipelineConfig):
+def _load_normalized(cfg: PipelineConfig) -> list[corpus_io.Conversation]:
     path = _artifact(cfg, NORMALIZED_XML, "preprocess")
-    result = corpus_io.parse_pan_corpus(path)
+    return corpus_io.parse_pan_corpus(path).conversations
+
+
+def _labels_by_id(cfg: PipelineConfig, conversations) -> dict[str, bool]:
     truth = _load_truth(cfg)
-    labeled = corpus_io.label_conversations(result.conversations, truth)
-    return result.conversations, truth, labeled
+    return {conv.id: positive for conv, positive
+            in corpus_io.label_conversations(conversations, truth)}
 
 
 def run_preprocess(cfg: PipelineConfig) -> None:
@@ -118,7 +117,7 @@ def run_preprocess(cfg: PipelineConfig) -> None:
 
 def run_build_vocab(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    conversations, _, _ = _load_normalized(cfg)
+    conversations = _load_normalized(cfg)
     documents = [[t for m in conv.messages for t in tokenize(m.text)]
                  for conv in conversations]
     vocab = build_vocabulary(documents, min_tf=cfg.min_tf)
@@ -147,19 +146,15 @@ def _lm_documents(conversations, vocab: Vocabulary, window: int):
 
 def run_train_lm(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    conversations, _, _ = _load_normalized(cfg)
+    conversations = _load_normalized(cfg)
     vocab = _load_vocab(cfg)
     documents = _lm_documents(conversations, vocab, cfg.lm_window)
     model = LanguageModel.create(vocab, cfg.lm_embedding_dim,
                                  cfg.lm_hidden_dim, cfg.lm_window,
                                  _stage_rng(cfg, "lm-init"),
                                  use_bias=cfg.use_bias)
-    train_cfg = LmTrainConfig(window=cfg.lm_window, epochs=cfg.lm_epochs,
-                              lr=cfg.lm_lr, optimizer=cfg.lm_optimizer,
-                              clip_norm=cfg.lm_clip_norm,
-                              batch_size=cfg.lm_batch_size)
     lines: list[str] = []
-    train_lm(documents, model, train_cfg, _stage_rng(cfg, "lm-train"),
+    train_lm(documents, model, cfg, _stage_rng(cfg, "lm-train"),
              log_fn=lines.append)
     model_store.save(model, out / LM_MODEL)
     (out / LM_LOG).write_text("".join(f"{l}\n" for l in lines),
@@ -171,7 +166,7 @@ def run_train_lm(cfg: PipelineConfig) -> None:
 def run_eval_lm(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     model = model_store.load(_artifact(cfg, LM_MODEL, "train-lm"))
-    conversations, _, _ = _load_normalized(cfg)
+    conversations = _load_normalized(cfg)
     documents = _lm_documents(conversations, model.vocab, model.window)
     ppl = perplexity(model, documents)
     (out / EVAL_LM).write_text(f"perplexity={ppl:.6f}\n", encoding="utf-8")
@@ -181,7 +176,7 @@ def run_eval_lm(cfg: PipelineConfig) -> None:
 def run_vectorize(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     model = model_store.load(_artifact(cfg, LM_MODEL, "train-lm"))
-    conversations, _, _ = _load_normalized(cfg)
+    conversations = _load_normalized(cfg)
     ids: list[str] = []
     matrices = []
     skipped = 0
@@ -191,33 +186,24 @@ def run_vectorize(cfg: PipelineConfig) -> None:
             skipped += 1
             continue
         ids.append(conv.id)
-        matrices.append(np.stack([v.values for v in seq.vectors])
-                        .astype(np.float32))
+        matrices.append(seq.matrix)
     bundle = model_store.VectorBundle(ids, matrices)
     model_store.save(bundle, out / VECTORS_FILE)
     note = f", skipped {skipped} empty" if skipped else ""
     print(f"vectorize: {len(ids)} conversations{note} -> {out / VECTORS_FILE}")
 
 
-def _sequences_from_bundle(bundle, labels_by_id=None):
-    sequences = []
-    for conv_id, matrix in zip(bundle.conversation_ids, bundle.matrices):
-        vectors = [SentenceVector(values=matrix[i], source_len=0)
-                   for i in range(matrix.shape[0])]
-        label = labels_by_id.get(conv_id) if labels_by_id else None
-        sequences.append(ConversationSequence(conv_id, vectors, label))
-    return sequences
-
-
-def _labels_by_id(labeled) -> dict[str, bool]:
-    return {conv.id: positive for conv, positive in labeled}
+def _sequences_from_bundle(bundle, labels_by_id):
+    return [ConversationSequence(conv_id, matrix, labels_by_id.get(conv_id))
+            for conv_id, matrix in zip(bundle.conversation_ids,
+                                       bundle.matrices)]
 
 
 def run_train_scd(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     bundle = model_store.load(_artifact(cfg, VECTORS_FILE, "vectorize"))
-    _, _, labeled = _load_normalized(cfg)
-    sequences = _sequences_from_bundle(bundle, _labels_by_id(labeled))
+    labels = _labels_by_id(cfg, _load_normalized(cfg))
+    sequences = _sequences_from_bundle(bundle, labels)
     rng = _stage_rng(cfg, "scd-split")
     order = rng.permutation(len(sequences))
     n_val = int(len(sequences) * cfg.scd_val_fraction)
@@ -227,15 +213,7 @@ def run_train_scd(cfg: PipelineConfig) -> None:
     for i, seq in enumerate(sequences):
         target = val_chunks if i in val_idx else train_chunks
         target.extend(chunk_and_pad(seq, cfg.scd_chunk_len))
-    train_cfg = ScdTrainConfig(hidden_dim=cfg.scd_hidden_dim,
-                               epochs=cfg.scd_epochs, lr=cfg.scd_lr,
-                               optimizer=cfg.scd_optimizer,
-                               clip_norm=cfg.scd_clip_norm,
-                               batch_size=cfg.scd_batch_size,
-                               neg_ratio=cfg.scd_neg_ratio,
-                               threshold=cfg.scd_threshold,
-                               use_bias=cfg.use_bias, masked=cfg.scd_masked)
-    model, records = train_scd(train_chunks, train_cfg,
+    model, records = train_scd(train_chunks, cfg,
                                _stage_rng(cfg, "scd-train"),
                                val_chunks=val_chunks or None)
     model_store.save(model, out / SCD_MODEL)
@@ -249,8 +227,7 @@ def run_eval_scd(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     model = model_store.load(_artifact(cfg, SCD_MODEL, "train-scd"))
     bundle = model_store.load(_artifact(cfg, VECTORS_FILE, "vectorize"))
-    _, _, labeled = _load_normalized(cfg)
-    labels = _labels_by_id(labeled)
+    labels = _labels_by_id(cfg, _load_normalized(cfg))
     sequences = _sequences_from_bundle(bundle, labels)
     rows = []
     tp = fp = tn = fn = 0
@@ -282,30 +259,26 @@ def run_eval_scd(cfg: PipelineConfig) -> None:
           f"f1={format_metric(prf.f_beta)}")
 
 
-def _author_classes(labeled, truth) -> dict[str, str]:
-    """P for ground-truth predators, V for other participants of positive
-    conversations, N for everyone else."""
-    positive_participants: set[str] = set()
-    all_authors: dict[str, None] = {}
-    for conv, positive in labeled:
-        for author in conv.authors():
-            all_authors.setdefault(author, None)
-            if positive:
-                positive_participants.add(author)
-    classes = {}
-    for author in all_authors:
-        if author in truth:
-            classes[author] = "P"
-        elif author in positive_participants:
-            classes[author] = "V"
-        else:
-            classes[author] = "N"
+def _author_classes(conversations, truth) -> dict[str, str]:
+    """P for ground-truth predators, V for other participants of
+    conversations with a predator, N for everyone else."""
+    classes: dict[str, str] = {}
+    for conv in conversations:
+        authors = conv.authors()
+        positive = any(a in truth for a in authors)
+        for author in authors:
+            if author in truth:
+                classes[author] = "P"
+            elif positive:
+                classes[author] = "V"
+            else:
+                classes.setdefault(author, "N")
     return classes
 
 
-def _author_units(labeled, classes=None) -> list[ac.AuthorUnit]:
+def _author_units(conversations, classes=None) -> list[ac.AuthorUnit]:
     units = []
-    for conv, _positive in labeled:
+    for conv in conversations:
         lines_by_author: dict[str, list[list[str]]] = {}
         for m in conv.messages:
             lines_by_author.setdefault(m.author, []).append(tokenize(m.text))
@@ -318,9 +291,9 @@ def _author_units(labeled, classes=None) -> list[ac.AuthorUnit]:
 
 def run_train_author(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    _, truth, labeled = _load_normalized(cfg)
-    classes = _author_classes(labeled, truth)
-    units = _author_units(labeled, classes)
+    conversations = _load_normalized(cfg)
+    classes = _author_classes(conversations, _load_truth(cfg))
+    units = _author_units(conversations, classes)
     features = ac.build_feature_vocab(units,
                                       min_freq=cfg.author_min_feature_freq,
                                       bigrams=cfg.author_bigrams)
@@ -329,15 +302,7 @@ def run_train_author(cfg: PipelineConfig) -> None:
                          "author.min_feature_freq")
     model = ac.ShallowModel.create(_stage_rng(cfg, "author-init"), features,
                                    cfg.author_k, bigrams=cfg.author_bigrams)
-    train_cfg = ac.AuthorTrainConfig(k=cfg.author_k, epochs=cfg.author_epochs,
-                                     lr=cfg.author_lr,
-                                     optimizer=cfg.author_optimizer,
-                                     clip_norm=cfg.author_clip_norm,
-                                     batch_size=cfg.author_batch_size,
-                                     min_feature_freq=cfg.author_min_feature_freq,
-                                     bigrams=cfg.author_bigrams,
-                                     balance=cfg.author_balance)
-    _, records = ac.train_author(model, units, train_cfg,
+    _, records = ac.train_author(model, units, cfg,
                                  _stage_rng(cfg, "author-train"))
     model_store.save(model, out / AUTHOR_MODEL)
     (out / AUTHOR_LOG).write_text(
@@ -349,8 +314,7 @@ def run_train_author(cfg: PipelineConfig) -> None:
 def run_score_authors(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     model = model_store.load(_artifact(cfg, AUTHOR_MODEL, "train-author"))
-    _, _, labeled = _load_normalized(cfg)
-    units = _author_units(labeled)
+    units = _author_units(_load_normalized(cfg))
     per_author: dict[str, list[ac.SentimentScore]] = {}
     for unit in units:
         feats = ac.featurize(model, unit.lines)
@@ -366,41 +330,89 @@ def run_score_authors(cfg: PipelineConfig) -> None:
     print(f"score-authors: {len(rows)} authors -> {out / AUTHOR_SCORES}")
 
 
-def read_author_scores(path) -> dict[str, ac.AuthorVerdict]:
-    verdicts = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        author, p, v, n, _cls = line.split("\t")
-        score = ac.SentimentScore(p=float(p), v=float(v), n=float(n))
-        verdicts[author] = ac.AuthorVerdict(author, score)
-    return verdicts
+def _read_tsv(path: Path, n_fields: int, parse, keys) -> dict:
+    """Rows of a stage-to-stage TSV artifact keyed by their first field.
+
+    Every line must have exactly n_fields fields that parse(*fields)
+    accepts, no key may repeat, and the keys must be exactly `keys`, so a
+    truncated or corrupt file is refused instead of read as a shorter one.
+    """
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    rows = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise DataFormatError(f"{path}:{lineno}: expected {n_fields} "
+                                  f"tab-separated fields, found {len(fields)}")
+        if fields[0] in rows:
+            raise DataFormatError(f"{path}:{lineno}: {fields[0]!r} appears "
+                                  "twice")
+        try:
+            rows[fields[0]] = parse(*fields)
+        except (ValueError, UsageError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    missing = set(keys) - rows.keys()
+    unexpected = rows.keys() - set(keys)
+    if missing or unexpected:
+        raise DataFormatError(
+            f"{path}: rows do not match {NORMALIZED_XML}: {len(missing)} "
+            f"missing, {len(unexpected)} unexpected")
+    return rows
 
 
-def read_scd_verdicts(path) -> dict[str, tuple[float, bool]]:
-    out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        conv_id, prob, verdict = line.split("\t")
-        out[conv_id] = (float(prob), verdict == "positive")
-    return out
+def _probability(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 <= value <= 1.0:     # also refuses nan
+        raise ValueError(f"{raw!r} is not a probability in [0, 1]")
+    return value
+
+
+def _author_row(author, p, v, n, cls) -> ac.AuthorVerdict:
+    verdict = ac.AuthorVerdict(author, ac.SentimentScore(
+        _probability(p), _probability(v), _probability(n)))
+    if cls != verdict.predicted_class:
+        raise ValueError(f"class {cls!r} does not match the scores' class "
+                         f"{verdict.predicted_class}")
+    return verdict
+
+
+def _verdict_row(_conv_id, prob, verdict) -> tuple[float, bool]:
+    if verdict not in ("positive", "negative"):
+        raise ValueError(f"verdict {verdict!r} is neither positive nor "
+                         "negative")
+    return _probability(prob), verdict == "positive"
+
+
+def read_author_scores(path, authors) -> dict[str, ac.AuthorVerdict]:
+    """author_scores.tsv, which must score exactly `authors`."""
+    return _read_tsv(Path(path), 5, _author_row, authors)
+
+
+def read_scd_verdicts(path, conversation_ids) -> dict[str, tuple[float, bool]]:
+    """scd_verdicts.tsv, which must judge exactly `conversation_ids`."""
+    return _read_tsv(Path(path), 3, _verdict_row, conversation_ids)
 
 
 def run_identify(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    verdict_rows = read_scd_verdicts(_artifact(cfg, SCD_VERDICTS, "eval-scd"))
-    verdicts = read_author_scores(_artifact(cfg, AUTHOR_SCORES,
-                                            "score-authors"))
-    conversations, truth, _ = _load_normalized(cfg)
+    verdicts_path = _artifact(cfg, SCD_VERDICTS, "eval-scd")
+    scores_path = _artifact(cfg, AUTHOR_SCORES, "score-authors")
+    conversations = _load_normalized(cfg)
+    truth = _load_truth(cfg)
+    authors = {a for conv in conversations for a in conv.authors()}
+    verdict_rows = read_scd_verdicts(verdicts_path,
+                                     [c.id for c in conversations])
+    verdicts = read_author_scores(scores_path, authors)
     suspicious = [cid for cid, (_p, positive) in verdict_rows.items()
                   if positive]
     result = ac.identify_predators(suspicious, verdicts, conversations)
     for anomaly in result.anomalies:
         print(f"identify: {anomaly}")
     corpus_io.write_ground_truth(result.flagged, out / PREDATORS_FILE)
-    universe = {a for conv in conversations for a in conv.authors()} | truth
-    counts = confusion(result.flagged, truth, universe)
+    counts = confusion(result.flagged, truth, authors | truth)
     report = "Predator identification vs ground truth\n"
     report += format_report([ReportRow("chatscreen", counts)])
     report += f"accuracy={accuracy(counts):.6f}\n"

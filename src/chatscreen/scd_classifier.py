@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .core_math import LOG_EPS, init_uniform, make_optimizer, sigmoid
 from .errors import NumericError, ShapeError, UsageError
 from .lstm import LstmLayerParams, backward_stack, forward_stack
 from .metrics import ConfusionCounts, accuracy, precision_recall_f
-from .language_model import LanguageModel, SentenceVector, sentence_vector
+from .language_model import LanguageModel, sentence_vector
 from .preprocessing import tokenize
 
 DEFAULT_CHUNK_LEN = 100
@@ -31,7 +32,7 @@ _PROB_EPS = 1e-12  # keep reported probabilities strictly inside (0, 1)
 @dataclass
 class ConversationSequence:
     conversation_id: str
-    vectors: list[SentenceVector]
+    matrix: np.ndarray        # (n_messages, H): one sentence vector per row
     label: bool | None = None
 
 
@@ -108,7 +109,7 @@ def vectorize_conversation(conv, lm: LanguageModel) -> ConversationSequence | No
     if not conv.messages:
         return None
     vectors = [sentence_vector(lm, tokenize(m.text)) for m in conv.messages]
-    return ConversationSequence(conversation_id=conv.id, vectors=vectors)
+    return ConversationSequence(conv.id, np.stack(vectors))
 
 
 def chunk_and_pad(seq: ConversationSequence,
@@ -117,17 +118,12 @@ def chunk_and_pad(seq: ConversationSequence,
     chunk inherits the conversation label."""
     if chunk_len < 1:
         raise UsageError(f"chunk_len must be >= 1, got {chunk_len}")
-    n = len(seq.vectors)
-    if n == 0:
-        return []
-    dim = seq.vectors[0].values.shape[0]
-    dtype = seq.vectors[0].values.dtype
+    n, dim = seq.matrix.shape
     chunks = []
     for part in range(math.ceil(n / chunk_len)):
-        rows = seq.vectors[part * chunk_len:(part + 1) * chunk_len]
-        matrix = np.zeros((chunk_len, dim), dtype=dtype)
-        for i, vec in enumerate(rows):
-            matrix[i] = vec.values
+        rows = seq.matrix[part * chunk_len:(part + 1) * chunk_len]
+        matrix = np.zeros((chunk_len, dim), dtype=seq.matrix.dtype)
+        matrix[:len(rows)] = rows
         chunks.append(Chunk(conversation_id=seq.conversation_id,
                             part_index=part, matrix=matrix,
                             valid_len=len(rows), label=seq.label))
@@ -186,20 +182,6 @@ def predict_scd(model: ScdModel, chunks,
 
 
 @dataclass
-class ScdTrainConfig:
-    hidden_dim: int = 200
-    epochs: int = 10
-    lr: float = 0.05
-    optimizer: str = "sgd"
-    clip_norm: float = 5.0
-    batch_size: int = 32
-    neg_ratio: float = 5.0
-    threshold: float = DEFAULT_THRESHOLD
-    use_bias: bool = True
-    masked: bool = True
-
-
-@dataclass
 class ScdEpochRecord:
     epoch: int
     train: tuple
@@ -251,8 +233,7 @@ def _bce_loss_and_grads(model: ScdModel, chunks):
     d_s = np.zeros_like(traces[1].S)
     d_s[rows, np.arange(len(chunks)), :] = d_finals
     layer_grads, _ = backward_stack(traces, d_s)
-    grads = (layer_grads[0].param_list() + layer_grads[1].param_list()
-             + [d_head_w, d_head_b])
+    grads = layer_grads[0] + layer_grads[1] + [d_head_w, d_head_b]
     return loss, grads
 
 
@@ -261,10 +242,10 @@ def training_loss_and_grads(model: ScdModel, chunks):
     return _bce_loss_and_grads(model, list(chunks))
 
 
-def train_scd(chunks, config: ScdTrainConfig, rng, val_chunks=None):
-    """Train on labeled chunks, resampling negatives each epoch to the
-    configured ratio; keeps the parameters from the best-F1 epoch
-    (validation F1 when val_chunks given, else training F1).
+def train_scd(chunks, cfg: PipelineConfig, rng, val_chunks=None):
+    """Train on labeled chunks with cfg's [scd] recipe, resampling negatives
+    each epoch to the configured ratio; keeps the parameters from the
+    best-F1 epoch (validation F1 when val_chunks given, else training F1).
 
     Returns (model, list of ScdEpochRecord).
     """
@@ -275,31 +256,33 @@ def train_scd(chunks, config: ScdTrainConfig, rng, val_chunks=None):
         raise UsageError("train_scd: need at least one positive and one "
                          "negative chunk")
     input_dim = chunks[0].matrix.shape[1]
-    model = ScdModel.create(rng, input_dim, config.hidden_dim,
-                            use_bias=config.use_bias, masked=config.masked)
+    model = ScdModel.create(rng, input_dim, cfg.scd_hidden_dim,
+                            use_bias=cfg.use_bias, masked=cfg.scd_masked)
     records: list[ScdEpochRecord] = []
-    if config.epochs == 0:
+    if cfg.scd_epochs == 0:
         return model, records
-    optimizer = make_optimizer(config.optimizer, config.lr, config.clip_norm)
+    optimizer = make_optimizer(cfg.scd_optimizer, cfg.scd_lr,
+                               cfg.scd_clip_norm)
     params = model.param_list()
     best_f1 = -1.0
     best_params = None
-    for epoch in range(1, config.epochs + 1):
-        n_neg = min(len(neg), int(round(config.neg_ratio * len(pos))))
+    for epoch in range(1, cfg.scd_epochs + 1):
+        n_neg = min(len(neg), int(round(cfg.scd_neg_ratio * len(pos))))
         neg_pick = [neg[i] for i in rng.permutation(len(neg))[:n_neg]]
         epoch_set = pos + neg_pick
         order = rng.permutation(len(epoch_set))
-        for start in range(0, len(order), config.batch_size):
-            batch = [epoch_set[i] for i in order[start:start + config.batch_size]]
+        for start in range(0, len(order), cfg.scd_batch_size):
+            batch = [epoch_set[i]
+                     for i in order[start:start + cfg.scd_batch_size]]
             loss, grads = _bce_loss_and_grads(model, batch)
             if not np.isfinite(loss):
                 raise NumericError(f"train_scd: non-finite loss at epoch "
-                                   f"{epoch} (lr={config.lr})")
+                                   f"{epoch} (lr={cfg.scd_lr})")
             optimizer.step(params, grads)
-        train_m = _chunk_metrics(model, chunks, config.threshold)
+        train_m = _chunk_metrics(model, chunks, cfg.scd_threshold)
         val_m = None
         if val_chunks:
-            val_m = _chunk_metrics(model, val_chunks, config.threshold)
+            val_m = _chunk_metrics(model, val_chunks, cfg.scd_threshold)
         records.append(ScdEpochRecord(epoch, train_m, val_m))
         select = val_m if val_m is not None else train_m
         f1 = select[3] if select[3] is not None else -1.0

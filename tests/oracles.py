@@ -52,14 +52,17 @@ def scalar_softmax(values):
     return [e / total for e in exps]
 
 
-def triple_loop_matmul(x, w):
-    """Element-wise triple-loop matrix product over nested lists."""
-    rows, inner, cols = len(x), len(w), len(w[0])
-    out = [[0.0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0
-            for k in range(inner):
-                acc += x[i][k] * w[k][j]
-            out[i][j] = acc
-    return out
+def scalar_lm_steps(model, ids):
+    """Top-layer hidden state and next-token distribution after each index
+    of `ids`, for a two-layer LSTM language model run from zero states."""
+    h1, h2 = len(model.layer1.Wi), len(model.layer2.Wi)
+    s1, c1, s2, c2 = [0.0] * h1, [0.0] * h1, [0.0] * h2, [0.0] * h2
+    steps = []
+    for idx in ids:
+        s1, c1 = scalar_cell_step(model.embedding[idx].tolist(), s1, c1,
+                                  model.layer1)
+        s2, c2 = scalar_cell_step(s1, s2, c2, model.layer2)
+        logits = [sum(s2[j] * model.out_w[j][k] for j in range(h2))
+                  + model.out_b[k] for k in range(len(model.out_b))]
+        steps.append((s2, scalar_softmax(logits)))
+    return steps

@@ -20,8 +20,8 @@ from chatscreen.cli import main
 from chatscreen.core_math import Rng, gradient_check
 from chatscreen.errors import (ContainerCorruptionError, ContainerFormatError,
                                ContainerVersionError)
-from chatscreen.language_model import (LanguageModel, LmTrainConfig,
-                                       perplexity, train_lm)
+from chatscreen.config import PipelineConfig
+from chatscreen.language_model import LanguageModel, perplexity, train_lm
 from chatscreen.language_model import \
     training_loss_and_grads as lm_loss_and_grads
 from chatscreen.lstm import LstmLayerParams, LstmState, cell_step
@@ -123,7 +123,7 @@ class TestCriterion3PerplexityAnchors:
         vocab = build_vocabulary(corpus, min_tf=1)
         doc = [vocab.index_of[t] for t in corpus[0]]
         cyclic = LanguageModel.create(vocab, 8, 8, 35, Rng(5))
-        train_lm([doc], cyclic, LmTrainConfig(window=35, epochs=200, lr=0.5),
+        train_lm([doc], cyclic, PipelineConfig(lm_epochs=200, lm_lr=0.5),
                  Rng(6))
         cyclic_ppl = perplexity(cyclic, [doc])
         elapsed = time.monotonic() - start

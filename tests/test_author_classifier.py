@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from chatscreen.author_classifier import (AuthorTrainConfig, AuthorUnit,
-                                          AuthorVerdict, SentimentScore,
-                                          ShallowModel, average_author_scores,
+from chatscreen.author_classifier import (AuthorUnit, AuthorVerdict,
+                                          SentimentScore, ShallowModel,
+                                          average_author_scores,
                                           build_feature_vocab, featurize,
                                           identify_predators, score,
                                           train_author,
                                           training_loss_and_grads,
                                           unit_features)
+from chatscreen.config import PipelineConfig
 from chatscreen.core_math import Rng, gradient_check
 from chatscreen.corpus_io import Conversation, Message
 from chatscreen.errors import UsageError
@@ -40,7 +41,6 @@ class TestSentimentScore:
     def test_verdict_class_derived_from_score(self):
         verdict = AuthorVerdict("a", SentimentScore(0.7, 0.2, 0.1))
         assert verdict.predicted_class == "P"
-        assert verdict.flagged_predator is False
 
 
 class TestFeaturize:
@@ -147,7 +147,7 @@ class TestTrainAuthor:
         model = ShallowModel.create(Rng(2), features, 4)
         before = [p.copy() for p in model.param_list()]
         _, records = train_author(model, units,
-                                  AuthorTrainConfig(epochs=0), Rng(3))
+                                  PipelineConfig(author_epochs=0), Rng(3))
         assert records == []
         for old, new in zip(before, model.param_list()):
             assert np.array_equal(old, new)
@@ -157,13 +157,15 @@ class TestTrainAuthor:
         features = build_feature_vocab(units, min_freq=1)
         model = ShallowModel.create(Rng(2), features, 4)
         with pytest.raises(UsageError):
-            train_author(model, units, AuthorTrainConfig(epochs=1), Rng(3))
+            train_author(model, units, PipelineConfig(author_epochs=1),
+                         Rng(3))
 
     def test_separable_corpus_learned(self):
         units = make_units(Rng(1), 12, MARKERS)
         features = build_feature_vocab(units, min_freq=1)
         model = ShallowModel.create(Rng(2), features, 8)
-        cfg = AuthorTrainConfig(epochs=25, lr=0.5, batch_size=8)
+        cfg = PipelineConfig(author_epochs=25, author_lr=0.5,
+                             author_batch_size=8)
         _, records = train_author(model, units, cfg, Rng(3))
         assert records[-1].train_accuracy >= 0.99
 

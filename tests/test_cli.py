@@ -1,3 +1,8 @@
+import configparser
+import shutil
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -77,6 +82,43 @@ class TestConfig:
         path.write_text("[lm]\nepochs = soon\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_default_config_file_lists_every_default(self):
+        path = Path(__file__).parents[1] / "configs" / "chat-default.cfg"
+        cfg = load_config(path)
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(path, encoding="utf-8")
+        listed = {(s, k) for s in parser.sections() for k in parser[s]}
+        for f in fields(PipelineConfig):
+            section = f.metadata["section"]
+            if section == "paths":
+                continue
+            assert getattr(cfg, f.name) == f.default, f.name
+            if section != "synth":
+                key = f.name.removeprefix(f"{section}_")
+                assert (section, key) in listed, f.name
+
+    def test_every_field_has_exactly_one_key(self, tmp_path):
+        keys = {}
+        for f in fields(PipelineConfig):
+            section = f.metadata["section"]
+            keys[(section, f.name.removeprefix(f"{section}_"))] = f
+        assert len(keys) == len(fields(PipelineConfig))
+        changed = {"int": lambda d: d + 1, "float": lambda d: d + 0.5,
+                   "bool": lambda d: not d, "str": lambda d: d + "x"}
+        for (section, key), f in keys.items():
+            value = changed[f.type](f.default)
+            path = tmp_path / f"{f.name}.cfg"
+            path.write_text(f"[{section}]\n{key} = {value}\n")
+            cfg = load_config(path)
+            assert cfg == PipelineConfig(**{f.name: value}), f.name
+
+    def test_key_of_another_section_rejected(self, tmp_path):
+        for text in ("[lm]\nchunk_len = 3\n", "[run]\nlm_epochs = 3\n"):
+            path = tmp_path / "bad.cfg"
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="unknown key"):
+                load_config(path)
 
     def test_strict_paper_mode(self):
         cfg = apply_strict_paper(PipelineConfig())
@@ -195,6 +237,28 @@ class TestStages:
         report = (out / "report.txt").read_text()
         assert "RETR." in report and "chatscreen" in report
 
+    @pytest.mark.parametrize("name,old,new", [
+        ("scd_verdicts.tsv", "0.990000\tpositive", "0.990000\tpos"),
+        ("scd_verdicts.tsv", "0.990000\tpositive", "nan\tpositive"),
+        ("scd_verdicts.tsv", "0.990000\tpositive", "1.5\tpositive"),
+        ("scd_verdicts.tsv", "positive\n", "positive\textra\n"),
+        ("scd_verdicts.tsv", "c2\t", "c1\t"),
+        ("scd_verdicts.tsv", "c2\t", "c9\t"),
+        ("author_scores.tsv", "0.9\t0.05\t0.05", "0.9\t0.1\t0.05"),
+        ("author_scores.tsv", "0.9\t0.05\t0.05", "inf\t0.05\t0.05"),
+        ("author_scores.tsv", "0.05\t0.05\tP", "0.05\t0.05\tV"),
+        ("author_scores.tsv", "0.05\t0.05\tP", "0.05\t0.05\tX"),
+        ("author_scores.tsv", "norm2\t", "norm1\t"),
+    ])
+    def test_corrupt_stage_file_is_data_error(self, tmp_path, capsys, name,
+                                              old, new):
+        self.test_identify_fixture_enumeration(tmp_path)
+        path = tmp_path / name
+        text = path.read_text()
+        path.write_text(text.replace(old, new, 1))
+        assert main(["identify", "--config", str(tmp_path / "run.cfg")]) == 2
+        assert name in capsys.readouterr().err
+
     def test_rerunning_identify_is_byte_identical(self, tmp_path):
         self.test_identify_fixture_enumeration(tmp_path)
         cfg_path = tmp_path / "run.cfg"
@@ -203,6 +267,60 @@ class TestStages:
         assert main(["identify", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "predators.txt").read_bytes() == first
         assert (tmp_path / "report.txt").read_bytes() == first_report
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """One small synth + pipeline run to copy from."""
+    out = tmp_path_factory.mktemp("small")
+    cfg_path = write_config(out / "run.cfg", out)
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["pipeline", "--config", str(cfg_path)]) == 0
+    return out
+
+
+def copy_run(small_run, tmp_path, **overrides):
+    out = tmp_path / "run"
+    shutil.copytree(small_run, out)
+    return out, write_config(tmp_path / "copy.cfg", out, **overrides)
+
+
+class TestStageFiles:
+    @pytest.mark.parametrize("name", ["scd_verdicts.tsv",
+                                      "author_scores.tsv"])
+    def test_truncated_file_is_data_error(self, small_run, tmp_path, capsys,
+                                          name):
+        out, cfg_path = copy_run(small_run, tmp_path)
+        whole = (out / name).read_bytes()
+        lines = whole.splitlines(keepends=True)
+        head = b"".join(lines[:len(lines) // 2])
+        cut_line = lines[len(lines) // 2]
+        tab = cut_line.index(b"\t")
+        # on a line boundary, inside the first field, inside the second
+        for data in (head, head + cut_line[:tab // 2],
+                     head + cut_line[:tab + 3]):
+            (out / name).write_bytes(data)
+            assert main(["identify", "--config", str(cfg_path)]) == 2
+            assert name in capsys.readouterr().err
+        (out / name).write_bytes(whole)
+        assert main(["identify", "--config", str(cfg_path)]) == 0
+        assert (out / "predators.txt").read_bytes() == \
+            (small_run / "predators.txt").read_bytes()
+
+    def test_unlabeled_stages_run_without_ground_truth(self, small_run,
+                                                       tmp_path):
+        out, cfg_path = copy_run(small_run, tmp_path,
+                                 paths={"ground_truth": ""})
+        for cmd in ["build-vocab", "train-lm", "eval-lm", "vectorize",
+                    "score-authors"]:
+            assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
+        for name in ["vocab.txt", "lm.model", "lm_train.log", "eval_lm.txt",
+                     "vectors.bin", "author_scores.tsv"]:
+            assert (out / name).read_bytes() == \
+                (small_run / name).read_bytes(), name
+        for cmd in ["preprocess", "train-scd", "eval-scd", "train-author",
+                    "identify"]:
+            assert main([cmd, "--config", str(cfg_path)]) == 1, cmd
 
 
 ARTIFACTS = ["normalized.xml", "filter_report.txt", "vocab.txt", "lm.model",

@@ -3,37 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from chatscreen.core_math import (AdamOptimizer, Rng, affine, cross_entropy,
-                                  gradient_check, make_optimizer, sgd_step,
-                                  sigmoid, softmax, tanh_act)
+from chatscreen.core_math import (AdamOptimizer, Rng, gradient_check,
+                                  make_optimizer, row_log_softmax64, sgd_step,
+                                  sigmoid, softmax)
 from chatscreen.errors import NumericError, ShapeError, UsageError
+from chatscreen.language_model import LanguageModel, perplexity
+from chatscreen.preprocessing import RESERVED_TOKENS, Vocabulary
 
-from oracles import triple_loop_matmul
-
-
-class TestAffine:
-    def test_identity(self):
-        out = affine(np.array([[1.0, 2.0]]), np.eye(2))
-        assert np.allclose(out, [[1.0, 2.0]])
-
-    def test_zero_input_passes_bias(self):
-        out = affine(np.zeros((1, 2)), np.ones((2, 2)), np.array([3.0, 4.0]))
-        assert np.allclose(out, [[3.0, 4.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = Rng(17)
-        x = rng.uniform(-2, 2, (3, 4), dtype=np.float64)
-        w = rng.uniform(-2, 2, (4, 2), dtype=np.float64)
-        expect = np.array(triple_loop_matmul(x.tolist(), w.tolist()))
-        assert np.abs(affine(x, w) - expect).max() < 1e-12
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(1, 3\).*\(2, 2\)"):
-            affine(np.zeros((1, 3)), np.zeros((2, 2)))
-
-    def test_bad_bias_shape(self):
-        with pytest.raises(ShapeError):
-            affine(np.zeros((1, 2)), np.zeros((2, 2)), np.zeros(3))
+from oracles import scalar_softmax
 
 
 class TestSigmoid:
@@ -57,24 +34,6 @@ class TestSigmoid:
         xs = np.linspace(-20, 20, 41)
         total = sigmoid(xs) + sigmoid(-xs)
         assert np.abs(total - 1.0).max() < 1e-12
-
-
-class TestTanh:
-    def test_zero(self):
-        assert tanh_act(np.array([0.0]))[0] == 0.0
-
-    def test_odd_symmetry(self):
-        xs = Rng(3).uniform(-4, 4, (50,), dtype=np.float64)
-        assert np.allclose(tanh_act(-xs), -tanh_act(xs))
-
-    def test_scalar_oracle(self):
-        assert abs(tanh_act(np.array([1.0]))[0]
-                   - 0.7615941559557649) < 1e-15
-
-    def test_range_and_monotone(self):
-        grid = tanh_act(np.linspace(-5, 5, 101))
-        assert np.all(np.diff(grid) > 0)
-        assert grid.min() > -1 and grid.max() < 1
 
 
 class TestSoftmax:
@@ -106,26 +65,37 @@ class TestSoftmax:
 
 
 class TestCrossEntropy:
+    """-row_log_softmax64(logits)[target], the float64 cross-entropy that
+    perplexity averages."""
+
     def test_uniform_eight_classes(self):
-        pred = np.full(8, 1 / 8)
-        assert abs(cross_entropy(pred, 3) - 2.0794415416798357) < 1e-12
+        loss = -row_log_softmax64(np.zeros((1, 8)))[0, 3]
+        assert abs(loss - 2.0794415416798357) < 1e-12
 
     def test_certain_prediction(self):
-        assert cross_entropy(np.array([0.0, 1.0]), 1) == 0.0
+        assert -row_log_softmax64(np.array([[0.0, 1000.0]]))[0, 1] == 0.0
 
     def test_scalar_oracle(self):
-        assert abs(cross_entropy(np.array([0.7, 0.3]), 1)
-                   - 1.2039728043259361) < 1e-12
+        logits = [0.3, -1.2, 2.0]
+        want = [-math.log(p) for p in scalar_softmax(logits)]
+        got = -row_log_softmax64(np.array([logits], dtype=np.float32))[0]
+        assert got.dtype == np.float64
+        assert np.abs(got - want).max() < 1e-7
 
     def test_out_of_range_index(self):
+        # numpy would wrap -1 to the last class; perplexity must refuse it
+        vocab = Vocabulary(list(RESERVED_TOKENS) + ["w0", "w1"],
+                           min_term_frequency=1)
+        model = LanguageModel.create(vocab, 3, 4, 5, Rng(1))
         with pytest.raises(UsageError):
-            cross_entropy(np.array([0.5, 0.5]), 2)
+            perplexity(model, [[3, len(vocab)]])
         with pytest.raises(UsageError):
-            cross_entropy(np.array([0.5, 0.5]), -1)
+            perplexity(model, [[3, -1]])
 
     def test_zero_probability_clamped(self):
-        assert abs(cross_entropy(np.array([1.0, 0.0]), 1)
-                   - (-math.log(1e-12))) < 1e-9
+        # a target the model rules out still costs a finite loss
+        loss = -row_log_softmax64(np.array([[0.0, -1e4]]))[0, 1]
+        assert np.isfinite(loss) and abs(loss - 1e4) < 1e-9
 
 
 class TestSgdStep:
@@ -215,33 +185,6 @@ class TestGradientCheck:
         p = np.ones(1, dtype=np.float64)
         with pytest.raises(NumericError):
             gradient_check(lambda: (float("nan"), [np.zeros(1)]), [p], 1e-4)
-
-
-class TestSimpleRecurrenceComposition:
-    """The non-gated recurrence s_t = tanh(x_t W + s_{t-1} U) with a
-    softmax readout composes from the exported ops; only LSTM stacks are
-    trained, but the math must hold together."""
-
-    def test_fold_matches_scalar_oracle(self):
-        rng = Rng(63)
-        w = rng.uniform(-1, 1, (3, 4), dtype=np.float64)
-        u = rng.uniform(-1, 1, (4, 4), dtype=np.float64)
-        v = rng.uniform(-1, 1, (4, 5), dtype=np.float64)
-        xs = rng.uniform(-1, 1, (6, 3), dtype=np.float64)
-        s = np.zeros((1, 4))
-        for t in range(6):
-            s = tanh_act(affine(xs[t][None, :], w) + affine(s, u))
-        y = softmax((s @ v)[0])
-        s_ref = [0.0] * 4
-        for t in range(6):
-            nxt = []
-            for j in range(4):
-                a = sum(xs[t][k] * w[k][j] for k in range(3))
-                a += sum(s_ref[k] * u[k][j] for k in range(4))
-                nxt.append(math.tanh(a))
-            s_ref = nxt
-        assert np.abs(s[0] - s_ref).max() < 1e-12
-        assert abs(y.sum() - 1.0) < 1e-12
 
 
 class TestRng:

@@ -1,12 +1,11 @@
 import pytest
 
-from chatscreen.corpus_io import (Conversation, Message, author_line_total,
-                                  corpus_message_count, filter_corpus,
-                                  group_by_author, label_conversations,
-                                  load_review_tree, parse_ground_truth,
+from chatscreen.corpus_io import (Conversation, Message, filter_corpus,
+                                  label_conversations, parse_ground_truth,
                                   parse_pan_corpus, write_ground_truth,
                                   write_pan_corpus)
-from chatscreen.errors import ConfigError, CorpusParseError
+from chatscreen.errors import CorpusParseError
+from chatscreen.pipeline import _author_units
 
 SMALL_XML = b"""<?xml version="1.0" encoding="UTF-8"?>
 <conversations>
@@ -92,37 +91,6 @@ class TestGroundTruth:
         assert parse_ground_truth(path) == {"a", "b"}
 
 
-class TestReviewTree:
-    def test_labels_from_directories(self, tmp_path):
-        (tmp_path / "pos").mkdir()
-        (tmp_path / "neg").mkdir()
-        (tmp_path / "pos" / "a.txt").write_text("good")
-        (tmp_path / "pos" / "b.txt").write_text("great")
-        (tmp_path / "neg" / "c.txt").write_text("bad")
-        records = load_review_tree(tmp_path)
-        assert records == [("good", "pos"), ("great", "pos"), ("bad", "neg")]
-
-    def test_empty_directories(self, tmp_path):
-        (tmp_path / "pos").mkdir()
-        (tmp_path / "neg").mkdir()
-        assert load_review_tree(tmp_path) == []
-
-    def test_missing_subdirectory(self, tmp_path):
-        (tmp_path / "pos").mkdir()
-        with pytest.raises(ConfigError):
-            load_review_tree(tmp_path)
-
-    def test_deterministic_ordering(self, tmp_path):
-        (tmp_path / "pos").mkdir()
-        (tmp_path / "neg").mkdir()
-        for name in ("z.txt", "a.txt", "m.txt"):
-            (tmp_path / "pos" / name).write_text(name)
-        first = load_review_tree(tmp_path)
-        second = load_review_tree(tmp_path)
-        assert first == second
-        assert [t for t, _ in first] == ["a.txt", "m.txt", "z.txt"]
-
-
 def conv(conv_id, *author_text_pairs):
     messages = [Message(author=a, line_no=i + 1, time=f"00:{i:02d}", text=t)
                 for i, (a, t) in enumerate(author_text_pairs)]
@@ -192,54 +160,28 @@ class TestFilterCorpus:
 
 
 class TestGroupByAuthor:
+    """The (author, conversation) units the author stages train and score
+    on: each author's lines within one conversation, in message order."""
+
     def test_two_authors_two_documents(self):
-        labeled = [(conv("c", ("a", "one"), ("b", "two")), False)]
-        docs = group_by_author(labeled)
-        assert sorted(d.author for d in docs) == ["a", "b"]
+        units = _author_units([conv("c", ("a", "one"), ("b", "two"))])
+        assert sorted(u.author for u in units) == ["a", "b"]
 
     def test_author_across_conversations(self):
-        labeled = [(conv("c1", ("a", "one")), False),
-                   (conv("c2", ("a", "two")), False)]
-        docs = group_by_author(labeled)
-        assert len(docs) == 1
-        assert set(docs[0].per_conversation_lines) == {"c1", "c2"}
+        units = _author_units([conv("c1", ("a", "one")),
+                               conv("c2", ("a", "two"))])
+        assert [(u.author, u.conversation_id) for u in units] == \
+            [("a", "c1"), ("a", "c2")]
 
     def test_interleaved_lines_keep_order(self):
-        labeled = [(conv("c", ("a", "first"), ("b", "noise"), ("a", "second"),
-                         ("a", "third")), False)]
-        docs = {d.author: d for d in group_by_author(labeled)}
-        assert docs["a"].per_conversation_lines["c"] == ["first", "second",
-                                                         "third"]
+        units = _author_units([conv("c", ("a", "first"), ("b", "noise"),
+                                    ("a", "second"), ("a", "third"))])
+        lines = {u.author: u.lines for u in units}
+        assert lines["a"] == [["first"], ["second"], ["third"]]
 
     def test_line_totals_match_message_totals(self):
-        labeled = [(conv("c1", ("a", "x"), ("b", "y"), ("a", "z")), False),
-                   (conv("c2", ("b", "w")), True)]
-        docs = group_by_author(labeled)
-        assert author_line_total(docs) == corpus_message_count(labeled)
-
-
-class TestReviewTreeFeedsModelPath:
-    def test_reviews_flow_through_vocab_and_sentence_vectors(self, tmp_path):
-        """Review records normalize, build a vocabulary (one review = one
-        document), and yield sentence vectors through the same machinery
-        the chat path uses."""
-        from chatscreen.core_math import Rng
-        from chatscreen.language_model import LanguageModel, sentence_vector
-        from chatscreen.preprocessing import (build_vocabulary, encode,
-                                              normalize_text, tokenize)
-
-        (tmp_path / "pos").mkdir()
-        (tmp_path / "neg").mkdir()
-        (tmp_path / "pos" / "a.txt").write_text("a great great movie :)")
-        (tmp_path / "pos" / "b.txt").write_text("great fun for 12 yrs")
-        (tmp_path / "neg" / "c.txt").write_text("dull dull dull movie")
-        records = load_review_tree(tmp_path)
-        docs = [tokenize(normalize_text(text)) for text, _label in records]
-        vocab = build_vocabulary(docs, min_tf=1)
-        assert "great" in vocab.index_of and "00NUM" in vocab.index_of
-        model = LanguageModel.create(vocab, 4, 4, window=50, rng=Rng(3))
-        for doc, (_text, label) in zip(docs, records):
-            assert label in ("pos", "neg")
-            vec = sentence_vector(model, doc)
-            assert vec.values.shape == (4,)
-            assert vec.source_len == len(encode(doc, vocab, 50))
+        conversations = [conv("c1", ("a", "x"), ("b", "y"), ("a", "z")),
+                         conv("c2", ("b", "w"))]
+        units = _author_units(conversations)
+        assert sum(len(u.lines) for u in units) == \
+            sum(len(c.messages) for c in conversations)

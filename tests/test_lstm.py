@@ -4,8 +4,8 @@ import pytest
 from chatscreen.core_math import Rng, gradient_check
 from chatscreen.errors import ShapeError, UsageError
 from chatscreen.lstm import (LstmLayerParams, LstmState, backward_stack,
-                             cell_step, forward_stack, sequence_backward,
-                             sequence_forward)
+                             backward_steps, cell_step, forward_stack,
+                             forward_steps)
 
 from oracles import scalar_cell_step
 
@@ -80,64 +80,67 @@ class TestCellStep:
             params.validate()
 
 
+def unroll(xs, params):
+    """forward_steps over one sequence (B=1) from zero states."""
+    h = params.hidden_dim
+    return forward_steps(np.asarray(xs)[:, None, :], np.zeros((1, h)),
+                         np.zeros((1, h)), params)
+
+
+def upstream(trace, last_only=False):
+    """(T, 1, H) upstream gradient: ones at every step or at the last."""
+    d = np.zeros_like(trace.S) if last_only else np.ones_like(trace.S)
+    d[-1] = 1.0
+    return d
+
+
 class TestSequenceForward:
     def test_length_one_equals_cell_step(self):
         rng = Rng(4)
         params = make_params(rng, 3, 4, use_bias=True)
         x = rng.uniform(-1, 1, (3,), dtype=np.float64)
-        states, _ = sequence_forward([x], LstmState.zeros(4, np.float64),
-                                     params)
+        trace = unroll([x], params)
         single = cell_step(x, LstmState.zeros(4, np.float64), params)
-        assert np.array_equal(states[0].s, single.s)
-        assert np.array_equal(states[0].c, single.c)
+        assert np.array_equal(trace.S[0, 0], single.s)
+        assert np.array_equal(trace.C[0, 0], single.c)
 
     def test_zero_weights_zero_states(self):
         params = all_value_params(0.0, 2, 3)
-        states, _ = sequence_forward(np.zeros((4, 2)),
-                                     LstmState.zeros(3, np.float64), params)
-        for st in states:
-            assert np.array_equal(st.s, np.zeros(3))
+        trace = unroll(np.zeros((4, 2)), params)
+        assert np.array_equal(trace.S, np.zeros((4, 1, 3)))
 
     def test_final_state_equals_manual_fold(self):
         rng = Rng(31)
         params = make_params(rng, 3, 4, use_bias=True)
         xs = rng.uniform(-1, 1, (5, 3), dtype=np.float64)
-        states, _ = sequence_forward(xs, LstmState.zeros(4, np.float64),
-                                     params)
+        trace = unroll(xs, params)
         folded = LstmState.zeros(4, np.float64)
         for t in range(5):
             folded = cell_step(xs[t], folded, params)
-        assert np.abs(states[-1].s - folded.s).max() < 1e-12
-        assert np.abs(states[-1].c - folded.c).max() < 1e-12
-
-    def test_empty_sequence_rejected(self):
-        params = all_value_params(0.0, 2, 3)
-        with pytest.raises(UsageError):
-            sequence_forward(np.zeros((0, 2)), LstmState.zeros(3, np.float64),
-                             params)
+        assert np.abs(trace.S[-1, 0] - folded.s).max() < 1e-12
+        assert np.abs(trace.C[-1, 0] - folded.c).max() < 1e-12
 
 
 class TestSequenceBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = Rng(12)
         params = make_params(rng, 3, 4, use_bias=True)
-        xs = rng.uniform(-1, 1, (6, 3), dtype=np.float64)
-        _, trace = sequence_forward(xs, LstmState.zeros(4, np.float64), params)
-        grads, d_inputs = sequence_backward(trace, [np.zeros(4)] * 6)
-        for g in grads.param_list():
+        trace = unroll(rng.uniform(-1, 1, (6, 3), dtype=np.float64), params)
+        grads, d_inputs, _, _ = backward_steps(trace, np.zeros_like(trace.S))
+        assert len(grads) == len(params.param_list())
+        for g, p in zip(grads, params.param_list()):
+            assert g.shape == p.shape and g.flags.c_contiguous
             assert np.array_equal(g, np.zeros_like(g))
-        for d in d_inputs:
-            assert np.array_equal(d, np.zeros(3))
+        assert np.array_equal(d_inputs, np.zeros((6, 1, 3)))
 
     def test_gradient_mismatch_rejected(self):
         rng = Rng(12)
         params = make_params(rng, 3, 4, use_bias=True)
-        _, trace = sequence_forward(np.zeros((6, 3)),
-                                    LstmState.zeros(4, np.float64), params)
+        trace = unroll(np.zeros((6, 3)), params)
         with pytest.raises(UsageError):
-            sequence_backward(trace, [np.zeros(4)] * 5)
+            backward_steps(trace, np.zeros((5, 1, 4)))
         with pytest.raises(UsageError):
-            sequence_backward(trace, [np.zeros(3)] * 6)
+            backward_steps(trace, np.zeros((6, 1, 3)))
 
     @pytest.mark.parametrize("use_bias", [False, True])
     def test_bptt_matches_finite_differences(self, use_bias):
@@ -146,11 +149,9 @@ class TestSequenceBackward:
         xs = rng.uniform(-1, 1, (6, 3), dtype=np.float64)
 
         def loss_and_grads():
-            states, trace = sequence_forward(
-                xs, LstmState.zeros(4, np.float64), params)
-            upstream = [np.zeros(4)] * 5 + [np.ones(4)]
-            grads, _ = sequence_backward(trace, upstream)
-            return float(states[-1].s.sum()), grads.param_list()
+            trace = unroll(xs, params)
+            grads, _, _, _ = backward_steps(trace, upstream(trace, True))
+            return float(trace.S[-1].sum()), grads
 
         err = gradient_check(loss_and_grads, params.param_list(), 1e-4)
         assert err < 1e-4
@@ -161,11 +162,9 @@ class TestSequenceBackward:
         xs = rng.uniform(-1, 1, (5, 3), dtype=np.float64)
 
         def loss_and_grads():
-            states, trace = sequence_forward(
-                xs, LstmState.zeros(4, np.float64), params)
-            upstream = [np.zeros(4)] * 4 + [np.ones(4)]
-            _, d_inputs = sequence_backward(trace, upstream)
-            return float(states[-1].s.sum()), [np.stack(d_inputs)]
+            trace = unroll(xs, params)
+            _, d_inputs, _, _ = backward_steps(trace, upstream(trace, True))
+            return float(trace.S[-1].sum()), [d_inputs[:, 0]]
 
         err = gradient_check(loss_and_grads, [xs], 1e-4)
         assert err < 1e-4
@@ -178,11 +177,8 @@ class TestSequenceBackward:
 
         def loss_and_grads():
             traces = forward_stack(xs, [layer1, layer2])
-            loss = float(traces[1].S[-1].sum())
-            d_top = np.zeros_like(traces[1].S)
-            d_top[-1] = 1.0
-            grads, _ = backward_stack(traces, d_top)
-            return loss, grads[0].param_list() + grads[1].param_list()
+            grads, _ = backward_stack(traces, upstream(traces[1], True))
+            return float(traces[1].S[-1].sum()), grads[0] + grads[1]
 
         params = layer1.param_list() + layer2.param_list()
         assert gradient_check(loss_and_grads, params, 1e-4) < 1e-4
@@ -191,8 +187,7 @@ class TestSequenceBackward:
         rng = Rng(13)
         params = make_params(rng, 3, 4, use_bias=True)
         before = [p.copy() for p in params.param_list()]
-        xs = rng.uniform(-1, 1, (5, 3), dtype=np.float64)
-        _, trace = sequence_forward(xs, LstmState.zeros(4, np.float64), params)
-        sequence_backward(trace, [np.ones(4)] * 5)
+        trace = unroll(rng.uniform(-1, 1, (5, 3), dtype=np.float64), params)
+        backward_steps(trace, upstream(trace))
         for old, new in zip(before, params.param_list()):
             assert np.array_equal(old, new)

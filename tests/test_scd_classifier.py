@@ -1,23 +1,21 @@
 import numpy as np
 import pytest
 
+from chatscreen.config import PipelineConfig
 from chatscreen.core_math import Rng, gradient_check
 from chatscreen.corpus_io import Conversation, Message
 from chatscreen.errors import UsageError
-from chatscreen.language_model import LanguageModel, SentenceVector, sentence_vector
+from chatscreen.language_model import LanguageModel, sentence_vector
 from chatscreen.preprocessing import RESERVED_TOKENS, Vocabulary, tokenize
 from chatscreen.scd_classifier import (Chunk, ConversationSequence, ScdModel,
-                                       ScdTrainConfig, chunk_and_pad,
-                                       predict_scd, train_scd,
+                                       chunk_and_pad, predict_scd, train_scd,
                                        training_loss_and_grads,
                                        vectorize_conversation)
 
 
 def make_sequence(n, dim=4, seed=1, label=None):
-    rng = Rng(seed)
-    vectors = [SentenceVector(rng.uniform(-1, 1, (dim,), dtype=np.float32), 3)
-               for _ in range(n)]
-    return ConversationSequence("conv", vectors, label)
+    matrix = Rng(seed).uniform(-1, 1, (n, dim), dtype=np.float32)
+    return ConversationSequence("conv", matrix, label)
 
 
 def make_chunks(rng, n_pos, n_neg, dim=8, length=6):
@@ -65,8 +63,7 @@ class TestChunkAndPad:
         seq = make_sequence(237, seed=9)
         chunks = chunk_and_pad(seq, chunk_len=100)
         rebuilt = np.concatenate([c.matrix[:c.valid_len] for c in chunks])
-        original = np.stack([v.values for v in seq.vectors])
-        assert np.array_equal(rebuilt, original)
+        assert np.array_equal(rebuilt, seq.matrix)
 
     def test_bad_chunk_len(self):
         with pytest.raises(UsageError):
@@ -89,20 +86,20 @@ class TestVectorizeConversation:
         lm = tiny_lm()
         seq = vectorize_conversation(make_conv(["hi there", "friend", "hi"]),
                                      lm)
-        assert len(seq.vectors) == 3
+        assert seq.matrix.shape == (3, 4)
 
     def test_identical_messages_identical_vectors(self):
         lm = tiny_lm()
         seq = vectorize_conversation(make_conv(["hi there", "hi there"]), lm)
-        assert np.array_equal(seq.vectors[0].values, seq.vectors[1].values)
+        assert np.array_equal(seq.matrix[0], seq.matrix[1])
 
     def test_matches_per_message_oracle(self):
         lm = tiny_lm()
         conv = make_conv(["hi there friend", "there hi"])
         seq = vectorize_conversation(conv, lm)
-        for message, vec in zip(conv.messages, seq.vectors):
+        for message, vec in zip(conv.messages, seq.matrix):
             solo = sentence_vector(lm, tokenize(message.text))
-            assert np.array_equal(vec.values, solo.values)
+            assert np.array_equal(vec, solo)
 
     def test_empty_conversation_skip_signal(self):
         lm = tiny_lm()
@@ -166,7 +163,7 @@ class TestPredict:
         model = ScdModel.create(Rng(3), input_dim=4, hidden_dim=4)
         a = chunk_and_pad(make_sequence(3), chunk_len=10)
         b = chunk_and_pad(ConversationSequence(
-            "other", make_sequence(3).vectors, None), chunk_len=10)
+            "other", make_sequence(3).matrix, None), chunk_len=10)
         with pytest.raises(UsageError):
             predict_scd(model, a + b)
 
@@ -174,7 +171,7 @@ class TestPredict:
 class TestTrainScd:
     def test_zero_epochs_returns_untrained_model_empty_log(self):
         chunks = make_chunks(Rng(2), 2, 2)
-        cfg = ScdTrainConfig(hidden_dim=4, epochs=0)
+        cfg = PipelineConfig(scd_hidden_dim=4, scd_epochs=0)
         model, records = train_scd(chunks, cfg, Rng(3))
         assert records == []
         assert model.hidden_dim == 4
@@ -182,13 +179,14 @@ class TestTrainScd:
     def test_single_class_rejected(self):
         chunks = make_chunks(Rng(2), 3, 0)
         with pytest.raises(UsageError):
-            train_scd(chunks, ScdTrainConfig(hidden_dim=4, epochs=1), Rng(3))
+            train_scd(chunks, PipelineConfig(scd_hidden_dim=4, scd_epochs=1),
+                      Rng(3))
 
     def test_separable_fixture_reaches_high_f1(self):
         rng = Rng(20)
         chunks = make_chunks(rng, 20, 60)
-        cfg = ScdTrainConfig(hidden_dim=8, epochs=30, lr=0.2,
-                             batch_size=16, neg_ratio=5.0)
+        cfg = PipelineConfig(scd_hidden_dim=8, scd_epochs=30, scd_lr=0.2,
+                             scd_batch_size=16, scd_neg_ratio=5.0)
         _, records = train_scd(chunks, cfg, Rng(21))
         best_f1 = max(r.train[3] for r in records if r.train[3] is not None)
         assert best_f1 >= 0.99
@@ -197,17 +195,18 @@ class TestTrainScd:
         rng = Rng(20)
         chunks = make_chunks(rng, 8, 24)
         val = make_chunks(Rng(77), 4, 12)
-        cfg = ScdTrainConfig(hidden_dim=6, epochs=5, lr=0.2, batch_size=8)
+        cfg = PipelineConfig(scd_hidden_dim=6, scd_epochs=5, scd_lr=0.2,
+                             scd_batch_size=8)
         model, records = train_scd(chunks, cfg, Rng(21), val_chunks=val)
         from chatscreen.scd_classifier import _chunk_metrics
         best = max((r.val[3] for r in records if r.val[3] is not None),
                    default=None)
-        final = _chunk_metrics(model, val, cfg.threshold)
+        final = _chunk_metrics(model, val, cfg.scd_threshold)
         assert final[3] == best
 
     def test_epoch_log_format(self):
         chunks = make_chunks(Rng(2), 2, 6)
-        cfg = ScdTrainConfig(hidden_dim=4, epochs=2, lr=0.1)
+        cfg = PipelineConfig(scd_hidden_dim=4, scd_epochs=2, scd_lr=0.1)
         _, records = train_scd(chunks, cfg, Rng(3))
         assert records[0].format_line().startswith("epoch=1 acc=")
 
