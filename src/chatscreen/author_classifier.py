@@ -119,10 +119,10 @@ class ShallowModel:
                              f"feature count {len(self.features)}")
         k = self.embedding.shape[1]
         if self.class_w.shape != (k, len(CLASSES)):
-            raise ShapeError(f"class weights {self.class_w.shape}, expected "
+            raise ShapeError(f"class_w shape {self.class_w.shape}, expected "
                              f"{(k, len(CLASSES))}")
         if self.class_b.shape != (len(CLASSES),):
-            raise ShapeError(f"class bias {self.class_b.shape}, expected "
+            raise ShapeError(f"class_b shape {self.class_b.shape}, expected "
                              f"{(len(CLASSES),)}")
 
     @property

@@ -69,10 +69,10 @@ class LanguageModel:
         if self.layer2.input_dim != self.layer1.hidden_dim:
             raise ShapeError("layer2 input dim does not match layer1 hidden dim")
         if self.out_w.shape != (self.hidden_dim, v):
-            raise ShapeError(f"output weights {self.out_w.shape}, expected "
+            raise ShapeError(f"out_w shape {self.out_w.shape}, expected "
                              f"{(self.hidden_dim, v)}")
         if self.out_b.shape != (v,):
-            raise ShapeError(f"output bias {self.out_b.shape}, expected {(v,)}")
+            raise ShapeError(f"out_b shape {self.out_b.shape}, expected {(v,)}")
         if self.window < 1:
             raise UsageError(f"window must be >= 1, got {self.window}")
 

@@ -10,120 +10,89 @@ Row-vector convention throughout: inputs multiply U matrices on the left
     c_t = f * c_{t-1} + i * g
     s_t = o * tanh(c_t)
 
-The batched kernels fuse the four gate products into one (I, 4H) matrix
-per side; gradients are hand-derived and verified by finite differences.
-Forward and backward never mutate parameters.
+Each layer stores its weights fused, once: U (I, 4H), W (H, 4H) and b (4H,)
+hold the gate blocks side by side in the order i, f, o, g, so one product
+per side gives all four gate pre-activations, and U_i ... b_g are views of
+the blocks. The forward trace keeps the gate activations in one (T, B, 4H)
+tensor in the same layout; gradients come back as fused dU, dW, db, are
+hand-derived and verified by finite differences. Forward and backward never
+mutate parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core_math import init_uniform, sigmoid
 from .errors import ShapeError, UsageError
 
+
+def _gate_view(side: str, j: int) -> property:
+    """Read-only property: gate block j of the fused array `side`."""
+    def block(self):
+        fused = getattr(self, side)
+        h = self.hidden_dim
+        return None if fused is None else fused[..., j * h:(j + 1) * h]
+    return property(block)
+
+
 @dataclass
 class LstmLayerParams:
-    """The eight gate matrices of one layer, plus optional biases.
+    """One layer in the fused gate layout: U (I, 4H), W (H, 4H) and an
+    optional bias b (4H,), gate blocks side by side in the order i, f, o, g.
 
-    Biases are all present or all absent; the default initialization sets
-    them to zero with a +1 forget-gate bias so the cell starts out
-    remembering.
+    Ui ... bg are views of those blocks, not copies. The default
+    initialization sets the biases to zero with a +1 forget-gate bias so
+    the cell starts out remembering.
     """
 
-    Ui: np.ndarray
-    Uf: np.ndarray
-    Uo: np.ndarray
-    Ug: np.ndarray
-    Wi: np.ndarray
-    Wf: np.ndarray
-    Wo: np.ndarray
-    Wg: np.ndarray
-    bi: np.ndarray | None = None
-    bf: np.ndarray | None = None
-    bo: np.ndarray | None = None
-    bg: np.ndarray | None = None
+    U: np.ndarray
+    W: np.ndarray
+    b: np.ndarray | None = None
+
+    Ui, Uf, Uo, Ug = (_gate_view("U", j) for j in range(4))
+    Wi, Wf, Wo, Wg = (_gate_view("W", j) for j in range(4))
+    bi, bf, bo, bg = (_gate_view("b", j) for j in range(4))
 
     @classmethod
     def init(cls, rng, input_dim: int, hidden_dim: int, use_bias: bool = True,
              dtype=np.float32, forget_bias: float = 1.0) -> "LstmLayerParams":
-        def u():
-            return init_uniform(rng, input_dim, hidden_dim, fan_in=input_dim,
-                                dtype=dtype)
-
-        def w():
-            return init_uniform(rng, hidden_dim, hidden_dim, fan_in=hidden_dim,
-                                dtype=dtype)
-
-        params = cls(Ui=u(), Uf=u(), Uo=u(), Ug=u(),
-                     Wi=w(), Wf=w(), Wo=w(), Wg=w())
+        u = [init_uniform(rng, input_dim, hidden_dim, fan_in=input_dim,
+                          dtype=dtype) for _ in range(4)]
+        w = [init_uniform(rng, hidden_dim, hidden_dim, fan_in=hidden_dim,
+                          dtype=dtype) for _ in range(4)]
+        b = None
         if use_bias:
-            params.bi = np.zeros(hidden_dim, dtype=dtype)
-            params.bf = np.full(hidden_dim, forget_bias, dtype=dtype)
-            params.bo = np.zeros(hidden_dim, dtype=dtype)
-            params.bg = np.zeros(hidden_dim, dtype=dtype)
-        params.validate()
-        return params
+            b = np.zeros(4 * hidden_dim, dtype=dtype)
+            b[hidden_dim:2 * hidden_dim] = forget_bias
+        return cls(np.concatenate(u, axis=1), np.concatenate(w, axis=1), b)
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def input_dim(self) -> int:
-        return self.Ui.shape[0]
+        return self.U.shape[0]
 
     @property
     def hidden_dim(self) -> int:
-        return self.Ui.shape[1]
-
-    @property
-    def has_bias(self) -> bool:
-        return self.bi is not None
+        return self.W.shape[0]
 
     def validate(self) -> None:
-        i, h = self.Ui.shape
-        for name in ("Ui", "Uf", "Uo", "Ug"):
+        h4 = 4 * self.hidden_dim   # W first: H is read from its rows
+        for name, shape in (("W", (self.hidden_dim, h4)),
+                            ("U", (self.input_dim, h4)), ("b", (h4,))):
             m = getattr(self, name)
-            if m.shape != (i, h):
-                raise ShapeError(f"{name} shape {m.shape}, expected {(i, h)}")
-        for name in ("Wi", "Wf", "Wo", "Wg"):
-            m = getattr(self, name)
-            if m.shape != (h, h):
-                raise ShapeError(f"{name} shape {m.shape}, expected {(h, h)}")
-        biases = [self.bi, self.bf, self.bo, self.bg]
-        present = [b is not None for b in biases]
-        if any(present) != all(present):
-            raise ShapeError("LSTM biases must be all present or all absent")
-        if all(present):
-            for name in ("bi", "bf", "bo", "bg"):
-                b = getattr(self, name)
-                if b.shape != (h,):
-                    raise ShapeError(f"{name} shape {b.shape}, expected {(h,)}")
-
-    def param_names(self) -> list[str]:
-        names = ["Ui", "Uf", "Uo", "Ug", "Wi", "Wf", "Wo", "Wg"]
-        if self.has_bias:
-            names += ["bi", "bf", "bo", "bg"]
-        return names
+            if m is not None and m.shape != shape:
+                raise ShapeError(f"{name} shape {m.shape}, expected {shape}")
 
     def param_list(self) -> list[np.ndarray]:
-        return [getattr(self, n) for n in self.param_names()]
+        return [self.U, self.W] + ([] if self.b is None else [self.b])
 
     def astype(self, dtype) -> "LstmLayerParams":
-        kwargs = {n: getattr(self, n).astype(dtype) for n in self.param_names()}
-        return LstmLayerParams(**kwargs)
-
-    def copy(self) -> "LstmLayerParams":
-        kwargs = {n: getattr(self, n).copy() for n in self.param_names()}
-        return LstmLayerParams(**kwargs)
-
-    def fused(self):
-        """(I,4H), (H,4H) and optional (4H,) views used by the kernels."""
-        u = np.concatenate([self.Ui, self.Uf, self.Uo, self.Ug], axis=1)
-        w = np.concatenate([self.Wi, self.Wf, self.Wo, self.Wg], axis=1)
-        b = None
-        if self.has_bias:
-            b = np.concatenate([self.bi, self.bf, self.bo, self.bg])
-        return u, w, b
+        return LstmLayerParams(*(m.astype(dtype) for m in self.param_list()))
 
 
 @dataclass
@@ -149,13 +118,8 @@ class LstmTrace:
     c0: np.ndarray          # (B, H)
     S: np.ndarray           # (T, B, H) hidden states
     C: np.ndarray           # (T, B, H) cell states
-    I: np.ndarray
-    F: np.ndarray
-    O: np.ndarray
-    G: np.ndarray
+    Z: np.ndarray           # (T, B, 4H) gate activations i | f | o | g
     TC: np.ndarray          # tanh(C)
-    fused_u: np.ndarray = field(repr=False, default=None)
-    fused_w: np.ndarray = field(repr=False, default=None)
 
 
 def forward_steps(xs: np.ndarray, s0: np.ndarray, c0: np.ndarray,
@@ -163,57 +127,48 @@ def forward_steps(xs: np.ndarray, s0: np.ndarray, c0: np.ndarray,
     """Unroll the cell over xs (T, B, I) from initial states (B, H)."""
     T, B, _ = xs.shape
     H = params.hidden_dim
-    u, w, b = params.fused()
     S = np.empty((T, B, H), dtype=xs.dtype)
     C = np.empty_like(S)
-    I = np.empty_like(S)
-    F = np.empty_like(S)
-    O = np.empty_like(S)
-    G = np.empty_like(S)
     TC = np.empty_like(S)
+    Z = np.empty((T, B, 4 * H), dtype=xs.dtype)
     s, c = s0, c0
     for t in range(T):
-        a = xs[t] @ u + s @ w
-        if b is not None:
-            a = a + b
-        i = sigmoid(a[:, :H])
-        f = sigmoid(a[:, H:2 * H])
-        o = sigmoid(a[:, 2 * H:3 * H])
-        g = np.tanh(a[:, 3 * H:])
+        a = xs[t] @ params.U + s @ params.W
+        if params.b is not None:
+            a = a + params.b
+        z = Z[t]
+        z[:, :3 * H] = sigmoid(a[:, :3 * H])
+        z[:, 3 * H:] = np.tanh(a[:, 3 * H:])
+        i, f, o, g = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
         c = f * c + i * g
         tc = np.tanh(c)
         s = o * tc
-        I[t], F[t], O[t], G[t] = i, f, o, g
         C[t], TC[t], S[t] = c, tc, s
-    return LstmTrace(params=params, xs=xs, s0=s0, c0=c0, S=S, C=C,
-                     I=I, F=F, O=O, G=G, TC=TC, fused_u=u, fused_w=w)
+    return LstmTrace(params=params, xs=xs, s0=s0, c0=c0, S=S, C=C, Z=Z,
+                     TC=TC)
 
 
-def backward_steps(trace: LstmTrace, d_states: np.ndarray,
-                   d_c_final: np.ndarray | None = None):
+def backward_steps(trace: LstmTrace, d_states: np.ndarray):
     """BPTT through one layer.
 
     d_states (T, B, H) holds the upstream gradient flowing into each
-    timestep's hidden state. Returns (grads, d_inputs (T, B, I), d_s0, d_c0),
-    grads being contiguous arrays in LstmLayerParams.param_list() order.
+    timestep's hidden state. Returns (grads, d_inputs (T, B, I)), grads
+    being [dU, dW(, db)] in LstmLayerParams.param_list() order.
     """
     p = trace.params
     T, B, H = trace.S.shape
     if d_states.shape != trace.S.shape:
         raise UsageError(f"backward_steps: gradient shape {d_states.shape} "
                          f"does not match cached states {trace.S.shape}")
-    u, w = trace.fused_u, trace.fused_w
-    dU = np.zeros_like(u)
-    dW = np.zeros_like(w)
-    db = np.zeros(4 * H, dtype=u.dtype) if p.has_bias else None
+    grads = [np.zeros_like(m) for m in p.param_list()]
+    dU, dW = grads[:2]
     d_xs = np.empty_like(trace.xs)
-    ds_next = np.zeros((B, H), dtype=u.dtype)
-    dc_next = np.zeros((B, H), dtype=u.dtype)
-    if d_c_final is not None:
-        dc_next = dc_next + d_c_final
-    dA = np.empty((B, 4 * H), dtype=u.dtype)
+    ds_next = np.zeros((B, H), dtype=p.U.dtype)
+    dc_next = np.zeros((B, H), dtype=p.U.dtype)
+    dA = np.empty((B, 4 * H), dtype=p.U.dtype)
     for t in range(T - 1, -1, -1):
-        i, f, o, g = trace.I[t], trace.F[t], trace.O[t], trace.G[t]
+        z = trace.Z[t]
+        i, f, o, g = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
         tc = trace.TC[t]
         c_prev = trace.C[t - 1] if t > 0 else trace.c0
         s_prev = trace.S[t - 1] if t > 0 else trace.s0
@@ -227,19 +182,17 @@ def backward_steps(trace: LstmTrace, d_states: np.ndarray,
         dc_next = dc * f
         dU += trace.xs[t].T @ dA
         dW += s_prev.T @ dA
-        if db is not None:
-            db += dA.sum(axis=0)
-        d_xs[t] = dA @ u.T
-        ds_next = dA @ w.T
-    fused = (dU, dW) if db is None else (dU, dW, db)
-    grads = [g[..., j * H:(j + 1) * H].copy() for g in fused for j in range(4)]
-    return grads, d_xs, ds_next, dc_next
+        if p.b is not None:
+            grads[2] += dA.sum(axis=0)
+        d_xs[t] = dA @ p.U.T
+        ds_next = dA @ p.W.T
+    return grads, d_xs
 
 
 def cell_step(x: np.ndarray, prev: LstmState,
               params: LstmLayerParams) -> LstmState:
     """One gate update from a single input vector and previous state."""
-    x = np.asarray(x, dtype=params.Ui.dtype)
+    x = np.asarray(x, dtype=params.U.dtype)
     if x.ndim != 1 or x.shape[0] != params.input_dim:
         raise ShapeError(f"cell_step: input shape {x.shape}, expected "
                          f"({params.input_dim},)")
@@ -280,7 +233,5 @@ def backward_stack(traces, d_top: np.ndarray):
     d_states = d_top
     grads = [None] * len(traces)
     for k in range(len(traces) - 1, -1, -1):
-        layer_grads, d_inputs, _, _ = backward_steps(traces[k], d_states)
-        grads[k] = layer_grads
-        d_states = d_inputs
+        grads[k], d_states = backward_steps(traces[k], d_states)
     return grads, d_states

@@ -45,8 +45,6 @@ FORMAT_VERSION = 1
 DEFAULT_ALLOC_CAP = 4 * 1024 ** 3  # bytes of payload a load may allocate
 
 _HEADER_LEN = len(MAGIC) + 4 + 8
-_LAYER_FIELDS = ("Ui", "Uf", "Uo", "Ug", "Wi", "Wf", "Wo", "Wg",
-                 "bi", "bf", "bo", "bg")
 
 
 @dataclass
@@ -106,13 +104,6 @@ def write_container(container: Container, path) -> int:
 
 
 def _parse_manifest(text: str):
-    try:
-        return _parse_manifest_lines(text)
-    except ValueError as exc:
-        raise ContainerFormatError(f"bad manifest field: {exc}") from exc
-
-
-def _parse_manifest_lines(text: str):
     kind = None
     metas: dict[str, str] = {}
     strtabs: dict[str, list[str]] = {}
@@ -175,8 +166,12 @@ def read_container(path, alloc_cap: int = DEFAULT_ALLOC_CAP) -> Container:
         manifest_raw = fh.read(manifest_len)
         if len(manifest_raw) < manifest_len:
             raise ContainerCorruptionError(f"{path}: truncated manifest")
-        kind, metas, strtabs, specs = _parse_manifest(
-            manifest_raw.decode("utf-8"))
+        try:
+            kind, metas, strtabs, specs = _parse_manifest(
+                manifest_raw.decode("utf-8"))
+        except ValueError as exc:   # also non-UTF-8 bytes
+            raise ContainerFormatError(f"{path}: bad manifest field: "
+                                       f"{exc}") from exc
         payload_len = 0
         for _, shape in specs:
             n = 1
@@ -214,22 +209,26 @@ def read_container(path, alloc_cap: int = DEFAULT_ALLOC_CAP) -> Container:
 
 
 def _layer_tensors(prefix: str, layer: LstmLayerParams):
-    return [(f"{prefix}.{name}", getattr(layer, name))
-            for name in layer.param_names()]
+    """Format v1 stores an LSTM layer per gate: prefix.Ui ... prefix.bg,
+    written from views of the fused arrays."""
+    sides = "UW" if layer.b is None else "UWb"
+    return [(f"{prefix}.{side}{gate}", getattr(layer, side + gate))
+            for side in sides for gate in "ifog"]
 
 
 def _layer_from(container: Container, prefix: str) -> LstmLayerParams:
-    present = {n for n, _ in container.tensors}
-    kwargs = {}
-    for name in _LAYER_FIELDS:
-        full = f"{prefix}.{name}"
-        if full in present:
-            kwargs[name] = container.tensor(full)
-    return LstmLayerParams(**kwargs)
-
-
-def _vocab_entries(vocab: Vocabulary) -> list[str]:
-    return list(vocab.tokens)
+    fused = []
+    has_bias = any(n.startswith(f"{prefix}.b") for n, _ in container.tensors)
+    for side in "UWb" if has_bias else "UW":
+        names = [f"{prefix}.{side}{gate}" for gate in "ifog"]
+        blocks = [container.tensor(n) for n in names]
+        for name, block in zip(names, blocks):
+            if block.shape != blocks[0].shape:
+                raise ContainerFormatError(
+                    f"tensor {name} has shape {block.shape}, {names[0]} has "
+                    f"{blocks[0].shape}")
+        fused.append(np.concatenate(blocks, axis=-1))
+    return LstmLayerParams(*fused)
 
 
 @dataclass
@@ -247,7 +246,7 @@ def container_for_model(model) -> Container:
         c = Container(kind="language_model")
         c.metas["window"] = str(model.window)
         c.metas["vocab_min_tf"] = str(model.vocab.min_term_frequency)
-        c.strtabs["vocab"] = _vocab_entries(model.vocab)
+        c.strtabs["vocab"] = list(model.vocab.tokens)
         c.tensors.append(("embedding", model.embedding))
         c.tensors.extend(_layer_tensors("layer1", model.layer1))
         c.tensors.extend(_layer_tensors("layer2", model.layer2))
@@ -280,6 +279,18 @@ def container_for_model(model) -> Container:
 
 
 def model_from_container(container: Container):
+    """The model a container describes. Tensors or settings that do not fit
+    its kind are a ContainerFormatError: the checksum covers the payload,
+    not the manifest's dimensions."""
+    try:
+        return _model_from(container)
+    except (UsageError, ValueError, IndexError, KeyError) as exc:
+        raise ContainerFormatError(
+            f"{container.kind} container does not hold a valid model: "
+            f"{exc}") from exc
+
+
+def _model_from(container: Container):
     kind = container.kind
     if kind == "language_model":
         vocab = Vocabulary(container.strtabs["vocab"],

@@ -21,7 +21,7 @@ from .metrics import (ConfusionCounts, ReportRow, accuracy, confusion,
 from .preprocessing import (NormRuleSet, Vocabulary, build_vocabulary,
                             default_rules, encode, load_abbreviations,
                             load_emoticon_patterns, normalize_text, tokenize,
-                            vocab_from_lines, vocab_to_lines)
+                            vocab_from_text, vocab_to_text)
 from .scd_classifier import (Chunk, ConversationSequence, chunk_and_pad,
                              predict_scd, train_scd, vectorize_conversation)
 
@@ -121,14 +121,16 @@ def run_build_vocab(cfg: PipelineConfig) -> None:
     documents = [[t for m in conv.messages for t in tokenize(m.text)]
                  for conv in conversations]
     vocab = build_vocabulary(documents, min_tf=cfg.min_tf)
-    (out / VOCAB_FILE).write_text(
-        "\n".join(vocab_to_lines(vocab)) + "\n", encoding="utf-8")
+    (out / VOCAB_FILE).write_text(vocab_to_text(vocab), encoding="utf-8")
     print(f"build-vocab: {len(vocab)} tokens -> {out / VOCAB_FILE}")
 
 
 def _load_vocab(cfg: PipelineConfig) -> Vocabulary:
     path = _artifact(cfg, VOCAB_FILE, "build-vocab")
-    return vocab_from_lines(path.read_text(encoding="utf-8").splitlines())
+    try:
+        return vocab_from_text(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, DataFormatError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def _lm_documents(conversations, vocab: Vocabulary, window: int):

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, DataFormatError, UsageError
 
 NUM_TOKEN = "00NUM"
 LONGWORD_TOKEN = "00LW"
@@ -221,18 +221,27 @@ def encode(tokens, vocab: Vocabulary, max_len: int) -> list[int]:
     return ids[:max_len]
 
 
-def vocab_to_lines(vocab: Vocabulary) -> list[str]:
-    return [f"#min_tf={vocab.min_term_frequency}"] + list(vocab.tokens)
+def vocab_to_text(vocab: Vocabulary) -> str:
+    lines = [f"#min_tf={vocab.min_term_frequency}"] + list(vocab.tokens)
+    return "".join(f"{line}\n" for line in lines)
 
 
-def vocab_from_lines(lines) -> Vocabulary:
-    min_tf = DEFAULT_MIN_TF
-    tokens = []
-    for line in lines:
-        line = line.rstrip("\n")
-        if line.startswith("#min_tf="):
-            min_tf = int(line.split("=", 1)[1])
-            continue
-        if line:
-            tokens.append(line)
-    return Vocabulary(tokens, min_term_frequency=min_tf)
+def vocab_from_text(text: str) -> Vocabulary:
+    """Strict inverse of vocab_to_text: the line `#min_tf=<int>`, then one
+    distinct, non-empty token per line starting with the reserved symbols,
+    every line newline-terminated. Anything else is a DataFormatError."""
+    lines = text.split("\n")
+    if lines[-1]:
+        raise DataFormatError("last line has no newline: the file is cut "
+                              "short")
+    match = re.fullmatch(r"#min_tf=([1-9][0-9]*)", lines[0])
+    if match is None:
+        raise DataFormatError(f"line 1: expected #min_tf=<int>, found "
+                              f"{lines[0]!r}")
+    tokens = lines[1:-1]
+    if "" in tokens:
+        raise DataFormatError(f"line {tokens.index('') + 2}: blank token")
+    try:
+        return Vocabulary(tokens, min_term_frequency=int(match[1]))
+    except UsageError as exc:   # reserved prefix missing or token repeated
+        raise DataFormatError(str(exc)) from exc

@@ -72,9 +72,9 @@ class ScdModel:
         if self.layer2.input_dim != self.layer1.hidden_dim:
             raise ShapeError("layer2 input dim does not match layer1 hidden dim")
         if self.head_w.shape != (h,):
-            raise ShapeError(f"head weights {self.head_w.shape}, expected {(h,)}")
+            raise ShapeError(f"head_w shape {self.head_w.shape}, expected {(h,)}")
         if self.head_b.shape != (1,):
-            raise ShapeError(f"head bias {self.head_b.shape}, expected (1,)")
+            raise ShapeError(f"head_b shape {self.head_b.shape}, expected (1,)")
 
     @property
     def input_dim(self) -> int:
@@ -95,11 +95,6 @@ class ScdModel:
     def astype(self, dtype) -> "ScdModel":
         return ScdModel(self.layer1.astype(dtype), self.layer2.astype(dtype),
                         self.head_w.astype(dtype), self.head_b.astype(dtype),
-                        masked=self.masked)
-
-    def copy(self) -> "ScdModel":
-        return ScdModel(self.layer1.copy(), self.layer2.copy(),
-                        self.head_w.copy(), self.head_b.copy(),
                         masked=self.masked)
 
 

@@ -307,6 +307,48 @@ class TestStageFiles:
         assert (out / "predators.txt").read_bytes() == \
             (small_run / "predators.txt").read_bytes()
 
+    @pytest.mark.parametrize("name,dims", [
+        ("layer1.Uf", lambda rows, cols: (rows // 2, cols * 2)),
+        ("out_w", lambda rows, cols: (cols, rows)),
+    ], ids=["layer1.Uf", "out_w"])
+    def test_misshapen_container_tensor_is_data_error(self, small_run,
+                                                      tmp_path, capsys, name,
+                                                      dims):
+        # the same element count, so payload and checksum still fit
+        out, cfg_path = copy_run(small_run, tmp_path)
+        raw = (out / "lm.model").read_bytes()
+        end = 20 + int.from_bytes(raw[12:20], "little")
+        lines = raw[20:end].decode("utf-8").split("\n")
+        for k, line in enumerate(lines):
+            fields = line.split("\t")
+            if fields[:2] == ["tensor", name]:
+                new = dims(*map(int, fields[3].split(",")))
+                fields[3] = ",".join(map(str, new))
+                lines[k] = "\t".join(fields)
+        manifest = "\n".join(lines).encode("utf-8")
+        assert manifest != raw[20:end]
+        (out / "lm.model").write_bytes(
+            raw[:12] + len(manifest).to_bytes(8, "little") + manifest
+            + raw[end:])
+        assert main(["vectorize", "--config", str(cfg_path)]) == 2
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new", [
+        (b"#min_tf=2", b"#min_tf=2x"),
+        (b"<unk>\n", b"<unk>\n\n"),
+        (b"<unk>\n", b"<unk>\n<unk>\n"),
+        (b"<pad>\n", b""),
+        (b"<eos>", b"<\xffeos>"),
+    ], ids=["header", "blank", "repeated", "reserved", "utf8"])
+    def test_corrupt_vocab_is_data_error(self, small_run, tmp_path, capsys,
+                                         old, new):
+        out, cfg_path = copy_run(small_run, tmp_path)
+        whole = (out / "vocab.txt").read_bytes()
+        assert old in whole
+        (out / "vocab.txt").write_bytes(whole.replace(old, new, 1))
+        assert main(["train-lm", "--config", str(cfg_path)]) == 2
+        assert "vocab.txt" in capsys.readouterr().err
+
     def test_unlabeled_stages_run_without_ground_truth(self, small_run,
                                                        tmp_path):
         out, cfg_path = copy_run(small_run, tmp_path,

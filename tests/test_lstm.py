@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chatscreen.core_math import Rng, gradient_check
+from chatscreen.core_math import Rng, gradient_check, init_uniform
 from chatscreen.errors import ShapeError, UsageError
 from chatscreen.lstm import (LstmLayerParams, LstmState, backward_stack,
                              backward_steps, cell_step, forward_stack,
@@ -22,10 +22,9 @@ def make_params(rng, input_dim, hidden_dim, use_bias, dtype=np.float64):
 
 
 def all_value_params(value, input_dim, hidden_dim, dtype=np.float64):
-    u = np.full((input_dim, hidden_dim), value, dtype=dtype)
-    w = np.full((hidden_dim, hidden_dim), value, dtype=dtype)
-    return LstmLayerParams(Ui=u.copy(), Uf=u.copy(), Uo=u.copy(), Ug=u.copy(),
-                           Wi=w.copy(), Wf=w.copy(), Wo=w.copy(), Wg=w.copy())
+    return LstmLayerParams(
+        U=np.full((input_dim, 4 * hidden_dim), value, dtype=dtype),
+        W=np.full((hidden_dim, 4 * hidden_dim), value, dtype=dtype))
 
 
 class TestCellStep:
@@ -73,10 +72,46 @@ class TestCellStep:
         with pytest.raises(ShapeError):
             cell_step(np.zeros(2), LstmState.zeros(4, np.float64), params)
 
-    def test_bias_all_or_none_enforced(self):
-        params = all_value_params(0.0, 2, 3)
-        params.bi = np.zeros(3)
-        with pytest.raises(ShapeError):
+
+class TestLayout:
+    """U, W and b hold the gate blocks i, f, o, g side by side; Ui ... bg
+    are views of those blocks."""
+
+    def test_init_concatenates_the_eight_draws_in_order(self):
+        params = LstmLayerParams.init(Rng(5), 3, 4, forget_bias=1.5)
+        rng = Rng(5)
+        u = [init_uniform(rng, 3, 4, fan_in=3) for _ in range(4)]
+        w = [init_uniform(rng, 4, 4, fan_in=4) for _ in range(4)]
+        assert np.array_equal(params.U, np.concatenate(u, axis=1))
+        assert np.array_equal(params.W, np.concatenate(w, axis=1))
+        assert np.array_equal(params.b, np.repeat([0.0, 1.5, 0.0, 0.0], 4))
+        assert all(a is b for a, b in zip(
+            params.param_list(), [params.U, params.W, params.b], strict=True))
+
+    @pytest.mark.parametrize("use_bias", [False, True])
+    def test_gate_views_are_blocks_sharing_memory(self, use_bias):
+        params = make_params(Rng(6), 3, 4, use_bias)
+        sides = "UWb" if use_bias else "UW"
+        assert len(params.param_list()) == len(sides)
+        for side in sides:
+            fused = getattr(params, side)
+            for j, gate in enumerate("ifog"):
+                view = getattr(params, side + gate)
+                assert np.array_equal(view, fused[..., 4 * j:4 * j + 4])
+                assert np.shares_memory(view, fused)
+        if not use_bias:
+            assert params.bi is None and params.bg is None
+        with pytest.raises(AttributeError):
+            params.Ui = np.zeros((3, 4))
+
+    @pytest.mark.parametrize("side,shape", [
+        ("U", (3, 12)), ("U", (16,)), ("W", (4, 12)), ("W", (3, 16)),
+        ("b", (12,)), ("b", (4,))], ids=["U-width", "U-rank", "W-width",
+                                         "W-rows", "b-length", "b-one-gate"])
+    def test_validate_rejects_wrong_shape(self, side, shape):
+        params = make_params(Rng(7), 3, 4, use_bias=True)
+        setattr(params, side, np.zeros(shape))
+        with pytest.raises(ShapeError, match=f"^{side} shape"):
             params.validate()
 
 
@@ -126,7 +161,7 @@ class TestSequenceBackward:
         rng = Rng(12)
         params = make_params(rng, 3, 4, use_bias=True)
         trace = unroll(rng.uniform(-1, 1, (6, 3), dtype=np.float64), params)
-        grads, d_inputs, _, _ = backward_steps(trace, np.zeros_like(trace.S))
+        grads, d_inputs = backward_steps(trace, np.zeros_like(trace.S))
         assert len(grads) == len(params.param_list())
         for g, p in zip(grads, params.param_list()):
             assert g.shape == p.shape and g.flags.c_contiguous
@@ -150,7 +185,7 @@ class TestSequenceBackward:
 
         def loss_and_grads():
             trace = unroll(xs, params)
-            grads, _, _, _ = backward_steps(trace, upstream(trace, True))
+            grads, _ = backward_steps(trace, upstream(trace, True))
             return float(trace.S[-1].sum()), grads
 
         err = gradient_check(loss_and_grads, params.param_list(), 1e-4)
@@ -163,7 +198,7 @@ class TestSequenceBackward:
 
         def loss_and_grads():
             trace = unroll(xs, params)
-            _, d_inputs, _, _ = backward_steps(trace, upstream(trace, True))
+            _, d_inputs = backward_steps(trace, upstream(trace, True))
             return float(trace.S[-1].sum()), [d_inputs[:, 0]]
 
         err = gradient_check(loss_and_grads, [xs], 1e-4)

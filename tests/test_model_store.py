@@ -5,9 +5,11 @@ from chatscreen.author_classifier import ShallowModel
 from chatscreen.core_math import Rng
 from chatscreen.errors import (ContainerCorruptionError, ContainerFormatError,
                                ContainerVersionError, UsageError)
-from chatscreen.language_model import LanguageModel
+from chatscreen.language_model import LanguageModel, sentence_vector
 from chatscreen.model_store import (Container, FORMAT_VERSION, MAGIC,
-                                    VectorBundle, load, save, write_container)
+                                    VectorBundle, container_for_model, load,
+                                    model_from_container, save,
+                                    write_container)
 from chatscreen.preprocessing import RESERVED_TOKENS, Vocabulary
 from chatscreen.scd_classifier import ScdModel
 
@@ -186,5 +188,81 @@ class TestContainerFormat:
         with pytest.raises(ContainerFormatError):
             load(path)
 
+    def test_non_utf8_manifest_rejected(self, tmp_path):
+        manifest = b"kind\tscd_classifier\nmeta\tmasked\t\xff\n"
+        blob = (MAGIC + (1).to_bytes(4, "little")
+                + len(manifest).to_bytes(8, "little") + manifest
+                + (0).to_bytes(4, "little"))
+        path = tmp_path / "latin.model"
+        path.write_bytes(blob)
+        with pytest.raises(ContainerFormatError):
+            load(path)
+
     def test_magic_is_eight_bytes(self):
         assert len(MAGIC) == 8
+
+
+def gate_names(prefix, use_bias=True):
+    sides = "UWb" if use_bias else "UW"
+    return [f"{prefix}.{side}{gate}" for side in sides for gate in "ifog"]
+
+
+class TestLstmLayout:
+    """Format v1 stores each LSTM layer per gate; the model holds the
+    same numbers fused."""
+
+    def test_v1_tensor_names_and_order(self):
+        lm = container_for_model(lm_fixture())
+        assert [n for n, _ in lm.tensors] == (
+            ["embedding"] + gate_names("layer1") + gate_names("layer2")
+            + ["out_w", "out_b"])
+        shapes = dict((n, t.shape) for n, t in lm.tensors)
+        assert shapes["layer1.Uo"] == (4, 5)
+        assert shapes["layer2.Wg"] == (5, 5)
+        assert shapes["layer2.bf"] == (5,)
+        scd = ScdModel.create(Rng(3), input_dim=5, hidden_dim=6,
+                              use_bias=False)
+        assert [n for n, _ in container_for_model(scd).tensors] == (
+            gate_names("layer1", False) + gate_names("layer2", False)
+            + ["head_w", "head_b"])
+
+    @pytest.mark.parametrize("use_bias", [False, True])
+    def test_per_gate_container_loads_to_source_model(self, tmp_path,
+                                                      use_bias):
+        vocab = Vocabulary(list(RESERVED_TOKENS) + ["alpha", "beta"])
+        model = LanguageModel.create(vocab, 4, 5, 7, Rng(9),
+                                     use_bias=use_bias)
+        tensors = [("embedding", model.embedding)]
+        for prefix, layer in (("layer1", model.layer1),
+                              ("layer2", model.layer2)):
+            blocks = [block for fused in layer.param_list()
+                      for block in np.split(fused, 4, axis=-1)]
+            tensors += zip(gate_names(prefix, use_bias), blocks)
+        tensors += [("out_w", model.out_w), ("out_b", model.out_b)]
+        write_container(Container(
+            kind="language_model",
+            metas={"window": "7", "vocab_min_tf": "10"},
+            strtabs={"vocab": list(vocab.tokens)}, tensors=tensors),
+            tmp_path / "hand.model")
+        again = load(tmp_path / "hand.model")
+        for a, b in zip(model.param_list(), again.param_list(), strict=True):
+            assert np.array_equal(a, b)
+        for tokens in ([], ["alpha", "beta", "zzz"], ["beta"] * 9):
+            assert np.array_equal(sentence_vector(again, tokens),
+                                  sentence_vector(model, tokens))
+
+    @pytest.mark.parametrize("name,shape", [
+        ("layer1.Uf", (2, 10)), ("layer2.bi", (1, 5)),
+        ("out_w", (9, 5)), ("embedding", (4, 9))])
+    def test_misshapen_tensor_is_format_error(self, name, shape):
+        container = container_for_model(lm_fixture())
+        container.tensors = [(n, t.reshape(shape) if n == name else t)
+                             for n, t in container.tensors]
+        with pytest.raises(ContainerFormatError, match=name):
+            model_from_container(container)
+
+    def test_missing_setting_is_format_error(self):
+        container = container_for_model(lm_fixture())
+        del container.metas["window"]
+        with pytest.raises(ContainerFormatError, match="window"):
+            model_from_container(container)

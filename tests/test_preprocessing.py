@@ -2,11 +2,11 @@ import math
 
 import pytest
 
-from chatscreen.errors import UsageError
+from chatscreen.errors import DataFormatError, UsageError
 from chatscreen.preprocessing import (RESERVED_TOKENS, Vocabulary,
                                       build_vocabulary, default_rules, encode,
                                       normalize_text, tokenize,
-                                      vocab_from_lines, vocab_to_lines)
+                                      vocab_from_text, vocab_to_text)
 
 from norm_fixtures import NORMALIZATION_FIXTURES
 
@@ -125,9 +125,27 @@ class TestEncode:
 class TestVocabularyRoundTrip:
     def test_lines_round_trip(self):
         vocab = build_vocabulary([["a", "a", "b", "c", "c", "c"]], min_tf=2)
-        again = vocab_from_lines(vocab_to_lines(vocab))
+        text = vocab_to_text(vocab)
+        assert text == "#min_tf=2\n" + "".join(f"{t}\n" for t in vocab.tokens)
+        again = vocab_from_text(text)
         assert again.tokens == vocab.tokens
         assert again.min_term_frequency == vocab.min_term_frequency
+
+    @pytest.mark.parametrize("old,new", [
+        ("#min_tf=2\n", ""),             # header missing
+        ("#min_tf=2", "#min_tf=2x"),     # header not a positive integer
+        ("#min_tf=2", "#min_tf=0"),
+        ("a\nc\n", "a\nc"),             # cut inside the last line
+        ("c\n", "c\n\n"),                # blank token line
+        ("c\n", "c\nc\n"),               # repeated token
+        ("<pad>\n", ""),                 # reserved prefix missing
+    ])
+    def test_strict_reader_rejects(self, old, new):
+        vocab = build_vocabulary([["a", "a", "b", "c", "c", "c"]], min_tf=2)
+        text = vocab_to_text(vocab)
+        assert old in text
+        with pytest.raises(DataFormatError):
+            vocab_from_text(text.replace(old, new, 1))
 
     def test_reserved_prefix_enforced(self):
         with pytest.raises(UsageError):
