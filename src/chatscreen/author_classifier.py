@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig
-from .core_math import LOG_EPS, init_uniform, make_optimizer, row_softmax, softmax
+from .core_math import LOG_EPS, init_uniform, make_optimizer, row_softmax
 from .errors import NumericError, ShapeError, UsageError
 
 CLASSES = ("P", "V", "N")
-DEFAULT_MIN_FEATURE_FREQ = 5
 
 
 @dataclass
@@ -82,7 +81,7 @@ def unit_features(lines, bigrams: bool = True) -> list[str]:
     return feats
 
 
-def build_feature_vocab(units, min_freq: int = DEFAULT_MIN_FEATURE_FREQ,
+def build_feature_vocab(units, min_freq: int,
                         bigrams: bool = True) -> list[str]:
     """Features seen at least min_freq times across units, ordered by count
     descending then lexicographically."""
@@ -160,7 +159,7 @@ def featurize(model: ShallowModel, lines) -> np.ndarray:
 def score(model: ShallowModel, features: np.ndarray) -> SentimentScore:
     logits = (features.astype(np.float64) @ model.class_w.astype(np.float64)
               + model.class_b.astype(np.float64))
-    probs = softmax(logits)
+    probs = row_softmax(logits[None, :])[0]
     return SentimentScore(p=float(probs[0]), v=float(probs[1]),
                           n=float(probs[2]))
 

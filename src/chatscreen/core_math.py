@@ -15,7 +15,6 @@ import numpy as np
 from .errors import NumericError, ShapeError, UsageError
 
 LOG_EPS = 1e-12  # clamp under the log so a confident-wrong model stays finite
-DEFAULT_CLIP_NORM = 5.0
 
 
 class Rng:
@@ -49,44 +48,29 @@ class Rng:
     def geometric(self, p: float) -> int:
         return int(self._gen.geometric(p))
 
-    def choice_index(self, n: int) -> int:
-        return int(self._gen.integers(0, n))
-
     def hex_id(self, nbytes: int = 16) -> str:
         return self._gen.bytes(nbytes).hex()
 
 
-def init_uniform(rng: Rng, rows: int, cols: int, fan_in: int | None = None,
+def init_uniform(rng: Rng, rows: int, cols: int, fan_in: int,
                  dtype=np.float32) -> np.ndarray:
     """Weight matrix drawn uniformly from [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
-    if fan_in is None:
-        fan_in = rows
     limit = 1.0 / np.sqrt(float(fan_in))
     return rng.uniform(-limit, limit, (rows, cols), dtype=dtype)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Element-wise logistic function, stable for large |x|."""
+    """Element-wise logistic function, stable for large |x|.
+
+    One exp(-|x|) per element: 1/(1+e) where x >= 0, e/(1+e) elsewhere, so
+    neither branch can overflow and no boolean mask is needed.
+    """
     x = np.asarray(x)
     if not np.issubdtype(x.dtype, np.floating):
         x = x.astype(np.float64)
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def softmax(x) -> np.ndarray:
-    """Probability vector from a 1-D score vector, max-subtracted for
-    stability."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise UsageError("softmax expects a non-empty 1-D vector")
-    shifted = v - v.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def row_softmax(x: np.ndarray) -> np.ndarray:
@@ -104,41 +88,35 @@ def row_log_softmax64(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def global_grad_norm(grads) -> float:
-    total = 0.0
-    for g in grads:
-        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
-    return float(np.sqrt(total))
-
-
-def sgd_step(params, grads, lr: float, clip_norm: float | None = None):
-    """In-place p <- p - lr*g with optional global gradient-norm clipping.
-
-    Returns the (mutated) parameter list.
-    """
+def _clip_scale(params, grads, clip_norm: float | None) -> float:
+    """Check that grads match params one for one in shape, then return the
+    factor that brings the global gradient norm down to clip_norm (1.0
+    without a clip or when the norm is within it)."""
     if len(params) != len(grads):
-        raise ShapeError(f"sgd_step: {len(params)} params vs {len(grads)} grads")
+        raise ShapeError(f"optimizer: {len(params)} params vs {len(grads)} "
+                         "grads")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
-            raise ShapeError(f"sgd_step: param shape {p.shape} vs grad shape "
-                             f"{g.shape}")
-    scale = 1.0
-    if clip_norm is not None:
-        norm = global_grad_norm(grads)
-        if norm > clip_norm:
-            scale = clip_norm / norm
-    for p, g in zip(params, grads):
-        p -= (lr * scale) * g.astype(p.dtype, copy=False)
-    return params
+            raise ShapeError(f"optimizer: param shape {p.shape} vs grad "
+                             f"shape {g.shape}")
+    if clip_norm is None:
+        return 1.0
+    norm = float(np.sqrt(sum(float(np.sum(np.asarray(g, np.float64) ** 2))
+                             for g in grads)))
+    return clip_norm / norm if norm > clip_norm else 1.0
 
 
 class SgdOptimizer:
-    def __init__(self, lr: float, clip_norm: float | None = DEFAULT_CLIP_NORM):
+    """In-place p <- p - lr*g after global gradient-norm clipping."""
+
+    def __init__(self, lr: float, clip_norm: float | None):
         self.lr = lr
         self.clip_norm = clip_norm
 
     def step(self, params, grads):
-        sgd_step(params, grads, self.lr, self.clip_norm)
+        scale = _clip_scale(params, grads, self.clip_norm)
+        for p, g in zip(params, grads):
+            p -= (self.lr * scale) * g.astype(p.dtype, copy=False)
 
 
 class AdamOptimizer:
@@ -147,7 +125,7 @@ class AdamOptimizer:
     Applies the same global-norm clip as SGD before the moment update.
     """
 
-    def __init__(self, lr: float, clip_norm: float | None = DEFAULT_CLIP_NORM,
+    def __init__(self, lr: float, clip_norm: float | None,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.clip_norm = clip_norm
@@ -159,24 +137,15 @@ class AdamOptimizer:
         self._t = 0
 
     def step(self, params, grads):
-        if len(params) != len(grads):
-            raise ShapeError(f"adam: {len(params)} params vs {len(grads)} grads")
+        scale = _clip_scale(params, grads, self.clip_norm)
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
-        scale = 1.0
-        if self.clip_norm is not None:
-            norm = global_grad_norm(grads)
-            if norm > self.clip_norm:
-                scale = self.clip_norm / norm
         self._t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self._t
         bias2 = 1.0 - b2 ** self._t
         for p, g, m, v in zip(params, grads, self._m, self._v):
-            if p.shape != g.shape:
-                raise ShapeError(f"adam: param shape {p.shape} vs grad shape "
-                                 f"{g.shape}")
             gs = (scale * g).astype(p.dtype, copy=False)
             m *= b1
             m += (1 - b1) * gs
@@ -185,8 +154,7 @@ class AdamOptimizer:
             p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
 
-def make_optimizer(name: str, lr: float,
-                   clip_norm: float | None = DEFAULT_CLIP_NORM):
+def make_optimizer(name: str, lr: float, clip_norm: float | None):
     if name == "sgd":
         return SgdOptimizer(lr, clip_norm)
     if name == "adam":

@@ -34,7 +34,7 @@ import numpy as np
 
 from .author_classifier import ShallowModel
 from .errors import (ContainerCorruptionError, ContainerFormatError,
-                     ContainerVersionError, UsageError)
+                     ContainerVersionError, ShapeError, UsageError)
 from .language_model import LanguageModel
 from .lstm import LstmLayerParams
 from .preprocessing import Vocabulary
@@ -238,6 +238,14 @@ class VectorBundle:
 
     conversation_ids: list[str]
     matrices: list[np.ndarray]   # each (n_messages, hidden_dim) float32
+
+    def __post_init__(self):
+        for i, matrix in enumerate(self.matrices):
+            first = self.matrices[0]
+            if matrix.ndim != 2 or matrix.shape[1] != first.shape[-1]:
+                raise ShapeError(f"conv{i} has shape {matrix.shape} and conv0 "
+                                 f"{first.shape}: sentence vectors must be "
+                                 "2-D rows of one width")
 
 
 def container_for_model(model) -> Container:

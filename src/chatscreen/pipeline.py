@@ -16,8 +16,8 @@ from .config import PipelineConfig
 from .core_math import Rng
 from .errors import DataFormatError, UsageError
 from .language_model import LanguageModel, perplexity, train_lm
-from .metrics import (ConfusionCounts, ReportRow, accuracy, confusion,
-                      format_metric, format_report, precision_recall_f)
+from .metrics import (ReportRow, accuracy, confusion, format_metric,
+                      format_report, precision_recall_f)
 from .preprocessing import (NormRuleSet, Vocabulary, build_vocabulary,
                             default_rules, encode, load_abbreviations,
                             load_emoticon_patterns, normalize_text, tokenize,
@@ -227,29 +227,32 @@ def run_train_scd(cfg: PipelineConfig) -> None:
 
 def run_eval_scd(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    model = model_store.load(_artifact(cfg, SCD_MODEL, "train-scd"))
-    bundle = model_store.load(_artifact(cfg, VECTORS_FILE, "vectorize"))
+    model_path = _artifact(cfg, SCD_MODEL, "train-scd")
+    vectors_path = _artifact(cfg, VECTORS_FILE, "vectorize")
+    model = model_store.load(model_path)
+    bundle = model_store.load(vectors_path)
+    if bundle.matrices and bundle.matrices[0].shape[1] != model.input_dim:
+        raise DataFormatError(
+            f"{vectors_path} holds sentence vectors of width "
+            f"{bundle.matrices[0].shape[1]}, but {model_path} takes "
+            f"{model.input_dim}")
     labels = _labels_by_id(cfg, _load_normalized(cfg))
     sequences = _sequences_from_bundle(bundle, labels)
     rows = []
-    tp = fp = tn = fn = 0
+    flagged = []
     for seq in sequences:
         chunks = chunk_and_pad(seq, cfg.scd_chunk_len)
         pred = predict_scd(model, chunks, cfg.scd_threshold)
         rows.append(f"{seq.conversation_id}\t{pred.max_prob:.6f}\t"
                     f"{'positive' if pred.verdict else 'negative'}")
-        truth = bool(seq.label)
-        if pred.verdict and truth:
-            tp += 1
-        elif pred.verdict and not truth:
-            fp += 1
-        elif not pred.verdict and truth:
-            fn += 1
-        else:
-            tn += 1
+        if pred.verdict:
+            flagged.append(seq.conversation_id)
     (out / SCD_VERDICTS).write_text("".join(f"{r}\n" for r in rows),
                                     encoding="utf-8")
-    counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    counts = confusion(flagged,
+                       [s.conversation_id for s in sequences if s.label],
+                       [s.conversation_id for s in sequences])
+    tp, fp, tn, fn = counts.tp, counts.fp, counts.tn, counts.fn
     prf = precision_recall_f(counts, 1.0)
     text = (f"tp={tp} fp={fp} tn={tn} fn={fn}\n"
             f"accuracy={accuracy(counts):.6f}\n"

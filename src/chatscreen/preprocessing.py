@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .config import PipelineConfig
 from .errors import ConfigError, DataFormatError, UsageError
 
 NUM_TOKEN = "00NUM"
@@ -35,9 +36,6 @@ RESERVED_TOKENS = (PAD_TOKEN, UNK_TOKEN, EOS_TOKEN,
                    NUM_TOKEN, LONGWORD_TOKEN, URL_TOKEN)
 _PLACEHOLDERS = {NUM_TOKEN, LONGWORD_TOKEN, URL_TOKEN}
 
-DEFAULT_MIN_TF = 10
-DEFAULT_LONG_WORD_LIMIT = 30
-
 _URL_RE = re.compile(r"(?:(?:https?|ftp)://|www\.)\S*", re.IGNORECASE)
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)")
 _ELONGATION_RE = re.compile(r"(.)\1{2,}")
@@ -50,7 +48,7 @@ class NormRuleSet:
 
     abbreviation_map: dict[str, str]
     emoticon_patterns: list[re.Pattern]
-    long_word_limit: int = DEFAULT_LONG_WORD_LIMIT
+    long_word_limit: int
 
 
 def load_abbreviations(path) -> dict[str, str]:
@@ -98,7 +96,8 @@ def default_rules() -> NormRuleSet:
         data = resources.files("chatscreen") / "data"
         _default_rules = NormRuleSet(
             abbreviation_map=load_abbreviations(data / "abbreviations.tsv"),
-            emoticon_patterns=load_emoticon_patterns(data / "emoticons.txt"))
+            emoticon_patterns=load_emoticon_patterns(data / "emoticons.txt"),
+            long_word_limit=PipelineConfig.long_word_limit)
     return _default_rules
 
 
@@ -161,7 +160,7 @@ class Vocabulary:
     """Token-to-index map with reserved symbols pinned at indices 0-5."""
 
     tokens: list[str]
-    min_term_frequency: int = DEFAULT_MIN_TF
+    min_term_frequency: int
     index_of: dict[str, int] = field(init=False, repr=False)
 
     PAD = 0
@@ -186,7 +185,7 @@ class Vocabulary:
         return self.index_of.get(token, self.UNK)
 
 
-def build_vocabulary(documents, min_tf: int = DEFAULT_MIN_TF) -> Vocabulary:
+def build_vocabulary(documents, min_tf: int) -> Vocabulary:
     """Count term and document frequencies over token-list documents, drop
     tokens with tf < min_tf, and order survivors by tf * ln(N/df)
     descending (ties lexicographic)."""

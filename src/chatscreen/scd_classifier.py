@@ -20,13 +20,9 @@ from .config import PipelineConfig
 from .core_math import LOG_EPS, init_uniform, make_optimizer, sigmoid
 from .errors import NumericError, ShapeError, UsageError
 from .lstm import LstmLayerParams, backward_stack, forward_stack
-from .metrics import ConfusionCounts, accuracy, precision_recall_f
+from .metrics import accuracy, confusion, precision_recall_f
 from .language_model import LanguageModel, sentence_vector
 from .preprocessing import tokenize
-
-DEFAULT_CHUNK_LEN = 100
-DEFAULT_THRESHOLD = 0.5
-_PROB_EPS = 1e-12  # keep reported probabilities strictly inside (0, 1)
 
 
 @dataclass
@@ -107,8 +103,7 @@ def vectorize_conversation(conv, lm: LanguageModel) -> ConversationSequence | No
     return ConversationSequence(conv.id, np.stack(vectors))
 
 
-def chunk_and_pad(seq: ConversationSequence,
-                  chunk_len: int = DEFAULT_CHUNK_LEN) -> list[Chunk]:
+def chunk_and_pad(seq: ConversationSequence, chunk_len: int) -> list[Chunk]:
     """Split into ceil(n/chunk_len) parts, the last zero-padded; every
     chunk inherits the conversation label."""
     if chunk_len < 1:
@@ -148,7 +143,8 @@ def _chunk_probabilities(model: ScdModel, chunks) -> np.ndarray:
     logits = finals.astype(np.float64) @ model.head_w.astype(np.float64) \
         + float(model.head_b[0])
     probs = sigmoid(logits)
-    return np.clip(probs, _PROB_EPS, 1.0 - _PROB_EPS)
+    # keep reported probabilities strictly inside (0, 1)
+    return np.clip(probs, LOG_EPS, 1.0 - LOG_EPS)
 
 
 @dataclass
@@ -159,8 +155,7 @@ class ScdPrediction:
     verdict: bool
 
 
-def predict_scd(model: ScdModel, chunks,
-                threshold: float = DEFAULT_THRESHOLD) -> ScdPrediction:
+def predict_scd(model: ScdModel, chunks, threshold: float) -> ScdPrediction:
     """Per-chunk sigmoid probabilities for one conversation; positive iff
     the max probability reaches the threshold."""
     chunks = list(chunks)
@@ -199,13 +194,9 @@ def _fmt(x) -> str:
 
 def _chunk_metrics(model, chunks, threshold):
     probs = _chunk_probabilities(model, chunks)
-    predicted = probs >= threshold
-    labels = np.array([bool(c.label) for c in chunks])
-    tp = int(np.sum(predicted & labels))
-    fp = int(np.sum(predicted & ~labels))
-    fn = int(np.sum(~predicted & labels))
-    tn = int(np.sum(~predicted & ~labels))
-    counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    counts = confusion(np.flatnonzero(probs >= threshold).tolist(),
+                       [i for i, c in enumerate(chunks) if c.label],
+                       range(len(chunks)))
     prf = precision_recall_f(counts, 1.0)
     return (accuracy(counts), prf.precision, prf.recall, prf.f_beta)
 

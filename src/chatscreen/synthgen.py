@@ -94,13 +94,13 @@ class _RingWalk:
     def __init__(self, pool, rng: Rng):
         self.pool = pool
         self.rng = rng
-        self.pos = rng.choice_index(len(pool))
+        self.pos = int(rng.integers(0, len(pool)))
 
     def emit(self) -> str:
         if self.rng.random() < RING_ADVANCE:
             self.pos = (self.pos + 1) % len(self.pool)
         else:
-            self.pos = self.rng.choice_index(len(self.pool))
+            self.pos = int(self.rng.integers(0, len(self.pool)))
         return self.pool[self.pos]
 
 

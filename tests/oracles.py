@@ -1,10 +1,14 @@
-"""Independent scalar oracles used by the unit and acceptance tests.
+"""Independent oracles used by the unit and acceptance tests.
 
-Everything here is written with plain Python loops and math functions so
-it shares no code path with the package's vectorized implementations.
+The scalar oracles are written with plain Python loops and math functions
+so they share no code path with the package's vectorized implementations;
+masked_sigmoid is the textbook numpy form the package's one-pass sigmoid
+must match bit for bit.
 """
 
 import math
+
+import numpy as np
 
 
 def scalar_sigmoid(a: float) -> float:
@@ -12,6 +16,17 @@ def scalar_sigmoid(a: float) -> float:
         return 1.0 / (1.0 + math.exp(-a))
     e = math.exp(a)
     return e / (1.0 + e)
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function as two boolean-masked branches: 1/(1+exp(-x))
+    where x >= 0, exp(x)/(1+exp(x)) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def scalar_cell_step(x, s_prev, c_prev, params):

@@ -12,7 +12,7 @@ from chatscreen.config import PipelineConfig, apply_strict_paper, load_config
 from chatscreen.core_math import Rng
 from chatscreen.errors import ConfigError
 from chatscreen.language_model import LanguageModel
-from chatscreen.model_store import save
+from chatscreen.model_store import VectorBundle, load, save
 from chatscreen.preprocessing import RESERVED_TOKENS, Vocabulary
 
 
@@ -307,16 +307,21 @@ class TestStageFiles:
         assert (out / "predators.txt").read_bytes() == \
             (small_run / "predators.txt").read_bytes()
 
-    @pytest.mark.parametrize("name,dims", [
-        ("layer1.Uf", lambda rows, cols: (rows // 2, cols * 2)),
-        ("out_w", lambda rows, cols: (cols, rows)),
-    ], ids=["layer1.Uf", "out_w"])
+    @pytest.mark.parametrize("file,name,dims,stage", [
+        ("lm.model", "layer1.Uf", lambda rows, cols: (rows // 2, cols * 2),
+         "vectorize"),
+        ("lm.model", "out_w", lambda rows, cols: (cols, rows), "vectorize"),
+        ("vectors.bin", "conv0", lambda rows, cols: (rows * 2, cols // 2),
+         "train-scd"),
+        ("vectors.bin", "conv0", lambda rows, cols: (rows * 2, cols // 2),
+         "eval-scd"),
+    ], ids=["layer1.Uf", "out_w", "conv0-train-scd", "conv0-eval-scd"])
     def test_misshapen_container_tensor_is_data_error(self, small_run,
-                                                      tmp_path, capsys, name,
-                                                      dims):
+                                                      tmp_path, capsys, file,
+                                                      name, dims, stage):
         # the same element count, so payload and checksum still fit
         out, cfg_path = copy_run(small_run, tmp_path)
-        raw = (out / "lm.model").read_bytes()
+        raw = (out / file).read_bytes()
         end = 20 + int.from_bytes(raw[12:20], "little")
         lines = raw[20:end].decode("utf-8").split("\n")
         for k, line in enumerate(lines):
@@ -327,11 +332,23 @@ class TestStageFiles:
                 lines[k] = "\t".join(fields)
         manifest = "\n".join(lines).encode("utf-8")
         assert manifest != raw[20:end]
-        (out / "lm.model").write_bytes(
+        (out / file).write_bytes(
             raw[:12] + len(manifest).to_bytes(8, "little") + manifest
             + raw[end:])
-        assert main(["vectorize", "--config", str(cfg_path)]) == 2
+        assert main([stage, "--config", str(cfg_path)]) == 2
         assert name in capsys.readouterr().err
+
+    def test_vector_width_not_the_models_is_data_error(self, small_run,
+                                                        tmp_path, capsys):
+        # well-formed vectors whose width scd.model does not take
+        out, cfg_path = copy_run(small_run, tmp_path)
+        bundle = load(out / "vectors.bin")
+        save(VectorBundle(bundle.conversation_ids,
+                          [m[:, :-1].copy() for m in bundle.matrices]),
+             out / "vectors.bin")
+        assert main(["eval-scd", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "vectors.bin" in err and "scd.model" in err
 
     @pytest.mark.parametrize("old,new", [
         (b"#min_tf=2", b"#min_tf=2x"),

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from chatscreen.core_math import (AdamOptimizer, Rng, gradient_check,
-                                  make_optimizer, row_log_softmax64, sgd_step,
-                                  sigmoid, softmax)
+from chatscreen.core_math import (AdamOptimizer, Rng, SgdOptimizer,
+                                  gradient_check, make_optimizer,
+                                  row_log_softmax64, row_softmax, sigmoid)
 from chatscreen.errors import NumericError, ShapeError, UsageError
 from chatscreen.language_model import LanguageModel, perplexity
 from chatscreen.preprocessing import RESERVED_TOKENS, Vocabulary
 
-from oracles import scalar_softmax
+from oracles import masked_sigmoid, scalar_softmax
 
 
 class TestSigmoid:
@@ -35,33 +35,54 @@ class TestSigmoid:
         total = sigmoid(xs) + sigmoid(-xs)
         assert np.abs(total - 1.0).max() < 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_equal_masked_branches(self, dtype):
+        # the one-pass exp(-|x|) form makes the same exp call and division
+        # per element as the two masked branches, so the bits agree
+        rng = Rng(17)
+        h = 32
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, 88.7, -88.7, 745.0,
+                          -745.0], dtype=dtype)
+        cases = [edges]
+        for scale in (1.0, 12.0, 100.0):
+            gates = rng.uniform(-scale, scale, (16, 4 * h), dtype=dtype)
+            cases += [gates, gates[:, :3 * h], gates[::2, h:]]
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for x in cases:
+                got = sigmoid(x)
+                want = masked_sigmoid(x)
+                assert got.dtype == want.dtype == dtype
+                assert got.shape == x.shape
+                assert got.tobytes() == want.tobytes()
+            # only the sign bit of a NaN output may differ
+            assert np.isnan(sigmoid(np.array([np.nan], dtype=dtype)))[0]
+
 
 class TestSoftmax:
+    """row_softmax on float64 rows, the form the author scorer uses."""
+
     def test_uniform(self):
-        assert np.allclose(softmax([0.0, 0.0, 0.0]), [1 / 3] * 3)
+        out = row_softmax(np.zeros((1, 3)))
+        assert out.dtype == np.float64
+        assert np.allclose(out, [[1 / 3] * 3])
 
     def test_analytically_forced(self):
-        out = softmax([math.log(2), 0.0])
-        assert np.abs(out - [2 / 3, 1 / 3]).max() < 1e-12
+        out = row_softmax(np.array([[math.log(2), 0.0]]))
+        assert np.abs(out - [[2 / 3, 1 / 3]]).max() < 1e-12
 
     def test_large_input_stable(self):
-        out = softmax([1000.0, 0.0])
+        out = row_softmax(np.array([[1000.0, 0.0], [0.0, 1000.0]]))
         assert np.isfinite(out).all()
-        assert abs(out[0] - 1.0) < 1e-12 and out[1] < 1e-300
+        assert abs(out[0, 0] - 1.0) < 1e-12 and out[0, 1] < 1e-300
+        assert abs(out[1, 1] - 1.0) < 1e-12 and out[1, 0] < 1e-300
 
     def test_sums_to_one(self):
-        rng = Rng(5)
-        for _ in range(20):
-            v = rng.uniform(-30, 30, (7,), dtype=np.float64)
-            assert abs(softmax(v).sum() - 1.0) < 1e-9
+        rows = Rng(5).uniform(-30, 30, (20, 7), dtype=np.float64)
+        assert np.abs(row_softmax(rows).sum(axis=1) - 1.0).max() < 1e-9
 
     def test_shift_invariance(self):
-        v = np.array([0.3, -1.2, 2.0, 0.0])
-        assert np.abs(softmax(v) - softmax(v + 11.5)).max() < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(UsageError):
-            softmax([])
+        v = np.array([[0.3, -1.2, 2.0, 0.0]])
+        assert np.abs(row_softmax(v) - row_softmax(v + 11.5)).max() < 1e-12
 
 
 class TestCrossEntropy:
@@ -101,37 +122,58 @@ class TestCrossEntropy:
 class TestSgdStep:
     def test_zero_lr_no_change(self):
         p = np.array([1.0, 2.0])
-        sgd_step([p], [np.array([5.0, 5.0])], lr=0.0)
+        SgdOptimizer(lr=0.0, clip_norm=None).step([p], [np.array([5.0, 5.0])])
         assert np.array_equal(p, [1.0, 2.0])
 
     def test_basic_step(self):
         p = np.array([1.0])
-        sgd_step([p], [np.array([2.0])], lr=0.5)
+        SgdOptimizer(lr=0.5, clip_norm=None).step([p], [np.array([2.0])])
         assert np.array_equal(p, [0.0])
 
     def test_global_norm_clip_scales_gradient(self):
         # ||g|| = 4 against threshold 1 -> effective gradient scaled by 0.25
         p = np.array([1.0])
-        sgd_step([p], [np.array([4.0])], lr=1.0, clip_norm=1.0)
+        SgdOptimizer(lr=1.0, clip_norm=1.0).step([p], [np.array([4.0])])
         assert abs(p[0] - 0.0) < 1e-12
 
     def test_clip_inactive_below_threshold(self):
         p = np.array([1.0])
-        sgd_step([p], [np.array([0.5])], lr=1.0, clip_norm=1.0)
+        SgdOptimizer(lr=1.0, clip_norm=1.0).step([p], [np.array([0.5])])
         assert abs(p[0] - 0.5) < 1e-12
 
     def test_shape_mismatch(self):
+        opt = SgdOptimizer(lr=0.1, clip_norm=None)
         with pytest.raises(ShapeError):
-            sgd_step([np.zeros(2)], [np.zeros(3)], lr=0.1)
+            opt.step([np.zeros(2)], [np.zeros(3)])
         with pytest.raises(ShapeError):
-            sgd_step([np.zeros(2)], [], lr=0.1)
+            opt.step([np.zeros(2)], [])
+
+    @pytest.mark.parametrize("name", ["sgd", "adam"])
+    def test_shape_mismatch_changes_nothing(self, name):
+        # the second gradient is misshapen: the first parameter and Adam's
+        # moments must not move before the error
+        params = [np.array([1.0, -2.0]), np.array([0.5, 0.5, 0.5])]
+        opt = make_optimizer(name, 0.1, 5.0)
+        opt.step(params, [np.ones(2), np.ones(3)])
+
+        def state():
+            arrays = params + getattr(opt, "_m", []) + getattr(opt, "_v", [])
+            return [a.copy() for a in arrays], getattr(opt, "_t", None)
+
+        arrays, t = state()
+        with pytest.raises(ShapeError):
+            opt.step(params, [np.ones(2), np.ones(4)])
+        arrays_after, t_after = state()
+        assert t_after == t
+        assert len(arrays_after) == (6 if name == "adam" else 2)
+        assert all(np.array_equal(x, y) for x, y in zip(arrays_after, arrays))
 
 
 class TestAdam:
     def test_deterministic(self):
         def run():
             p = np.array([1.0, -2.0], dtype=np.float32)
-            opt = AdamOptimizer(lr=0.1)
+            opt = AdamOptimizer(lr=0.1, clip_norm=5.0)
             for _ in range(5):
                 opt.step([p], [2 * p])
             return p
@@ -140,14 +182,14 @@ class TestAdam:
 
     def test_descends_quadratic(self):
         p = np.array([3.0], dtype=np.float64)
-        opt = AdamOptimizer(lr=0.2)
+        opt = AdamOptimizer(lr=0.2, clip_norm=5.0)
         for _ in range(100):
             opt.step([p], [2 * p])
         assert abs(p[0]) < 0.5
 
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(UsageError):
-            make_optimizer("adagrad", 0.1)
+            make_optimizer("adagrad", 0.1, 5.0)
 
 
 class TestGradientCheck:

@@ -229,7 +229,8 @@ class TestLstmLayout:
     @pytest.mark.parametrize("use_bias", [False, True])
     def test_per_gate_container_loads_to_source_model(self, tmp_path,
                                                       use_bias):
-        vocab = Vocabulary(list(RESERVED_TOKENS) + ["alpha", "beta"])
+        vocab = Vocabulary(list(RESERVED_TOKENS) + ["alpha", "beta"],
+                           min_term_frequency=10)
         model = LanguageModel.create(vocab, 4, 5, 7, Rng(9),
                                      use_bias=use_bias)
         tensors = [("embedding", model.embedding)]

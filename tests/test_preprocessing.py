@@ -149,8 +149,9 @@ class TestVocabularyRoundTrip:
 
     def test_reserved_prefix_enforced(self):
         with pytest.raises(UsageError):
-            Vocabulary(["a", "b"])
+            Vocabulary(["a", "b"], min_term_frequency=1)
 
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(UsageError):
-            Vocabulary(list(RESERVED_TOKENS) + ["a", "a"])
+            Vocabulary(list(RESERVED_TOKENS) + ["a", "a"],
+                       min_term_frequency=1)

@@ -112,14 +112,14 @@ class TestPredict:
         model.head_w[:] = 0
         model.head_b[:] = 0
         chunks = chunk_and_pad(make_sequence(5), chunk_len=10)
-        pred = predict_scd(model, chunks)
+        pred = predict_scd(model, chunks, threshold=0.5)
         assert all(abs(p - 0.5) < 1e-9 for p in pred.chunk_probs)
 
     def test_max_rule_and_threshold(self):
         model = ScdModel.create(Rng(3), input_dim=4, hidden_dim=4)
         seq = make_sequence(25, seed=12)
         chunks = chunk_and_pad(seq, chunk_len=10)
-        pred = predict_scd(model, chunks)
+        pred = predict_scd(model, chunks, threshold=0.5)
         assert pred.max_prob == max(pred.chunk_probs)
         below = predict_scd(model, chunks, threshold=pred.max_prob)
         above = predict_scd(model, chunks,
@@ -139,15 +139,17 @@ class TestPredict:
     def test_probabilities_strictly_inside_unit_interval(self):
         model = ScdModel.create(Rng(3), input_dim=4, hidden_dim=4)
         chunks = chunk_and_pad(make_sequence(40, seed=5), chunk_len=10)
-        pred = predict_scd(model, chunks)
+        pred = predict_scd(model, chunks, threshold=0.5)
         assert all(0.0 < p < 1.0 for p in pred.chunk_probs)
 
     def test_masked_padding_does_not_change_verdict(self):
         # same sequence evaluated padded to 100 and at its true length
         model = ScdModel.create(Rng(3), input_dim=4, hidden_dim=4, masked=True)
         seq = make_sequence(7, seed=31)
-        padded = predict_scd(model, chunk_and_pad(seq, chunk_len=100))
-        exact = predict_scd(model, chunk_and_pad(seq, chunk_len=7))
+        padded = predict_scd(model, chunk_and_pad(seq, chunk_len=100),
+                             threshold=0.5)
+        exact = predict_scd(model, chunk_and_pad(seq, chunk_len=7),
+                            threshold=0.5)
         assert padded.chunk_probs == exact.chunk_probs
         assert padded.verdict == exact.verdict
 
@@ -155,8 +157,10 @@ class TestPredict:
         model = ScdModel.create(Rng(3), input_dim=4, hidden_dim=4,
                                 masked=False)
         seq = make_sequence(7, seed=31)
-        padded = predict_scd(model, chunk_and_pad(seq, chunk_len=100))
-        exact = predict_scd(model, chunk_and_pad(seq, chunk_len=7))
+        padded = predict_scd(model, chunk_and_pad(seq, chunk_len=100),
+                             threshold=0.5)
+        exact = predict_scd(model, chunk_and_pad(seq, chunk_len=7),
+                            threshold=0.5)
         assert padded.chunk_probs != exact.chunk_probs
 
     def test_mixed_conversations_rejected(self):
@@ -165,7 +169,7 @@ class TestPredict:
         b = chunk_and_pad(ConversationSequence(
             "other", make_sequence(3).matrix, None), chunk_len=10)
         with pytest.raises(UsageError):
-            predict_scd(model, a + b)
+            predict_scd(model, a + b, threshold=0.5)
 
 
 class TestTrainScd:
