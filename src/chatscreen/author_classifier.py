@@ -144,16 +144,19 @@ class ShallowModel:
         idx = self.feature_index
         return [idx[f] for f in unit_features(lines, self.bigrams) if f in idx]
 
+    def pooled(self, ids) -> np.ndarray:
+        """Mean embedding of the feature ids; the zero vector for none."""
+        if not ids:
+            return np.zeros(self.k, dtype=self.dtype)
+        return self.embedding[ids].mean(axis=0)
+
 
 def featurize(model: ShallowModel, lines) -> np.ndarray:
     """Mean embedding over in-vocabulary feature occurrences; the zero
     vector when every feature is out of vocabulary."""
     if not any(line for line in lines):
         raise UsageError("featurize: no tokens")
-    ids = model.feature_ids(lines)
-    if not ids:
-        return np.zeros(model.k, dtype=model.dtype)
-    return model.embedding[ids].mean(axis=0)
+    return model.pooled(model.feature_ids(lines))
 
 
 def score(model: ShallowModel, features: np.ndarray) -> SentimentScore:
@@ -173,10 +176,7 @@ def _unit_loss_and_grads(model: ShallowModel, units, cached_ids):
     total = 0.0
     scale = 1.0 / len(units)
     for unit, ids in zip(units, cached_ids):
-        if ids:
-            x = model.embedding[ids].mean(axis=0)
-        else:
-            x = np.zeros(model.k, dtype=model.dtype)
+        x = model.pooled(ids)
         logits = x @ model.class_w + model.class_b
         probs = row_softmax(logits[None, :])[0]
         target = CLASSES.index(unit.label)
@@ -258,9 +258,7 @@ def train_author(model: ShallowModel, units, cfg: PipelineConfig, rng):
             n_batches += 1
         correct = 0
         for unit, ids in zip(units, cached):
-            x = (model.embedding[ids].mean(axis=0) if ids
-                 else np.zeros(model.k, dtype=model.dtype))
-            predicted = score(model, x).argmax_class()
+            predicted = score(model, model.pooled(ids)).argmax_class()
             correct += predicted == unit.label
         records.append(AuthorEpochRecord(epoch, epoch_loss / n_batches,
                                          correct / len(units)))

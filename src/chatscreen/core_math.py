@@ -65,9 +65,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     One exp(-|x|) per element: 1/(1+e) where x >= 0, e/(1+e) elsewhere, so
     neither branch can overflow and no boolean mask is needed.
     """
-    x = np.asarray(x)
-    if not np.issubdtype(x.dtype, np.floating):
-        x = x.astype(np.float64)
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)

@@ -5,18 +5,22 @@ The XML dialect is one <conversations> root holding <conversation id="...">
 elements, each a sequence of <message line="N"> elements with <author>,
 <time>, and <text> children. Parsing streams through expat so malformed
 input reports a byte offset; messages with missing or unusable fields are
-skipped and counted rather than failing the file.
+skipped and counted rather than failing the file; a repeated conversation
+id fails it.
+
+Every file the package writes goes to disk through write_atomic, and the
+ground truth and text artifacts are read back through read_text.
 """
 
 from __future__ import annotations
 
-import io
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import CorpusParseError
+from .errors import CorpusParseError, DataFormatError
 from .preprocessing import tokenize
 
 
@@ -53,6 +57,7 @@ class _PanHandler:
         self.conversations: list[Conversation] = []
         self.skipped = 0
         self.issues: list[str] = []
+        self._ids: set[str] = set()
         self._conv: Conversation | None = None
         self._line_attr: str | None = None
         self._fields: dict[str, str] = {}
@@ -79,6 +84,10 @@ class _PanHandler:
             self._finish_message()
         elif name == "conversation":
             if self._conv is not None:
+                if self._conv.id in self._ids:
+                    raise CorpusParseError(f"conversation id "
+                                           f"{self._conv.id!r} appears twice")
+                self._ids.add(self._conv.id)
                 self.conversations.append(self._conv)
             self._conv = None
 
@@ -114,17 +123,40 @@ class _PanHandler:
                                      text=self._fields.get("text", "")))
 
 
+def write_atomic(path, data) -> int:
+    """Write bytes, or a str as UTF-8, to path and return the byte count.
+
+    The data goes to a temp file beside path that is then renamed over it,
+    so a reader sees the old file or the new one, never a part, and no temp
+    file outlives a failure. The file gets the plain-write mode (0666 less
+    the umask), whatever mode an earlier file at path had.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}")
+    fh = open(tmp, "xb")    # exclusive create: never another writer's file
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return len(data)
+
+
+def read_text(path) -> str:
+    """A UTF-8 text input; undecodable bytes are a DataFormatError that
+    names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def parse_pan_corpus(source) -> PanParseResult:
-    """Parse conversation XML from a path, bytes, or binary file object."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            return _parse_stream(fh)
-    if isinstance(source, bytes):
-        return _parse_stream(io.BytesIO(source))
-    return _parse_stream(source)
-
-
-def _parse_stream(fh) -> PanParseResult:
+    """Parse conversation XML from a path or bytes."""
     handler = _PanHandler()
     parser = expat.ParserCreate()
     parser.buffer_text = True
@@ -132,7 +164,11 @@ def _parse_stream(fh) -> PanParseResult:
     parser.EndElementHandler = handler.end
     parser.CharacterDataHandler = handler.chars
     try:
-        parser.ParseFile(fh)
+        if isinstance(source, bytes):
+            parser.Parse(source, True)
+        else:
+            with open(source, "rb") as fh:
+                parser.ParseFile(fh)
     except expat.ExpatError as exc:
         raise CorpusParseError(
             f"malformed XML: {expat.errors.messages[exc.code]} at line "
@@ -140,11 +176,8 @@ def _parse_stream(fh) -> PanParseResult:
     return PanParseResult(handler.conversations, handler.skipped, handler.issues)
 
 
-def write_pan_corpus(conversations, path=None) -> bytes:
-    """Serialize conversations to the XML dialect parse_pan_corpus reads.
-
-    Returns the bytes; also writes them when a path is given.
-    """
+def write_pan_corpus(conversations) -> bytes:
+    """Serialize conversations to the XML dialect parse_pan_corpus reads."""
     parts = ['<?xml version="1.0" encoding="UTF-8"?>\n<conversations>\n']
     for conv in conversations:
         parts.append(f"  <conversation id={quoteattr(conv.id)}>\n")
@@ -157,26 +190,19 @@ def write_pan_corpus(conversations, path=None) -> bytes:
                 f"    </message>\n")
         parts.append("  </conversation>\n")
     parts.append("</conversations>\n")
-    data = "".join(parts).encode("utf-8")
-    if path is not None:
-        Path(path).write_bytes(data)
-    return data
+    return "".join(parts).encode("utf-8")
 
 
 def parse_ground_truth(source) -> set[str]:
-    """Newline-delimited author ids; trimmed, deduplicated, blanks skipped."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    else:
-        text = source.read()
+    """Newline-delimited author ids from a path or bytes; trimmed,
+    deduplicated, blanks skipped."""
+    text = (source.decode("utf-8") if isinstance(source, bytes)
+            else read_text(source))
     return {line.strip() for line in text.splitlines() if line.strip()}
 
 
 def write_ground_truth(author_ids, path) -> None:
-    lines = "".join(f"{a}\n" for a in sorted(author_ids))
-    Path(path).write_text(lines, encoding="utf-8")
+    write_atomic(path, "".join(f"{a}\n" for a in sorted(author_ids)))
 
 
 def label_conversations(conversations,

@@ -78,8 +78,6 @@ def f_beta_from_pr(precision: float | None, recall: float | None,
 def precision_recall_f(counts: ConfusionCounts, beta: float = 1.0) -> PrfResult:
     """P, R, and F_beta from set counts; each is None when its denominator
     vanishes."""
-    if beta <= 0:
-        raise UsageError(f"beta must be positive, got {beta}")
     precision = counts.tp / counts.retrieved if counts.retrieved else None
     actual_pos = counts.tp + counts.fn
     recall = counts.tp / actual_pos if actual_pos else None

@@ -17,15 +17,14 @@ The manifest is line-oriented, tab-separated:
     tensor<TAB>name<TAB>rank<TAB>d0,d1<TAB>f32
     strtab<TAB>name<TAB>count           followed by count `s<TAB>string` lines
 
-Files are written atomically (temp file, then rename); loads validate
-magic, version, declared sizes against an allocation cap, and the payload
+Files are written through corpus_io.write_atomic; loads validate magic,
+version, declared sizes against an allocation cap, and the payload
 checksum before any tensor is materialized.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
+import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .author_classifier import ShallowModel
+from .corpus_io import write_atomic
 from .errors import (ContainerCorruptionError, ContainerFormatError,
                      ContainerVersionError, ShapeError, UsageError)
 from .language_model import LanguageModel
@@ -87,20 +87,9 @@ def write_container(container: Container, path) -> int:
     manifest = _manifest_text(container).encode("utf-8")
     payload = b"".join(np.ascontiguousarray(t).astype("<f4").tobytes()
                        for _, t in container.tensors)
-    blob = (MAGIC + FORMAT_VERSION.to_bytes(4, "little")
-            + len(manifest).to_bytes(8, "little") + manifest + payload
-            + zlib.crc32(payload).to_bytes(4, "little"))
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return len(blob)
+    return write_atomic(path, MAGIC + FORMAT_VERSION.to_bytes(4, "little")
+                        + len(manifest).to_bytes(8, "little") + manifest
+                        + payload + zlib.crc32(payload).to_bytes(4, "little"))
 
 
 def _parse_manifest(text: str):
@@ -172,14 +161,10 @@ def read_container(path, alloc_cap: int = DEFAULT_ALLOC_CAP) -> Container:
         except ValueError as exc:   # also non-UTF-8 bytes
             raise ContainerFormatError(f"{path}: bad manifest field: "
                                        f"{exc}") from exc
-        payload_len = 0
-        for _, shape in specs:
-            n = 1
-            for d in shape:
-                if d < 0:
-                    raise ContainerCorruptionError(f"{path}: negative dimension")
-                n *= d
-            payload_len += 4 * n
+        if any(d < 0 for _, shape in specs for d in shape):
+            raise ContainerCorruptionError(f"{path}: negative dimension")
+        counts = [math.prod(shape) for _, shape in specs]
+        payload_len = 4 * sum(counts)
         if payload_len > alloc_cap:
             raise ContainerCorruptionError(f"{path}: declared payload "
                                            f"{payload_len} bytes exceeds cap "
@@ -197,10 +182,7 @@ def read_container(path, alloc_cap: int = DEFAULT_ALLOC_CAP) -> Container:
         raise ContainerCorruptionError(f"{path}: payload checksum mismatch")
     tensors = []
     offset = 0
-    for name, shape in specs:
-        count = 1
-        for d in shape:
-            count *= d
+    for (name, shape), count in zip(specs, counts):
         arr = np.frombuffer(payload, dtype="<f4", count=count,
                             offset=offset).reshape(shape).copy()
         tensors.append((name, arr))

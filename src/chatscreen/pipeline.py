@@ -8,10 +8,12 @@ the composition of the individual stages.
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 from . import author_classifier as ac
 from . import corpus_io, model_store, synthgen
+from .corpus_io import read_text, write_atomic
 from .config import PipelineConfig
 from .core_math import Rng
 from .errors import DataFormatError, UsageError
@@ -78,15 +80,17 @@ def _load_truth(cfg: PipelineConfig) -> set[str]:
     return corpus_io.parse_ground_truth(cfg.ground_truth)
 
 
-def _load_normalized(cfg: PipelineConfig) -> list[corpus_io.Conversation]:
-    path = _artifact(cfg, NORMALIZED_XML, "preprocess")
-    return corpus_io.parse_pan_corpus(path).conversations
+def _load_normalized(cfg: PipelineConfig):
+    """normalized.xml's conversations. A process parses the file once and
+    hands every later stage the same tuple for as long as the file's bytes
+    stay the same, so stages must not modify the conversations."""
+    return _parse_normalized(
+        _artifact(cfg, NORMALIZED_XML, "preprocess").read_bytes())
 
 
-def _labels_by_id(cfg: PipelineConfig, conversations) -> dict[str, bool]:
-    truth = _load_truth(cfg)
-    return {conv.id: positive for conv, positive
-            in corpus_io.label_conversations(conversations, truth)}
+@functools.lru_cache(maxsize=1)
+def _parse_normalized(data: bytes) -> tuple[corpus_io.Conversation, ...]:
+    return tuple(corpus_io.parse_pan_corpus(data).conversations)
 
 
 def run_preprocess(cfg: PipelineConfig) -> None:
@@ -109,8 +113,9 @@ def run_preprocess(cfg: PipelineConfig) -> None:
     ]
     labeled = corpus_io.label_conversations(normalized, truth)
     filtered, report = corpus_io.filter_corpus(labeled, truth)
-    corpus_io.write_pan_corpus([c for c, _ in filtered], out / NORMALIZED_XML)
-    (out / FILTER_REPORT).write_text(report.format_table(), encoding="utf-8")
+    write_atomic(out / NORMALIZED_XML, corpus_io.write_pan_corpus(
+        [c for c, _ in filtered]))
+    write_atomic(out / FILTER_REPORT, report.format_table())
     print(f"preprocess: {report.conversations_before} -> "
           f"{report.conversations_after} conversations -> {out / NORMALIZED_XML}")
 
@@ -121,15 +126,16 @@ def run_build_vocab(cfg: PipelineConfig) -> None:
     documents = [[t for m in conv.messages for t in tokenize(m.text)]
                  for conv in conversations]
     vocab = build_vocabulary(documents, min_tf=cfg.min_tf)
-    (out / VOCAB_FILE).write_text(vocab_to_text(vocab), encoding="utf-8")
+    write_atomic(out / VOCAB_FILE, vocab_to_text(vocab))
     print(f"build-vocab: {len(vocab)} tokens -> {out / VOCAB_FILE}")
 
 
 def _load_vocab(cfg: PipelineConfig) -> Vocabulary:
     path = _artifact(cfg, VOCAB_FILE, "build-vocab")
+    text = read_text(path)
     try:
-        return vocab_from_text(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, DataFormatError) as exc:
+        return vocab_from_text(text)
+    except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
@@ -159,8 +165,7 @@ def run_train_lm(cfg: PipelineConfig) -> None:
     train_lm(documents, model, cfg, _stage_rng(cfg, "lm-train"),
              log_fn=lines.append)
     model_store.save(model, out / LM_MODEL)
-    (out / LM_LOG).write_text("".join(f"{l}\n" for l in lines),
-                              encoding="utf-8")
+    write_atomic(out / LM_LOG, "".join(f"{l}\n" for l in lines))
     last = lines[-1] if lines else "no epochs"
     print(f"train-lm: {last} -> {out / LM_MODEL}")
 
@@ -171,7 +176,7 @@ def run_eval_lm(cfg: PipelineConfig) -> None:
     conversations = _load_normalized(cfg)
     documents = _lm_documents(conversations, model.vocab, model.window)
     ppl = perplexity(model, documents)
-    (out / EVAL_LM).write_text(f"perplexity={ppl:.6f}\n", encoding="utf-8")
+    write_atomic(out / EVAL_LM, f"perplexity={ppl:.6f}\n")
     print(f"eval-lm: perplexity={ppl:.6f}")
 
 
@@ -195,8 +200,13 @@ def run_vectorize(cfg: PipelineConfig) -> None:
     print(f"vectorize: {len(ids)} conversations{note} -> {out / VECTORS_FILE}")
 
 
-def _sequences_from_bundle(bundle, labels_by_id):
-    return [ConversationSequence(conv_id, matrix, labels_by_id.get(conv_id))
+def _labeled_sequences(cfg: PipelineConfig, bundle):
+    """The bundle's sentence-vector sequences, each labeled positive iff a
+    ground-truth predator takes part in its conversation."""
+    labels = {conv.id: positive for conv, positive in
+              corpus_io.label_conversations(_load_normalized(cfg),
+                                            _load_truth(cfg))}
+    return [ConversationSequence(conv_id, matrix, labels.get(conv_id))
             for conv_id, matrix in zip(bundle.conversation_ids,
                                        bundle.matrices)]
 
@@ -204,8 +214,7 @@ def _sequences_from_bundle(bundle, labels_by_id):
 def run_train_scd(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     bundle = model_store.load(_artifact(cfg, VECTORS_FILE, "vectorize"))
-    labels = _labels_by_id(cfg, _load_normalized(cfg))
-    sequences = _sequences_from_bundle(bundle, labels)
+    sequences = _labeled_sequences(cfg, bundle)
     rng = _stage_rng(cfg, "scd-split")
     order = rng.permutation(len(sequences))
     n_val = int(len(sequences) * cfg.scd_val_fraction)
@@ -219,8 +228,8 @@ def run_train_scd(cfg: PipelineConfig) -> None:
                                _stage_rng(cfg, "scd-train"),
                                val_chunks=val_chunks or None)
     model_store.save(model, out / SCD_MODEL)
-    (out / SCD_LOG).write_text(
-        "".join(r.format_line() + "\n" for r in records), encoding="utf-8")
+    write_atomic(out / SCD_LOG,
+                 "".join(r.format_line() + "\n" for r in records))
     print(f"train-scd: {len(train_chunks)} train / {len(val_chunks)} val "
           f"chunks -> {out / SCD_MODEL}")
 
@@ -236,8 +245,7 @@ def run_eval_scd(cfg: PipelineConfig) -> None:
             f"{vectors_path} holds sentence vectors of width "
             f"{bundle.matrices[0].shape[1]}, but {model_path} takes "
             f"{model.input_dim}")
-    labels = _labels_by_id(cfg, _load_normalized(cfg))
-    sequences = _sequences_from_bundle(bundle, labels)
+    sequences = _labeled_sequences(cfg, bundle)
     rows = []
     flagged = []
     for seq in sequences:
@@ -247,8 +255,7 @@ def run_eval_scd(cfg: PipelineConfig) -> None:
                     f"{'positive' if pred.verdict else 'negative'}")
         if pred.verdict:
             flagged.append(seq.conversation_id)
-    (out / SCD_VERDICTS).write_text("".join(f"{r}\n" for r in rows),
-                                    encoding="utf-8")
+    write_atomic(out / SCD_VERDICTS, "".join(f"{r}\n" for r in rows))
     counts = confusion(flagged,
                        [s.conversation_id for s in sequences if s.label],
                        [s.conversation_id for s in sequences])
@@ -259,7 +266,7 @@ def run_eval_scd(cfg: PipelineConfig) -> None:
             f"precision={format_metric(prf.precision)}\n"
             f"recall={format_metric(prf.recall)}\n"
             f"f1={format_metric(prf.f_beta)}\n")
-    (out / SCD_METRICS).write_text(text, encoding="utf-8")
+    write_atomic(out / SCD_METRICS, text)
     print(f"eval-scd: tp={tp} fp={fp} tn={tn} fn={fn} "
           f"f1={format_metric(prf.f_beta)}")
 
@@ -268,10 +275,8 @@ def _author_classes(conversations, truth) -> dict[str, str]:
     """P for ground-truth predators, V for other participants of
     conversations with a predator, N for everyone else."""
     classes: dict[str, str] = {}
-    for conv in conversations:
-        authors = conv.authors()
-        positive = any(a in truth for a in authors)
-        for author in authors:
+    for conv, positive in corpus_io.label_conversations(conversations, truth):
+        for author in conv.authors():
             if author in truth:
                 classes[author] = "P"
             elif positive:
@@ -310,8 +315,8 @@ def run_train_author(cfg: PipelineConfig) -> None:
     _, records = ac.train_author(model, units, cfg,
                                  _stage_rng(cfg, "author-train"))
     model_store.save(model, out / AUTHOR_MODEL)
-    (out / AUTHOR_LOG).write_text(
-        "".join(r.format_line() + "\n" for r in records), encoding="utf-8")
+    write_atomic(out / AUTHOR_LOG,
+                 "".join(r.format_line() + "\n" for r in records))
     print(f"train-author: {len(units)} units, {len(features)} features -> "
           f"{out / AUTHOR_MODEL}")
 
@@ -330,8 +335,7 @@ def run_score_authors(cfg: PipelineConfig) -> None:
         verdict = ac.AuthorVerdict(author, avg)
         rows.append(f"{author}\t{avg.p!r}\t{avg.v!r}\t{avg.n!r}\t"
                     f"{verdict.predicted_class}")
-    (out / AUTHOR_SCORES).write_text("".join(f"{r}\n" for r in rows),
-                                     encoding="utf-8")
+    write_atomic(out / AUTHOR_SCORES, "".join(f"{r}\n" for r in rows))
     print(f"score-authors: {len(rows)} authors -> {out / AUTHOR_SCORES}")
 
 
@@ -342,12 +346,8 @@ def _read_tsv(path: Path, n_fields: int, parse, keys) -> dict:
     accepts, no key may repeat, and the keys must be exactly `keys`, so a
     truncated or corrupt file is refused instead of read as a shorter one.
     """
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     rows = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         fields = line.split("\t")
         if len(fields) != n_fields:
             raise DataFormatError(f"{path}:{lineno}: expected {n_fields} "
@@ -421,7 +421,7 @@ def run_identify(cfg: PipelineConfig) -> None:
     report = "Predator identification vs ground truth\n"
     report += format_report([ReportRow("chatscreen", counts)])
     report += f"accuracy={accuracy(counts):.6f}\n"
-    (out / REPORT_FILE).write_text(report, encoding="utf-8")
+    write_atomic(out / REPORT_FILE, report)
     prf = precision_recall_f(counts, 0.5)
     print(f"identify: flagged {len(result.flagged)} predators, "
           f"P={format_metric(prf.precision)} R={format_metric(prf.recall)} "
@@ -449,7 +449,7 @@ def run_synth(cfg: PipelineConfig) -> None:
                               geometric_p=cfg.synth_geometric_p,
                               marker_density=cfg.synth_marker_density)
     result = synthgen.generate(spec)
-    (out / SYNTH_CORPUS).write_bytes(result.xml_bytes)
+    write_atomic(out / SYNTH_CORPUS, result.xml_bytes)
     corpus_io.write_ground_truth(result.predator_ids, out / SYNTH_TRUTH)
     print(f"synth: {cfg.synth_n_conversations} conversations, "
           f"{len(result.predator_ids)} predators -> {out / SYNTH_CORPUS}")

@@ -51,22 +51,28 @@ class NormRuleSet:
     long_word_limit: int
 
 
-def load_abbreviations(path) -> dict[str, str]:
-    """Parse a short<TAB>expansion table; '#' starts a comment line."""
-    table: dict[str, str] = {}
+def _rule_lines(path):
+    """(line number, line) for each line of a UTF-8 rules file that is
+    neither blank nor a '#' comment."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if "\t" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected short<TAB>expansion")
-            short, expansion = line.split("\t", 1)
-            short = short.strip()
-            if short != short.lower() or " " in short:
-                raise ConfigError(f"{path}:{lineno}: abbreviation keys must be "
-                                  "lowercase single tokens")
-            table[short] = expansion.strip().lower()
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield lineno, line
+
+
+def load_abbreviations(path) -> dict[str, str]:
+    """Parse a short<TAB>expansion table; '#' starts a comment line."""
+    table: dict[str, str] = {}
+    for lineno, line in _rule_lines(path):
+        if "\t" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected short<TAB>expansion")
+        short, expansion = line.split("\t", 1)
+        short = short.strip()
+        if short != short.lower() or " " in short:
+            raise ConfigError(f"{path}:{lineno}: abbreviation keys must be "
+                              "lowercase single tokens")
+        table[short] = expansion.strip().lower()
     return table
 
 
@@ -74,15 +80,11 @@ def load_emoticon_patterns(path) -> list[re.Pattern]:
     """One regular expression per line; a whitespace-delimited token is
     removed when a pattern matches the entire token. '#' comments."""
     patterns = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            try:
-                patterns.append(re.compile(line))
-            except re.error as exc:
-                raise ConfigError(f"{path}:{lineno}: bad pattern: {exc}") from exc
+    for lineno, line in _rule_lines(path):
+        try:
+            patterns.append(re.compile(line))
+        except re.error as exc:
+            raise ConfigError(f"{path}:{lineno}: bad pattern: {exc}") from exc
     return patterns
 
 

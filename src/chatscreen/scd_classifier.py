@@ -121,18 +121,14 @@ def chunk_and_pad(seq: ConversationSequence, chunk_len: int) -> list[Chunk]:
 
 
 def _final_states(model: ScdModel, chunks):
-    """Top-layer hidden state read per chunk (masked: at valid_len - 1),
-    plus the traces for backprop."""
-    batch = np.stack([c.matrix for c in chunks]).astype(model.dtype, copy=False)
-    if model.masked:
-        # steps past the longest valid row are all-zero padding that the
-        # masked read never touches; skip them
-        t_eff = max(c.valid_len for c in chunks)
-        batch = batch[:, :t_eff]
-        rows = np.array([c.valid_len - 1 for c in chunks])
-    else:
-        rows = np.full(len(chunks), batch.shape[1] - 1)
-    xs = np.ascontiguousarray(batch.transpose(1, 0, 2))
+    """Top-layer hidden state read per chunk (masked: at valid_len - 1,
+    unmasked: at the last padded row), plus the traces for backprop. Steps
+    past the last row read are never run."""
+    rows = np.array([c.valid_len - 1 if model.masked else len(c.matrix) - 1
+                     for c in chunks])
+    steps = rows.max() + 1
+    xs = np.stack([c.matrix[:steps] for c in chunks],
+                  axis=1).astype(model.dtype, copy=False)
     traces = forward_stack(xs, [model.layer1, model.layer2])
     finals = traces[1].S[rows, np.arange(len(chunks)), :]
     return finals, rows, traces
@@ -201,9 +197,9 @@ def _chunk_metrics(model, chunks, threshold):
     return (accuracy(counts), prf.precision, prf.recall, prf.f_beta)
 
 
-def _bce_loss_and_grads(model: ScdModel, chunks):
-    """Mean binary cross-entropy over chunks and gradients for
-    model.param_list() order."""
+def training_loss_and_grads(model: ScdModel, chunks):
+    """Mean binary cross-entropy over a list of chunks and gradients in
+    model.param_list() order; also the gradient-check entry point."""
     finals, rows, traces = _final_states(model, chunks)
     labels = np.array([1.0 if c.label else 0.0 for c in chunks],
                       dtype=model.dtype)
@@ -221,11 +217,6 @@ def _bce_loss_and_grads(model: ScdModel, chunks):
     layer_grads, _ = backward_stack(traces, d_s)
     grads = layer_grads[0] + layer_grads[1] + [d_head_w, d_head_b]
     return loss, grads
-
-
-def training_loss_and_grads(model: ScdModel, chunks):
-    """Gradient-check entry point: one batch, loss plus analytic grads."""
-    return _bce_loss_and_grads(model, list(chunks))
 
 
 def train_scd(chunks, cfg: PipelineConfig, rng, val_chunks=None):
@@ -260,7 +251,7 @@ def train_scd(chunks, cfg: PipelineConfig, rng, val_chunks=None):
         for start in range(0, len(order), cfg.scd_batch_size):
             batch = [epoch_set[i]
                      for i in order[start:start + cfg.scd_batch_size]]
-            loss, grads = _bce_loss_and_grads(model, batch)
+            loss, grads = training_loss_and_grads(model, batch)
             if not np.isfinite(loss):
                 raise NumericError(f"train_scd: non-finite loss at epoch "
                                    f"{epoch} (lr={cfg.scd_lr})")

@@ -1,12 +1,16 @@
 import configparser
+import os
+import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chatscreen import pipeline
+from chatscreen import corpus_io, pipeline
 from chatscreen.cli import main
 from chatscreen.config import PipelineConfig, apply_strict_paper, load_config
 from chatscreen.core_math import Rng
@@ -141,6 +145,18 @@ class TestExitCodes:
         (tmp_path / "truth.txt").write_text("")
         assert main(["preprocess", "--config", str(cfg_path)]) == 2
         assert "byte offset" in capsys.readouterr().err
+
+    def test_repeated_conversation_id_is_data_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        corpus = tmp_path / "corpus.xml"
+        xml = corpus.read_bytes()
+        first, second = re.findall(rb'<conversation id="([^"]+)">', xml)[:2]
+        corpus.write_bytes(xml.replace(b'id="%s"' % second,
+                                       b'id="%s"' % first))
+        assert main(["preprocess", "--config", str(cfg_path)]) == 2
+        assert first.decode() in capsys.readouterr().err
+        assert not (tmp_path / "normalized.xml").exists()
 
     def test_unconfigured_corpus_is_usage_error(self, tmp_path):
         assert main(["preprocess", "--out", str(tmp_path)]) == 1
@@ -366,6 +382,16 @@ class TestStageFiles:
         assert main(["train-lm", "--config", str(cfg_path)]) == 2
         assert "vocab.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["preprocess", "train-scd", "eval-scd",
+                                       "train-author", "identify"])
+    def test_non_utf8_ground_truth_is_data_error(self, small_run, tmp_path,
+                                                 capsys, stage):
+        out, cfg_path = copy_run(small_run, tmp_path)
+        truth = out / "truth.txt"
+        truth.write_bytes(truth.read_bytes() + b"caf\xe9\n")
+        assert main([stage, "--config", str(cfg_path)]) == 2
+        assert "truth.txt" in capsys.readouterr().err
+
     def test_unlabeled_stages_run_without_ground_truth(self, small_run,
                                                        tmp_path):
         out, cfg_path = copy_run(small_run, tmp_path,
@@ -418,15 +444,64 @@ class TestPipeline:
         assert (out / "report.txt").exists()
 
     def test_stagewise_equals_pipeline(self, tmp_path):
-        out = self._run(tmp_path, "whole")
-        stage_out = tmp_path / "stages"
-        stage_out.mkdir()
-        cfg_path = write_config(tmp_path / "stages.cfg", stage_out)
-        assert main(["synth", "--config", str(cfg_path)]) == 0
-        for cmd in ["preprocess", "build-vocab", "train-lm", "eval-lm",
-                    "vectorize", "train-scd", "eval-scd", "train-author",
-                    "score-authors", "identify"]:
-            assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
+        # every command in its own process, so the stages share no state
+        src = str(Path(pipeline.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def cli(cmd, cfg_path):
+            done = subprocess.run([sys.executable, "-m", "chatscreen.cli",
+                                   cmd, "--config", str(cfg_path)], env=env,
+                                  capture_output=True, text=True)
+            assert done.returncode == 0, (cmd, done.stderr)
+
+        runs = {}
+        for name, commands in [
+                ("whole", ["pipeline"]),
+                ("stages", ["preprocess", "build-vocab", "train-lm",
+                            "eval-lm", "vectorize", "train-scd", "eval-scd",
+                            "train-author", "score-authors", "identify"])]:
+            runs[name] = tmp_path / name
+            runs[name].mkdir()
+            cfg_path = write_config(tmp_path / f"{name}.cfg", runs[name])
+            for cmd in ["synth"] + commands:
+                cli(cmd, cfg_path)
         for name in ARTIFACTS:
-            assert (out / name).read_bytes() == \
-                (stage_out / name).read_bytes(), name
+            assert (runs["whole"] / name).read_bytes() == \
+                (runs["stages"] / name).read_bytes(), name
+
+    def test_outputs_have_the_plain_write_mode(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            out = self._run(tmp_path, "modes")
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        assert sorted(modes) == sorted(ARTIFACTS + ["corpus.xml",
+                                                    "truth.txt"])
+        assert set(modes.values()) == {0o644}, modes
+
+    def test_normalized_xml_parsed_once_per_process(self, tmp_path,
+                                                    monkeypatch):
+        parse = corpus_io.parse_pan_corpus
+        calls = []
+
+        def counting(source):
+            calls.append(source)
+            return parse(source)
+
+        monkeypatch.setattr(corpus_io, "parse_pan_corpus", counting)
+        pipeline._parse_normalized.cache_clear()
+        out = self._run(tmp_path, "once")
+        assert len(calls) == 2      # the corpus, then normalized.xml
+        # a rewritten normalized.xml is parsed afresh, then reused
+        vocab = (out / "vocab.txt").read_bytes()
+        normalized = out / "normalized.xml"
+        normalized.write_bytes(corpus_io.write_pan_corpus(
+            parse(normalized).conversations[:1]))
+        cfg_path = str(tmp_path / "once.cfg")
+        assert main(["build-vocab", "--config", cfg_path]) == 0
+        assert len(calls) == 3
+        assert (out / "vocab.txt").read_bytes() != vocab
+        assert main(["eval-lm", "--config", cfg_path]) == 0
+        assert len(calls) == 3

@@ -1,10 +1,12 @@
+import os
+
 import pytest
 
 from chatscreen.corpus_io import (Conversation, Message, filter_corpus,
                                   label_conversations, parse_ground_truth,
-                                  parse_pan_corpus, write_ground_truth,
-                                  write_pan_corpus)
-from chatscreen.errors import CorpusParseError
+                                  parse_pan_corpus, read_text, write_atomic,
+                                  write_ground_truth, write_pan_corpus)
+from chatscreen.errors import CorpusParseError, DataFormatError
 from chatscreen.pipeline import _author_units
 
 SMALL_XML = b"""<?xml version="1.0" encoding="UTF-8"?>
@@ -70,6 +72,60 @@ class TestParsePanCorpus:
           <text>hi</text></message></conversation></conversations>"""
         result = parse_pan_corpus(xml)
         assert result.skipped_messages == 1
+
+    def test_repeated_conversation_id_rejected(self):
+        xml = b"""<conversations>
+          <conversation id="a"><message line="1"><author>x</author>
+            <time>1</time><text>hi</text></message></conversation>
+          <conversation id="b"><message line="1"><author>y</author>
+            <time>1</time><text>yo</text></message></conversation>
+          <conversation id="a"><message line="1"><author>z</author>
+            <time>1</time><text>hey</text></message></conversation>
+        </conversations>"""
+        with pytest.raises(CorpusParseError, match="'a' appears twice"):
+            parse_pan_corpus(xml)
+
+
+class TestArtifactFiles:
+    def test_write_replaces_bytes_and_returns_count(self, tmp_path):
+        path = tmp_path / "a.txt"
+        assert write_atomic(path, b"old") == 3
+        assert write_atomic(path, "n\u00e9w\n") == 5
+        assert path.read_bytes() == "n\u00e9w\n".encode("utf-8")
+        assert os.listdir(tmp_path) == ["a.txt"]
+
+    def test_failed_rename_keeps_old_bytes_and_no_temp_file(self, tmp_path,
+                                                            monkeypatch):
+        path = tmp_path / "scd_metrics.txt"
+        write_atomic(path, b"old artifact\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_atomic(path, b"new artifact\n")
+        assert path.read_bytes() == b"old artifact\n"
+        assert os.listdir(tmp_path) == ["scd_metrics.txt"]
+
+    def test_plain_write_mode_replaces_an_older_mode(self, tmp_path):
+        path = tmp_path / "lm.model"
+        path.write_bytes(b"x")
+        path.chmod(0o600)
+        old = os.umask(0o022)
+        try:
+            write_atomic(path, b"y")
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o644
+
+    def test_non_utf8_text_names_the_file(self, tmp_path):
+        path = tmp_path / "truth.txt"
+        path.write_bytes(b"abc\n\xff\n")
+        with pytest.raises(DataFormatError, match="truth.txt"):
+            read_text(path)
+        with pytest.raises(DataFormatError, match="truth.txt"):
+            parse_ground_truth(path)
 
 
 class TestGroundTruth:

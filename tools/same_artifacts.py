@@ -9,11 +9,15 @@ for that revision and for the working tree, at seeds 2026 and 7, with the
 BLAS pinned to one thread (artifacts depend on the thread count). Every
 file of the two output directories (18 for this config: the corpus, its
 truth file, the normalized corpus, the filter report and the 14 stage
-artifacts) is compared byte for byte. Prints one line per seed and exits 1
-naming each file that differs or exists on one side only.
+artifacts) is compared byte for byte. It also runs the working tree's ten
+stages one process each, `synth` + `preprocess` ... `identify`, and
+compares their outputs with the working tree's `pipeline` outputs, which
+checks that in-process reuse inside `pipeline` changes nothing. Prints two
+lines per seed and exits 1 naming each file that differs or exists on one
+side only.
 
-Standard library only; the two sides of a seed run side by side, one
-process each. A run takes a few minutes.
+Standard library only; the three runs of a seed go side by side, each one
+process at a time. A run takes a few minutes.
 """
 
 from __future__ import annotations
@@ -26,11 +30,15 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIG = Path("configs") / "synth-accept.cfg"
 SEEDS = (2026, 7)
+STAGES = ("preprocess", "build-vocab", "train-lm", "eval-lm", "vectorize",
+          "train-scd", "eval-scd", "train-author", "score-authors",
+          "identify")
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -43,18 +51,24 @@ def extract(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def start(tree: Path, run_dir: Path, stage: str,
-          seed: int) -> subprocess.Popen:
-    """One chatscreen stage from one source tree, run in run_dir, where the
-    config's relative paths put the outputs (run_dir/out-synth)."""
+def run_chain(tree: Path, run_dir: Path, stages, seed: int) -> str | None:
+    """chatscreen stages from one source tree, one process each, run in
+    run_dir, where the config's relative paths put the outputs
+    (run_dir/out-synth). Returns None, or how the first failing stage
+    failed."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.Popen(
-        [sys.executable, "-m", "chatscreen.cli", stage,
-         "--config", str(tree / CONFIG), "--seed", str(seed)],
-        cwd=run_dir, env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE, text=True)
+    run_dir.mkdir()
+    for stage in stages:
+        done = subprocess.run(
+            [sys.executable, "-m", "chatscreen.cli", stage,
+             "--config", str(tree / CONFIG), "--seed", str(seed)],
+            cwd=run_dir, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True)
+        if done.returncode != 0:
+            return f"{stage} failed (exit {done.returncode}):\n{done.stderr}"
+    return None
 
 
 def compare(a: Path, b: Path) -> tuple[list[str], list[str]]:
@@ -80,29 +94,32 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         extract(args.base, tmp / "base")
         for seed in SEEDS:
-            trees = {"base": tmp / "base", "work": REPO}
-            runs = {side: tmp / f"{side}-{seed}" for side in trees}
-            for run_dir in runs.values():
-                run_dir.mkdir()
-            for stage in ("synth", "pipeline"):
-                procs = {side: start(tree, runs[side], stage, seed)
-                         for side, tree in trees.items()}
-                errors = {side: proc.communicate()[1]
-                          for side, proc in procs.items()}
-                for side, proc in procs.items():
-                    if proc.returncode != 0:
-                        print(f"seed {seed}: {stage} of the {side} tree "
-                              f"failed (exit {proc.returncode}):\n"
-                              f"{errors[side]}", file=sys.stderr)
-                        return 1
-            same, differ = compare(runs["base"] / "out-synth",
-                                   runs["work"] / "out-synth")
-            if differ:
-                failed = True
-                print(f"seed {seed}: {len(differ)} of {len(same) + len(differ)}"
-                      f" files differ: {', '.join(differ)}")
-            else:
-                print(f"seed {seed}: all {len(same)} files identical")
+            chains = {"base": (tmp / "base", ("synth", "pipeline")),
+                      "work": (REPO, ("synth", "pipeline")),
+                      "stages": (REPO, ("synth",) + STAGES)}
+            runs = {run: tmp / f"{run}-{seed}" for run in chains}
+            with ThreadPoolExecutor(len(chains)) as pool:
+                futures = {run: pool.submit(run_chain, tree, runs[run],
+                                            stages, seed)
+                           for run, (tree, stages) in chains.items()}
+            for run, future in futures.items():
+                error = future.result()
+                if error is not None:
+                    print(f"seed {seed}: the {run} run's {error}",
+                          file=sys.stderr)
+                    return 1
+            out = {run: run_dir / "out-synth" for run, run_dir in runs.items()}
+            for label, a, b in [("base vs working tree", "base", "work"),
+                                ("stagewise vs pipeline", "stages", "work")]:
+                same, differ = compare(out[a], out[b])
+                if differ:
+                    failed = True
+                    print(f"seed {seed}, {label}: {len(differ)} of "
+                          f"{len(same) + len(differ)} files differ: "
+                          f"{', '.join(differ)}")
+                else:
+                    print(f"seed {seed}, {label}: all {len(same)} files "
+                          "identical")
     return 1 if failed else 0
 
 
