@@ -81,6 +81,8 @@ def load_config(path) -> PipelineConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     schema: dict[str, dict] = {}
     for f in fields(PipelineConfig):
         section = f.metadata["section"]

@@ -124,26 +124,41 @@ class LstmTrace:
 
 def forward_steps(xs: np.ndarray, s0: np.ndarray, c0: np.ndarray,
                   params: LstmLayerParams) -> LstmTrace:
-    """Unroll the cell over xs (T, B, I) from initial states (B, H)."""
+    """Unroll the cell over xs (T, B, I) from initial states (B, H).
+
+    The input projection xs @ U is made for all T steps before the
+    recurrence, as one stacked product written straight into the gate
+    tensor Z. Stacked, it runs the same (B, I) product per step as a step
+    loop, so the bits stay the loop's; a flat (T*B, I) product would change
+    them at B = 1, where BLAS takes a matrix-vector path, and a separate
+    (T, B, 4H) buffer per call cost more than the hoist saved. Each step
+    adds s @ W, then the bias, to Z[t] in place, in the order
+    (xU + sW) + b, and writes c, tanh(c) and s into the trace through out=.
+    """
     T, B, _ = xs.shape
     H = params.hidden_dim
+    Z = xs @ params.U
     S = np.empty((T, B, H), dtype=xs.dtype)
     C = np.empty_like(S)
     TC = np.empty_like(S)
-    Z = np.empty((T, B, 4 * H), dtype=xs.dtype)
+    sW = np.empty((B, 4 * H), dtype=Z.dtype)
+    ig = np.empty((B, H), dtype=xs.dtype)
     s, c = s0, c0
     for t in range(T):
-        a = xs[t] @ params.U + s @ params.W
-        if params.b is not None:
-            a = a + params.b
         z = Z[t]
-        z[:, :3 * H] = sigmoid(a[:, :3 * H])
-        z[:, 3 * H:] = np.tanh(a[:, 3 * H:])
+        np.matmul(s, params.W, out=sW)
+        np.add(z, sW, out=z)
+        if params.b is not None:
+            np.add(z, params.b, out=z)
+        z[:, :3 * H] = sigmoid(z[:, :3 * H])
+        np.tanh(z[:, 3 * H:], out=z[:, 3 * H:])
         i, f, o, g = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
-        c = f * c + i * g
-        tc = np.tanh(c)
-        s = o * tc
-        C[t], TC[t], S[t] = c, tc, s
+        np.multiply(f, c, out=C[t])
+        np.multiply(i, g, out=ig)
+        np.add(C[t], ig, out=C[t])
+        np.tanh(C[t], out=TC[t])
+        np.multiply(o, TC[t], out=S[t])
+        s, c = S[t], C[t]
     return LstmTrace(params=params, xs=xs, s0=s0, c0=c0, S=S, C=C, Z=Z,
                      TC=TC)
 

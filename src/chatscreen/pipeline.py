@@ -187,8 +187,9 @@ def run_vectorize(cfg: PipelineConfig) -> None:
     ids: list[str] = []
     matrices = []
     skipped = 0
+    memo: dict = {}
     for conv in conversations:
-        seq = vectorize_conversation(conv, model)
+        seq = vectorize_conversation(conv, model, memo)
         if seq is None:
             skipped += 1
             continue

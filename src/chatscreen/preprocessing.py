@@ -54,11 +54,14 @@ class NormRuleSet:
 def _rule_lines(path):
     """(line number, line) for each line of a UTF-8 rules file that is
     neither blank nor a '#' comment."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line.strip() and not line.lstrip().startswith("#"):
-                yield lineno, line
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield lineno, line
 
 
 def load_abbreviations(path) -> dict[str, str]:

@@ -94,12 +94,22 @@ class ScdModel:
                         masked=self.masked)
 
 
-def vectorize_conversation(conv, lm: LanguageModel) -> ConversationSequence | None:
+def vectorize_conversation(conv, lm: LanguageModel,
+                           memo: dict) -> ConversationSequence | None:
     """One sentence vector per message, in message order; None signals an
-    empty conversation to skip (reported by the caller, not fatal)."""
+    empty conversation to skip (reported by the caller, not fatal).
+
+    memo maps a message's normalized text to its vector; a caller that
+    passes the same dict for every conversation of a run encodes each
+    distinct message once."""
     if not conv.messages:
         return None
-    vectors = [sentence_vector(lm, tokenize(m.text)) for m in conv.messages]
+    vectors = []
+    for m in conv.messages:
+        vector = memo.get(m.text)
+        if vector is None:
+            vector = memo[m.text] = sentence_vector(lm, tokenize(m.text))
+        vectors.append(vector)
     return ConversationSequence(conv.id, np.stack(vectors))
 
 
@@ -120,12 +130,21 @@ def chunk_and_pad(seq: ConversationSequence, chunk_len: int) -> list[Chunk]:
     return chunks
 
 
-def _final_states(model: ScdModel, chunks):
-    """Top-layer hidden state read per chunk (masked: at valid_len - 1,
-    unmasked: at the last padded row), plus the traces for backprop. Steps
-    past the last row read are never run."""
-    rows = np.array([c.valid_len - 1 if model.masked else len(c.matrix) - 1
+# Rows per forward pass when chunks are only scored, not trained on.
+SCORE_BUCKET_ROWS = 64
+
+
+def _read_rows(model: ScdModel, chunks) -> np.ndarray:
+    """The timestep whose top-layer state the head reads, per chunk
+    (masked: valid_len - 1, unmasked: the last padded row)."""
+    return np.array([c.valid_len - 1 if model.masked else len(c.matrix) - 1
                      for c in chunks])
+
+
+def _final_states(model: ScdModel, chunks):
+    """Top-layer hidden state read per chunk (see _read_rows), plus the
+    traces for backprop. Steps past the last row read are never run."""
+    rows = _read_rows(model, chunks)
     steps = rows.max() + 1
     xs = np.stack([c.matrix[:steps] for c in chunks],
                   axis=1).astype(model.dtype, copy=False)
@@ -135,7 +154,20 @@ def _final_states(model: ScdModel, chunks):
 
 
 def _chunk_probabilities(model: ScdModel, chunks) -> np.ndarray:
-    finals, _, _ = _final_states(model, chunks)
+    """Sigmoid probability per chunk, in input order. Chunks sorted by read
+    row are scored in buckets of SCORE_BUCKET_ROWS, each run only as far as
+    its own longest chunk, so the cost follows the real steps."""
+    order = np.argsort(_read_rows(model, chunks), kind="stable")
+    starts = list(range(SCORE_BUCKET_ROWS, len(order), SCORE_BUCKET_ROWS))
+    # a lone leftover row joins the bucket before it: a one-row product
+    # takes another BLAS path, and its bits would differ from the same row
+    # scored among others
+    if starts and len(order) - starts[-1] == 1:
+        starts.pop()
+    finals = np.empty((len(chunks), model.hidden_dim), dtype=model.dtype)
+    for bucket in np.split(order, starts):
+        finals[bucket], _, _ = _final_states(model,
+                                             [chunks[i] for i in bucket])
     logits = finals.astype(np.float64) @ model.head_w.astype(np.float64) \
         + float(model.head_b[0])
     probs = sigmoid(logits)

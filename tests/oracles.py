@@ -81,3 +81,29 @@ def scalar_lm_steps(model, ids):
                   + model.out_b[k] for k in range(len(model.out_b))]
         steps.append((s2, scalar_softmax(logits)))
     return steps
+
+
+def step_loop_forward(xs, s0, c0, params):
+    """A layer's unroll the step-by-step way: at every step the input
+    product x @ U, then s @ W, then the bias, each in a fresh array.
+    Returns the (S, C, Z, TC) arrays of an LstmTrace."""
+    T, B, _ = xs.shape
+    H = params.hidden_dim
+    S = np.empty((T, B, H), dtype=xs.dtype)
+    C = np.empty_like(S)
+    TC = np.empty_like(S)
+    Z = np.empty((T, B, 4 * H), dtype=xs.dtype)
+    s, c = s0, c0
+    for t in range(T):
+        a = xs[t] @ params.U + s @ params.W
+        if params.b is not None:
+            a = a + params.b
+        z = Z[t]
+        z[:, :3 * H] = masked_sigmoid(a[:, :3 * H])
+        z[:, 3 * H:] = np.tanh(a[:, 3 * H:])
+        i, f, o, g = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
+        c = f * c + i * g
+        tc = np.tanh(c)
+        s = o * tc
+        C[t], TC[t], S[t] = c, tc, s
+    return S, C, Z, TC

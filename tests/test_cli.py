@@ -10,14 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chatscreen import corpus_io, pipeline
+from chatscreen import corpus_io, pipeline, scd_classifier
 from chatscreen.cli import main
 from chatscreen.config import PipelineConfig, apply_strict_paper, load_config
 from chatscreen.core_math import Rng
 from chatscreen.errors import ConfigError
 from chatscreen.language_model import LanguageModel
 from chatscreen.model_store import VectorBundle, load, save
-from chatscreen.preprocessing import RESERVED_TOKENS, Vocabulary
+from chatscreen.preprocessing import RESERVED_TOKENS, Vocabulary, tokenize
 
 
 def write_config(path, out_dir, **overrides):
@@ -156,6 +156,30 @@ class TestExitCodes:
                                        b'id="%s"' % first))
         assert main(["preprocess", "--config", str(cfg_path)]) == 2
         assert first.decode() in capsys.readouterr().err
+        assert not (tmp_path / "normalized.xml").exists()
+
+    def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
+        text = cfg_path.read_bytes()
+        cfg_path.write_bytes(text.replace(b"out = ", b"out = \xff", 1))
+        assert main(["synth", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "run.cfg" in err
+
+    @pytest.mark.parametrize("key,data", [
+        ("abbreviations", b"u\tyou\nr\xff\tare\n"),
+        ("emoticons", b":-\\)\n\xff\n"),
+    ], ids=["abbreviations", "emoticons"])
+    def test_non_utf8_rules_file_is_usage_error(self, tmp_path, capsys, key,
+                                               data):
+        rules = tmp_path / "rules.txt"
+        rules.write_bytes(data)
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path,
+                                preprocessing={key: str(rules)})
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        assert main(["preprocess", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rules.txt" in err
         assert not (tmp_path / "normalized.xml").exists()
 
     def test_unconfigured_corpus_is_usage_error(self, tmp_path):
@@ -391,6 +415,35 @@ class TestStageFiles:
         truth.write_bytes(truth.read_bytes() + b"caf\xe9\n")
         assert main([stage, "--config", str(cfg_path)]) == 2
         assert "truth.txt" in capsys.readouterr().err
+
+    def test_vectorize_encodes_each_distinct_message_once(self, small_run,
+                                                           tmp_path,
+                                                           monkeypatch):
+        out, cfg_path = copy_run(small_run, tmp_path)
+        conversations = corpus_io.parse_pan_corpus(
+            out / "normalized.xml").conversations
+        texts = [m.text for conv in conversations for m in conv.messages]
+        assert len(set(texts)) < len(texts)   # the corpus repeats messages
+        one_message = scd_classifier.sentence_vector
+        calls = []
+
+        def counting(lm, tokens):
+            calls.append(tokens)
+            return one_message(lm, tokens)
+
+        monkeypatch.setattr(scd_classifier, "sentence_vector", counting)
+        assert main(["vectorize", "--config", str(cfg_path)]) == 0
+        assert len(calls) == len(set(texts))
+        # the same bytes as one encoding per message
+        lm = load(out / "lm.model")
+        save(VectorBundle(
+            [conv.id for conv in conversations if conv.messages],
+            [np.stack([one_message(lm, tokenize(m.text))
+                       for m in conv.messages])
+             for conv in conversations if conv.messages]),
+            tmp_path / "per_message.bin")
+        assert (out / "vectors.bin").read_bytes() == \
+            (tmp_path / "per_message.bin").read_bytes()
 
     def test_unlabeled_stages_run_without_ground_truth(self, small_run,
                                                        tmp_path):

@@ -7,7 +7,7 @@ from chatscreen.lstm import (LstmLayerParams, LstmState, backward_stack,
                              backward_steps, cell_step, forward_stack,
                              forward_steps)
 
-from oracles import scalar_cell_step
+from oracles import scalar_cell_step, step_loop_forward
 
 # frozen from the scalar oracle: sigmoid(1), tanh(1), and their combination
 SIG1 = 0.7310585786300049
@@ -154,6 +154,26 @@ class TestSequenceForward:
             folded = cell_step(xs[t], folded, params)
         assert np.abs(trace.S[-1, 0] - folded.s).max() < 1e-12
         assert np.abs(trace.C[-1, 0] - folded.c).max() < 1e-12
+
+    # I = 64 is wide enough that one (T*B, I) input product would round a
+    # B = 1 row differently from the per-step product
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("use_bias", [False, True])
+    def test_hoisted_projection_matches_step_loop_bit_for_bit(self, batch,
+                                                              use_bias):
+        rng = Rng(50 + batch)
+        params = make_params(rng, 64, 24, use_bias, dtype=np.float32)
+        if use_bias:
+            params.b[:] = rng.uniform(-1, 1, params.b.shape)
+        xs = rng.uniform(-1, 1, (9, batch, 64))
+        s0 = rng.uniform(-0.9, 0.9, (batch, 24))
+        c0 = rng.uniform(-1.5, 1.5, (batch, 24))
+        trace = forward_steps(xs, s0, c0, params)
+        want = step_loop_forward(xs, s0, c0, params)
+        got = (trace.S, trace.C, trace.Z, trace.TC)
+        for name, array, ref in zip(("S", "C", "Z", "TC"), got, want):
+            assert array.dtype == np.float32
+            assert np.array_equal(array, ref), name
 
 
 class TestSequenceBackward:

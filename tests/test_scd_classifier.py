@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from chatscreen import scd_classifier
 from chatscreen.config import PipelineConfig
-from chatscreen.core_math import Rng, gradient_check
+from chatscreen.core_math import LOG_EPS, Rng, gradient_check, sigmoid
 from chatscreen.corpus_io import Conversation, Message
 from chatscreen.errors import UsageError
 from chatscreen.language_model import LanguageModel, sentence_vector
@@ -85,25 +86,27 @@ class TestVectorizeConversation:
     def test_one_vector_per_message(self):
         lm = tiny_lm()
         seq = vectorize_conversation(make_conv(["hi there", "friend", "hi"]),
-                                     lm)
+                                     lm, {})
         assert seq.matrix.shape == (3, 4)
 
     def test_identical_messages_identical_vectors(self):
         lm = tiny_lm()
-        seq = vectorize_conversation(make_conv(["hi there", "hi there"]), lm)
+        seq = vectorize_conversation(make_conv(["hi there", "hi there"]), lm,
+                                     {})
         assert np.array_equal(seq.matrix[0], seq.matrix[1])
 
     def test_matches_per_message_oracle(self):
         lm = tiny_lm()
         conv = make_conv(["hi there friend", "there hi"])
-        seq = vectorize_conversation(conv, lm)
+        seq = vectorize_conversation(conv, lm, {})
         for message, vec in zip(conv.messages, seq.matrix):
             solo = sentence_vector(lm, tokenize(message.text))
             assert np.array_equal(vec, solo)
 
     def test_empty_conversation_skip_signal(self):
         lm = tiny_lm()
-        assert vectorize_conversation(Conversation("empty", []), lm) is None
+        assert vectorize_conversation(Conversation("empty", []), lm,
+                                      {}) is None
 
 
 class TestPredict:
@@ -170,6 +173,62 @@ class TestPredict:
             "other", make_sequence(3).matrix, None), chunk_len=10)
         with pytest.raises(UsageError):
             predict_scd(model, a + b, threshold=0.5)
+
+
+def mixed_length_chunks(n, dim=64, chunk_len=20, seed=6):
+    """n chunks whose valid_len runs over 1..chunk_len in shuffled order;
+    every valid row is nonzero, every padding row zero."""
+    rng = Rng(seed)
+    chunks = []
+    for i in range(n):
+        valid = 1 + int(rng.integers(0, chunk_len))
+        matrix = np.zeros((chunk_len, dim), dtype=np.float32)
+        matrix[:valid] = rng.uniform(0.1, 1.0, (valid, dim))
+        chunks.append(Chunk(f"c{i}", 0, matrix, valid))
+    return chunks
+
+
+def one_pass_probabilities(model, chunks):
+    """Every chunk in one forward pass as long as the longest read row."""
+    finals, _, _ = scd_classifier._final_states(model, chunks)
+    logits = finals.astype(np.float64) @ model.head_w.astype(np.float64) \
+        + float(model.head_b[0])
+    return np.clip(sigmoid(logits), LOG_EPS, 1.0 - LOG_EPS)
+
+
+class TestBucketedScoring:
+    # 65 = one bucket and a lone leftover row; 129 = two buckets and one
+    @pytest.mark.parametrize("n", [65, 129])
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_bit_equal_to_one_pass(self, n, masked):
+        # input_dim 64: wide enough that a one-row bucket would round
+        # differently from the same row scored among others
+        model = ScdModel.create(Rng(n), input_dim=64, hidden_dim=16,
+                                masked=masked)
+        chunks = mixed_length_chunks(n)
+        got = scd_classifier._chunk_probabilities(model, chunks)
+        assert np.array_equal(got, one_pass_probabilities(model, chunks))
+
+    @pytest.mark.parametrize("n,sizes", [(65, [65]), (129, [64, 65]),
+                                         (130, [64, 64, 2])])
+    def test_buckets_trimmed_and_never_one_row(self, monkeypatch, n, sizes):
+        model = ScdModel.create(Rng(2), input_dim=64, hidden_dim=16)
+        forward_stack = scd_classifier.forward_stack
+        seen = []
+
+        def spy(xs, layers, init_states=None):
+            seen.append(xs)
+            return forward_stack(xs, layers, init_states)
+
+        monkeypatch.setattr(scd_classifier, "forward_stack", spy)
+        chunks = mixed_length_chunks(n)
+        scd_classifier._chunk_probabilities(model, chunks)
+        assert [xs.shape[1] for xs in seen] == sizes
+        for xs in seen:
+            # a chunk's valid length: one past its last nonzero row
+            nonzero = np.any(xs != 0, axis=2)
+            lengths = xs.shape[0] - np.argmax(nonzero[::-1], axis=0)
+            assert xs.shape[0] == lengths.max()
 
 
 class TestTrainScd:
