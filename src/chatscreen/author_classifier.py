@@ -276,36 +276,23 @@ def average_author_scores(scores) -> SentimentScore:
                           n=float(mean[2]))
 
 
-@dataclass
-class IdentifyResult:
-    flagged: set[str]
-    anomalies: list[str]
-
-
 def identify_predators(suspicious_conversation_ids, verdicts,
-                       conversations) -> IdentifyResult:
+                       conversations) -> set[str]:
     """Flag, per suspicious conversation, the participant with the highest
     averaged P score, and only when that author's predicted class is P
     (both classifiers must agree). At most one author per conversation; an
-    exact top-P tie flags nobody."""
+    exact top-P tie, or no participant, flags nobody.
+
+    Every suspicious id must name one of `conversations`, and `verdicts`
+    must score each of their participants: read_scd_verdicts and
+    read_author_scores guarantee both for the pipeline's artifacts."""
     conv_by_id = {c.id: c for c in conversations}
     flagged: set[str] = set()
-    anomalies: list[str] = []
-    for conv_id in sorted(set(suspicious_conversation_ids)):
-        conv = conv_by_id.get(conv_id)
-        if conv is None:
-            anomalies.append(f"suspicious conversation {conv_id!r} not found")
-            continue
-        scoreable = [a for a in conv.authors() if a in verdicts]
-        if not scoreable:
-            anomalies.append(f"conversation {conv_id!r} has no scoreable "
-                             "participants")
-            continue
-        top_p = max(verdicts[a].score.p for a in scoreable)
-        top_authors = [a for a in scoreable if verdicts[a].score.p == top_p]
-        if len(top_authors) != 1:
-            continue
-        candidate = top_authors[0]
-        if verdicts[candidate].predicted_class == "P":
-            flagged.add(candidate)
-    return IdentifyResult(flagged=flagged, anomalies=anomalies)
+    for conv_id in suspicious_conversation_ids:
+        authors = conv_by_id[conv_id].authors()
+        top_p = max((verdicts[a].score.p for a in authors), default=None)
+        top_authors = [a for a in authors if verdicts[a].score.p == top_p]
+        if (len(top_authors) == 1
+                and verdicts[top_authors[0]].predicted_class == "P"):
+            flagged.add(top_authors[0])
+    return flagged

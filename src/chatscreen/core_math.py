@@ -48,8 +48,8 @@ class Rng:
     def geometric(self, p: float) -> int:
         return int(self._gen.geometric(p))
 
-    def hex_id(self, nbytes: int = 16) -> str:
-        return self._gen.bytes(nbytes).hex()
+    def hex_id(self) -> str:
+        return self._gen.bytes(16).hex()
 
 
 def init_uniform(rng: Rng, rows: int, cols: int, fan_in: int,
@@ -122,13 +122,9 @@ class AdamOptimizer:
     Applies the same global-norm clip as SGD before the moment update.
     """
 
-    def __init__(self, lr: float, clip_norm: float | None,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float, clip_norm: float | None):
         self.lr = lr
         self.clip_norm = clip_norm
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m = None
         self._v = None
         self._t = 0
@@ -139,7 +135,7 @@ class AdamOptimizer:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         bias1 = 1.0 - b1 ** self._t
         bias2 = 1.0 - b2 ** self._t
         for p, g, m, v in zip(params, grads, self._m, self._v):
@@ -148,7 +144,7 @@ class AdamOptimizer:
             m += (1 - b1) * gs
             v *= b2
             v += (1 - b2) * gs * gs
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + 1e-8)
 
 
 def make_optimizer(name: str, lr: float, clip_norm: float | None):

@@ -5,8 +5,8 @@ The XML dialect is one <conversations> root holding <conversation id="...">
 elements, each a sequence of <message line="N"> elements with <author>,
 <time>, and <text> children. Parsing streams through expat so malformed
 input reports a byte offset; messages with missing or unusable fields are
-skipped and counted rather than failing the file; a repeated conversation
-id fails it.
+skipped and counted rather than failing the file; a conversation without
+an id, or one whose id repeats, fails it.
 
 Every file the package writes goes to disk through write_atomic, and the
 ground truth and text artifacts are read back through read_text.
@@ -15,7 +15,7 @@ ground truth and text artifacts are read back through read_text.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
@@ -49,14 +49,12 @@ class Conversation:
 class PanParseResult:
     conversations: list[Conversation]
     skipped_messages: int = 0
-    issues: list[str] = field(default_factory=list)
 
 
 class _PanHandler:
     def __init__(self):
         self.conversations: list[Conversation] = []
         self.skipped = 0
-        self.issues: list[str] = []
         self._ids: set[str] = set()
         self._conv: Conversation | None = None
         self._line_attr: str | None = None
@@ -66,9 +64,11 @@ class _PanHandler:
 
     def start(self, name, attrs):
         if name == "conversation":
-            self._conv = Conversation(id=attrs.get("id", ""), messages=[])
             if "id" not in attrs:
-                self.issues.append("conversation without id attribute")
+                raise CorpusParseError(f"conversation "
+                                       f"{len(self.conversations) + 1} has "
+                                       "no id attribute")
+            self._conv = Conversation(id=attrs["id"], messages=[])
         elif name == "message":
             self._line_attr = attrs.get("line")
             self._fields = {}
@@ -100,22 +100,11 @@ class _PanHandler:
         if conv is None:
             return
         author = self._fields.get("author", "").strip()
-        where = f"conversation {conv.id!r}"
-        if not author:
-            self.issues.append(f"{where}: message without author skipped")
-            self.skipped += 1
-            return
-        if self._line_attr is None:
-            self.issues.append(f"{where}: message without line attribute skipped")
-            self.skipped += 1
-            return
         try:
             line_no = int(self._line_attr)
-        except ValueError:
-            line_no = -1
-        if line_no < 1:
-            self.issues.append(f"{where}: bad line attribute "
-                               f"{self._line_attr!r} skipped")
+        except (TypeError, ValueError):    # no line attribute, or not an int
+            line_no = 0
+        if not author or line_no < 1:
             self.skipped += 1
             return
         conv.messages.append(Message(author=author, line_no=line_no,
@@ -173,7 +162,12 @@ def parse_pan_corpus(source) -> PanParseResult:
         raise CorpusParseError(
             f"malformed XML: {expat.errors.messages[exc.code]} at line "
             f"{exc.lineno}, byte offset {parser.ErrorByteIndex}") from exc
-    return PanParseResult(handler.conversations, handler.skipped, handler.issues)
+    return PanParseResult(handler.conversations, handler.skipped)
+
+
+def _xml_text(value: str) -> str:
+    # a raw CR would reach the reader as LF (XML line-end normalization)
+    return escape(value, {"\r": "&#13;"})
 
 
 def write_pan_corpus(conversations) -> bytes:
@@ -184,9 +178,9 @@ def write_pan_corpus(conversations) -> bytes:
         for m in conv.messages:
             parts.append(
                 f'    <message line="{m.line_no}">\n'
-                f"      <author>{escape(m.author)}</author>\n"
-                f"      <time>{escape(m.time)}</time>\n"
-                f"      <text>{escape(m.text)}</text>\n"
+                f"      <author>{_xml_text(m.author)}</author>\n"
+                f"      <time>{_xml_text(m.time)}</time>\n"
+                f"      <text>{_xml_text(m.text)}</text>\n"
                 f"    </message>\n")
         parts.append("  </conversation>\n")
     parts.append("</conversations>\n")
@@ -195,13 +189,21 @@ def write_pan_corpus(conversations) -> bytes:
 
 def parse_ground_truth(source) -> set[str]:
     """Newline-delimited author ids from a path or bytes; trimmed,
-    deduplicated, blanks skipped."""
+    deduplicated, blanks skipped. Only CR and LF end a line (read_text
+    turns CR LF and CR into LF), so an id may hold any other character."""
     text = (source.decode("utf-8") if isinstance(source, bytes)
             else read_text(source))
-    return {line.strip() for line in text.splitlines() if line.strip()}
+    return {line.strip() for line in text.split("\n") if line.strip()}
 
 
 def write_ground_truth(author_ids, path) -> None:
+    """One id per line, sorted. An id that would not read back as itself
+    (empty, padded with whitespace, or holding a CR or LF) is a
+    DataFormatError."""
+    for a in author_ids:
+        if not a or a != a.strip() or "\r" in a or "\n" in a:
+            raise DataFormatError(f"{path}: author id {a!r} cannot be "
+                                  "written one per line")
     write_atomic(path, "".join(f"{a}\n" for a in sorted(author_ids)))
 
 
@@ -242,11 +244,10 @@ class FilterReport:
         return "\n".join(lines) + "\n"
 
 
-def filter_corpus(labeled, predator_ids=None):
+def filter_corpus(labeled, predator_ids):
     """Drop messages that normalize to zero tokens, participants left with
     no lines, and conversations left empty. Texts must already be
     normalized. Returns (filtered labeled list, FilterReport)."""
-    predator_ids = predator_ids or set()
     report = FilterReport()
     filtered: list[tuple[Conversation, bool]] = []
     authors_before: set[str] = set()

@@ -163,11 +163,10 @@ def _window_grads(model: LanguageModel, x, y, mask, traces):
     return nll_sum, count, grads
 
 
-def train_lm(documents, model: LanguageModel, cfg: PipelineConfig, rng,
-             log_fn=None) -> list[LmEpochRecord]:
+def train_lm(documents, model: LanguageModel, cfg: PipelineConfig,
+             rng) -> list[LmEpochRecord]:
     """Truncated-BPTT training over encoded documents with cfg's [lm]
-    recipe and the model's window; one LmEpochRecord per epoch, logged as
-    "epoch=<n> train_ppl=<x>"."""
+    recipe and the model's window; returns one LmEpochRecord per epoch."""
     documents = [list(d) for d in documents]
     if not documents:
         raise UsageError("train_lm: empty corpus")
@@ -187,23 +186,20 @@ def train_lm(documents, model: LanguageModel, cfg: PipelineConfig, rng,
             optimizer.step(params, grads)
             epoch_nll += nll
             epoch_count += count
-        record = LmEpochRecord(epoch,
-                               float(np.exp(epoch_nll / max(epoch_count, 1))))
-        records.append(record)
-        if log_fn is not None:
-            log_fn(record.format_line())
+        records.append(LmEpochRecord(
+            epoch, float(np.exp(epoch_nll / max(epoch_count, 1)))))
     return records
 
 
-def perplexity(model: LanguageModel, documents, batch_size: int = 32) -> float:
-    """exp(mean next-token cross-entropy); log-probabilities taken in
-    float64 so anchor values hold tightly."""
+def perplexity(model: LanguageModel, documents) -> float:
+    """exp(mean next-token cross-entropy) over batches of 32 documents;
+    log-probabilities taken in float64 so anchor values hold tightly."""
     documents = [list(d) for d in documents if len(d) >= 2]
     if not documents:
         raise UsageError("perplexity: corpus has no next-token predictions")
     total_nll, total = 0.0, 0
     for _, _, y, mask, traces in _windows(model, documents,
-                                          range(len(documents)), batch_size):
+                                          range(len(documents)), 32):
         s2 = traces[1].S.reshape(len(y), model.hidden_dim)
         logp = row_log_softmax64(s2 @ model.out_w + model.out_b)
         total_nll += float(-logp[np.arange(len(y)), y][mask].sum())

@@ -58,7 +58,7 @@ class LstmLayerParams:
 
     @classmethod
     def init(cls, rng, input_dim: int, hidden_dim: int, use_bias: bool = True,
-             dtype=np.float32, forget_bias: float = 1.0) -> "LstmLayerParams":
+             dtype=np.float32) -> "LstmLayerParams":
         u = [init_uniform(rng, input_dim, hidden_dim, fan_in=input_dim,
                           dtype=dtype) for _ in range(4)]
         w = [init_uniform(rng, hidden_dim, hidden_dim, fan_in=hidden_dim,
@@ -66,7 +66,7 @@ class LstmLayerParams:
         b = None
         if use_bias:
             b = np.zeros(4 * hidden_dim, dtype=dtype)
-            b[hidden_dim:2 * hidden_dim] = forget_bias
+            b[hidden_dim:2 * hidden_dim] = 1.0     # forget gate
         return cls(np.concatenate(u, axis=1), np.concatenate(w, axis=1), b)
 
     def __post_init__(self):
@@ -101,11 +101,6 @@ class LstmState:
 
     s: np.ndarray
     c: np.ndarray
-
-    @classmethod
-    def zeros(cls, hidden_dim: int, dtype=np.float32) -> "LstmState":
-        return cls(np.zeros(hidden_dim, dtype=dtype),
-                   np.zeros(hidden_dim, dtype=dtype))
 
 
 @dataclass

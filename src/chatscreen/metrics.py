@@ -33,10 +33,6 @@ class ConfusionCounts:
     def retrieved(self) -> int:
         return self.tp + self.fp
 
-    @property
-    def relevant_retrieved(self) -> int:
-        return self.tp
-
 
 def confusion(predicted, truth, universe) -> ConfusionCounts:
     predicted = set(predicted)
@@ -60,7 +56,6 @@ class PrfResult:
     precision: float | None
     recall: float | None
     f_beta: float | None
-    beta: float
 
 
 def f_beta_from_pr(precision: float | None, recall: float | None,
@@ -75,14 +70,14 @@ def f_beta_from_pr(precision: float | None, recall: float | None,
     return (1 + b2) * precision * recall / (b2 * precision + recall)
 
 
-def precision_recall_f(counts: ConfusionCounts, beta: float = 1.0) -> PrfResult:
+def precision_recall_f(counts: ConfusionCounts, beta: float) -> PrfResult:
     """P, R, and F_beta from set counts; each is None when its denominator
     vanishes."""
     precision = counts.tp / counts.retrieved if counts.retrieved else None
     actual_pos = counts.tp + counts.fn
     recall = counts.tp / actual_pos if actual_pos else None
-    return PrfResult(precision, recall, f_beta_from_pr(precision, recall, beta),
-                     beta)
+    return PrfResult(precision, recall,
+                     f_beta_from_pr(precision, recall, beta))
 
 
 def accuracy(counts: ConfusionCounts) -> float:
@@ -106,7 +101,7 @@ class ReportRow:
         f1 = precision_recall_f(self.counts, 1.0)
         f05 = precision_recall_f(self.counts, 0.5)
         return [self.name, str(self.counts.retrieved),
-                str(self.counts.relevant_retrieved),
+                str(self.counts.tp),
                 format_metric(f1.precision), format_metric(f1.recall),
                 format_metric(f1.f_beta), format_metric(f05.f_beta)]
 

@@ -17,6 +17,8 @@ The manifest is line-oriented, tab-separated:
     tensor<TAB>name<TAB>rank<TAB>d0,d1<TAB>f32
     strtab<TAB>name<TAB>count           followed by count `s<TAB>string` lines
 
+A meta key, tensor name or string table name appears at most once.
+
 Files are written through corpus_io.write_atomic; loads validate magic,
 version, declared sizes against an allocation cap, and the payload
 checksum before any tensor is materialized.
@@ -49,16 +51,18 @@ _HEADER_LEN = len(MAGIC) + 4 + 8
 
 @dataclass
 class Container:
+    """A container's contents, each table keyed by name in file order."""
+
     kind: str
     metas: dict[str, str] = field(default_factory=dict)
-    tensors: list[tuple[str, np.ndarray]] = field(default_factory=list)
+    tensors: dict[str, np.ndarray] = field(default_factory=dict)
     strtabs: dict[str, list[str]] = field(default_factory=dict)
 
     def tensor(self, name: str) -> np.ndarray:
-        for n, t in self.tensors:
-            if n == name:
-                return t
-        raise ContainerFormatError(f"container is missing tensor {name!r}")
+        if name not in self.tensors:
+            raise ContainerFormatError(f"container is missing tensor "
+                                       f"{name!r}")
+        return self.tensors[name]
 
 
 def _manifest_text(container: Container) -> str:
@@ -72,7 +76,7 @@ def _manifest_text(container: Container) -> str:
                 raise UsageError(f"string table entry contains tab/newline: "
                                  f"{s!r}")
             lines.append(f"s\t{s}")
-    for name, tensor in container.tensors:
+    for name, tensor in container.tensors.items():
         dims = ",".join(str(d) for d in tensor.shape)
         lines.append(f"tensor\t{name}\t{tensor.ndim}\t{dims}\tf32")
     return "\n".join(lines) + "\n"
@@ -80,23 +84,30 @@ def _manifest_text(container: Container) -> str:
 
 def write_container(container: Container, path) -> int:
     """Write atomically; returns the byte count."""
-    for name, tensor in container.tensors:
+    for name, tensor in container.tensors.items():
         if tensor.dtype != np.float32:
             raise UsageError(f"tensor {name!r} must be float32, got "
                              f"{tensor.dtype}")
     manifest = _manifest_text(container).encode("utf-8")
     payload = b"".join(np.ascontiguousarray(t).astype("<f4").tobytes()
-                       for _, t in container.tensors)
+                       for t in container.tensors.values())
     return write_atomic(path, MAGIC + FORMAT_VERSION.to_bytes(4, "little")
                         + len(manifest).to_bytes(8, "little") + manifest
                         + payload + zlib.crc32(payload).to_bytes(4, "little"))
+
+
+def _add(table: dict, name: str, value, what: str) -> None:
+    if name in table:
+        raise ContainerFormatError(f"{what} {name!r} appears twice in the "
+                                   "manifest")
+    table[name] = value
 
 
 def _parse_manifest(text: str):
     kind = None
     metas: dict[str, str] = {}
     strtabs: dict[str, list[str]] = {}
-    specs: list[tuple[str, tuple[int, ...]]] = []
+    specs: dict[str, tuple[int, ...]] = {}
     pending: list[str] | None = None
     pending_left = 0
     for line in text.splitlines():
@@ -111,10 +122,10 @@ def _parse_manifest(text: str):
         if tag == "kind" and len(fields) == 2:
             kind = fields[1]
         elif tag == "meta" and len(fields) == 3:
-            metas[fields[1]] = fields[2]
+            _add(metas, fields[1], fields[2], "meta key")
         elif tag == "strtab" and len(fields) == 3:
             pending = []
-            strtabs[fields[1]] = pending
+            _add(strtabs, fields[1], pending, "string table")
             pending_left = int(fields[2])
         elif tag == "tensor" and len(fields) == 5:
             name, rank, dims, dtype = fields[1], int(fields[2]), fields[3], fields[4]
@@ -124,7 +135,7 @@ def _parse_manifest(text: str):
             if len(shape) != rank:
                 raise ContainerFormatError(f"tensor {name!r}: rank {rank} does "
                                            f"not match dims {dims!r}")
-            specs.append((name, shape))
+            _add(specs, name, shape, "tensor")
         elif tag == "":
             continue
         else:
@@ -136,7 +147,7 @@ def _parse_manifest(text: str):
     return kind, metas, strtabs, specs
 
 
-def read_container(path, alloc_cap: int = DEFAULT_ALLOC_CAP) -> Container:
+def read_container(path) -> Container:
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_LEN)
@@ -149,7 +160,7 @@ def read_container(path, alloc_cap: int = DEFAULT_ALLOC_CAP) -> Container:
                 f"{path}: file format version {version} is newer than "
                 f"supported version {FORMAT_VERSION}")
         manifest_len = int.from_bytes(head[12:20], "little")
-        if manifest_len > alloc_cap:
+        if manifest_len > DEFAULT_ALLOC_CAP:
             raise ContainerCorruptionError(f"{path}: declared manifest length "
                                            f"{manifest_len} exceeds cap")
         manifest_raw = fh.read(manifest_len)
@@ -161,14 +172,14 @@ def read_container(path, alloc_cap: int = DEFAULT_ALLOC_CAP) -> Container:
         except ValueError as exc:   # also non-UTF-8 bytes
             raise ContainerFormatError(f"{path}: bad manifest field: "
                                        f"{exc}") from exc
-        if any(d < 0 for _, shape in specs for d in shape):
+        if any(d < 0 for shape in specs.values() for d in shape):
             raise ContainerCorruptionError(f"{path}: negative dimension")
-        counts = [math.prod(shape) for _, shape in specs]
+        counts = [math.prod(shape) for shape in specs.values()]
         payload_len = 4 * sum(counts)
-        if payload_len > alloc_cap:
+        if payload_len > DEFAULT_ALLOC_CAP:
             raise ContainerCorruptionError(f"{path}: declared payload "
                                            f"{payload_len} bytes exceeds cap "
-                                           f"{alloc_cap}")
+                                           f"{DEFAULT_ALLOC_CAP}")
         payload = fh.read(payload_len)
         if len(payload) < payload_len:
             raise ContainerCorruptionError(f"{path}: truncated payload")
@@ -180,12 +191,11 @@ def read_container(path, alloc_cap: int = DEFAULT_ALLOC_CAP) -> Container:
                                            "checksum")
     if zlib.crc32(payload) != int.from_bytes(crc_raw, "little"):
         raise ContainerCorruptionError(f"{path}: payload checksum mismatch")
-    tensors = []
+    tensors = {}
     offset = 0
-    for (name, shape), count in zip(specs, counts):
-        arr = np.frombuffer(payload, dtype="<f4", count=count,
-                            offset=offset).reshape(shape).copy()
-        tensors.append((name, arr))
+    for (name, shape), count in zip(specs.items(), counts):
+        tensors[name] = np.frombuffer(payload, dtype="<f4", count=count,
+                                      offset=offset).reshape(shape).copy()
         offset += 4 * count
     return Container(kind=kind, metas=metas, tensors=tensors, strtabs=strtabs)
 
@@ -200,7 +210,8 @@ def _layer_tensors(prefix: str, layer: LstmLayerParams):
 
 def _layer_from(container: Container, prefix: str) -> LstmLayerParams:
     fused = []
-    has_bias = any(n.startswith(f"{prefix}.b") for n, _ in container.tensors)
+    has_bias = any(f"{prefix}.b{gate}" in container.tensors
+                   for gate in "ifog")
     for side in "UWb" if has_bias else "UW":
         names = [f"{prefix}.{side}{gate}" for gate in "ifog"]
         blocks = [container.tensor(n) for n in names]
@@ -237,33 +248,33 @@ def container_for_model(model) -> Container:
         c.metas["window"] = str(model.window)
         c.metas["vocab_min_tf"] = str(model.vocab.min_term_frequency)
         c.strtabs["vocab"] = list(model.vocab.tokens)
-        c.tensors.append(("embedding", model.embedding))
-        c.tensors.extend(_layer_tensors("layer1", model.layer1))
-        c.tensors.extend(_layer_tensors("layer2", model.layer2))
-        c.tensors.append(("out_w", model.out_w))
-        c.tensors.append(("out_b", model.out_b))
+        c.tensors["embedding"] = model.embedding
+        c.tensors.update(_layer_tensors("layer1", model.layer1))
+        c.tensors.update(_layer_tensors("layer2", model.layer2))
+        c.tensors["out_w"] = model.out_w
+        c.tensors["out_b"] = model.out_b
         return c
     if isinstance(model, ScdModel):
         c = Container(kind="scd_classifier")
         c.metas["masked"] = "1" if model.masked else "0"
-        c.tensors.extend(_layer_tensors("layer1", model.layer1))
-        c.tensors.extend(_layer_tensors("layer2", model.layer2))
-        c.tensors.append(("head_w", model.head_w))
-        c.tensors.append(("head_b", model.head_b))
+        c.tensors.update(_layer_tensors("layer1", model.layer1))
+        c.tensors.update(_layer_tensors("layer2", model.layer2))
+        c.tensors["head_w"] = model.head_w
+        c.tensors["head_b"] = model.head_b
         return c
     if isinstance(model, ShallowModel):
         c = Container(kind="author_classifier")
         c.metas["bigrams"] = "1" if model.bigrams else "0"
         c.strtabs["features"] = list(model.features)
-        c.tensors.append(("embedding", model.embedding))
-        c.tensors.append(("class_w", model.class_w))
-        c.tensors.append(("class_b", model.class_b))
+        c.tensors["embedding"] = model.embedding
+        c.tensors["class_w"] = model.class_w
+        c.tensors["class_b"] = model.class_b
         return c
     if isinstance(model, VectorBundle):
         c = Container(kind="sentence_vectors")
         c.strtabs["conversation_ids"] = list(model.conversation_ids)
         for i, matrix in enumerate(model.matrices):
-            c.tensors.append((f"conv{i}", matrix))
+            c.tensors[f"conv{i}"] = matrix
         return c
     raise UsageError(f"cannot serialize object of type {type(model).__name__}")
 
@@ -316,6 +327,6 @@ def save(model, path) -> int:
     return write_container(container_for_model(model), path)
 
 
-def load(path, alloc_cap: int = DEFAULT_ALLOC_CAP):
+def load(path):
     """Load whatever model kind the manifest names."""
-    return model_from_container(read_container(path, alloc_cap))
+    return model_from_container(read_container(path))

@@ -161,12 +161,11 @@ def run_train_lm(cfg: PipelineConfig) -> None:
                                  cfg.lm_hidden_dim, cfg.lm_window,
                                  _stage_rng(cfg, "lm-init"),
                                  use_bias=cfg.use_bias)
-    lines: list[str] = []
-    train_lm(documents, model, cfg, _stage_rng(cfg, "lm-train"),
-             log_fn=lines.append)
+    records = train_lm(documents, model, cfg, _stage_rng(cfg, "lm-train"))
     model_store.save(model, out / LM_MODEL)
-    write_atomic(out / LM_LOG, "".join(f"{l}\n" for l in lines))
-    last = lines[-1] if lines else "no epochs"
+    write_atomic(out / LM_LOG,
+                 "".join(r.format_line() + "\n" for r in records))
+    last = records[-1].format_line() if records else "no epochs"
     print(f"train-lm: {last} -> {out / LM_MODEL}")
 
 
@@ -201,21 +200,44 @@ def run_vectorize(cfg: PipelineConfig) -> None:
     print(f"vectorize: {len(ids)} conversations{note} -> {out / VECTORS_FILE}")
 
 
-def _labeled_sequences(cfg: PipelineConfig, bundle):
-    """The bundle's sentence-vector sequences, each labeled positive iff a
-    ground-truth predator takes part in its conversation."""
+def _labeled_sequences(cfg: PipelineConfig,
+                       input_dim: int | None = None):
+    """vectors.bin's sentence-vector sequences, each labeled positive iff a
+    ground-truth predator takes part in its conversation.
+
+    The file must hold each non-empty conversation of normalized.xml once
+    and no other, each with at least one row, and rows input_dim wide when
+    that is given; anything else is a DataFormatError naming the file, so
+    vectors left over from another corpus are refused, not mislabeled."""
+    path = _artifact(cfg, VECTORS_FILE, "vectorize")
+    bundle = model_store.load(path)
     labels = {conv.id: positive for conv, positive in
-              corpus_io.label_conversations(_load_normalized(cfg),
-                                            _load_truth(cfg))}
-    return [ConversationSequence(conv_id, matrix, labels.get(conv_id))
-            for conv_id, matrix in zip(bundle.conversation_ids,
-                                       bundle.matrices)]
+              corpus_io.label_conversations(
+                  [c for c in _load_normalized(cfg) if c.messages],
+                  _load_truth(cfg))}
+    ids = bundle.conversation_ids
+    missing = labels.keys() - set(ids)
+    unexpected = set(ids) - labels.keys()
+    if missing or unexpected or len(set(ids)) != len(ids):
+        raise DataFormatError(
+            f"{path}: conversations do not match {NORMALIZED_XML}: "
+            f"{len(missing)} missing, {len(unexpected)} unexpected, "
+            f"{len(ids) - len(set(ids))} repeated")
+    for conv_id, matrix in zip(ids, bundle.matrices):
+        if not len(matrix):
+            raise DataFormatError(f"{path}: conversation {conv_id!r} has no "
+                                  "sentence vectors")
+        if input_dim is not None and matrix.shape[1] != input_dim:
+            raise DataFormatError(
+                f"{path} holds sentence vectors of width {matrix.shape[1]}, "
+                f"but {SCD_MODEL} takes {input_dim}")
+    return [ConversationSequence(conv_id, matrix, labels[conv_id])
+            for conv_id, matrix in zip(ids, bundle.matrices)]
 
 
 def run_train_scd(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    bundle = model_store.load(_artifact(cfg, VECTORS_FILE, "vectorize"))
-    sequences = _labeled_sequences(cfg, bundle)
+    sequences = _labeled_sequences(cfg)
     rng = _stage_rng(cfg, "scd-split")
     order = rng.permutation(len(sequences))
     n_val = int(len(sequences) * cfg.scd_val_fraction)
@@ -237,16 +259,8 @@ def run_train_scd(cfg: PipelineConfig) -> None:
 
 def run_eval_scd(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    model_path = _artifact(cfg, SCD_MODEL, "train-scd")
-    vectors_path = _artifact(cfg, VECTORS_FILE, "vectorize")
-    model = model_store.load(model_path)
-    bundle = model_store.load(vectors_path)
-    if bundle.matrices and bundle.matrices[0].shape[1] != model.input_dim:
-        raise DataFormatError(
-            f"{vectors_path} holds sentence vectors of width "
-            f"{bundle.matrices[0].shape[1]}, but {model_path} takes "
-            f"{model.input_dim}")
-    sequences = _labeled_sequences(cfg, bundle)
+    model = model_store.load(_artifact(cfg, SCD_MODEL, "train-scd"))
+    sequences = _labeled_sequences(cfg, model.input_dim)
     rows = []
     flagged = []
     for seq in sequences:
@@ -414,17 +428,15 @@ def run_identify(cfg: PipelineConfig) -> None:
     verdicts = read_author_scores(scores_path, authors)
     suspicious = [cid for cid, (_p, positive) in verdict_rows.items()
                   if positive]
-    result = ac.identify_predators(suspicious, verdicts, conversations)
-    for anomaly in result.anomalies:
-        print(f"identify: {anomaly}")
-    corpus_io.write_ground_truth(result.flagged, out / PREDATORS_FILE)
-    counts = confusion(result.flagged, truth, authors | truth)
+    flagged = ac.identify_predators(suspicious, verdicts, conversations)
+    corpus_io.write_ground_truth(flagged, out / PREDATORS_FILE)
+    counts = confusion(flagged, truth, authors | truth)
     report = "Predator identification vs ground truth\n"
     report += format_report([ReportRow("chatscreen", counts)])
     report += f"accuracy={accuracy(counts):.6f}\n"
     write_atomic(out / REPORT_FILE, report)
     prf = precision_recall_f(counts, 0.5)
-    print(f"identify: flagged {len(result.flagged)} predators, "
+    print(f"identify: flagged {len(flagged)} predators, "
           f"P={format_metric(prf.precision)} R={format_metric(prf.recall)} "
           f"F0.5={format_metric(prf.f_beta)} -> {out / PREDATORS_FILE}")
 

@@ -168,12 +168,8 @@ class Vocabulary:
     min_term_frequency: int
     index_of: dict[str, int] = field(init=False, repr=False)
 
-    PAD = 0
-    UNK = 1
+    UNK = 1     # RESERVED_TOKENS fixes the reserved indices
     EOS = 2
-    NUM = 3
-    LONGWORD = 4
-    URL = 5
 
     def __post_init__(self):
         if tuple(self.tokens[:len(RESERVED_TOKENS)]) != RESERVED_TOKENS:

@@ -178,14 +178,13 @@ def _chunk_probabilities(model: ScdModel, chunks) -> np.ndarray:
 @dataclass
 class ScdPrediction:
     conversation_id: str
-    chunk_probs: list[float]
     max_prob: float
     verdict: bool
 
 
 def predict_scd(model: ScdModel, chunks, threshold: float) -> ScdPrediction:
-    """Per-chunk sigmoid probabilities for one conversation; positive iff
-    the max probability reaches the threshold."""
+    """The highest chunk probability of one conversation; positive iff it
+    reaches the threshold."""
     chunks = list(chunks)
     if not chunks:
         raise UsageError("predict_scd: no chunks")
@@ -195,7 +194,6 @@ def predict_scd(model: ScdModel, chunks, threshold: float) -> ScdPrediction:
     probs = _chunk_probabilities(model, chunks)
     max_prob = float(probs.max())
     return ScdPrediction(conversation_id=chunks[0].conversation_id,
-                         chunk_probs=[float(p) for p in probs],
                          max_prob=max_prob, verdict=max_prob >= threshold)
 
 

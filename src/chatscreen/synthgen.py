@@ -17,31 +17,16 @@ reproduces the corpus byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core_math import Rng
 from .corpus_io import Conversation, Message, write_pan_corpus
 from .errors import UsageError
 
+_SYLLABLES = tuple(c + v for c in "bcdfghklmnprstv" for v in "aeiou")
 
-def _syllables() -> list[str]:
-    return [c + v for c in "bcdfghklmnprstv" for v in "aeiou"]
-
-
-def _default_background(count: int = 240) -> tuple[str, ...]:
-    syl = _syllables()
-    words = []
-    for a in syl:
-        for b in syl:
-            words.append(a + b)
-            if len(words) == count:
-                return tuple(words)
-    return tuple(words)
-
-
-def _default_markers(prefix: str, count: int = 8) -> tuple[str, ...]:
-    # 'z'/'j' are not background consonants, so these cannot collide
-    return tuple(prefix + s for s in _syllables()[:count])
+MAX_MESSAGES = 500            # cap on a conversation's message count
+VICTIM_MARKER_DENSITY = 0.2   # marker share of each victim line
 
 
 @dataclass
@@ -49,29 +34,20 @@ class SynthSpec:
     seed: int
     n_conversations: int = 500
     predator_fraction: float = 0.05
-    background_pool: tuple[str, ...] = field(default_factory=_default_background)
-    predator_pool: tuple[str, ...] = field(
-        default_factory=lambda: _default_markers("zu"))
-    victim_pool: tuple[str, ...] = field(
-        default_factory=lambda: _default_markers("ju"))
     geometric_p: float = 0.08      # message-count distribution over 1..500
-    max_length: int = 500
     marker_density: float = 0.3    # marker share of each predator line
-    victim_marker_density: float = 0.2
+
+    # Fixed token rings, class attributes rather than settings. 'z'/'j' are
+    # not background consonants, so the three rings are disjoint.
+    background_pool = tuple(a + b for a in _SYLLABLES
+                            for b in _SYLLABLES)[:240]
+    predator_pool = tuple("zu" + s for s in _SYLLABLES[:8])
+    victim_pool = tuple("ju" + s for s in _SYLLABLES[:8])
 
     def validate(self) -> None:
         if not 0.0 <= self.predator_fraction < 1.0:
             raise UsageError(f"predator_fraction must be in [0, 1), got "
                              f"{self.predator_fraction}")
-        if not (self.background_pool and self.predator_pool
-                and self.victim_pool):
-            raise UsageError("token pools must be non-empty")
-        pools = (set(self.background_pool) | set(self.predator_pool)
-                 | set(self.victim_pool))
-        total = (len(self.background_pool) + len(self.predator_pool)
-                 + len(self.victim_pool))
-        if len(pools) != total:
-            raise UsageError("token pools must be disjoint")
         if self.n_conversations < 1:
             raise UsageError("n_conversations must be >= 1")
 
@@ -123,7 +99,7 @@ def generate(spec: SynthSpec) -> SynthResult:
         if positive:
             predators.append(author_a)
             positive_ids.append(conv_id)
-        n_messages = min(rng.geometric(spec.geometric_p), spec.max_length)
+        n_messages = min(rng.geometric(spec.geometric_p), MAX_MESSAGES)
         minute = int(rng.integers(0, 1440))
         background = _RingWalk(spec.background_pool, rng)
         predator_walk = _RingWalk(spec.predator_pool, rng)
@@ -141,7 +117,7 @@ def generate(spec: SynthSpec) -> SynthResult:
                 if positive and author == author_a and roll < spec.marker_density:
                     walk = predator_walk
                 elif (positive and author == author_b
-                      and roll < spec.victim_marker_density):
+                      and roll < VICTIM_MARKER_DENSITY):
                     walk = victim_walk
                 else:
                     walk = background

@@ -158,6 +158,17 @@ class TestExitCodes:
         assert first.decode() in capsys.readouterr().err
         assert not (tmp_path / "normalized.xml").exists()
 
+    def test_conversation_without_id_is_data_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        corpus = tmp_path / "corpus.xml"
+        xml = corpus.read_bytes()
+        second = re.findall(rb'<conversation id="[^"]+">', xml)[1]
+        corpus.write_bytes(xml.replace(second, b"<conversation>"))
+        assert main(["preprocess", "--config", str(cfg_path)]) == 2
+        assert "conversation 2 has no id" in capsys.readouterr().err
+        assert not (tmp_path / "normalized.xml").exists()
+
     def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
         text = cfg_path.read_bytes()
@@ -389,6 +400,31 @@ class TestStageFiles:
         assert main(["eval-scd", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "vectors.bin" in err and "scd.model" in err
+
+    @pytest.mark.parametrize("stage", ["train-scd", "eval-scd"])
+    @pytest.mark.parametrize("stale", ["corpus-subset", "dropped", "repeated",
+                                       "no-rows"])
+    def test_vectors_not_of_normalized_xml_are_data_error(
+            self, small_run, tmp_path, capsys, stage, stale):
+        out, cfg_path = copy_run(small_run, tmp_path)
+        bundle = load(out / "vectors.bin")
+        ids, matrices = bundle.conversation_ids, bundle.matrices
+        if stale == "corpus-subset":
+            # preprocess rerun on fewer conversations, vectorize not rerun
+            conversations = corpus_io.parse_pan_corpus(
+                out / "normalized.xml").conversations
+            (out / "normalized.xml").write_bytes(
+                corpus_io.write_pan_corpus(conversations[:-3]))
+        elif stale == "dropped":
+            save(VectorBundle(ids[:-1], matrices[:-1]), out / "vectors.bin")
+        elif stale == "repeated":
+            save(VectorBundle(ids + ids[:1], matrices + matrices[:1]),
+                 out / "vectors.bin")
+        else:
+            save(VectorBundle(ids, [matrices[0][:0]] + matrices[1:]),
+                 out / "vectors.bin")
+        assert main([stage, "--config", str(cfg_path)]) == 2
+        assert "vectors.bin" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old,new", [
         (b"#min_tf=2", b"#min_tf=2x"),

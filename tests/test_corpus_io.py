@@ -58,7 +58,6 @@ class TestParsePanCorpus:
         result = parse_pan_corpus(xml)
         assert len(result.conversations) == 3
         assert result.skipped_messages == 1
-        assert any("b" in issue for issue in result.issues)
         assert len(result.conversations[1].messages) == 1
 
     def test_malformed_xml_reports_byte_offset(self):
@@ -83,6 +82,16 @@ class TestParsePanCorpus:
             <time>1</time><text>hey</text></message></conversation>
         </conversations>"""
         with pytest.raises(CorpusParseError, match="'a' appears twice"):
+            parse_pan_corpus(xml)
+
+    def test_conversation_without_id_rejected(self):
+        xml = b"""<conversations>
+          <conversation id="a"><message line="1"><author>x</author>
+            <time>1</time><text>hi</text></message></conversation>
+          <conversation><message line="1"><author>y</author>
+            <time>1</time><text>yo</text></message></conversation>
+        </conversations>"""
+        with pytest.raises(CorpusParseError, match="conversation 2 has no id"):
             parse_pan_corpus(xml)
 
 
@@ -183,14 +192,14 @@ class TestFilterCorpus:
     def test_emoticon_only_conversation_dropped(self):
         # ":)" normalizes to an empty string upstream of the filter
         labeled = [(conv("c", ("a", "")), False)]
-        filtered, report = filter_corpus(labeled)
+        filtered, report = filter_corpus(labeled, set())
         assert filtered == []
         assert report.conversations_before == 1
         assert report.conversations_after == 0
 
     def test_normal_conversation_retained(self):
         labeled = [(conv("c", ("a", "hello there")), False)]
-        filtered, _ = filter_corpus(labeled)
+        filtered, _ = filter_corpus(labeled, set())
         assert len(filtered) == 1
 
     def test_counts_reported(self):
@@ -210,7 +219,7 @@ class TestFilterCorpus:
 
     def test_participant_with_only_empty_lines_dropped(self):
         labeled = [(conv("c", ("a", "hello"), ("ghost", "")), False)]
-        filtered, _ = filter_corpus(labeled)
+        filtered, _ = filter_corpus(labeled, set())
         authors = {m.author for m in filtered[0][0].messages}
         assert authors == {"a"}
 

@@ -144,11 +144,10 @@ class TestTrainLm:
 
     def test_log_line_format(self):
         model = tiny_model(make_vocab(4))
-        lines = []
         cfg = PipelineConfig(lm_epochs=2, lm_lr=0.1)
-        train_lm([[3, 4, 5, 6]], model, cfg, Rng(1), log_fn=lines.append)
-        assert len(lines) == 2
-        assert lines[0].startswith("epoch=1 train_ppl=")
+        records = train_lm([[3, 4, 5, 6]], model, cfg, Rng(1))
+        assert len(records) == 2
+        assert records[0].format_line().startswith("epoch=1 train_ppl=")
 
     def test_empty_corpus_rejected(self):
         model = tiny_model(make_vocab(4))

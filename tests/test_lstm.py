@@ -27,16 +27,20 @@ def all_value_params(value, input_dim, hidden_dim, dtype=np.float64):
         W=np.full((hidden_dim, 4 * hidden_dim), value, dtype=dtype))
 
 
+def zero_state(hidden_dim):
+    return LstmState(np.zeros(hidden_dim), np.zeros(hidden_dim))
+
+
 class TestCellStep:
     def test_all_zero_weights_give_zero_state(self):
         params = all_value_params(0.0, 2, 3)
-        out = cell_step(np.zeros(2), LstmState.zeros(3, np.float64), params)
+        out = cell_step(np.zeros(2), zero_state(3), params)
         assert np.array_equal(out.s, np.zeros(3))
         assert np.array_equal(out.c, np.zeros(3))
 
     def test_one_unit_all_ones_hand_values(self):
         params = all_value_params(1.0, 1, 1)
-        out = cell_step(np.array([1.0]), LstmState.zeros(1, np.float64), params)
+        out = cell_step(np.array([1.0]), zero_state(1), params)
         assert abs(out.c[0] - C_ONE_UNIT) < 1e-12
         assert abs(out.s[0] - S_ONE_UNIT) < 1e-12
 
@@ -68,9 +72,9 @@ class TestCellStep:
     def test_dimension_mismatch(self):
         params = all_value_params(0.0, 2, 3)
         with pytest.raises(ShapeError):
-            cell_step(np.zeros(5), LstmState.zeros(3, np.float64), params)
+            cell_step(np.zeros(5), zero_state(3), params)
         with pytest.raises(ShapeError):
-            cell_step(np.zeros(2), LstmState.zeros(4, np.float64), params)
+            cell_step(np.zeros(2), zero_state(4), params)
 
 
 class TestLayout:
@@ -78,13 +82,13 @@ class TestLayout:
     are views of those blocks."""
 
     def test_init_concatenates_the_eight_draws_in_order(self):
-        params = LstmLayerParams.init(Rng(5), 3, 4, forget_bias=1.5)
+        params = LstmLayerParams.init(Rng(5), 3, 4)
         rng = Rng(5)
         u = [init_uniform(rng, 3, 4, fan_in=3) for _ in range(4)]
         w = [init_uniform(rng, 4, 4, fan_in=4) for _ in range(4)]
         assert np.array_equal(params.U, np.concatenate(u, axis=1))
         assert np.array_equal(params.W, np.concatenate(w, axis=1))
-        assert np.array_equal(params.b, np.repeat([0.0, 1.5, 0.0, 0.0], 4))
+        assert np.array_equal(params.b, np.repeat([0.0, 1.0, 0.0, 0.0], 4))
         assert all(a is b for a, b in zip(
             params.param_list(), [params.U, params.W, params.b], strict=True))
 
@@ -135,7 +139,7 @@ class TestSequenceForward:
         params = make_params(rng, 3, 4, use_bias=True)
         x = rng.uniform(-1, 1, (3,), dtype=np.float64)
         trace = unroll([x], params)
-        single = cell_step(x, LstmState.zeros(4, np.float64), params)
+        single = cell_step(x, zero_state(4), params)
         assert np.array_equal(trace.S[0, 0], single.s)
         assert np.array_equal(trace.C[0, 0], single.c)
 
@@ -149,7 +153,7 @@ class TestSequenceForward:
         params = make_params(rng, 3, 4, use_bias=True)
         xs = rng.uniform(-1, 1, (5, 3), dtype=np.float64)
         trace = unroll(xs, params)
-        folded = LstmState.zeros(4, np.float64)
+        folded = zero_state(4)
         for t in range(5):
             folded = cell_step(xs[t], folded, params)
         assert np.abs(trace.S[-1, 0] - folded.s).max() < 1e-12

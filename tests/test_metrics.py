@@ -23,7 +23,6 @@ class TestConfusion:
         counts = confusion(predicted, truth, universe)
         assert counts.tp == 206 and counts.fp == 0 and counts.fn == 48
         assert counts.retrieved == 206
-        assert counts.relevant_retrieved == 206
 
     def test_membership_violations_rejected(self):
         with pytest.raises(UsageError):

@@ -1,6 +1,9 @@
+import zlib
+
 import numpy as np
 import pytest
 
+from chatscreen import model_store
 from chatscreen.author_classifier import ShallowModel
 from chatscreen.core_math import Rng
 from chatscreen.errors import (ContainerCorruptionError, ContainerFormatError,
@@ -147,15 +150,16 @@ class TestContainerFormat:
         with pytest.raises(ContainerCorruptionError):
             load(path)
 
-    def test_allocation_cap_enforced(self, tmp_path):
+    def test_allocation_cap_enforced(self, tmp_path, monkeypatch):
         path = tmp_path / "big.model"
         save(author_fixture(), path)
+        monkeypatch.setattr(model_store, "DEFAULT_ALLOC_CAP", 16)
         with pytest.raises(ContainerCorruptionError):
-            load(path, alloc_cap=16)
+            load(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
         container = Container(kind="mystery",
-                              tensors=[("t", np.zeros(2, dtype=np.float32))])
+                              tensors={"t": np.zeros(2, dtype=np.float32)})
         write_container(container, tmp_path / "odd.model")
         with pytest.raises(ContainerFormatError):
             load(tmp_path / "odd.model")
@@ -174,7 +178,7 @@ class TestContainerFormat:
 
     def test_float64_tensor_rejected(self, tmp_path):
         container = Container(kind="scd_classifier",
-                              tensors=[("t", np.zeros(2, dtype=np.float64))])
+                              tensors={"t": np.zeros(2, dtype=np.float64)})
         with pytest.raises(UsageError):
             write_container(container, tmp_path / "x.model")
 
@@ -198,6 +202,24 @@ class TestContainerFormat:
         with pytest.raises(ContainerFormatError):
             load(path)
 
+    @pytest.mark.parametrize("repeated", [
+        b"tensor\tconv0\t2\t1,2\tf32\n",
+        b"meta\tnote\tx\n",
+        b"strtab\tconversation_ids\t1\ns\tc1\n",
+    ], ids=["tensor", "meta", "strtab"])
+    def test_repeated_name_rejected(self, tmp_path, repeated):
+        # a vectors.bin that names conv0 (or a setting, or a table) twice
+        manifest = (b"kind\tsentence_vectors\nmeta\tnote\tx\n"
+                    b"strtab\tconversation_ids\t1\ns\tc1\n"
+                    b"tensor\tconv0\t2\t1,2\tf32\n" + repeated)
+        payload = bytes(8 * manifest.count(b"tensor\t"))
+        path = tmp_path / "vectors.bin"
+        path.write_bytes(MAGIC + (1).to_bytes(4, "little")
+                         + len(manifest).to_bytes(8, "little") + manifest
+                         + payload + zlib.crc32(payload).to_bytes(4, "little"))
+        with pytest.raises(ContainerFormatError, match="twice"):
+            load(path)
+
     def test_magic_is_eight_bytes(self):
         assert len(MAGIC) == 8
 
@@ -213,16 +235,16 @@ class TestLstmLayout:
 
     def test_v1_tensor_names_and_order(self):
         lm = container_for_model(lm_fixture())
-        assert [n for n, _ in lm.tensors] == (
+        assert list(lm.tensors) == (
             ["embedding"] + gate_names("layer1") + gate_names("layer2")
             + ["out_w", "out_b"])
-        shapes = dict((n, t.shape) for n, t in lm.tensors)
+        shapes = {n: t.shape for n, t in lm.tensors.items()}
         assert shapes["layer1.Uo"] == (4, 5)
         assert shapes["layer2.Wg"] == (5, 5)
         assert shapes["layer2.bf"] == (5,)
         scd = ScdModel.create(Rng(3), input_dim=5, hidden_dim=6,
                               use_bias=False)
-        assert [n for n, _ in container_for_model(scd).tensors] == (
+        assert list(container_for_model(scd).tensors) == (
             gate_names("layer1", False) + gate_names("layer2", False)
             + ["head_w", "head_b"])
 
@@ -233,13 +255,13 @@ class TestLstmLayout:
                            min_term_frequency=10)
         model = LanguageModel.create(vocab, 4, 5, 7, Rng(9),
                                      use_bias=use_bias)
-        tensors = [("embedding", model.embedding)]
+        tensors = {"embedding": model.embedding}
         for prefix, layer in (("layer1", model.layer1),
                               ("layer2", model.layer2)):
             blocks = [block for fused in layer.param_list()
                       for block in np.split(fused, 4, axis=-1)]
-            tensors += zip(gate_names(prefix, use_bias), blocks)
-        tensors += [("out_w", model.out_w), ("out_b", model.out_b)]
+            tensors.update(zip(gate_names(prefix, use_bias), blocks))
+        tensors.update(out_w=model.out_w, out_b=model.out_b)
         write_container(Container(
             kind="language_model",
             metas={"window": "7", "vocab_min_tf": "10"},
@@ -257,8 +279,7 @@ class TestLstmLayout:
         ("out_w", (9, 5)), ("embedding", (4, 9))])
     def test_misshapen_tensor_is_format_error(self, name, shape):
         container = container_for_model(lm_fixture())
-        container.tensors = [(n, t.reshape(shape) if n == name else t)
-                             for n, t in container.tensors]
+        container.tensors[name] = container.tensors[name].reshape(shape)
         with pytest.raises(ContainerFormatError, match=name):
             model_from_container(container)
 

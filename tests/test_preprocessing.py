@@ -70,7 +70,7 @@ class TestBuildVocabulary:
         vocab = build_vocabulary([["x"] * 12], min_tf=10)
         for i, token in enumerate(RESERVED_TOKENS):
             assert vocab.tokens[i] == token
-        assert vocab.index_of["<pad>"] == Vocabulary.PAD == 0
+        assert vocab.index_of["<pad>"] == 0
         assert vocab.index_of["<unk>"] == Vocabulary.UNK == 1
         assert vocab.index_of["<eos>"] == Vocabulary.EOS == 2
 

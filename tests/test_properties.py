@@ -1,0 +1,71 @@
+"""Property tests: normalization is idempotent, and each text artifact
+reads back as what was written."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from chatscreen.corpus_io import (Conversation, Message,  # noqa: E402
+                                  parse_ground_truth, parse_pan_corpus,
+                                  write_ground_truth, write_pan_corpus)
+from chatscreen.errors import DataFormatError  # noqa: E402
+from chatscreen.preprocessing import (RESERVED_TOKENS,  # noqa: E402
+                                      Vocabulary, normalize_text,
+                                      vocab_from_text, vocab_to_text)
+
+# The characters XML 1.0 allows in a document.
+xml_text = st.text(st.one_of(
+    st.sampled_from("\t\n\r"),
+    st.characters(min_codepoint=0x20, max_codepoint=0xD7FF),
+    st.characters(min_codepoint=0xE000, max_codepoint=0xFFFD),
+    st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF)))
+
+
+@settings(max_examples=500)
+@given(st.text())
+def test_normalize_text_is_idempotent(raw):
+    once = normalize_text(raw)
+    assert normalize_text(once) == once
+
+
+@given(st.lists(st.text(st.characters(blacklist_characters="\n"), min_size=1)
+                .filter(lambda t: t not in RESERVED_TOKENS), unique=True),
+       st.integers(min_value=1, max_value=10 ** 6))
+def test_vocab_text_round_trip(tokens, min_tf):
+    vocab = Vocabulary(list(RESERVED_TOKENS) + tokens,
+                       min_term_frequency=min_tf)
+    assert vocab_from_text(vocab_to_text(vocab)) == vocab
+
+
+# Authors as the corpus reader yields them: trimmed and non-empty.
+authors = xml_text.map(str.strip).filter(bool)
+messages = st.builds(Message, author=authors,
+                     line_no=st.integers(min_value=1, max_value=10 ** 9),
+                     time=xml_text, text=xml_text)
+
+
+@given(st.lists(st.builds(Conversation, id=xml_text,
+                          messages=st.lists(messages, max_size=4)),
+                max_size=4, unique_by=lambda c: c.id))
+@example([Conversation("c\r", [Message("a\rb", 1, "\r\n", "x\ry\r")])])
+def test_pan_corpus_round_trip(conversations):
+    parsed = parse_pan_corpus(write_pan_corpus(conversations))
+    assert parsed.skipped_messages == 0
+    assert parsed.conversations == conversations
+
+
+@given(st.sets(xml_text, max_size=6))
+@example({"a\u2028b", "c\x85d", "e\x1cf"})   # str.splitlines would split these
+@example({"a\rb"})
+def test_ground_truth_round_trip(tmp_path_factory, ids):
+    path = tmp_path_factory.mktemp("truth") / "truth.txt"
+    try:
+        write_ground_truth(ids, path)
+    except DataFormatError:
+        # an id one line cannot carry: empty, padded, or with a CR or LF
+        assert any(not a or a != a.strip() or "\r" in a or "\n" in a
+                   for a in ids)
+        return
+    assert parse_ground_truth(path) == ids

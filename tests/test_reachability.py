@@ -1,12 +1,22 @@
 """Guard against dead code: every top-level function, class and constant in
-the package must be used by the package itself, not only by its tests.
+the package must be used by the package itself, not only by its tests, and
+so must every field, property and method of its classes.
 
-A name counts as used when some other statement under src/chatscreen loads
-it (as a bare name or as an attribute, e.g. `ac.featurize`). Imports alone
-do not count, and neither do uses inside the name's own definition.
+A top-level name counts as used when some other statement under
+src/chatscreen loads it (as a bare name or as an attribute, e.g.
+`ac.featurize`). A class member counts as used when some statement outside
+its own definition reads it as an attribute (`self.embedding`,
+`verdict.score`). Both checks match by name: any read of an attribute
+called `score` counts for every member called `score`. A read through a
+module (`np.zeros`, `corpus_io.Message`) names a module attribute, so it
+counts for top-level names only. Imports, assignments and keyword
+arguments do not count, and neither do uses inside the name's own
+definition. Dunder methods are called by Python, not by name, and are
+exempt.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).parents[1] / "src" / "chatscreen"
@@ -20,6 +30,17 @@ ALLOWED = {
     "__version__",               # package metadata
 }
 
+# Class members kept on purpose although no src/ statement reads them.
+ALLOWED_MEMBERS = {
+    # model_store writes each layer per gate through getattr(layer, name)
+    tuple(f"LstmLayerParams.{side}{gate}"
+          for side in "UWb" for gate in "ifog"),
+    # the acceptance suite builds Chunk positionally, so the field stays
+    ("Chunk.part_index",),
+    # benchmarks/corpora.py reads it as the generator's truth
+    ("SynthResult.positive_conversation_ids",),
+}
+
 
 def defined_names(node):
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -30,7 +51,11 @@ def defined_names(node):
         targets = node.targets
     elif isinstance(node, ast.AnnAssign):
         targets = [node.target]
-    return [t.id for t in targets if isinstance(t, ast.Name)]
+    names = []
+    for target in targets:
+        elements = target.elts if isinstance(target, ast.Tuple) else [target]
+        names += [t.id for t in elements if isinstance(t, ast.Name)]
+    return names
 
 
 def loaded_names(node):
@@ -44,11 +69,11 @@ def loaded_names(node):
 
 
 def test_every_top_level_name_is_used_in_the_package():
-    statements = [(path.name, node) for path in sorted(SRC.glob("*.py"))
-                  for node in ast.parse(path.read_text()).body]
-    loads = [loaded_names(node) for _, node in statements]
+    stmts = [(path.name, node) for path in sorted(SRC.glob("*.py"))
+             for node in ast.parse(path.read_text()).body]
+    loads = [loaded_names(node) for _, node in stmts]
     unused = []
-    for i, (module, node) in enumerate(statements):
+    for i, (module, node) in enumerate(stmts):
         for name in defined_names(node):
             if name in ALLOWED:
                 continue
@@ -56,3 +81,75 @@ def test_every_top_level_name_is_used_in_the_package():
                        for j, names in enumerate(loads) if j != i):
                 unused.append(f"{module}: {name}")
     assert not unused, f"only tests reach: {unused}"
+
+
+def module_aliases(tree):
+    """Names an `import` binds to a module: `import numpy as np` and
+    `from . import corpus_io`."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module is None):
+            aliases.update((a.asname or a.name).split(".")[0]
+                           for a in node.names)
+    return aliases
+
+
+def attribute_reads(node, modules):
+    """Attribute names read under node, except reads through a module."""
+    reads = []
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+                and not (isinstance(sub.value, ast.Name)
+                         and sub.value.id in modules)):
+            reads.append(sub.attr)
+    return reads
+
+
+def members(cls):
+    """(name, defining node) for each field, class attribute, property and
+    method of cls, and each attribute its __init__ sets on self."""
+    found = []
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                found.append((node.name, node))
+            if node.name == "__init__":
+                found += [(t.attr, t) for t in ast.walk(node)
+                          if isinstance(t, ast.Attribute)
+                          and isinstance(t.ctx, ast.Store)
+                          and isinstance(t.value, ast.Name)
+                          and t.value.id == "self"]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            found += [(name, node) for name in defined_names(node)]
+    return found
+
+
+def class_members():
+    """(module, qualified name, reads under the definition, all reads of
+    the name in the package) for every member of every src/ class."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    modules = {name: module_aliases(tree) for name, tree in trees.items()}
+    reads = Counter(attr for name, tree in trees.items()
+                    for attr in attribute_reads(tree, modules[name]))
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for name, node in members(cls):
+                    own = attribute_reads(node, modules[module]).count(name)
+                    yield module, f"{cls.name}.{name}", own, reads[name]
+
+
+def test_every_class_member_is_read_in_the_package():
+    allowed = {name for entry in ALLOWED_MEMBERS for name in entry}
+    unused = [f"{module}: {qualified}"
+              for module, qualified, own, total in class_members()
+              if qualified not in allowed and total <= own]
+    assert not unused, f"no src/ statement reads: {unused}"
+
+
+def test_member_allowlist_names_real_members():
+    defined = {qualified for _, qualified, _, _ in class_members()}
+    stale = {name for entry in ALLOWED_MEMBERS for name in entry} - defined
+    assert not stale, f"allowlisted members that do not exist: {stale}"

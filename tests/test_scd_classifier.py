@@ -115,15 +115,17 @@ class TestPredict:
         model.head_w[:] = 0
         model.head_b[:] = 0
         chunks = chunk_and_pad(make_sequence(5), chunk_len=10)
-        pred = predict_scd(model, chunks, threshold=0.5)
-        assert all(abs(p - 0.5) < 1e-9 for p in pred.chunk_probs)
+        probs = scd_classifier._chunk_probabilities(model, chunks)
+        assert all(abs(p - 0.5) < 1e-9 for p in probs)
+        assert abs(predict_scd(model, chunks, 0.5).max_prob - 0.5) < 1e-9
 
     def test_max_rule_and_threshold(self):
         model = ScdModel.create(Rng(3), input_dim=4, hidden_dim=4)
         seq = make_sequence(25, seed=12)
         chunks = chunk_and_pad(seq, chunk_len=10)
         pred = predict_scd(model, chunks, threshold=0.5)
-        assert pred.max_prob == max(pred.chunk_probs)
+        assert pred.max_prob == max(
+            scd_classifier._chunk_probabilities(model, chunks))
         below = predict_scd(model, chunks, threshold=pred.max_prob)
         above = predict_scd(model, chunks,
                             threshold=min(pred.max_prob + 1e-6, 1.0))
@@ -142,29 +144,30 @@ class TestPredict:
     def test_probabilities_strictly_inside_unit_interval(self):
         model = ScdModel.create(Rng(3), input_dim=4, hidden_dim=4)
         chunks = chunk_and_pad(make_sequence(40, seed=5), chunk_len=10)
-        pred = predict_scd(model, chunks, threshold=0.5)
-        assert all(0.0 < p < 1.0 for p in pred.chunk_probs)
+        probs = scd_classifier._chunk_probabilities(model, chunks)
+        assert all(0.0 < p < 1.0 for p in probs)
 
     def test_masked_padding_does_not_change_verdict(self):
         # same sequence evaluated padded to 100 and at its true length
         model = ScdModel.create(Rng(3), input_dim=4, hidden_dim=4, masked=True)
         seq = make_sequence(7, seed=31)
-        padded = predict_scd(model, chunk_and_pad(seq, chunk_len=100),
-                             threshold=0.5)
-        exact = predict_scd(model, chunk_and_pad(seq, chunk_len=7),
-                            threshold=0.5)
-        assert padded.chunk_probs == exact.chunk_probs
-        assert padded.verdict == exact.verdict
+        padded = chunk_and_pad(seq, chunk_len=100)
+        exact = chunk_and_pad(seq, chunk_len=7)
+        assert np.array_equal(
+            scd_classifier._chunk_probabilities(model, padded),
+            scd_classifier._chunk_probabilities(model, exact))
+        assert predict_scd(model, padded, 0.5).verdict == \
+            predict_scd(model, exact, 0.5).verdict
 
     def test_unmasked_mode_reads_final_padded_state(self):
         model = ScdModel.create(Rng(3), input_dim=4, hidden_dim=4,
                                 masked=False)
         seq = make_sequence(7, seed=31)
-        padded = predict_scd(model, chunk_and_pad(seq, chunk_len=100),
-                             threshold=0.5)
-        exact = predict_scd(model, chunk_and_pad(seq, chunk_len=7),
-                            threshold=0.5)
-        assert padded.chunk_probs != exact.chunk_probs
+        padded = scd_classifier._chunk_probabilities(
+            model, chunk_and_pad(seq, chunk_len=100))
+        exact = scd_classifier._chunk_probabilities(
+            model, chunk_and_pad(seq, chunk_len=7))
+        assert not np.array_equal(padded, exact)
 
     def test_mixed_conversations_rejected(self):
         model = ScdModel.create(Rng(3), input_dim=4, hidden_dim=4)
