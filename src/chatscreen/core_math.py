@@ -63,11 +63,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """Element-wise logistic function, stable for large |x|.
 
     One exp(-|x|) per element: 1/(1+e) where x >= 0, e/(1+e) elsewhere, so
-    neither branch can overflow and no boolean mask is needed.
+    neither branch can overflow. Since e <= 1, max(e, x >= 0) is that
+    numerator (1 or e), and NaN passes through; one division, no select.
     """
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def row_softmax(x: np.ndarray) -> np.ndarray:

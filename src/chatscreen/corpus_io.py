@@ -107,6 +107,10 @@ class _PanHandler:
         if not author or line_no < 1:
             self.skipped += 1
             return
+        # author_scores.tsv holds one author per line, fields split by tabs
+        if "\t" in author or author.splitlines() != [author]:
+            raise CorpusParseError(f"conversation {conv.id!r}: author "
+                                   f"{author!r} holds a tab or line break")
         conv.messages.append(Message(author=author, line_no=line_no,
                                      time=self._fields.get("time", ""),
                                      text=self._fields.get("text", "")))

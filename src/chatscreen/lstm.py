@@ -164,39 +164,72 @@ def backward_steps(trace: LstmTrace, d_states: np.ndarray):
     d_states (T, B, H) holds the upstream gradient flowing into each
     timestep's hidden state. Returns (grads, d_inputs (T, B, I)), grads
     being [dU, dW(, db)] in LstmLayerParams.param_list() order.
+
+    Only the recurrence runs per step: ds, dc, the gate gradients dA,
+    dc_next and ds_next = dA @ W.T, plus the dU and dW products, whose sums
+    must add in step order. Each gate block of dA is a product of four
+    factors, dA = ((X * P) * Q) * R, in the step loop's order:
+
+        block   X    P          Q    R
+        i       dc   g          i    1 - i
+        f       dc   c_{t-1}    f    1 - f
+        o       ds   tanh(c)    o    1 - o
+        g       dc   i          1    1 - g^2
+
+    P, Q and R come from the trace alone, so they are made before the loop
+    for all T steps at once (a float multiply or subtract gives the same
+    bits over (T, B, 4H) as per step, and x * 1 is exactly x); a step then
+    makes dA in three (B, 4H) multiplies. After the loop: d_inputs as one
+    stacked (T, B, 4H) @ (4H, I) product, which makes the same (B, 4H)
+    product per step as a step loop (a flat (T*B, 4H) product would not),
+    and db as each step's row sum of dA, added from t = T-1 down.
     """
     p = trace.params
     T, B, H = trace.S.shape
     if d_states.shape != trace.S.shape:
         raise UsageError(f"backward_steps: gradient shape {d_states.shape} "
                          f"does not match cached states {trace.S.shape}")
+    gates = trace.Z.reshape(T, B, 4, H)
+    P = np.empty_like(gates)
+    P[:, :, 0] = gates[:, :, 3]
+    P[0, :, 1] = trace.c0
+    P[1:, :, 1] = trace.C[:-1]
+    P[:, :, 2] = trace.TC
+    P[:, :, 3] = gates[:, :, 0]
+    Q = gates.copy()
+    Q[:, :, 3] *= Q[:, :, 3]        # g^2, for R
+    R = 1.0 - Q
+    Q[:, :, 3] = 1.0
+    P, Q, R = (a.reshape(T, B, 4 * H) for a in (P, Q, R))
+    f, o = gates[:, :, 1].copy(), gates[:, :, 2].copy()
+    om_tc = 1.0 - trace.TC * trace.TC
     grads = [np.zeros_like(m) for m in p.param_list()]
     dU, dW = grads[:2]
-    d_xs = np.empty_like(trace.xs)
+    dU_t, dW_t = np.empty_like(dU), np.empty_like(dW)
+    DA = np.empty((T, B, 4 * H), dtype=p.U.dtype)
+    X = np.empty((B, 4, H), dtype=p.U.dtype)
     ds_next = np.zeros((B, H), dtype=p.U.dtype)
     dc_next = np.zeros((B, H), dtype=p.U.dtype)
-    dA = np.empty((B, 4 * H), dtype=p.U.dtype)
     for t in range(T - 1, -1, -1):
-        z = trace.Z[t]
-        i, f, o, g = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
-        tc = trace.TC[t]
-        c_prev = trace.C[t - 1] if t > 0 else trace.c0
         s_prev = trace.S[t - 1] if t > 0 else trace.s0
+        dA = DA[t]
         ds = d_states[t] + ds_next
-        do = ds * tc
-        dc = ds * o * (1.0 - tc * tc) + dc_next
-        dA[:, :H] = (dc * g) * i * (1.0 - i)
-        dA[:, H:2 * H] = (dc * c_prev) * f * (1.0 - f)
-        dA[:, 2 * H:3 * H] = do * o * (1.0 - o)
-        dA[:, 3 * H:] = (dc * i) * (1.0 - g * g)
-        dc_next = dc * f
-        dU += trace.xs[t].T @ dA
-        dW += s_prev.T @ dA
-        if p.b is not None:
-            grads[2] += dA.sum(axis=0)
-        d_xs[t] = dA @ p.U.T
+        dc = ds * o[t]
+        dc *= om_tc[t]
+        dc += dc_next
+        np.copyto(X, dc[:, None, :])
+        X[:, 2] = ds
+        np.multiply(X.reshape(B, 4 * H), P[t], out=dA)
+        dA *= Q[t]
+        dA *= R[t]
+        dc_next = dc * f[t]
+        dU += np.matmul(trace.xs[t].T, dA, out=dU_t)
+        dW += np.matmul(s_prev.T, dA, out=dW_t)
         ds_next = dA @ p.W.T
-    return grads, d_xs
+    if p.b is not None:
+        for row in DA.sum(axis=1)[::-1]:
+            grads[2] += row
+    return grads, DA @ p.U.T
 
 
 def cell_step(x: np.ndarray, prev: LstmState,

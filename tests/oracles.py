@@ -3,7 +3,8 @@
 The scalar oracles are written with plain Python loops and math functions
 so they share no code path with the package's vectorized implementations;
 masked_sigmoid is the textbook numpy form the package's one-pass sigmoid
-must match bit for bit.
+must match bit for bit, and step_loop_forward / step_loop_backward are the
+step-by-step LSTM forms the hoisted loops must match bit for bit.
 """
 
 import math
@@ -107,3 +108,38 @@ def step_loop_forward(xs, s0, c0, params):
         s = o * tc
         C[t], TC[t], S[t] = c, tc, s
     return S, C, Z, TC
+
+
+def step_loop_backward(trace, d_states):
+    """BPTT through one layer the step-by-step way: every product and
+    derivative factor made inside the time loop, one step at a time.
+    Returns (grads, d_inputs) as lstm.backward_steps does."""
+    p = trace.params
+    T, B, H = trace.S.shape
+    grads = [np.zeros_like(m) for m in p.param_list()]
+    dU, dW = grads[:2]
+    d_xs = np.empty_like(trace.xs)
+    ds_next = np.zeros((B, H), dtype=p.U.dtype)
+    dc_next = np.zeros((B, H), dtype=p.U.dtype)
+    dA = np.empty((B, 4 * H), dtype=p.U.dtype)
+    for t in range(T - 1, -1, -1):
+        z = trace.Z[t]
+        i, f, o, g = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
+        tc = trace.TC[t]
+        c_prev = trace.C[t - 1] if t > 0 else trace.c0
+        s_prev = trace.S[t - 1] if t > 0 else trace.s0
+        ds = d_states[t] + ds_next
+        do = ds * tc
+        dc = ds * o * (1.0 - tc * tc) + dc_next
+        dA[:, :H] = (dc * g) * i * (1.0 - i)
+        dA[:, H:2 * H] = (dc * c_prev) * f * (1.0 - f)
+        dA[:, 2 * H:3 * H] = do * o * (1.0 - o)
+        dA[:, 3 * H:] = (dc * i) * (1.0 - g * g)
+        dc_next = dc * f
+        dU += trace.xs[t].T @ dA
+        dW += s_prev.T @ dA
+        if p.b is not None:
+            grads[2] += dA.sum(axis=0)
+        d_xs[t] = dA @ p.U.T
+        ds_next = dA @ p.W.T
+    return grads, d_xs

@@ -169,6 +169,22 @@ class TestExitCodes:
         assert "conversation 2 has no id" in capsys.readouterr().err
         assert not (tmp_path / "normalized.xml").exists()
 
+    def test_author_with_tab_is_data_error(self, tmp_path, capsys):
+        # score-authors would write the tab into author_scores.tsv, which
+        # identify then refuses; the corpus reader refuses it first
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        corpus = tmp_path / "corpus.xml"
+        xml = corpus.read_bytes()
+        conv_id, author = re.search(
+            rb'<conversation id="([^"]+)">\s*<message line="\d+">\s*'
+            rb"<author>([^<]+)</author>", xml).groups()
+        corpus.write_bytes(xml.replace(b"<author>%s</author>" % author,
+                                       b"<author>%s&#9;x</author>" % author))
+        assert main(["preprocess", "--config", str(cfg_path)]) == 2
+        assert f"conversation {conv_id.decode()!r}" in capsys.readouterr().err
+        assert not (tmp_path / "normalized.xml").exists()
+
     def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
         text = cfg_path.read_bytes()

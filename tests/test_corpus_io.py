@@ -94,6 +94,25 @@ class TestParsePanCorpus:
         with pytest.raises(CorpusParseError, match="conversation 2 has no id"):
             parse_pan_corpus(xml)
 
+    # author_scores.tsv could not carry these: its reader splits on tabs
+    # and on every line boundary str.splitlines knows
+    @pytest.mark.parametrize("inside", ["&#9;", "&#13;", "&#10;", "\u2028"])
+    def test_author_with_tab_or_line_break_rejected(self, inside):
+        xml = f"""<conversations>
+          <conversation id="a"><message line="1"><author>x</author>
+            <time>1</time><text>hi</text></message></conversation>
+          <conversation id="b"><message line="1"><author> y{inside}z </author>
+            <time>1</time><text>yo</text></message></conversation>
+        </conversations>""".encode()
+        with pytest.raises(CorpusParseError, match="conversation 'b': author"):
+            parse_pan_corpus(xml)
+
+    def test_author_whitespace_stripped_at_the_ends(self):
+        xml = b"""<conversations><conversation id="a"><message line="1">
+          <author>&#9; x &#10;</author><time>1</time><text>hi</text>
+          </message></conversation></conversations>"""
+        assert parse_pan_corpus(xml).conversations[0].messages[0].author == "x"
+
 
 class TestArtifactFiles:
     def test_write_replaces_bytes_and_returns_count(self, tmp_path):

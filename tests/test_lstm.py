@@ -7,7 +7,7 @@ from chatscreen.lstm import (LstmLayerParams, LstmState, backward_stack,
                              backward_steps, cell_step, forward_stack,
                              forward_steps)
 
-from oracles import scalar_cell_step, step_loop_forward
+from oracles import scalar_cell_step, step_loop_backward, step_loop_forward
 
 # frozen from the scalar oracle: sigmoid(1), tanh(1), and their combination
 SIG1 = 0.7310585786300049
@@ -241,6 +241,37 @@ class TestSequenceBackward:
 
         params = layer1.param_list() + layer2.param_list()
         assert gradient_check(loss_and_grads, params, 1e-4) < 1e-4
+
+    # at I = 64 a flat (T*B, 4H) input-gradient product rounds differently
+    # from the per-step one (at B = 3 and 16), and 200 wide reaches the
+    # BLAS paths of the default shape; tobytes() also tells -0.0 from
+    # +0.0, which np.array_equal does not
+    @pytest.mark.parametrize("batch,width,hidden,steps", [
+        (1, 64, 24, 9), (3, 64, 24, 9), (16, 64, 24, 9),
+        (1, 200, 200, 3), (16, 200, 200, 3)])
+    @pytest.mark.parametrize("use_bias", [False, True])
+    def test_backward_matches_step_loop_bit_for_bit(self, batch, width,
+                                                    hidden, steps, use_bias):
+        rng = Rng(60 + batch + width)
+        params = make_params(rng, width, hidden, use_bias, dtype=np.float32)
+        if use_bias:
+            params.b[:] = rng.uniform(-1, 1, params.b.shape)
+        xs = rng.uniform(-1, 1, (steps, batch, width))
+        s0 = rng.uniform(-0.9, 0.9, (batch, hidden))
+        c0 = rng.uniform(-1.5, 1.5, (batch, hidden))
+        trace = forward_steps(xs, s0, c0, params)
+        # masked LM/SCD gradients: whole steps and single lanes are zero
+        d_states = rng.uniform(-1, 1, trace.S.shape)
+        d_states[steps // 2] = 0.0
+        d_states[:, batch // 2] = 0.0
+        d_states[-1, :, : hidden // 2] = -0.0
+        grads, d_xs = backward_steps(trace, d_states)
+        want_grads, want_d_xs = step_loop_backward(trace, d_states)
+        assert len(grads) == len(want_grads)
+        for got, want in zip(grads + [d_xs], want_grads + [want_d_xs]):
+            assert got.dtype == want.dtype == np.float32
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_forward_backward_leave_params_unmodified(self):
         rng = Rng(13)
