@@ -51,6 +51,12 @@ class PanParseResult:
     skipped_messages: int = 0
 
 
+def _breaks_a_line(value: str) -> bool:
+    """True if value holds a tab or any line boundary str.splitlines
+    knows, so that one field of a tab-separated line cannot carry it."""
+    return "\t" in value or value.splitlines() not in ([], [value])
+
+
 class _PanHandler:
     def __init__(self):
         self.conversations: list[Conversation] = []
@@ -68,7 +74,13 @@ class _PanHandler:
                 raise CorpusParseError(f"conversation "
                                        f"{len(self.conversations) + 1} has "
                                        "no id attribute")
-            self._conv = Conversation(id=attrs["id"], messages=[])
+            conv_id = attrs["id"]
+            # the vectors container's string table and scd_verdicts.tsv
+            # hold one id per line, like author_scores.tsv its authors
+            if _breaks_a_line(conv_id):
+                raise CorpusParseError(f"conversation id {conv_id!r} holds "
+                                       "a tab or line break")
+            self._conv = Conversation(id=conv_id, messages=[])
         elif name == "message":
             self._line_attr = attrs.get("line")
             self._fields = {}
@@ -108,7 +120,7 @@ class _PanHandler:
             self.skipped += 1
             return
         # author_scores.tsv holds one author per line, fields split by tabs
-        if "\t" in author or author.splitlines() != [author]:
+        if _breaks_a_line(author):
             raise CorpusParseError(f"conversation {conv.id!r}: author "
                                    f"{author!r} holds a tab or line break")
         conv.messages.append(Message(author=author, line_no=line_no,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import init_uniform, sigmoid
+from .core_math import init_uniform
 from .errors import ShapeError, UsageError
 
 
@@ -117,22 +117,35 @@ class LstmTrace:
     TC: np.ndarray          # tanh(C)
 
 
+def _gate_scale(hidden_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(k, m) over the 4H gate lanes: k is 1/2 on i, f, o and 1 on g, m is
+    1/2 on i, f, o and 0 on g, so m + k * tanh(k * a) is sigmoid(a) on
+    the i, f, o lanes, by sigmoid(a) = 1/2 tanh(a/2) + 1/2, and tanh(a) on
+    the g lanes."""
+    k = np.full(4 * hidden_dim, 0.5, dtype=dtype)
+    k[3 * hidden_dim:] = 1.0
+    return k, 1.0 - k
+
+
 def forward_steps(xs: np.ndarray, s0: np.ndarray, c0: np.ndarray,
                   params: LstmLayerParams) -> LstmTrace:
     """Unroll the cell over xs (T, B, I) from initial states (B, H).
 
-    The input projection xs @ U is made for all T steps before the
-    recurrence, as one stacked product written straight into the gate
-    tensor Z. Stacked, it runs the same (B, I) product per step as a step
-    loop, so the bits stay the loop's; a flat (T*B, I) product would change
-    them at B = 1, where BLAS takes a matrix-vector path, and a separate
-    (T, B, 4H) buffer per call cost more than the hoist saved. Each step
-    adds s @ W, then the bias, to Z[t] in place, in the order
-    (xU + sW) + b, and writes c, tanh(c) and s into the trace through out=.
+    All four gates go through one tanh per step (see _gate_scale): U, W
+    and b are scaled by k, which is exact, since k is a power of two. The
+    input projection and the bias are made for all T steps before the
+    recurrence, as one flat (T*B, I) @ (I, 4H) product written into the
+    gate tensor Z; each step adds s @ (W*k) to Z[t] in place, runs tanh
+    over it, maps it to the gate activations by z*k + m, and writes c,
+    tanh(c) and s into the trace through out=.
     """
-    T, B, _ = xs.shape
+    T, B, I = xs.shape
     H = params.hidden_dim
-    Z = xs @ params.U
+    k, m = _gate_scale(H, params.U.dtype)
+    Z = (xs.reshape(T * B, I) @ (params.U * k)).reshape(T, B, 4 * H)
+    if params.b is not None:
+        Z += params.b * k
+    Wk = params.W * k
     S = np.empty((T, B, H), dtype=xs.dtype)
     C = np.empty_like(S)
     TC = np.empty_like(S)
@@ -141,16 +154,15 @@ def forward_steps(xs: np.ndarray, s0: np.ndarray, c0: np.ndarray,
     s, c = s0, c0
     for t in range(T):
         z = Z[t]
-        np.matmul(s, params.W, out=sW)
-        np.add(z, sW, out=z)
-        if params.b is not None:
-            np.add(z, params.b, out=z)
-        z[:, :3 * H] = sigmoid(z[:, :3 * H])
-        np.tanh(z[:, 3 * H:], out=z[:, 3 * H:])
+        np.matmul(s, Wk, out=sW)
+        z += sW
+        np.tanh(z, out=z)
+        z *= k
+        z += m
         i, f, o, g = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
         np.multiply(f, c, out=C[t])
         np.multiply(i, g, out=ig)
-        np.add(C[t], ig, out=C[t])
+        C[t] += ig
         np.tanh(C[t], out=TC[t])
         np.multiply(o, TC[t], out=S[t])
         s, c = S[t], C[t]
@@ -166,23 +178,19 @@ def backward_steps(trace: LstmTrace, d_states: np.ndarray):
     being [dU, dW(, db)] in LstmLayerParams.param_list() order.
 
     Only the recurrence runs per step: ds, dc, the gate gradients dA,
-    dc_next and ds_next = dA @ W.T, plus the dU and dW products, whose sums
-    must add in step order. Each gate block of dA is a product of four
-    factors, dA = ((X * P) * Q) * R, in the step loop's order:
+    dc_next and ds_next = dA @ W.T. Each gate block of dA is one upstream
+    factor times one factor K that comes from the trace alone:
 
-        block   X    P          Q    R
-        i       dc   g          i    1 - i
-        f       dc   c_{t-1}    f    1 - f
-        o       ds   tanh(c)    o    1 - o
-        g       dc   i          1    1 - g^2
+        block   upstream   K
+        i       dc         g * i * (1 - i)
+        f       dc         c_{t-1} * f * (1 - f)
+        o       ds         tanh(c) * o * (1 - o)
+        g       dc         i * (1 - g^2)
 
-    P, Q and R come from the trace alone, so they are made before the loop
-    for all T steps at once (a float multiply or subtract gives the same
-    bits over (T, B, 4H) as per step, and x * 1 is exactly x); a step then
-    makes dA in three (B, 4H) multiplies. After the loop: d_inputs as one
-    stacked (T, B, 4H) @ (4H, I) product, which makes the same (B, 4H)
-    product per step as a step loop (a flat (T*B, 4H) product would not),
-    and db as each step's row sum of dA, added from t = T-1 down.
+    and dc = ds * OT + dc_next with OT = o * (1 - tanh(c)^2). K and OT are
+    made before the loop for all T steps at once, and step t turns K[t]
+    into dA in place. After the loop, dU, dW, db and d_inputs come from
+    the dA of all steps, as flat (T*B, .) products and one sum.
     """
     p = trace.params
     T, B, H = trace.S.shape
@@ -190,46 +198,41 @@ def backward_steps(trace: LstmTrace, d_states: np.ndarray):
         raise UsageError(f"backward_steps: gradient shape {d_states.shape} "
                          f"does not match cached states {trace.S.shape}")
     gates = trace.Z.reshape(T, B, 4, H)
-    P = np.empty_like(gates)
-    P[:, :, 0] = gates[:, :, 3]
-    P[0, :, 1] = trace.c0
-    P[1:, :, 1] = trace.C[:-1]
-    P[:, :, 2] = trace.TC
-    P[:, :, 3] = gates[:, :, 0]
-    Q = gates.copy()
-    Q[:, :, 3] *= Q[:, :, 3]        # g^2, for R
-    R = 1.0 - Q
-    Q[:, :, 3] = 1.0
-    P, Q, R = (a.reshape(T, B, 4 * H) for a in (P, Q, R))
-    f, o = gates[:, :, 1].copy(), gates[:, :, 2].copy()
-    om_tc = 1.0 - trace.TC * trace.TC
-    grads = [np.zeros_like(m) for m in p.param_list()]
-    dU, dW = grads[:2]
-    dU_t, dW_t = np.empty_like(dU), np.empty_like(dW)
-    DA = np.empty((T, B, 4 * H), dtype=p.U.dtype)
+    i, g = gates[:, :, 0], gates[:, :, 3]
+    K = np.empty_like(gates)
+    np.subtract(1.0, gates[:, :, :3], out=K[:, :, :3])
+    K[:, :, :3] *= gates[:, :, :3]
+    K[:, :, 0] *= g
+    K[0, :, 1] *= trace.c0
+    K[1:, :, 1] *= trace.C[:-1]
+    K[:, :, 2] *= trace.TC
+    np.multiply(g, g, out=K[:, :, 3])
+    np.subtract(1.0, K[:, :, 3], out=K[:, :, 3])
+    K[:, :, 3] *= i
+    K = K.reshape(T, B, 4 * H)
+    OT = trace.TC * trace.TC
+    np.subtract(1.0, OT, out=OT)
+    OT *= gates[:, :, 2]
     X = np.empty((B, 4, H), dtype=p.U.dtype)
     ds_next = np.zeros((B, H), dtype=p.U.dtype)
     dc_next = np.zeros((B, H), dtype=p.U.dtype)
     for t in range(T - 1, -1, -1):
-        s_prev = trace.S[t - 1] if t > 0 else trace.s0
-        dA = DA[t]
         ds = d_states[t] + ds_next
-        dc = ds * o[t]
-        dc *= om_tc[t]
+        dc = ds * OT[t]
         dc += dc_next
         np.copyto(X, dc[:, None, :])
         X[:, 2] = ds
-        np.multiply(X.reshape(B, 4 * H), P[t], out=dA)
-        dA *= Q[t]
-        dA *= R[t]
-        dc_next = dc * f[t]
-        dU += np.matmul(trace.xs[t].T, dA, out=dU_t)
-        dW += np.matmul(s_prev.T, dA, out=dW_t)
+        dA = K[t]
+        dA *= X.reshape(B, 4 * H)
+        dc_next = dc * gates[t, :, 1]
         ds_next = dA @ p.W.T
+    DA = K.reshape(T * B, 4 * H)
+    s_prev = np.concatenate((trace.s0[None], trace.S[:-1]))
+    grads = [trace.xs.reshape(T * B, -1).T @ DA,
+             s_prev.reshape(T * B, H).T @ DA]
     if p.b is not None:
-        for row in DA.sum(axis=1)[::-1]:
-            grads[2] += row
-    return grads, DA @ p.U.T
+        grads.append(DA.sum(axis=0))
+    return grads, (DA @ p.U.T).reshape(T, B, -1)
 
 
 def cell_step(x: np.ndarray, prev: LstmState,

@@ -3,8 +3,9 @@
 The scalar oracles are written with plain Python loops and math functions
 so they share no code path with the package's vectorized implementations;
 masked_sigmoid is the textbook numpy form the package's one-pass sigmoid
-must match bit for bit, and step_loop_forward / step_loop_backward are the
-step-by-step LSTM forms the hoisted loops must match bit for bit.
+must match bit for bit, and step_loop_forward / step_loop_backward are
+step-by-step LSTM forms, run in float64 as references that the float32
+kernels must match within a tolerance.
 """
 
 import math
@@ -86,8 +87,10 @@ def scalar_lm_steps(model, ids):
 
 def step_loop_forward(xs, s0, c0, params):
     """A layer's unroll the step-by-step way: at every step the input
-    product x @ U, then s @ W, then the bias, each in a fresh array.
-    Returns the (S, C, Z, TC) arrays of an LstmTrace."""
+    product x @ U, then s @ W, then the bias, each in a fresh array, and
+    each gate through its own textbook function. Returns the (S, C, Z, TC)
+    arrays of an LstmTrace in the dtype of its inputs; the tests give it
+    float64 ones."""
     T, B, _ = xs.shape
     H = params.hidden_dim
     S = np.empty((T, B, H), dtype=xs.dtype)
@@ -112,8 +115,10 @@ def step_loop_forward(xs, s0, c0, params):
 
 def step_loop_backward(trace, d_states):
     """BPTT through one layer the step-by-step way: every product and
-    derivative factor made inside the time loop, one step at a time.
-    Returns (grads, d_inputs) as lstm.backward_steps does."""
+    derivative factor made inside the time loop, one step at a time, and
+    the weight gradients summed over the steps. Returns (grads, d_inputs)
+    as lstm.backward_steps does, in the trace's dtype; the tests give it a
+    float64 trace from step_loop_forward."""
     p = trace.params
     T, B, H = trace.S.shape
     grads = [np.zeros_like(m) for m in p.param_list()]

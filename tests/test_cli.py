@@ -185,6 +185,20 @@ class TestExitCodes:
         assert f"conversation {conv_id.decode()!r}" in capsys.readouterr().err
         assert not (tmp_path / "normalized.xml").exists()
 
+    def test_id_with_tab_is_data_error(self, tmp_path, capsys):
+        # vectorize could not write the id into vectors.bin's string table;
+        # the corpus reader refuses it first
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        corpus = tmp_path / "corpus.xml"
+        xml = corpus.read_bytes()
+        conv_id = re.search(rb'<conversation id="([^"]+)">', xml).group(1)
+        corpus.write_bytes(xml.replace(b'id="%s"' % conv_id,
+                                       b'id="%s&#9;x"' % conv_id))
+        assert main(["preprocess", "--config", str(cfg_path)]) == 2
+        assert f"{conv_id.decode()}\\tx" in capsys.readouterr().err
+        assert not (tmp_path / "normalized.xml").exists()
+
     def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
         text = cfg_path.read_bytes()

@@ -107,6 +107,20 @@ class TestParsePanCorpus:
         with pytest.raises(CorpusParseError, match="conversation 'b': author"):
             parse_pan_corpus(xml)
 
+    # the vectors container's string table and scd_verdicts.tsv could not
+    # carry these either
+    @pytest.mark.parametrize("inside", ["&#9;", "&#13;", "&#10;", "\u2028"])
+    def test_id_with_tab_or_line_break_rejected(self, inside):
+        xml = f"""<conversations>
+          <conversation id="a"><message line="1"><author>x</author>
+            <time>1</time><text>hi</text></message></conversation>
+          <conversation id="b{inside}c"><message line="1"><author>y</author>
+            <time>1</time><text>yo</text></message></conversation>
+        </conversations>""".encode()
+        with pytest.raises(CorpusParseError, match="conversation id 'b.+c' "
+                                                   "holds a tab or line"):
+            parse_pan_corpus(xml)
+
     def test_author_whitespace_stripped_at_the_ends(self):
         xml = b"""<conversations><conversation id="a"><message line="1">
           <author>&#9; x &#10;</author><time>1</time><text>hi</text>
