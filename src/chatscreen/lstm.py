@@ -117,31 +117,24 @@ class LstmTrace:
     TC: np.ndarray          # tanh(C)
 
 
-def _gate_scale(hidden_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(k, m) over the 4H gate lanes: k is 1/2 on i, f, o and 1 on g, m is
-    1/2 on i, f, o and 0 on g, so m + k * tanh(k * a) is sigmoid(a) on
-    the i, f, o lanes, by sigmoid(a) = 1/2 tanh(a/2) + 1/2, and tanh(a) on
-    the g lanes."""
-    k = np.full(4 * hidden_dim, 0.5, dtype=dtype)
-    k[3 * hidden_dim:] = 1.0
-    return k, 1.0 - k
-
-
 def forward_steps(xs: np.ndarray, s0: np.ndarray, c0: np.ndarray,
                   params: LstmLayerParams) -> LstmTrace:
     """Unroll the cell over xs (T, B, I) from initial states (B, H).
 
-    All four gates go through one tanh per step (see _gate_scale): U, W
-    and b are scaled by k, which is exact, since k is a power of two. The
-    input projection and the bias are made for all T steps before the
-    recurrence, as one flat (T*B, I) @ (I, 4H) product written into the
-    gate tensor Z; each step adds s @ (W*k) to Z[t] in place, runs tanh
-    over it, maps it to the gate activations by z*k + m, and writes c,
-    tanh(c) and s into the trace through out=.
+    All four gates go through one tanh per step, by sigmoid(a) =
+    1/2 tanh(a/2) + 1/2: with k 1/2 on the i, f, o lanes and 1 on the g
+    lanes, and m = 1 - k, the gates are m + k * tanh(k * a). U, W and b
+    are scaled by k, which is exact. The input projection and the bias are
+    made for all T steps before the recurrence, as one flat
+    (T*B, I) @ (I, 4H) product written into the gate tensor Z; each step
+    adds s @ (W*k) to Z[t] in place, runs tanh over it, maps it by
+    z*k + m, and writes c, tanh(c) and s into the trace through out=.
     """
     T, B, I = xs.shape
     H = params.hidden_dim
-    k, m = _gate_scale(H, params.U.dtype)
+    k = np.full(4 * H, 0.5, dtype=params.U.dtype)
+    k[3 * H:] = 1.0
+    m = 1.0 - k
     Z = (xs.reshape(T * B, I) @ (params.U * k)).reshape(T, B, 4 * H)
     if params.b is not None:
         Z += params.b * k

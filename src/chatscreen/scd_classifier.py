@@ -160,8 +160,8 @@ def _chunk_probabilities(model: ScdModel, chunks) -> np.ndarray:
     order = np.argsort(_read_rows(model, chunks), kind="stable")
     starts = list(range(SCORE_BUCKET_ROWS, len(order), SCORE_BUCKET_ROWS))
     # a lone leftover row joins the bucket before it: a one-row product
-    # takes another BLAS path, and its bits would differ from the same row
-    # scored among others
+    # (each step's s @ W) takes another BLAS path, and its bits would
+    # differ from the same row scored among others
     if starts and len(order) - starts[-1] == 1:
         starts.pop()
     finals = np.empty((len(chunks), model.hidden_dim), dtype=model.dtype)
