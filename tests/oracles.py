@@ -3,9 +3,10 @@
 The scalar oracles are written with plain Python loops and math functions
 so they share no code path with the package's vectorized implementations;
 masked_sigmoid is the textbook numpy form the package's one-pass sigmoid
-must match bit for bit, and step_loop_forward / step_loop_backward are
+must match bit for bit; step_loop_forward / step_loop_backward are
 step-by-step LSTM forms, run in float64 as references that the float32
-kernels must match within a tolerance.
+kernels must match within a tolerance, and tanh_gate_step_loop is the
+float32 forward step loop that lstm.forward_steps must match bit for bit.
 """
 
 import math
@@ -112,6 +113,39 @@ def step_loop_forward(xs, s0, c0, params):
         C[t], TC[t], S[t] = c, tc, s
     return S, C, Z, TC
 
+
+
+def tanh_gate_step_loop(xs, s0, c0, params):
+    """forward_steps' arithmetic the step-by-step way, each value in a fresh
+    array: every gate is m + k * tanh(k * a), with k 1/2 on the i, f, o
+    lanes and 1 on the g lanes, and m = 1 - k; a step adds the scaled bias,
+    then s @ (W*k), to its input rows. The input rows come from one flat
+    (T*B, I) @ (I, 4H) product, since BLAS rounds a per-step product of
+    one row differently. Returns the (S, C, Z, TC) arrays of an LstmTrace."""
+    T, B, I = xs.shape
+    H = params.hidden_dim
+    k = np.full(4 * H, 0.5, dtype=params.U.dtype)
+    k[3 * H:] = 1.0
+    m = 1.0 - k
+    Wk = params.W * k
+    xU = (xs.reshape(T * B, I) @ (params.U * k)).reshape(T, B, 4 * H)
+    S = np.empty((T, B, H), dtype=xs.dtype)
+    C = np.empty_like(S)
+    TC = np.empty_like(S)
+    Z = np.empty((T, B, 4 * H), dtype=xs.dtype)
+    s, c = s0, c0
+    for t in range(T):
+        a = xU[t]
+        if params.b is not None:
+            a = a + params.b * k
+        a = a + s @ Wk
+        z = np.tanh(a) * k + m
+        i, f, o, g = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
+        c = f * c + i * g
+        tc = np.tanh(c)
+        s = o * tc
+        Z[t], C[t], TC[t], S[t] = z, c, tc, s
+    return S, C, Z, TC
 
 def step_loop_backward(trace, d_states):
     """BPTT through one layer the step-by-step way: every product and

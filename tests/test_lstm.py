@@ -7,7 +7,8 @@ from chatscreen.lstm import (LstmLayerParams, LstmState, LstmTrace,
                              backward_stack, backward_steps, cell_step,
                              forward_stack, forward_steps)
 
-from oracles import scalar_cell_step, step_loop_backward, step_loop_forward
+from oracles import (scalar_cell_step, step_loop_backward, step_loop_forward,
+                     tanh_gate_step_loop)
 
 # frozen from the scalar oracle: sigmoid(1), tanh(1), and their combination
 SIG1 = 0.7310585786300049
@@ -207,6 +208,26 @@ class TestSequenceForward:
             got, want = getattr(trace, name), getattr(ref, name)
             assert got.dtype == np.float32
             assert np.abs(got - want).max() <= TOL, name
+
+    # the in-place recurrence over the hoisted projection against fresh
+    # arrays per step; tobytes() also tells -0.0 from +0.0
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("use_bias", [False, True])
+    def test_hoisted_projection_matches_step_loop_bit_for_bit(self, batch,
+                                                              use_bias):
+        rng = Rng(50 + batch)
+        params = make_params(rng, 64, 24, use_bias, dtype=np.float32)
+        if use_bias:
+            params.b[:] = rng.uniform(-1, 1, params.b.shape)
+        xs = rng.uniform(-1, 1, (9, batch, 64))
+        s0 = rng.uniform(-0.9, 0.9, (batch, 24))
+        c0 = rng.uniform(-1.5, 1.5, (batch, 24))
+        trace = forward_steps(xs, s0, c0, params)
+        want = tanh_gate_step_loop(xs, s0, c0, params)
+        got = (trace.S, trace.C, trace.Z, trace.TC)
+        for name, array, ref in zip(("S", "C", "Z", "TC"), got, want):
+            assert array.dtype == np.float32
+            assert array.tobytes() == ref.tobytes(), name
 
 
 class TestSequenceBackward:
