@@ -143,22 +143,27 @@ def _windows(model: LanguageModel, documents, order, batch_size: int):
 
 def _window_grads(model: LanguageModel, x, y, mask, traces):
     """Masked next-token NLL sum, target count, and the gradients of the
-    mean NLL in model.param_list() order, for one window."""
-    s2 = traces[1].S.reshape(len(y), model.hidden_dim)
+    mean NLL in model.param_list() order, for one window. The output layer
+    runs only on the rows that have a target; the other rows get zero
+    gradient, which leaves their inputs' gradient zero too."""
+    valid = np.flatnonzero(mask)
+    count = len(valid)
+    s2 = traces[1].S.reshape(len(y), model.hidden_dim)[valid]
     probs = row_softmax(s2 @ model.out_w + model.out_b)
-    rows = np.arange(len(y))
-    valid_p = np.maximum(probs[rows, y][mask].astype(np.float64), LOG_EPS)
-    nll_sum = float(-np.log(valid_p).sum())
-    count = int(mask.sum())
+    rows = np.arange(count)
+    target_p = np.maximum(probs[rows, y[valid]].astype(np.float64), LOG_EPS)
+    nll_sum = float(-np.log(target_p).sum())
     dlogits = probs
-    dlogits[rows, y] -= 1.0
-    dlogits *= (mask.astype(dlogits.dtype) / max(count, 1))[:, None]
+    dlogits[rows, y[valid]] -= 1.0
+    dlogits /= count
     d_out_w = s2.T @ dlogits
     d_out_b = dlogits.sum(axis=0)
-    d_s2 = (dlogits @ model.out_w.T).reshape(traces[1].S.shape)
+    d_s2 = np.zeros_like(traces[1].S)
+    d_s2.reshape(len(y), model.hidden_dim)[valid] = dlogits @ model.out_w.T
     layer_grads, d_xs = backward_stack(traces, d_s2)
     d_emb = np.zeros_like(model.embedding)
-    np.add.at(d_emb, x, d_xs.reshape(len(x), model.embedding_dim))
+    np.add.at(d_emb, x[valid],
+              d_xs.reshape(len(x), model.embedding_dim)[valid])
     grads = [d_emb] + layer_grads[0] + layer_grads[1] + [d_out_w, d_out_b]
     return nll_sum, count, grads
 
@@ -170,6 +175,8 @@ def train_lm(documents, model: LanguageModel, cfg: PipelineConfig,
     documents = [list(d) for d in documents]
     if not documents:
         raise UsageError("train_lm: empty corpus")
+    if all(len(d) < 2 for d in documents):
+        raise UsageError("train_lm: corpus has no next-token targets")
     optimizer = make_optimizer(cfg.lm_optimizer, cfg.lm_lr, cfg.lm_clip_norm)
     params = model.param_list()
     records: list[LmEpochRecord] = []
@@ -186,8 +193,8 @@ def train_lm(documents, model: LanguageModel, cfg: PipelineConfig,
             optimizer.step(params, grads)
             epoch_nll += nll
             epoch_count += count
-        records.append(LmEpochRecord(
-            epoch, float(np.exp(epoch_nll / max(epoch_count, 1)))))
+        records.append(LmEpochRecord(epoch,
+                                     float(np.exp(epoch_nll / epoch_count))))
     return records
 
 
@@ -200,10 +207,11 @@ def perplexity(model: LanguageModel, documents) -> float:
     total_nll, total = 0.0, 0
     for _, _, y, mask, traces in _windows(model, documents,
                                           range(len(documents)), 32):
-        s2 = traces[1].S.reshape(len(y), model.hidden_dim)
+        valid = np.flatnonzero(mask)
+        s2 = traces[1].S.reshape(len(y), model.hidden_dim)[valid]
         logp = row_log_softmax64(s2 @ model.out_w + model.out_b)
-        total_nll += float(-logp[np.arange(len(y)), y][mask].sum())
-        total += int(mask.sum())
+        total_nll += float(-logp[np.arange(len(valid)), y[valid]].sum())
+        total += len(valid)
     return float(np.exp(total_nll / total))
 
 

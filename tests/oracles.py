@@ -6,12 +6,17 @@ masked_sigmoid is the textbook numpy form the package's one-pass sigmoid
 must match bit for bit; step_loop_forward / step_loop_backward are
 step-by-step LSTM forms, run in float64 as references that the float32
 kernels must match within a tolerance, and tanh_gate_step_loop is the
-float32 forward step loop that lstm.forward_steps must match bit for bit.
+float32 forward step loop that lstm.forward_steps must match bit for bit;
+masked_head_window_grads is the language model's window loss and gradients
+with the output layer run on every row and the rows without a target
+masked out afterwards.
 """
 
 import math
 
 import numpy as np
+
+from chatscreen.lstm import backward_stack
 
 
 def scalar_sigmoid(a: float) -> float:
@@ -147,6 +152,7 @@ def tanh_gate_step_loop(xs, s0, c0, params):
         Z[t], C[t], TC[t], S[t] = z, c, tc, s
     return S, C, Z, TC
 
+
 def step_loop_backward(trace, d_states):
     """BPTT through one layer the step-by-step way: every product and
     derivative factor made inside the time loop, one step at a time, and
@@ -182,3 +188,27 @@ def step_loop_backward(trace, d_states):
         d_xs[t] = dA @ p.U.T
         ds_next = dA @ p.W.T
     return grads, d_xs
+
+
+def masked_head_window_grads(model, x, y, mask, traces):
+    """One window's next-token NLL sum, target count and mean-NLL gradients
+    (model.param_list() order), with the softmax head run on all T*B rows
+    of the window and the rows without a target zeroed by the mask."""
+    s2 = traces[1].S.reshape(len(y), model.hidden_dim)
+    logits = s2 @ model.out_w + model.out_b
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    rows = np.arange(len(y))
+    count = int(mask.sum())
+    nll_sum = float(-np.log(probs[rows, y][mask].astype(np.float64)).sum())
+    dlogits = probs
+    dlogits[rows, y] -= 1.0
+    dlogits *= (mask.astype(dlogits.dtype) / count)[:, None]
+    d_out_w = s2.T @ dlogits
+    d_out_b = dlogits.sum(axis=0)
+    d_s2 = (dlogits @ model.out_w.T).reshape(traces[1].S.shape)
+    layer_grads, d_xs = backward_stack(traces, d_s2)
+    d_emb = np.zeros_like(model.embedding)
+    np.add.at(d_emb, x, d_xs.reshape(len(x), model.embedding_dim))
+    return nll_sum, count, ([d_emb] + layer_grads[0] + layer_grads[1]
+                            + [d_out_w, d_out_b])

@@ -17,7 +17,8 @@ from chatscreen.core_math import Rng
 from chatscreen.errors import ConfigError
 from chatscreen.language_model import LanguageModel
 from chatscreen.model_store import VectorBundle, load, save
-from chatscreen.preprocessing import RESERVED_TOKENS, Vocabulary, tokenize
+from chatscreen.preprocessing import (RESERVED_TOKENS, Vocabulary, tokenize,
+                                      vocab_to_text)
 
 
 def write_config(path, out_dir, **overrides):
@@ -222,6 +223,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "rules.txt" in err
         assert not (tmp_path / "normalized.xml").exists()
+
+    def test_train_lm_without_targets_is_usage_error(self, tmp_path,
+                                                      capsys):
+        # every conversation is one empty message: documents of EOS alone
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
+        vocab = Vocabulary(list(RESERVED_TOKENS), min_term_frequency=1)
+        (tmp_path / "vocab.txt").write_text(vocab_to_text(vocab))
+        (tmp_path / "normalized.xml").write_bytes(
+            b'<?xml version="1.0" encoding="UTF-8"?>\n<conversations>\n'
+            + b"".join(b'<conversation id="c%d"><message line="1">'
+                       b"<author>a</author><time>0</time><text></text>"
+                       b"</message></conversation>\n" % i for i in (1, 2))
+            + b"</conversations>\n")
+        (tmp_path / "truth.txt").write_text("")
+        assert main(["train-lm", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "next-token targets" in err
+        assert not (tmp_path / "lm.model").exists()
 
     def test_unconfigured_corpus_is_usage_error(self, tmp_path):
         assert main(["preprocess", "--out", str(tmp_path)]) == 1

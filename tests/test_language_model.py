@@ -6,13 +6,13 @@ import pytest
 from chatscreen.config import PipelineConfig
 from chatscreen.core_math import Rng, gradient_check
 from chatscreen.errors import UsageError
-from chatscreen.language_model import (LanguageModel, perplexity,
-                                       sentence_vector, train_lm,
+from chatscreen.language_model import (LanguageModel, _window_grads, _windows,
+                                       perplexity, sentence_vector, train_lm,
                                        training_loss_and_grads)
 from chatscreen.preprocessing import (RESERVED_TOKENS, Vocabulary,
                                       build_vocabulary)
 
-from oracles import scalar_lm_steps
+from oracles import masked_head_window_grads, scalar_lm_steps
 
 
 def make_vocab(n_words):
@@ -154,6 +154,12 @@ class TestTrainLm:
         with pytest.raises(UsageError):
             train_lm([], model, PipelineConfig(), Rng(1))
 
+    def test_corpus_without_targets_rejected(self):
+        # no document has a next token, so no window and no loss exist
+        model = tiny_model(make_vocab(4))
+        with pytest.raises(UsageError, match="no next-token targets"):
+            train_lm([[2], [2]], model, PipelineConfig(lm_epochs=1), Rng(1))
+
     def test_state_carries_across_windows(self):
         # a document longer than the window still contributes predictions
         # for every position
@@ -181,6 +187,49 @@ class TestGradientFidelity:
         model = tiny_model(make_vocab(4), window=3, dtype=np.float64)
         with pytest.raises(UsageError):
             training_loss_and_grads(model, [[3, 4, 5, 6, 7]])
+
+
+# (documents, window, (targets, rows) per window): a lane that ends
+# mid-window and has no rows in the next; a last window whose one valid
+# row makes one-row products; a window without padding
+HEAD_CASES = [
+    ([[3, 4, 5, 6, 7, 8, 9, 3], [5, 6, 7], [8, 9, 3, 4]], 5,
+     [(10, 15), (2, 6)]),
+    ([[3, 4, 5, 6, 7, 8, 9, 3], [5, 6]], 6, [(7, 12), (1, 2)]),
+    ([[3, 4, 5, 6, 7, 8], [6, 5, 4, 3, 8, 9]], 5, [(10, 10)]),
+]
+
+
+class TestPackedHead:
+    @pytest.mark.parametrize("docs,window,shape", HEAD_CASES)
+    def test_window_grads_match_all_rows_head(self, docs, window, shape):
+        model = tiny_model(make_vocab(8), window=window, dtype=np.float64)
+        seen = []
+        for _, x, y, mask, traces in _windows(model, docs, range(len(docs)),
+                                              len(docs)):
+            nll, count, grads = _window_grads(model, x, y, mask, traces)
+            want_nll, want_count, want = masked_head_window_grads(
+                model, x, y, mask, traces)
+            assert count == want_count
+            assert abs(nll - want_nll) < 1e-10
+            assert len(grads) == len(want) == 9
+            for got, ref in zip(grads, want):
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) < 1e-10
+            seen.append((count, len(mask)))
+        assert seen == shape
+
+    @pytest.mark.parametrize("docs,window", [c[:2] for c in HEAD_CASES])
+    def test_perplexity_matches_all_rows_head(self, docs, window):
+        model = tiny_model(make_vocab(8), window=window, dtype=np.float64)
+        nll, count = 0.0, 0
+        for _, x, y, mask, traces in _windows(model, docs, range(len(docs)),
+                                              32):
+            window_nll, window_count, _ = masked_head_window_grads(
+                model, x, y, mask, traces)
+            nll += window_nll
+            count += window_count
+        assert abs(perplexity(model, docs) - math.exp(nll / count)) < 1e-10
 
 
 class TestSentenceVector:
