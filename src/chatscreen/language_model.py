@@ -150,11 +150,11 @@ def _window_grads(model: LanguageModel, x, y, mask, traces):
     count = len(valid)
     s2 = traces[1].S.reshape(len(y), model.hidden_dim)[valid]
     probs = row_softmax(s2 @ model.out_w + model.out_b)
-    rows = np.arange(count)
-    target_p = np.maximum(probs[rows, y[valid]].astype(np.float64), LOG_EPS)
+    rows, targets = np.arange(count), y[valid]
+    target_p = np.maximum(probs[rows, targets].astype(np.float64), LOG_EPS)
     nll_sum = float(-np.log(target_p).sum())
     dlogits = probs
-    dlogits[rows, y[valid]] -= 1.0
+    dlogits[rows, targets] -= 1.0
     dlogits /= count
     d_out_w = s2.T @ dlogits
     d_out_b = dlogits.sum(axis=0)
