@@ -152,7 +152,6 @@ def tanh_gate_step_loop(xs, s0, c0, params):
         Z[t], C[t], TC[t], S[t] = z, c, tc, s
     return S, C, Z, TC
 
-
 def step_loop_backward(trace, d_states):
     """BPTT through one layer the step-by-step way: every product and
     derivative factor made inside the time loop, one step at a time, and
