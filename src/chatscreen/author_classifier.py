@@ -169,27 +169,36 @@ def score(model: ShallowModel, features: np.ndarray) -> SentimentScore:
 
 def _unit_loss_and_grads(model: ShallowModel, units, cached_ids):
     """Mean 3-class cross-entropy over units and grads for
-    [embedding, class_w, class_b]."""
-    d_emb = np.zeros_like(model.embedding)
-    d_w = np.zeros_like(model.class_w)
-    d_b = np.zeros_like(model.class_b)
-    total = 0.0
+    [embedding, class_w, class_b], in one pass of array operations with
+    the float order of a loop over the units: the two products run as
+    matmuls stacked over rows of one, which take BLAS's matrix-vector
+    path per row (one matrix-matrix product rounds differently); the loss
+    and the class gradients add the units left to right, and the scatter
+    adds each unit's rows in unit order."""
+    x = np.stack([model.pooled(ids) for ids in cached_ids])
+    logits = (x[:, None, :] @ model.class_w)[:, 0, :] + model.class_b
+    probs = row_softmax(logits)
+    rows = np.arange(len(units))
+    target = np.array([CLASSES.index(u.label) for u in units])
+    nll = -np.log(np.maximum(probs[rows, target].astype(np.float64), LOG_EPS))
+    d_logits = probs
+    d_logits[rows, target] -= 1.0
     scale = 1.0 / len(units)
-    for unit, ids in zip(units, cached_ids):
-        x = model.pooled(ids)
-        logits = x @ model.class_w + model.class_b
-        probs = row_softmax(logits[None, :])[0]
-        target = CLASSES.index(unit.label)
-        total += -float(np.log(max(float(probs[target]), LOG_EPS)))
-        d_logits = probs.copy()
-        d_logits[target] -= 1.0
-        d_logits *= scale
-        d_w += np.outer(x, d_logits)
-        d_b += d_logits
-        if ids:
-            dx = model.class_w @ d_logits
-            np.add.at(d_emb, ids, dx / len(ids))
-    return total * scale, [d_emb, d_w, d_b]
+    d_logits *= scale
+    d_w = (x[:, :, None] * d_logits[:, None, :]).sum(axis=0)
+    d_b = d_logits.sum(axis=0)
+    d_emb = np.zeros_like(model.embedding)
+    counts = np.array([len(ids) for ids in cached_ids])
+    live = np.flatnonzero(counts)
+    if len(live):
+        dx = (model.class_w @ d_logits[live, :, None])[:, :, 0]
+        dx /= counts[live, None].astype(dx.dtype)
+        ids = np.concatenate([cached_ids[i] for i in live])
+        # one index per element, not per row: ufunc.at's fast path
+        flat = (ids[:, None] * model.k + np.arange(model.k)).ravel()
+        np.add.at(d_emb.reshape(-1), flat,
+                  np.repeat(dx, counts[live], axis=0).reshape(-1))
+    return float(np.cumsum(nll)[-1]) * scale, [d_emb, d_w, d_b]
 
 
 def training_loss_and_grads(model: ShallowModel, units):
@@ -197,6 +206,19 @@ def training_loss_and_grads(model: ShallowModel, units):
     units = list(units)
     cached = [model.feature_ids(u.lines) for u in units]
     return _unit_loss_and_grads(model, units, cached)
+
+
+def _predicted_classes(model: ShallowModel, cached_ids) -> np.ndarray:
+    """Index into CLASSES of score(model, model.pooled(ids)).argmax_class()
+    per unit, from one float64 softmax over the stacked units: score's
+    per-row products, and argmax_class's tie order (N, then V, then P)."""
+    x = np.stack([model.pooled(ids) for ids in cached_ids]).astype(np.float64)
+    logits = ((x[:, None, :] @ model.class_w.astype(np.float64))[:, 0, :]
+              + model.class_b.astype(np.float64))
+    probs = row_softmax(logits)
+    best = probs.max(axis=1)
+    return np.where(probs[:, 2] == best, 2,
+                    np.where(probs[:, 1] == best, 1, 0))
 
 
 @dataclass
@@ -234,6 +256,7 @@ def train_author(model: ShallowModel, units, cfg: PipelineConfig, rng):
     params = model.param_list()
     by_class = {c: [i for i, u in enumerate(units) if u.label == c]
                 for c in CLASSES}
+    target = np.array([CLASSES.index(u.label) for u in units])
     for epoch in range(1, cfg.author_epochs + 1):
         if cfg.author_balance:
             majority = max(len(v) for v in by_class.values())
@@ -256,10 +279,7 @@ def train_author(model: ShallowModel, units, cfg: PipelineConfig, rng):
             optimizer.step(params, grads)
             epoch_loss += loss
             n_batches += 1
-        correct = 0
-        for unit, ids in zip(units, cached):
-            predicted = score(model, model.pooled(ids)).argmax_class()
-            correct += predicted == unit.label
+        correct = int(np.sum(_predicted_classes(model, cached) == target))
         records.append(AuthorEpochRecord(epoch, epoch_loss / n_batches,
                                          correct / len(units)))
     return model, records

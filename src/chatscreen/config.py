@@ -7,6 +7,7 @@ hashing its name into the seed.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -21,10 +22,21 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _key(section: str, default):
+def _key(section: str, default, bound=None):
     """A field set in the file as `key = value` under `[section]`, where the
-    key is the field name less any `<section>_` prefix."""
-    return field(default=default, metadata={"section": section})
+    key is the field name less any `<section>_` prefix; `bound` is the
+    (test, wording) pair a value read from the file must pass."""
+    return field(default=default, metadata={"section": section,
+                                            "bound": bound})
+
+
+_SIZE = (lambda v: v >= 1, ">= 1")
+_EPOCHS = (lambda v: v >= 0, ">= 0")
+_STEP = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_RATIO = (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+_PROBABILITY = (lambda v: 0 <= v <= 1, "in [0, 1]")
+_FRACTION = (lambda v: 0 <= v < 1, "in [0, 1)")
+_SUCCESS_RATE = (lambda v: 0 < v <= 1, "in (0, 1]")
 
 
 @dataclass
@@ -33,43 +45,43 @@ class PipelineConfig:
     ground_truth: str = _key("paths", "")
     out: str = _key("paths", "out")
     min_tf: int = _key("preprocessing", 10)
-    long_word_limit: int = _key("preprocessing", 30)
+    long_word_limit: int = _key("preprocessing", 30, _SIZE)
     abbreviations: str = _key("preprocessing", "")  # empty: packaged table
     emoticons: str = _key("preprocessing", "")  # empty: packaged patterns
-    lm_embedding_dim: int = _key("lm", 200)
-    lm_hidden_dim: int = _key("lm", 200)
-    lm_window: int = _key("lm", 35)
-    lm_epochs: int = _key("lm", 5)
-    lm_lr: float = _key("lm", 0.5)
+    lm_embedding_dim: int = _key("lm", 200, _SIZE)
+    lm_hidden_dim: int = _key("lm", 200, _SIZE)
+    lm_window: int = _key("lm", 35, _SIZE)
+    lm_epochs: int = _key("lm", 5, _EPOCHS)
+    lm_lr: float = _key("lm", 0.5, _STEP)
     lm_optimizer: str = _key("lm", "sgd")
-    lm_batch_size: int = _key("lm", 16)
-    lm_clip_norm: float = _key("lm", 5.0)
-    scd_hidden_dim: int = _key("scd", 200)
-    scd_chunk_len: int = _key("scd", 100)
-    scd_threshold: float = _key("scd", 0.5)
-    scd_neg_ratio: float = _key("scd", 5.0)
-    scd_epochs: int = _key("scd", 10)
-    scd_lr: float = _key("scd", 0.05)
+    lm_batch_size: int = _key("lm", 16, _SIZE)
+    lm_clip_norm: float = _key("lm", 5.0, _STEP)
+    scd_hidden_dim: int = _key("scd", 200, _SIZE)
+    scd_chunk_len: int = _key("scd", 100, _SIZE)
+    scd_threshold: float = _key("scd", 0.5, _PROBABILITY)
+    scd_neg_ratio: float = _key("scd", 5.0, _RATIO)
+    scd_epochs: int = _key("scd", 10, _EPOCHS)
+    scd_lr: float = _key("scd", 0.05, _STEP)
     scd_optimizer: str = _key("scd", "sgd")
-    scd_batch_size: int = _key("scd", 32)
-    scd_clip_norm: float = _key("scd", 5.0)
-    scd_val_fraction: float = _key("scd", 0.2)
+    scd_batch_size: int = _key("scd", 32, _SIZE)
+    scd_clip_norm: float = _key("scd", 5.0, _STEP)
+    scd_val_fraction: float = _key("scd", 0.2, _FRACTION)
     scd_masked: bool = _key("scd", True)
-    author_k: int = _key("author", 16)
+    author_k: int = _key("author", 16, _SIZE)
     author_bigrams: bool = _key("author", True)
     author_min_feature_freq: int = _key("author", 5)
-    author_epochs: int = _key("author", 8)
-    author_lr: float = _key("author", 0.1)
+    author_epochs: int = _key("author", 8, _EPOCHS)
+    author_lr: float = _key("author", 0.1, _STEP)
     author_optimizer: str = _key("author", "sgd")
-    author_batch_size: int = _key("author", 32)
-    author_clip_norm: float = _key("author", 5.0)
+    author_batch_size: int = _key("author", 32, _SIZE)
+    author_clip_norm: float = _key("author", 5.0, _STEP)
     author_balance: bool = _key("author", True)
     seed: int = _key("run", 1)
     use_bias: bool = _key("run", True)
     synth_n_conversations: int = _key("synth", 500)
     synth_predator_fraction: float = _key("synth", 0.05)
-    synth_geometric_p: float = _key("synth", 0.08)
-    synth_marker_density: float = _key("synth", 0.3)
+    synth_geometric_p: float = _key("synth", 0.08, _SUCCESS_RATE)
+    synth_marker_density: float = _key("synth", 0.3, _PROBABILITY)
 
 
 def load_config(path) -> PipelineConfig:
@@ -108,6 +120,10 @@ def load_config(path) -> PipelineConfig:
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad value for {section}.{key}: "
                                   f"{raw!r} ({exc})") from exc
+            bound = target.metadata["bound"]
+            if bound is not None and not bound[0](value):
+                raise ConfigError(f"{path}: [{section}] {key} = {raw} must "
+                                  f"be {bound[1]}")
             setattr(cfg, target.name, value)
     return cfg
 

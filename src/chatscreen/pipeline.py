@@ -254,7 +254,8 @@ def run_train_scd(cfg: PipelineConfig) -> None:
     write_atomic(out / SCD_LOG,
                  "".join(r.format_line() + "\n" for r in records))
     print(f"train-scd: {len(train_chunks)} train / {len(val_chunks)} val "
-          f"chunks -> {out / SCD_MODEL}")
+          f"chunks, stopped after epoch {len(records)} of {cfg.scd_epochs} "
+          f"-> {out / SCD_MODEL}")
 
 
 def run_eval_scd(cfg: PipelineConfig) -> None:

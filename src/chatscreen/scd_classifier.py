@@ -252,9 +252,11 @@ def training_loss_and_grads(model: ScdModel, chunks):
 def train_scd(chunks, cfg: PipelineConfig, rng, val_chunks=None):
     """Train on labeled chunks with cfg's [scd] recipe, resampling negatives
     each epoch to the configured ratio; keeps the parameters from the
-    best-F1 epoch (validation F1 when val_chunks given, else training F1).
+    first best-F1 epoch (validation F1 when val_chunks given, else training
+    F1). cfg.scd_epochs is an upper bound: training stops after the first
+    epoch whose F1 is 1.0, since no later epoch can replace it.
 
-    Returns (model, list of ScdEpochRecord).
+    Returns (model, list of ScdEpochRecord), one record per epoch run.
     """
     chunks = list(chunks)
     pos = [c for c in chunks if c.label]
@@ -296,6 +298,8 @@ def train_scd(chunks, cfg: PipelineConfig, rng, val_chunks=None):
         if f1 > best_f1:
             best_f1 = f1
             best_params = [p.copy() for p in params]
+        if best_f1 == 1.0:
+            break
     if best_params is not None:
         for p, best in zip(params, best_params):
             p[...] = best

@@ -9,13 +9,17 @@ kernels must match within a tolerance, and tanh_gate_step_loop is the
 float32 forward step loop that lstm.forward_steps must match bit for bit;
 masked_head_window_grads is the language model's window loss and gradients
 with the output layer run on every row and the rows without a target
-masked out afterwards.
+masked out afterwards; per_unit_author_loss_and_grads is the author
+scorer's batch loss and gradients as a loop over the units, which the
+batched form must match bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from chatscreen.author_classifier import CLASSES
+from chatscreen.core_math import LOG_EPS, row_softmax
 from chatscreen.lstm import backward_stack
 
 
@@ -211,3 +215,30 @@ def masked_head_window_grads(model, x, y, mask, traces):
     np.add.at(d_emb, x, d_xs.reshape(len(x), model.embedding_dim))
     return nll_sum, count, ([d_emb] + layer_grads[0] + layer_grads[1]
                             + [d_out_w, d_out_b])
+
+
+def per_unit_author_loss_and_grads(model, units, cached_ids):
+    """Mean 3-class cross-entropy over units and grads for [embedding,
+    class_w, class_b], one unit at a time: pooled vector, logits, softmax,
+    loss and gradients per unit, each added to the running totals in unit
+    order."""
+    d_emb = np.zeros_like(model.embedding)
+    d_w = np.zeros_like(model.class_w)
+    d_b = np.zeros_like(model.class_b)
+    total = 0.0
+    scale = 1.0 / len(units)
+    for unit, ids in zip(units, cached_ids):
+        x = model.pooled(ids)
+        logits = x @ model.class_w + model.class_b
+        probs = row_softmax(logits[None, :])[0]
+        target = CLASSES.index(unit.label)
+        total += -float(np.log(max(float(probs[target]), LOG_EPS)))
+        d_logits = probs.copy()
+        d_logits[target] -= 1.0
+        d_logits *= scale
+        d_w += np.outer(x, d_logits)
+        d_b += d_logits
+        if ids:
+            dx = model.class_w @ d_logits
+            np.add.at(d_emb, ids, dx / len(ids))
+    return total * scale, [d_emb, d_w, d_b]

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from chatscreen.author_classifier import (AuthorUnit, AuthorVerdict,
+from chatscreen import author_classifier
+from chatscreen.author_classifier import (CLASSES, AuthorUnit, AuthorVerdict,
                                           SentimentScore, ShallowModel,
+                                          _predicted_classes,
+                                          _unit_loss_and_grads,
                                           average_author_scores,
                                           build_feature_vocab, featurize,
                                           identify_predators, score,
@@ -16,7 +19,7 @@ from chatscreen.core_math import Rng, gradient_check
 from chatscreen.corpus_io import Conversation, Message
 from chatscreen.errors import UsageError
 
-from oracles import scalar_softmax
+from oracles import per_unit_author_loss_and_grads, scalar_softmax
 
 
 def model_with_features(features, k=4, seed=3):
@@ -189,6 +192,99 @@ class TestTrainAuthor:
 
         err = gradient_check(loss_and_grads, model.param_list(), 1e-3)
         assert err < 1e-4
+
+
+def id_units(ids_per_unit, seed=8):
+    """Labeled units given by their feature ids (their lines are unused)."""
+    rng = Rng(seed)
+    units = [AuthorUnit(f"a{i}", f"c{i}", [], CLASSES[int(rng.integers(0, 3))])
+             for i in range(len(ids_per_unit))]
+    return units, [list(ids) for ids in ids_per_unit]
+
+
+def random_batch(n, n_features=40, seed=9):
+    rng = Rng(seed)
+    return [[int(f) for f in rng.integers(0, n_features,
+                                          size=int(rng.integers(0, 12)))]
+            for _ in range(n)]
+
+
+BATCHES = {
+    "no-feature-unit": [[0, 1, 2], [], [3], [4, 5]],
+    "repeated-feature": [[3, 3, 3, 7], [7, 1], [2, 2]],
+    "shared-feature": [[5, 1], [5, 2], [5], [9, 5, 5]],
+    "one-unit": [[1, 4, 6]],
+    "one-unit-no-feature": [[]],
+    "mixed-32": random_batch(32),
+    "mixed-100": random_batch(100, seed=10),
+}
+
+
+class TestBatchedUnits:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", list(BATCHES))
+    def test_equals_per_unit_loop_bit_for_bit(self, dtype, batch):
+        features = [f"f{i}" for i in range(40)]
+        model = ShallowModel.create(Rng(4), features, 16).astype(dtype)
+        model.class_b[:] = Rng(5).uniform(-1, 1, (3,), dtype=dtype)
+        units, cached = id_units(BATCHES[batch])
+        loss, grads = _unit_loss_and_grads(model, units, cached)
+        want_loss, want = per_unit_author_loss_and_grads(model, units, cached)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        for got, expect in zip(grads, want):
+            assert got.dtype == expect.dtype
+            assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_predicted_classes_match_score_with_exact_ties(self, dtype):
+        # class_w the identity and class_b zero: the logits are the pooled
+        # vector, so these embedding rows give exact P/V, V/N, P/N and
+        # three-way ties, and the zero vector of a unit without features
+        # another three-way tie
+        rows = [[1, 1, 0], [0, 2, 2], [1, 1, 1], [3, 0, 1], [2, 0, 2],
+                [0, 3, 1], [0.5, 0.25, 0.125]]
+        features = [f"f{i}" for i in range(len(rows))]
+        model = ShallowModel(features, np.array(rows, dtype=dtype),
+                             np.eye(3, dtype=dtype), np.zeros(3, dtype=dtype))
+        cached = [[0], [1], [2], [3], [4], [5], [6], [], [0, 1], [3, 5],
+                  [0, 0, 2]]
+        want = [CLASSES.index(score(model, model.pooled(ids)).argmax_class())
+                for ids in cached]
+        assert want[:6] == [1, 2, 2, 0, 2, 1]
+        assert _predicted_classes(model, cached).tolist() == want
+
+    def test_predicted_classes_match_score_on_a_trained_model(self):
+        units = make_units(Rng(1), 12, MARKERS)
+        features = build_feature_vocab(units, min_freq=1)
+        units += [AuthorUnit("x", "cx", [["unheard"]], "N")]
+        model = ShallowModel.create(Rng(2), features, 8)
+        train_author(model, units, PipelineConfig(author_epochs=3,
+                                                  author_lr=0.5), Rng(3))
+        cached = [model.feature_ids(u.lines) for u in units]
+        want = [CLASSES.index(score(model, model.pooled(ids)).argmax_class())
+                for ids in cached]
+        assert _predicted_classes(model, cached).tolist() == want
+
+    def test_training_equals_the_per_unit_loop(self, monkeypatch):
+        units = make_units(Rng(1), 9, MARKERS)
+        features = build_feature_vocab(units, min_freq=1)
+        units[4] = AuthorUnit("y", "cy", [["unheard", "tokens"]], "P")
+        cfg = PipelineConfig(author_epochs=4, author_lr=0.05,
+                             author_batch_size=8, author_optimizer="adam")
+        model, records = train_author(ShallowModel.create(Rng(2), features, 8),
+                                      units, cfg, Rng(3))
+        monkeypatch.setattr(author_classifier, "_unit_loss_and_grads",
+                            per_unit_author_loss_and_grads)
+        monkeypatch.setattr(author_classifier, "_predicted_classes",
+                            lambda model, cached: np.array([
+                                CLASSES.index(score(model, model.pooled(ids))
+                                              .argmax_class())
+                                for ids in cached]))
+        loop_model, loop_records = train_author(
+            ShallowModel.create(Rng(2), features, 8), units, cfg, Rng(3))
+        assert records == loop_records
+        for got, want in zip(model.param_list(), loop_model.param_list()):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestAverageScores:

@@ -125,6 +125,20 @@ class TestConfig:
             with pytest.raises(ConfigError, match="unknown key"):
                 load_config(path)
 
+    def test_values_at_the_bounds_load(self, tmp_path):
+        path = write_config(tmp_path / "run.cfg", tmp_path,
+                            lm={"epochs": 0, "window": 1},
+                            scd={"epochs": 0, "val_fraction": 0.0,
+                                 "neg_ratio": 0.0, "threshold": 1.0,
+                                 "chunk_len": 1},
+                            author={"epochs": 0, "k": 1, "batch_size": 1})
+        cfg = load_config(path)
+        assert (cfg.lm_epochs, cfg.scd_val_fraction, cfg.scd_threshold,
+                cfg.author_k) == (0, 0.0, 1.0, 1)
+        path = write_config(tmp_path / "run.cfg", tmp_path,
+                            scd={"threshold": 0.0})
+        assert load_config(path).scd_threshold == 0.0
+
     def test_strict_paper_mode(self):
         cfg = apply_strict_paper(PipelineConfig())
         assert cfg.use_bias is False
@@ -207,6 +221,35 @@ class TestExitCodes:
         assert main(["synth", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "run.cfg" in err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("lm", "lr", "-0.1"), ("lm", "lr", "nan"), ("scd", "lr", "0"),
+        ("author", "lr", "inf"),
+        ("lm", "clip_norm", "0"), ("scd", "clip_norm", "-1"),
+        ("author", "clip_norm", "-inf"),
+        ("scd", "val_fraction", "-0.5"), ("scd", "val_fraction", "1"),
+        ("scd", "neg_ratio", "-1"), ("scd", "neg_ratio", "inf"),
+        ("scd", "threshold", "-1"), ("scd", "threshold", "2"),
+        ("scd", "threshold", "nan"),
+        ("lm", "epochs", "-1"), ("scd", "epochs", "-1"),
+        ("author", "epochs", "-1"),
+        ("lm", "batch_size", "0"), ("scd", "batch_size", "0"),
+        ("author", "batch_size", "0"),
+        ("lm", "hidden_dim", "0"), ("lm", "embedding_dim", "0"),
+        ("scd", "hidden_dim", "0"), ("author", "k", "0"),
+        ("lm", "window", "0"), ("scd", "chunk_len", "0"),
+        ("preprocessing", "long_word_limit", "0"),
+        ("synth", "geometric_p", "0"), ("synth", "marker_density", "2"),
+    ])
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
+                                               section, key, value):
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path,
+                                **{section: {key: value}})
+        assert main(["synth", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"[{section}] {key} = {value} must be" in err
+        assert not (tmp_path / "corpus.xml").exists()
 
     @pytest.mark.parametrize("key,data", [
         ("abbreviations", b"u\tyou\nr\xff\tare\n"),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,23 @@ class TestBucketedScoring:
             assert xs.shape[0] == lengths.max()
 
 
+def scripted_f1(monkeypatch, f1s, val=None, val_f1s=()):
+    """Make train_scd's per-epoch metrics report the given F1s in turn, on
+    the training chunks and on `val`; returns the list that receives the
+    model's parameters after each epoch."""
+    train_f1, val_f1 = iter(f1s), iter(val_f1s)
+    after_epoch = []
+
+    def metrics(model, chunks, threshold):
+        if chunks is val:
+            return (0.0, None, None, next(val_f1))
+        after_epoch.append([p.copy() for p in model.param_list()])
+        return (0.0, None, None, next(train_f1))
+
+    monkeypatch.setattr(scd_classifier, "_chunk_metrics", metrics)
+    return after_epoch
+
+
 class TestTrainScd:
     def test_zero_epochs_returns_untrained_model_empty_log(self):
         chunks = make_chunks(Rng(2), 2, 2)
@@ -269,6 +288,56 @@ class TestTrainScd:
                    default=None)
         final = _chunk_metrics(model, val, cfg.scd_threshold)
         assert final[3] == best
+
+    def test_separable_fixture_stops_at_first_f1_of_one(self):
+        chunks = make_chunks(Rng(20), 20, 60)
+        cfg = PipelineConfig(scd_hidden_dim=8, scd_epochs=30, scd_lr=0.2,
+                             scd_batch_size=16, scd_neg_ratio=5.0)
+        model, records = train_scd(chunks, cfg, Rng(21))
+        stop = len(records)
+        assert stop < cfg.scd_epochs
+        assert [r.train[3] == 1.0 for r in records] == \
+            [False] * (stop - 1) + [True]
+        # an epoch bound at the stopping epoch trains the same model
+        short, short_records = train_scd(
+            chunks, replace(cfg, scd_epochs=stop), Rng(21))
+        assert short_records == records
+        for got, want in zip(model.param_list(), short.param_list()):
+            assert got.tobytes() == want.tobytes()
+
+    def test_fixture_below_f1_of_one_runs_every_epoch(self):
+        chunks = make_chunks(Rng(2), 6, 18)
+        for i, chunk in enumerate(chunks):
+            chunk.label = i % 2 == 0      # labels unrelated to the pattern
+        cfg = PipelineConfig(scd_hidden_dim=4, scd_epochs=3, scd_lr=0.1)
+        _, records = train_scd(chunks, cfg, Rng(3))
+        assert len(records) == 3
+        assert all(r.train[3] != 1.0 for r in records)
+
+    @pytest.mark.parametrize("f1s,run,kept", [
+        ([0.5, 0.995, 0.8, 1.0, 0.9, 1.0], 4, 4),
+        ([1.0, 0.5, 1.0], 1, 1),
+        ([None, 0.5, 0.7, 0.6], 4, 3),
+    ], ids=["late", "first", "never"])
+    def test_stop_and_kept_epoch(self, monkeypatch, f1s, run, kept):
+        after_epoch = scripted_f1(monkeypatch, f1s)
+        cfg = PipelineConfig(scd_hidden_dim=4, scd_epochs=len(f1s),
+                             scd_lr=0.1)
+        model, records = train_scd(make_chunks(Rng(2), 4, 8), cfg, Rng(3))
+        assert len(records) == len(after_epoch) == run
+        for got, want in zip(model.param_list(), after_epoch[kept - 1]):
+            assert got.tobytes() == want.tobytes()
+
+    def test_validation_f1_decides_the_stop(self, monkeypatch):
+        val = make_chunks(Rng(5), 2, 4)
+        after_epoch = scripted_f1(monkeypatch, [1.0, 1.0, 1.0], val,
+                                  [0.5, 1.0, 0.7])
+        cfg = PipelineConfig(scd_hidden_dim=4, scd_epochs=3, scd_lr=0.1)
+        model, records = train_scd(make_chunks(Rng(2), 4, 8), cfg, Rng(3),
+                                   val_chunks=val)
+        assert len(records) == 2
+        for got, want in zip(model.param_list(), after_epoch[1]):
+            assert got.tobytes() == want.tobytes()
 
     def test_epoch_log_format(self):
         chunks = make_chunks(Rng(2), 2, 6)
