@@ -23,6 +23,14 @@ from .errors import NumericError, ShapeError, UsageError
 CLASSES = ("P", "V", "N")
 
 
+def argmax_classes(probs: np.ndarray) -> np.ndarray:
+    """Index into CLASSES of the most probable class along the last axis,
+    with the conservative tie order: N, then V, then P."""
+    best = probs.max(axis=-1)
+    return np.where(probs[..., 2] == best, 2,
+                    np.where(probs[..., 1] == best, 1, 0))
+
+
 @dataclass
 class SentimentScore:
     """Probability triple over (predator, victim, normal)."""
@@ -43,12 +51,7 @@ class SentimentScore:
         return np.array([self.p, self.v, self.n], dtype=np.float64)
 
     def argmax_class(self) -> str:
-        best = max(self.n, self.v, self.p)
-        if self.n == best:       # conservative tie order: N, then V, then P
-            return "N"
-        if self.v == best:
-            return "V"
-        return "P"
+        return CLASSES[int(argmax_classes(self.as_array()))]
 
 
 @dataclass
@@ -105,11 +108,11 @@ class ShallowModel:
         self.validate()
 
     @classmethod
-    def create(cls, rng, features, k: int, bigrams: bool = True,
-               dtype=np.float32) -> "ShallowModel":
-        embedding = init_uniform(rng, len(features), k, fan_in=k, dtype=dtype)
-        class_w = init_uniform(rng, k, len(CLASSES), fan_in=k, dtype=dtype)
-        class_b = np.zeros(len(CLASSES), dtype=dtype)
+    def create(cls, rng, features, k: int,
+               bigrams: bool = True) -> "ShallowModel":
+        embedding = init_uniform(rng, len(features), k, fan_in=k)
+        class_w = init_uniform(rng, k, len(CLASSES), fan_in=k)
+        class_b = np.zeros(len(CLASSES), dtype=np.float32)
         return cls(features, embedding, class_w, class_b, bigrams=bigrams)
 
     def validate(self) -> None:
@@ -159,12 +162,15 @@ def featurize(model: ShallowModel, lines) -> np.ndarray:
     return model.pooled(model.feature_ids(lines))
 
 
-def score(model: ShallowModel, features: np.ndarray) -> SentimentScore:
-    logits = (features.astype(np.float64) @ model.class_w.astype(np.float64)
+def class_probabilities(model: ShallowModel, rows) -> np.ndarray:
+    """P/V/N probabilities (n, 3), in float64, of n pooled rows: an (n, k)
+    array or a list of n vectors, none for n = 0. The product with class_w
+    is a matmul stacked over rows of one, so each row takes BLAS's
+    matrix-vector path on its own, whatever n is."""
+    x = np.asarray(rows, dtype=np.float64).reshape(len(rows), model.k)
+    logits = ((x[:, None, :] @ model.class_w.astype(np.float64))[:, 0, :]
               + model.class_b.astype(np.float64))
-    probs = row_softmax(logits[None, :])[0]
-    return SentimentScore(p=float(probs[0]), v=float(probs[1]),
-                          n=float(probs[2]))
+    return row_softmax(logits)
 
 
 def _unit_loss_and_grads(model: ShallowModel, units, cached_ids):
@@ -208,19 +214,6 @@ def training_loss_and_grads(model: ShallowModel, units):
     return _unit_loss_and_grads(model, units, cached)
 
 
-def _predicted_classes(model: ShallowModel, cached_ids) -> np.ndarray:
-    """Index into CLASSES of score(model, model.pooled(ids)).argmax_class()
-    per unit, from one float64 softmax over the stacked units: score's
-    per-row products, and argmax_class's tie order (N, then V, then P)."""
-    x = np.stack([model.pooled(ids) for ids in cached_ids]).astype(np.float64)
-    logits = ((x[:, None, :] @ model.class_w.astype(np.float64))[:, 0, :]
-              + model.class_b.astype(np.float64))
-    probs = row_softmax(logits)
-    best = probs.max(axis=1)
-    return np.where(probs[:, 2] == best, 2,
-                    np.where(probs[:, 1] == best, 1, 0))
-
-
 @dataclass
 class AuthorEpochRecord:
     epoch: int
@@ -249,8 +242,6 @@ def train_author(model: ShallowModel, units, cfg: PipelineConfig, rng):
                          f"{missing}")
     cached = [model.feature_ids(u.lines) for u in units]
     records: list[AuthorEpochRecord] = []
-    if cfg.author_epochs == 0:
-        return model, records
     optimizer = make_optimizer(cfg.author_optimizer, cfg.author_lr,
                                cfg.author_clip_norm)
     params = model.param_list()
@@ -279,7 +270,9 @@ def train_author(model: ShallowModel, units, cfg: PipelineConfig, rng):
             optimizer.step(params, grads)
             epoch_loss += loss
             n_batches += 1
-        correct = int(np.sum(_predicted_classes(model, cached) == target))
+        predicted = argmax_classes(class_probabilities(
+            model, [model.pooled(ids) for ids in cached]))
+        correct = int(np.sum(predicted == target))
         records.append(AuthorEpochRecord(epoch, epoch_loss / n_batches,
                                          correct / len(units)))
     return model, records

@@ -37,6 +37,7 @@ _RATIO = (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
 _PROBABILITY = (lambda v: 0 <= v <= 1, "in [0, 1]")
 _FRACTION = (lambda v: 0 <= v < 1, "in [0, 1)")
 _SUCCESS_RATE = (lambda v: 0 < v <= 1, "in (0, 1]")
+_OPTIMIZER = (lambda v: v in ("sgd", "adam"), "sgd or adam")
 
 
 @dataclass
@@ -44,7 +45,7 @@ class PipelineConfig:
     corpus: str = _key("paths", "")
     ground_truth: str = _key("paths", "")
     out: str = _key("paths", "out")
-    min_tf: int = _key("preprocessing", 10)
+    min_tf: int = _key("preprocessing", 10, _SIZE)
     long_word_limit: int = _key("preprocessing", 30, _SIZE)
     abbreviations: str = _key("preprocessing", "")  # empty: packaged table
     emoticons: str = _key("preprocessing", "")  # empty: packaged patterns
@@ -53,7 +54,7 @@ class PipelineConfig:
     lm_window: int = _key("lm", 35, _SIZE)
     lm_epochs: int = _key("lm", 5, _EPOCHS)
     lm_lr: float = _key("lm", 0.5, _STEP)
-    lm_optimizer: str = _key("lm", "sgd")
+    lm_optimizer: str = _key("lm", "sgd", _OPTIMIZER)
     lm_batch_size: int = _key("lm", 16, _SIZE)
     lm_clip_norm: float = _key("lm", 5.0, _STEP)
     scd_hidden_dim: int = _key("scd", 200, _SIZE)
@@ -62,7 +63,7 @@ class PipelineConfig:
     scd_neg_ratio: float = _key("scd", 5.0, _RATIO)
     scd_epochs: int = _key("scd", 10, _EPOCHS)
     scd_lr: float = _key("scd", 0.05, _STEP)
-    scd_optimizer: str = _key("scd", "sgd")
+    scd_optimizer: str = _key("scd", "sgd", _OPTIMIZER)
     scd_batch_size: int = _key("scd", 32, _SIZE)
     scd_clip_norm: float = _key("scd", 5.0, _STEP)
     scd_val_fraction: float = _key("scd", 0.2, _FRACTION)
@@ -72,14 +73,14 @@ class PipelineConfig:
     author_min_feature_freq: int = _key("author", 5)
     author_epochs: int = _key("author", 8, _EPOCHS)
     author_lr: float = _key("author", 0.1, _STEP)
-    author_optimizer: str = _key("author", "sgd")
+    author_optimizer: str = _key("author", "sgd", _OPTIMIZER)
     author_batch_size: int = _key("author", 32, _SIZE)
     author_clip_norm: float = _key("author", 5.0, _STEP)
     author_balance: bool = _key("author", True)
     seed: int = _key("run", 1)
     use_bias: bool = _key("run", True)
-    synth_n_conversations: int = _key("synth", 500)
-    synth_predator_fraction: float = _key("synth", 0.05)
+    synth_n_conversations: int = _key("synth", 500, _SIZE)
+    synth_predator_fraction: float = _key("synth", 0.05, _FRACTION)
     synth_geometric_p: float = _key("synth", 0.08, _SUCCESS_RATE)
     synth_marker_density: float = _key("synth", 0.3, _PROBABILITY)
 

@@ -85,10 +85,10 @@ def row_log_softmax64(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _clip_scale(params, grads, clip_norm: float | None) -> float:
+def _clip_scale(params, grads, clip_norm: float) -> float:
     """Check that grads match params one for one in shape, then return the
     factor that brings the global gradient norm down to clip_norm (1.0
-    without a clip or when the norm is within it)."""
+    when the norm is within it)."""
     if len(params) != len(grads):
         raise ShapeError(f"optimizer: {len(params)} params vs {len(grads)} "
                          "grads")
@@ -96,8 +96,6 @@ def _clip_scale(params, grads, clip_norm: float | None) -> float:
         if p.shape != g.shape:
             raise ShapeError(f"optimizer: param shape {p.shape} vs grad "
                              f"shape {g.shape}")
-    if clip_norm is None:
-        return 1.0
     norm = float(np.sqrt(sum(float(np.sum(np.asarray(g, np.float64) ** 2))
                              for g in grads)))
     return clip_norm / norm if norm > clip_norm else 1.0
@@ -106,7 +104,7 @@ def _clip_scale(params, grads, clip_norm: float | None) -> float:
 class SgdOptimizer:
     """In-place p <- p - lr*g after global gradient-norm clipping."""
 
-    def __init__(self, lr: float, clip_norm: float | None):
+    def __init__(self, lr: float, clip_norm: float):
         self.lr = lr
         self.clip_norm = clip_norm
 
@@ -122,7 +120,7 @@ class AdamOptimizer:
     Applies the same global-norm clip as SGD before the moment update.
     """
 
-    def __init__(self, lr: float, clip_norm: float | None):
+    def __init__(self, lr: float, clip_norm: float):
         self.lr = lr
         self.clip_norm = clip_norm
         self._m = None
@@ -147,7 +145,7 @@ class AdamOptimizer:
             p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + 1e-8)
 
 
-def make_optimizer(name: str, lr: float, clip_norm: float | None):
+def make_optimizer(name: str, lr: float, clip_norm: float):
     if name == "sgd":
         return SgdOptimizer(lr, clip_norm)
     if name == "adam":

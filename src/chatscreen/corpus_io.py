@@ -203,12 +203,11 @@ def write_pan_corpus(conversations) -> bytes:
     return "".join(parts).encode("utf-8")
 
 
-def parse_ground_truth(source) -> set[str]:
-    """Newline-delimited author ids from a path or bytes; trimmed,
-    deduplicated, blanks skipped. Only CR and LF end a line (read_text
-    turns CR LF and CR into LF), so an id may hold any other character."""
-    text = (source.decode("utf-8") if isinstance(source, bytes)
-            else read_text(source))
+def parse_ground_truth(path) -> set[str]:
+    """Newline-delimited author ids; trimmed, deduplicated, blanks skipped.
+    Only CR and LF end a line (read_text turns CR LF and CR into LF), so an
+    id may hold any other character."""
+    text = read_text(path)
     return {line.strip() for line in text.split("\n") if line.strip()}
 
 
@@ -235,8 +234,6 @@ class FilterReport:
     """Before/after corpus attributes in the four-row layout used by the
     filter stage's report file."""
 
-    conversations_before: int = 0
-    conversations_after: int = 0
     positive_before: int = 0
     positive_after: int = 0
     negative_before: int = 0
@@ -260,16 +257,16 @@ class FilterReport:
         return "\n".join(lines) + "\n"
 
 
-def filter_corpus(labeled, predator_ids):
+def filter_corpus(conversations, predator_ids):
     """Drop messages that normalize to zero tokens, participants left with
     no lines, and conversations left empty. Texts must already be
-    normalized. Returns (filtered labeled list, FilterReport)."""
+    normalized. A conversation is positive iff a known predator takes part
+    in it before filtering. Returns (filtered labeled list, FilterReport)."""
     report = FilterReport()
     filtered: list[tuple[Conversation, bool]] = []
     authors_before: set[str] = set()
     authors_after: set[str] = set()
-    for conv, positive in labeled:
-        report.conversations_before += 1
+    for conv, positive in label_conversations(conversations, predator_ids):
         if positive:
             report.positive_before += 1
         else:
@@ -280,7 +277,6 @@ def filter_corpus(labeled, predator_ids):
             continue
         authors_after.update(m.author for m in kept)
         filtered.append((Conversation(conv.id, kept), positive))
-        report.conversations_after += 1
         if positive:
             report.positive_after += 1
         else:

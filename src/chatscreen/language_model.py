@@ -46,17 +46,15 @@ class LanguageModel:
 
     @classmethod
     def create(cls, vocab: Vocabulary, embedding_dim: int, hidden_dim: int,
-               window: int, rng, use_bias: bool = True,
-               dtype=np.float32) -> "LanguageModel":
+               window: int, rng, use_bias: bool = True) -> "LanguageModel":
         v = len(vocab)
-        embedding = init_uniform(rng, v, embedding_dim, fan_in=embedding_dim,
-                                 dtype=dtype)
+        embedding = init_uniform(rng, v, embedding_dim, fan_in=embedding_dim)
         layer1 = LstmLayerParams.init(rng, embedding_dim, hidden_dim,
-                                      use_bias=use_bias, dtype=dtype)
+                                      use_bias=use_bias)
         layer2 = LstmLayerParams.init(rng, hidden_dim, hidden_dim,
-                                      use_bias=use_bias, dtype=dtype)
-        out_w = init_uniform(rng, hidden_dim, v, fan_in=hidden_dim, dtype=dtype)
-        out_b = np.zeros(v, dtype=dtype)
+                                      use_bias=use_bias)
+        out_w = init_uniform(rng, hidden_dim, v, fan_in=hidden_dim)
+        out_b = np.zeros(v, dtype=np.float32)
         return cls(vocab, embedding, layer1, layer2, out_w, out_b, window)
 
     def validate(self) -> None:

@@ -92,28 +92,18 @@ def format_metric(value: float | None) -> str:
     return ABSENT_MARK if value is None else f"{value:.4f}"
 
 
-@dataclass
-class ReportRow:
-    name: str
-    counts: ConfusionCounts
-
-    def cells(self) -> list[str]:
-        f1 = precision_recall_f(self.counts, 1.0)
-        f05 = precision_recall_f(self.counts, 0.5)
-        return [self.name, str(self.counts.retrieved),
-                str(self.counts.tp),
-                format_metric(f1.precision), format_metric(f1.recall),
-                format_metric(f1.f_beta), format_metric(f05.f_beta)]
-
-
-def format_report(rows) -> str:
-    """Aligned text table: RETR., REL., P, R, F1, F0.5 per row."""
+def format_report(name: str, counts: ConfusionCounts) -> str:
+    """Aligned text table of one run: RETR., REL., P, R, F1, F0.5."""
+    f1 = precision_recall_f(counts, 1.0)
+    f05 = precision_recall_f(counts, 0.5)
     header = ["run", "RETR.", "REL.", "P", "R", "F1", "F0.5"]
-    table = [header] + [row.cells() for row in rows]
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+    row = [name, str(counts.retrieved), str(counts.tp),
+           format_metric(f1.precision), format_metric(f1.recall),
+           format_metric(f1.f_beta), format_metric(f05.f_beta)]
+    widths = [max(len(a), len(b)) for a, b in zip(header, row)]
     lines = []
-    for r in table:
+    for r in (header, row):
         cells = [r[0].ljust(widths[0])]
-        cells += [r[i].rjust(widths[i]) for i in range(1, len(header))]
+        cells += [c.rjust(w) for c, w in zip(r[1:], widths[1:])]
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines) + "\n"

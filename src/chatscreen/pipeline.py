@@ -18,8 +18,8 @@ from .config import PipelineConfig
 from .core_math import Rng
 from .errors import DataFormatError, UsageError
 from .language_model import LanguageModel, perplexity, train_lm
-from .metrics import (ReportRow, accuracy, confusion, format_metric,
-                      format_report, precision_recall_f)
+from .metrics import (accuracy, confusion, format_metric, format_report,
+                      precision_recall_f)
 from .preprocessing import (NormRuleSet, Vocabulary, build_vocabulary,
                             default_rules, encode, load_abbreviations,
                             load_emoticon_patterns, normalize_text, tokenize,
@@ -111,13 +111,12 @@ def run_preprocess(cfg: PipelineConfig) -> None:
              for m in conv.messages])
         for conv in parsed.conversations
     ]
-    labeled = corpus_io.label_conversations(normalized, truth)
-    filtered, report = corpus_io.filter_corpus(labeled, truth)
+    filtered, report = corpus_io.filter_corpus(normalized, truth)
     write_atomic(out / NORMALIZED_XML, corpus_io.write_pan_corpus(
         [c for c, _ in filtered]))
     write_atomic(out / FILTER_REPORT, report.format_table())
-    print(f"preprocess: {report.conversations_before} -> "
-          f"{report.conversations_after} conversations -> {out / NORMALIZED_XML}")
+    print(f"preprocess: {len(normalized)} -> {len(filtered)} conversations "
+          f"-> {out / NORMALIZED_XML}")
 
 
 def run_build_vocab(cfg: PipelineConfig) -> None:
@@ -341,10 +340,12 @@ def run_score_authors(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     model = model_store.load(_artifact(cfg, AUTHOR_MODEL, "train-author"))
     units = _author_units(_load_normalized(cfg))
+    probs = ac.class_probabilities(
+        model, [ac.featurize(model, unit.lines) for unit in units])
     per_author: dict[str, list[ac.SentimentScore]] = {}
-    for unit in units:
-        feats = ac.featurize(model, unit.lines)
-        per_author.setdefault(unit.author, []).append(ac.score(model, feats))
+    for unit, (p, v, n) in zip(units, probs.tolist()):
+        per_author.setdefault(unit.author, []).append(
+            ac.SentimentScore(p, v, n))
     rows = []
     for author in sorted(per_author):
         avg = ac.average_author_scores(per_author[author])
@@ -433,7 +434,7 @@ def run_identify(cfg: PipelineConfig) -> None:
     corpus_io.write_ground_truth(flagged, out / PREDATORS_FILE)
     counts = confusion(flagged, truth, authors | truth)
     report = "Predator identification vs ground truth\n"
-    report += format_report([ReportRow("chatscreen", counts)])
+    report += format_report("chatscreen", counts)
     report += f"accuracy={accuracy(counts):.6f}\n"
     write_atomic(out / REPORT_FILE, report)
     prf = precision_recall_f(counts, 0.5)

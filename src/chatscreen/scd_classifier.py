@@ -53,14 +53,13 @@ class ScdModel:
 
     @classmethod
     def create(cls, rng, input_dim: int, hidden_dim: int, use_bias: bool = True,
-               masked: bool = True, dtype=np.float32) -> "ScdModel":
+               masked: bool = True) -> "ScdModel":
         layer1 = LstmLayerParams.init(rng, input_dim, hidden_dim,
-                                      use_bias=use_bias, dtype=dtype)
+                                      use_bias=use_bias)
         layer2 = LstmLayerParams.init(rng, hidden_dim, hidden_dim,
-                                      use_bias=use_bias, dtype=dtype)
-        head_w = init_uniform(rng, hidden_dim, 1, fan_in=hidden_dim,
-                              dtype=dtype)[:, 0]
-        head_b = np.zeros(1, dtype=dtype)
+                                      use_bias=use_bias)
+        head_w = init_uniform(rng, hidden_dim, 1, fan_in=hidden_dim)[:, 0]
+        head_b = np.zeros(1, dtype=np.float32)
         return cls(layer1, layer2, head_w, head_b, masked=masked)
 
     def validate(self) -> None:
@@ -177,7 +176,6 @@ def _chunk_probabilities(model: ScdModel, chunks) -> np.ndarray:
 
 @dataclass
 class ScdPrediction:
-    conversation_id: str
     max_prob: float
     verdict: bool
 
@@ -193,8 +191,7 @@ def predict_scd(model: ScdModel, chunks, threshold: float) -> ScdPrediction:
         raise UsageError(f"predict_scd: chunks from several conversations {ids}")
     probs = _chunk_probabilities(model, chunks)
     max_prob = float(probs.max())
-    return ScdPrediction(conversation_id=chunks[0].conversation_id,
-                         max_prob=max_prob, verdict=max_prob >= threshold)
+    return ScdPrediction(max_prob=max_prob, verdict=max_prob >= threshold)
 
 
 @dataclass
@@ -268,8 +265,6 @@ def train_scd(chunks, cfg: PipelineConfig, rng, val_chunks=None):
     model = ScdModel.create(rng, input_dim, cfg.scd_hidden_dim,
                             use_bias=cfg.use_bias, masked=cfg.scd_masked)
     records: list[ScdEpochRecord] = []
-    if cfg.scd_epochs == 0:
-        return model, records
     optimizer = make_optimizer(cfg.scd_optimizer, cfg.scd_lr,
                                cfg.scd_clip_norm)
     params = model.param_list()

@@ -11,14 +11,16 @@ masked_head_window_grads is the language model's window loss and gradients
 with the output layer run on every row and the rows without a target
 masked out afterwards; per_unit_author_loss_and_grads is the author
 scorer's batch loss and gradients as a loop over the units, which the
-batched form must match bit for bit.
+batched form must match bit for bit; score is the author scorer's
+one-unit float64 scoring, which class_probabilities must match bit for bit
+on each row.
 """
 
 import math
 
 import numpy as np
 
-from chatscreen.author_classifier import CLASSES
+from chatscreen.author_classifier import CLASSES, SentimentScore, ShallowModel
 from chatscreen.core_math import LOG_EPS, row_softmax
 from chatscreen.lstm import backward_stack
 
@@ -242,3 +244,11 @@ def per_unit_author_loss_and_grads(model, units, cached_ids):
             dx = model.class_w @ d_logits
             np.add.at(d_emb, ids, dx / len(ids))
     return total * scale, [d_emb, d_w, d_b]
+
+
+def score(model: ShallowModel, features: np.ndarray) -> SentimentScore:
+    logits = (features.astype(np.float64) @ model.class_w.astype(np.float64)
+              + model.class_b.astype(np.float64))
+    probs = row_softmax(logits[None, :])[0]
+    return SentimentScore(p=float(probs[0]), v=float(probs[1]),
+                          n=float(probs[2]))

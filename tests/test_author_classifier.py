@@ -6,12 +6,11 @@ import pytest
 from chatscreen import author_classifier
 from chatscreen.author_classifier import (CLASSES, AuthorUnit, AuthorVerdict,
                                           SentimentScore, ShallowModel,
-                                          _predicted_classes,
                                           _unit_loss_and_grads,
                                           average_author_scores,
-                                          build_feature_vocab, featurize,
-                                          identify_predators, score,
-                                          train_author,
+                                          build_feature_vocab,
+                                          class_probabilities, featurize,
+                                          identify_predators, train_author,
                                           training_loss_and_grads,
                                           unit_features)
 from chatscreen.config import PipelineConfig
@@ -19,11 +18,17 @@ from chatscreen.core_math import Rng, gradient_check
 from chatscreen.corpus_io import Conversation, Message
 from chatscreen.errors import UsageError
 
-from oracles import per_unit_author_loss_and_grads, scalar_softmax
+from oracles import per_unit_author_loss_and_grads, scalar_softmax, score
 
 
 def model_with_features(features, k=4, seed=3):
     return ShallowModel.create(Rng(seed), features, k)
+
+
+def one_row(model, features):
+    """class_probabilities of one pooled row, as a SentimentScore."""
+    p, v, n = class_probabilities(model, features[None, :])[0]
+    return SentimentScore(float(p), float(v), float(n))
 
 
 class TestSentimentScore:
@@ -92,7 +97,7 @@ class TestScore:
         model = model_with_features(["a"])
         model.class_w[:] = 0
         model.class_b[:] = 0
-        result = score(model, np.zeros(model.k, dtype=np.float32))
+        result = one_row(model, np.zeros(model.k, dtype=np.float32))
         assert abs(result.p - 1 / 3) < 1e-12
         assert abs(result.v - 1 / 3) < 1e-12
 
@@ -100,7 +105,7 @@ class TestScore:
         model = model_with_features(["a"]).astype(np.float64)
         model.class_w[:] = 0
         model.class_b[:] = [math.log(2), 0.0, 0.0]
-        result = score(model, np.zeros(model.k, dtype=np.float64))
+        result = one_row(model, np.zeros(model.k, dtype=np.float64))
         assert abs(result.p - 0.5) < 1e-12
         assert abs(result.v - 0.25) < 1e-12
         assert abs(result.n - 0.25) < 1e-12
@@ -108,7 +113,7 @@ class TestScore:
     def test_matches_direct_softmax_oracle(self):
         model = model_with_features(["a", "b"], k=5, seed=9)
         feats = Rng(10).uniform(-1, 1, (5,), dtype=np.float32)
-        result = score(model, feats)
+        result = one_row(model, feats)
         logits = (feats.astype(np.float64) @ model.class_w.astype(np.float64)
                   + model.class_b.astype(np.float64))
         expect = scalar_softmax(logits.tolist())
@@ -119,15 +124,31 @@ class TestScore:
         model = model_with_features(["a", "b"], k=5, seed=9)
         rng = Rng(11)
         for _ in range(20):
-            result = score(model, rng.uniform(-9, 9, (5,), dtype=np.float32))
+            result = one_row(model, rng.uniform(-9, 9, (5,), dtype=np.float32))
             assert abs(result.p + result.v + result.n - 1.0) <= 1e-9
 
     def test_argmax_invariant_under_logit_shift(self):
         model = model_with_features(["a"], k=3, seed=4)
         feats = Rng(5).uniform(-1, 1, (3,), dtype=np.float32)
-        before = score(model, feats).argmax_class()
+        before = one_row(model, feats).argmax_class()
         model.class_b += 7.25
-        assert score(model, feats).argmax_class() == before
+        assert one_row(model, feats).argmax_class() == before
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [4, 16, 64])
+    def test_each_row_equals_the_one_unit_oracle_bit_for_bit(self, dtype, k):
+        # one row at a time and all rows stacked, the zero vector included
+        model = model_with_features(["a"], k=k, seed=k).astype(dtype)
+        model.class_b[:] = Rng(k + 1).uniform(-1, 1, (3,), dtype=dtype)
+        x = Rng(k + 2).uniform(-3, 3, (50, k), dtype=dtype)
+        x[7] = 0
+        stacked = class_probabilities(model, x)
+        assert stacked.dtype == np.float64
+        for i, row in enumerate(x):
+            want = score(model, row).as_array().tobytes()
+            assert class_probabilities(model, row[None, :])[0].tobytes() \
+                == want
+            assert stacked[i].tobytes() == want
 
 
 def make_units(rng, n_per_class, marker):
@@ -237,33 +258,47 @@ class TestBatchedUnits:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_predicted_classes_match_score_with_exact_ties(self, dtype):
-        # class_w the identity and class_b zero: the logits are the pooled
-        # vector, so these embedding rows give exact P/V, V/N, P/N and
-        # three-way ties, and the zero vector of a unit without features
-        # another three-way tie
+        # class_w the identity, class_b zero and lr 0: the logits are the
+        # pooled vector and stay so, and these embedding rows give exact
+        # P/V, V/N, P/N and three-way ties, and the zero vector of a unit
+        # without features another three-way tie
         rows = [[1, 1, 0], [0, 2, 2], [1, 1, 1], [3, 0, 1], [2, 0, 2],
                 [0, 3, 1], [0.5, 0.25, 0.125]]
         features = [f"f{i}" for i in range(len(rows))]
-        model = ShallowModel(features, np.array(rows, dtype=dtype),
-                             np.eye(3, dtype=dtype), np.zeros(3, dtype=dtype))
-        cached = [[0], [1], [2], [3], [4], [5], [6], [], [0, 1], [3, 5],
-                  [0, 0, 2]]
-        want = [CLASSES.index(score(model, model.pooled(ids)).argmax_class())
-                for ids in cached]
-        assert want[:6] == [1, 2, 2, 0, 2, 1]
-        assert _predicted_classes(model, cached).tolist() == want
+        lines = [[["f0"]], [["f1"]], [["f2"]], [["f3"]], [["f4"]], [["f5"]],
+                 [["f6"]], [["unheard"]], [["f0", "f1"]], [["f3", "f5"]],
+                 [["f0", "f0", "f2"]]]
+
+        def fresh():
+            return ShallowModel(features, np.array(rows, dtype=dtype),
+                                np.eye(3, dtype=dtype),
+                                np.zeros(3, dtype=dtype))
+
+        model = fresh()
+        want = [score(model, model.pooled(model.feature_ids(unit_lines)))
+                .argmax_class() for unit_lines in lines]
+        assert want[:6] == ["V", "N", "N", "P", "N", "V"]
+        cfg = PipelineConfig(author_epochs=1, author_lr=0.0)
+        for labels in (want, ["P"] * 4 + ["V"] * 4 + ["N"] * 3):
+            units = [AuthorUnit(f"a{i}", f"c{i}", unit_lines, label)
+                     for i, (unit_lines, label) in enumerate(zip(lines,
+                                                                 labels))]
+            _, records = train_author(fresh(), units, cfg, Rng(3))
+            hits = sum(w == label for w, label in zip(want, labels))
+            assert records[0].train_accuracy == hits / len(units)
 
     def test_predicted_classes_match_score_on_a_trained_model(self):
         units = make_units(Rng(1), 12, MARKERS)
         features = build_feature_vocab(units, min_freq=1)
         units += [AuthorUnit("x", "cx", [["unheard"]], "N")]
+        units[3] = AuthorUnit("y", "cy", units[3].lines, "N")
         model = ShallowModel.create(Rng(2), features, 8)
-        train_author(model, units, PipelineConfig(author_epochs=3,
-                                                  author_lr=0.5), Rng(3))
-        cached = [model.feature_ids(u.lines) for u in units]
-        want = [CLASSES.index(score(model, model.pooled(ids)).argmax_class())
-                for ids in cached]
-        assert _predicted_classes(model, cached).tolist() == want
+        _, records = train_author(model, units,
+                                  PipelineConfig(author_epochs=3,
+                                                 author_lr=0.5), Rng(3))
+        hits = sum(score(model, model.pooled(model.feature_ids(u.lines)))
+                   .argmax_class() == u.label for u in units)
+        assert records[-1].train_accuracy == hits / len(units)
 
     def test_training_equals_the_per_unit_loop(self, monkeypatch):
         units = make_units(Rng(1), 9, MARKERS)
@@ -275,11 +310,9 @@ class TestBatchedUnits:
                                       units, cfg, Rng(3))
         monkeypatch.setattr(author_classifier, "_unit_loss_and_grads",
                             per_unit_author_loss_and_grads)
-        monkeypatch.setattr(author_classifier, "_predicted_classes",
-                            lambda model, cached: np.array([
-                                CLASSES.index(score(model, model.pooled(ids))
-                                              .argmax_class())
-                                for ids in cached]))
+        monkeypatch.setattr(author_classifier, "class_probabilities",
+                            lambda model, x: np.array([
+                                score(model, row).as_array() for row in x]))
         loop_model, loop_records = train_author(
             ShallowModel.create(Rng(2), features, 8), units, cfg, Rng(3))
         assert records == loop_records

@@ -110,7 +110,8 @@ class TestConfig:
             keys[(section, f.name.removeprefix(f"{section}_"))] = f
         assert len(keys) == len(fields(PipelineConfig))
         changed = {"int": lambda d: d + 1, "float": lambda d: d + 0.5,
-                   "bool": lambda d: not d, "str": lambda d: d + "x"}
+                   "bool": lambda d: not d,
+                   "str": lambda d: "adam" if d == "sgd" else d + "x"}
         for (section, key), f in keys.items():
             value = changed[f.type](f.default)
             path = tmp_path / f"{f.name}.cfg"
@@ -240,6 +241,13 @@ class TestExitCodes:
         ("lm", "window", "0"), ("scd", "chunk_len", "0"),
         ("preprocessing", "long_word_limit", "0"),
         ("synth", "geometric_p", "0"), ("synth", "marker_density", "2"),
+        ("lm", "optimizer", "adagrad"), ("scd", "optimizer", "adagrad"),
+        ("author", "optimizer", "adagrad"), ("lm", "optimizer", "SGD"),
+        ("preprocessing", "min_tf", "0"),
+        ("synth", "n_conversations", "0"),
+        ("synth", "predator_fraction", "1"),
+        ("synth", "predator_fraction", "-0.1"),
+        ("synth", "predator_fraction", "nan"),
     ])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
                                                section, key, value):
@@ -587,6 +595,13 @@ class TestStageFiles:
         for cmd in ["preprocess", "train-scd", "eval-scd", "train-author",
                     "identify"]:
             assert main([cmd, "--config", str(cfg_path)]) == 1, cmd
+
+    def test_score_authors_on_an_empty_corpus(self, small_run, tmp_path):
+        out, cfg_path = copy_run(small_run, tmp_path)
+        (out / "normalized.xml").write_bytes(
+            corpus_io.write_pan_corpus([]))
+        assert main(["score-authors", "--config", str(cfg_path)]) == 0
+        assert (out / "author_scores.tsv").read_bytes() == b""
 
 
 ARTIFACTS = ["normalized.xml", "filter_report.txt", "vocab.txt", "lm.model",

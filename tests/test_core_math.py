@@ -122,12 +122,12 @@ class TestCrossEntropy:
 class TestSgdStep:
     def test_zero_lr_no_change(self):
         p = np.array([1.0, 2.0])
-        SgdOptimizer(lr=0.0, clip_norm=None).step([p], [np.array([5.0, 5.0])])
+        SgdOptimizer(lr=0.0, clip_norm=100.0).step([p], [np.array([5.0, 5.0])])
         assert np.array_equal(p, [1.0, 2.0])
 
     def test_basic_step(self):
         p = np.array([1.0])
-        SgdOptimizer(lr=0.5, clip_norm=None).step([p], [np.array([2.0])])
+        SgdOptimizer(lr=0.5, clip_norm=100.0).step([p], [np.array([2.0])])
         assert np.array_equal(p, [0.0])
 
     def test_global_norm_clip_scales_gradient(self):
@@ -142,7 +142,7 @@ class TestSgdStep:
         assert abs(p[0] - 0.5) < 1e-12
 
     def test_shape_mismatch(self):
-        opt = SgdOptimizer(lr=0.1, clip_norm=None)
+        opt = SgdOptimizer(lr=0.1, clip_norm=100.0)
         with pytest.raises(ShapeError):
             opt.step([np.zeros(2)], [np.zeros(3)])
         with pytest.raises(ShapeError):

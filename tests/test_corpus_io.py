@@ -170,17 +170,23 @@ class TestArtifactFiles:
             parse_ground_truth(path)
 
 
+def truth_file(tmp_path, data: bytes):
+    path = tmp_path / "truth.txt"
+    path.write_bytes(data)
+    return path
+
+
 class TestGroundTruth:
-    def test_dedupe_and_trim(self):
-        ids = parse_ground_truth(b"abc\n  def  \nabc\n")
+    def test_dedupe_and_trim(self, tmp_path):
+        ids = parse_ground_truth(truth_file(tmp_path, b"abc\n  def  \nabc\n"))
         assert ids == {"abc", "def"}
 
-    def test_empty_file(self):
-        assert parse_ground_truth(b"\n\n") == set()
+    def test_empty_file(self, tmp_path):
+        assert parse_ground_truth(truth_file(tmp_path, b"\n\n")) == set()
 
-    def test_hex_id_verbatim(self):
-        raw = b"004ed4354a09e2c33117335adb24e333\n"
-        assert parse_ground_truth(raw) == {"004ed4354a09e2c33117335adb24e333"}
+    def test_hex_id_verbatim(self, tmp_path):
+        path = truth_file(tmp_path, b"004ed4354a09e2c33117335adb24e333\n")
+        assert parse_ground_truth(path) == {"004ed4354a09e2c33117335adb24e333"}
 
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "truth.txt"
@@ -224,35 +230,37 @@ class TestLabeling:
 class TestFilterCorpus:
     def test_emoticon_only_conversation_dropped(self):
         # ":)" normalizes to an empty string upstream of the filter
-        labeled = [(conv("c", ("a", "")), False)]
-        filtered, report = filter_corpus(labeled, set())
+        filtered, report = filter_corpus([conv("c", ("a", ""))], set())
         assert filtered == []
-        assert report.conversations_before == 1
-        assert report.conversations_after == 0
+        assert (report.negative_before, report.negative_after) == (1, 0)
 
     def test_normal_conversation_retained(self):
-        labeled = [(conv("c", ("a", "hello there")), False)]
-        filtered, _ = filter_corpus(labeled, set())
+        filtered, _ = filter_corpus([conv("c", ("a", "hello there"))], set())
         assert len(filtered) == 1
 
     def test_counts_reported(self):
-        labeled = []
-        for i in range(7):
-            labeled.append((conv(f"keep{i}", ("a", "words here")), i < 2))
-        for i in range(3):
-            labeled.append((conv(f"drop{i}", ("b", "")), False))
-        filtered, report = filter_corpus(labeled, predator_ids={"a"})
+        # positives come from predator_ids: "p" takes part in keep0, keep1
+        # and drop0, and the empty drop0 is filtered out
+        convs = [conv(f"keep{i}", ("a", "words here"),
+                      ("p" if i < 2 else "b", "more words"))
+                 for i in range(7)]
+        convs += [conv("drop0", ("p", "")),
+                  conv("drop1", ("b", "")), conv("drop2", ("c", ""))]
+        filtered, report = filter_corpus(convs, predator_ids={"p"})
         assert len(filtered) == 7
-        assert report.conversations_before == 10
-        assert report.conversations_after == 7
-        assert report.positive_before == 2 and report.positive_after == 2
+        assert [c.id for c, positive in filtered if positive] == \
+            ["keep0", "keep1"]
+        assert (report.positive_before, report.positive_after) == (3, 2)
+        assert (report.negative_before, report.negative_after) == (7, 5)
+        assert (report.predators_before, report.predators_after) == (1, 1)
+        assert (report.authors_before, report.authors_after) == (4, 3)
         table = report.format_table()
         assert "Original" in table and "Filtered" in table
         assert "Predators" in table
 
     def test_participant_with_only_empty_lines_dropped(self):
-        labeled = [(conv("c", ("a", "hello"), ("ghost", "")), False)]
-        filtered, _ = filter_corpus(labeled, set())
+        filtered, _ = filter_corpus([conv("c", ("a", "hello"), ("ghost", ""))],
+                                    set())
         authors = {m.author for m in filtered[0][0].messages}
         assert authors == {"a"}
 

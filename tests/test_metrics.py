@@ -1,9 +1,9 @@
 import pytest
 
 from chatscreen.errors import UsageError
-from chatscreen.metrics import (ConfusionCounts, ReportRow, accuracy,
-                                confusion, f_beta_from_pr, format_metric,
-                                format_report, precision_recall_f)
+from chatscreen.metrics import (ConfusionCounts, accuracy, confusion,
+                                f_beta_from_pr, format_metric, format_report,
+                                precision_recall_f)
 
 
 class TestConfusion:
@@ -137,11 +137,14 @@ class TestReport:
         assert format_metric(0.98765) == "0.9877"
 
     def test_report_layout(self):
-        rows = [ReportRow("top", ConfusionCounts(tp=200, fp=4, tn=0, fn=54)),
-                ReportRow("empty", ConfusionCounts(tp=0, fp=0, tn=10, fn=5))]
-        text = format_report(rows)
-        lines = text.splitlines()
-        assert lines[0].split() == ["run", "RETR.", "REL.", "P", "R", "F1",
-                                    "F0.5"]
-        assert "0.9346" in lines[1]
-        assert "—" in lines[2]
+        text = format_report("chatscreen",
+                             ConfusionCounts(tp=200, fp=4, tn=0, fn=54))
+        assert text == (
+            "run         RETR.  REL.       P       R      F1    F0.5\n"
+            "chatscreen    204   200  0.9804  0.7874  0.8734  0.9346\n")
+
+    def test_report_layout_with_every_metric_absent(self):
+        text = format_report("chatscreen",
+                             ConfusionCounts(tp=0, fp=0, tn=10, fn=5))
+        assert text == ("run         RETR.  REL.  P       R  F1  F0.5\n"
+                        "chatscreen      0     0  —  0.0000   —     —\n")

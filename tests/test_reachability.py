@@ -13,6 +13,12 @@ counts for top-level names only. Imports, assignments and keyword
 arguments do not count, and neither do uses inside the name's own
 definition. Dunder methods are called by Python, not by name, and are
 exempt.
+
+A defaulted parameter counts as used when some src/chatscreen call to a
+function of that name passes it, by keyword or by position (after `self`
+or `cls` for a method); a call to a class passes `__init__`'s parameters.
+This too matches by name, so a call to any `create` counts for every
+method called `create`.
 """
 
 import ast
@@ -28,6 +34,13 @@ ALLOWED = {
     "gradient_check",            # criterion 1: finite-difference verifier
     "training_loss_and_grads",   # criterion 1: each model's loss and grads
     "__version__",               # package metadata
+}
+
+# Defaulted parameters kept on purpose although no src/ call passes them.
+ALLOWED_DEFAULTS = {
+    "main(argv)",                 # the CLI tests pass their own argv
+    "gradient_check(epsilon)",    # criterion 1 picks its step
+    "LstmLayerParams.init(dtype)",  # criterion 2 builds float64 cells
 }
 
 # Class members kept on purpose although no src/ statement reads them.
@@ -153,3 +166,79 @@ def test_member_allowlist_names_real_members():
     defined = {qualified for _, qualified, _, _ in class_members()}
     stale = {name for entry in ALLOWED_MEMBERS for name in entry} - defined
     assert not stale, f"allowlisted members that do not exist: {stale}"
+
+
+def functions(tree):
+    """(class or None, function) for each top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield None, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node, fn
+
+
+def defaulted_params():
+    """(module, "qualified(param)", callee name, position or None, param)
+    for each defaulted parameter of each src/ function and method. The
+    callee name of `__init__` is its class's name; the position skips
+    `self` and `cls`, and is None for a keyword-only parameter."""
+    for path in sorted(SRC.glob("*.py")):
+        for cls, fn in functions(ast.parse(path.read_text())):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            skip = 1 if cls is not None and not static else 0
+            callee = cls.name if fn.name == "__init__" else fn.name
+            qualified = f"{cls.name}.{fn.name}" if cls else fn.name
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield (path.name, f"{qualified}({arg.arg})", callee, i - skip,
+                       arg.arg)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield (path.name, f"{qualified}({arg.arg})", callee, None,
+                           arg.arg)
+
+
+def passed_params():
+    """(callee name, positional count or None, keyword names) for each
+    src/ call; the count is None when a `*` splat may pass any number, and
+    a `**` splat counts as passing every keyword."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            splat = any(isinstance(a, ast.Starred) for a in call.args)
+            keywords = {k.arg for k in call.keywords}
+            calls.append((name, None if splat else len(call.args),
+                          keywords))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    calls = passed_params()
+    unpassed = []
+    for module, qualified, callee, position, param in defaulted_params():
+        if qualified in ALLOWED_DEFAULTS:
+            continue
+        if not any(name == callee and (
+                param in keywords or None in keywords
+                or (position is not None
+                    and (count is None or count > position)))
+                   for name, count, keywords in calls):
+            unpassed.append(f"{module}: {qualified}")
+    assert not unpassed, f"no src/ call passes: {unpassed}"
+
+
+def test_default_allowlist_names_real_parameters():
+    defined = {qualified for _, qualified, _, _, _ in defaulted_params()}
+    stale = ALLOWED_DEFAULTS - defined
+    assert not stale, f"allowlisted parameters that do not exist: {stale}"
