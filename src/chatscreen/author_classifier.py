@@ -147,11 +147,24 @@ class ShallowModel:
         idx = self.feature_index
         return [idx[f] for f in unit_features(lines, self.bigrams) if f in idx]
 
-    def pooled(self, ids) -> np.ndarray:
-        """Mean embedding of the feature ids; the zero vector for none."""
-        if not ids:
-            return np.zeros(self.k, dtype=self.dtype)
-        return self.embedding[ids].mean(axis=0)
+
+def _flat_ids(id_lists):
+    """Every list's feature ids back to back, and each list's length."""
+    return (np.array([i for ids in id_lists for i in ids], dtype=np.intp),
+            np.array([len(ids) for ids in id_lists], dtype=np.intp))
+
+
+def pooled(model: ShallowModel, id_lists) -> np.ndarray:
+    """Mean embedding of each list of feature ids, (n, k) in the model
+    dtype; the zero vector for an empty list. The gather ends in a spare
+    row so that every segment start is a row; reduceat gives an empty
+    segment the row at its start, which is zeroed."""
+    ids, counts = _flat_ids(id_lists)
+    starts = np.append(np.cumsum(counts) - counts, len(ids))
+    sums = np.add.reduceat(model.embedding[np.append(ids, 0)], starts,
+                           axis=0)[:-1]
+    sums[counts == 0] = 0
+    return sums / np.maximum(counts, 1).astype(model.dtype)[:, None]
 
 
 def featurize(model: ShallowModel, lines) -> np.ndarray:
@@ -159,52 +172,37 @@ def featurize(model: ShallowModel, lines) -> np.ndarray:
     vector when every feature is out of vocabulary."""
     if not any(line for line in lines):
         raise UsageError("featurize: no tokens")
-    return model.pooled(model.feature_ids(lines))
+    return pooled(model, [model.feature_ids(lines)])[0]
 
 
 def class_probabilities(model: ShallowModel, rows) -> np.ndarray:
     """P/V/N probabilities (n, 3), in float64, of n pooled rows: an (n, k)
-    array or a list of n vectors, none for n = 0. The product with class_w
-    is a matmul stacked over rows of one, so each row takes BLAS's
-    matrix-vector path on its own, whatever n is."""
+    array or a list of n vectors, none for n = 0."""
     x = np.asarray(rows, dtype=np.float64).reshape(len(rows), model.k)
-    logits = ((x[:, None, :] @ model.class_w.astype(np.float64))[:, 0, :]
-              + model.class_b.astype(np.float64))
-    return row_softmax(logits)
+    return row_softmax(x @ model.class_w.astype(np.float64)
+                       + model.class_b.astype(np.float64))
 
 
 def _unit_loss_and_grads(model: ShallowModel, units, cached_ids):
     """Mean 3-class cross-entropy over units and grads for
-    [embedding, class_w, class_b], in one pass of array operations with
-    the float order of a loop over the units: the two products run as
-    matmuls stacked over rows of one, which take BLAS's matrix-vector
-    path per row (one matrix-matrix product rounds differently); the loss
-    and the class gradients add the units left to right, and the scatter
-    adds each unit's rows in unit order."""
-    x = np.stack([model.pooled(ids) for ids in cached_ids])
-    logits = (x[:, None, :] @ model.class_w)[:, 0, :] + model.class_b
-    probs = row_softmax(logits)
+    [embedding, class_w, class_b], in one pass of array operations."""
+    x = pooled(model, cached_ids)
+    probs = row_softmax(x @ model.class_w + model.class_b)
     rows = np.arange(len(units))
     target = np.array([CLASSES.index(u.label) for u in units])
     nll = -np.log(np.maximum(probs[rows, target].astype(np.float64), LOG_EPS))
     d_logits = probs
     d_logits[rows, target] -= 1.0
-    scale = 1.0 / len(units)
-    d_logits *= scale
-    d_w = (x[:, :, None] * d_logits[:, None, :]).sum(axis=0)
-    d_b = d_logits.sum(axis=0)
+    d_logits /= len(units)
+    ids, counts = _flat_ids(cached_ids)
+    dx = (d_logits @ model.class_w.T
+          / np.maximum(counts, 1).astype(model.dtype)[:, None])
     d_emb = np.zeros_like(model.embedding)
-    counts = np.array([len(ids) for ids in cached_ids])
-    live = np.flatnonzero(counts)
-    if len(live):
-        dx = (model.class_w @ d_logits[live, :, None])[:, :, 0]
-        dx /= counts[live, None].astype(dx.dtype)
-        ids = np.concatenate([cached_ids[i] for i in live])
-        # one index per element, not per row: ufunc.at's fast path
-        flat = (ids[:, None] * model.k + np.arange(model.k)).ravel()
-        np.add.at(d_emb.reshape(-1), flat,
-                  np.repeat(dx, counts[live], axis=0).reshape(-1))
-    return float(np.cumsum(nll)[-1]) * scale, [d_emb, d_w, d_b]
+    # one index per element, not per row: ufunc.at's fast path
+    flat = (ids[:, None] * model.k + np.arange(model.k)).ravel()
+    np.add.at(d_emb.reshape(-1), flat,
+              np.repeat(dx, counts, axis=0).reshape(-1))
+    return float(nll.mean()), [d_emb, x.T @ d_logits, d_logits.sum(axis=0)]
 
 
 def training_loss_and_grads(model: ShallowModel, units):
@@ -270,9 +268,8 @@ def train_author(model: ShallowModel, units, cfg: PipelineConfig, rng):
             optimizer.step(params, grads)
             epoch_loss += loss
             n_batches += 1
-        predicted = argmax_classes(class_probabilities(
-            model, [model.pooled(ids) for ids in cached]))
-        correct = int(np.sum(predicted == target))
+        probs = class_probabilities(model, pooled(model, cached))
+        correct = int(np.sum(argmax_classes(probs) == target))
         records.append(AuthorEpochRecord(epoch, epoch_loss / n_batches,
                                          correct / len(units)))
     return model, records

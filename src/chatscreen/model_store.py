@@ -201,27 +201,19 @@ def read_container(path) -> Container:
 
 
 def _layer_tensors(prefix: str, layer: LstmLayerParams):
-    """Format v1 stores an LSTM layer per gate: prefix.Ui ... prefix.bg,
-    written from views of the fused arrays."""
-    sides = "UW" if layer.b is None else "UWb"
-    return [(f"{prefix}.{side}{gate}", getattr(layer, side + gate))
-            for side in sides for gate in "ifog"]
+    """An LSTM layer's fused arrays as prefix.U, prefix.W and, with a bias,
+    prefix.b."""
+    return [(f"{prefix}.{side}", m)
+            for side, m in zip("UWb", layer.param_list())]
 
 
 def _layer_from(container: Container, prefix: str) -> LstmLayerParams:
-    fused = []
-    has_bias = any(f"{prefix}.b{gate}" in container.tensors
-                   for gate in "ifog")
-    for side in "UWb" if has_bias else "UW":
-        names = [f"{prefix}.{side}{gate}" for gate in "ifog"]
-        blocks = [container.tensor(n) for n in names]
-        for name, block in zip(names, blocks):
-            if block.shape != blocks[0].shape:
-                raise ContainerFormatError(
-                    f"tensor {name} has shape {block.shape}, {names[0]} has "
-                    f"{blocks[0].shape}")
-        fused.append(np.concatenate(blocks, axis=-1))
-    return LstmLayerParams(*fused)
+    try:
+        return LstmLayerParams(container.tensor(f"{prefix}.U"),
+                               container.tensor(f"{prefix}.W"),
+                               container.tensors.get(f"{prefix}.b"))
+    except ShapeError as exc:   # its message begins with U, W or b
+        raise ContainerFormatError(f"tensor {prefix}.{exc}") from exc
 
 
 @dataclass

@@ -124,6 +124,10 @@ def _recover_abbreviation(core: str, table: dict[str, str]) -> str:
     return core
 
 
+def _is_emoticon(token: str, rules: NormRuleSet) -> bool:
+    return any(p.fullmatch(token) for p in rules.emoticon_patterns)
+
+
 def normalize_text(raw: str, rules: NormRuleSet | None = None) -> str:
     """Apply the normalization rules; total function, empty in -> empty out."""
     if rules is None:
@@ -131,7 +135,7 @@ def normalize_text(raw: str, rules: NormRuleSet | None = None) -> str:
     ascii_text = raw.encode("ascii", "ignore").decode("ascii")
     out: list[str] = []
     for token in ascii_text.split():
-        if any(p.fullmatch(token) for p in rules.emoticon_patterns):
+        if _is_emoticon(token, rules):
             continue
         if _URL_RE.fullmatch(token):
             out.append(URL_TOKEN)
@@ -150,7 +154,8 @@ def normalize_text(raw: str, rules: NormRuleSet | None = None) -> str:
                 core = _recover_abbreviation(core.lower(),
                                              rules.abbreviation_map)
         rebuilt = prefix + core + suffix
-        if rebuilt:
+        # lowercasing and collapsing can make an emoticon: "C888" -> "c8"
+        if rebuilt == token or (rebuilt and not _is_emoticon(rebuilt, rules)):
             out.append(rebuilt)
     return " ".join(out)
 

@@ -157,14 +157,9 @@ def _chunk_probabilities(model: ScdModel, chunks) -> np.ndarray:
     row are scored in buckets of SCORE_BUCKET_ROWS, each run only as far as
     its own longest chunk, so the cost follows the real steps."""
     order = np.argsort(_read_rows(model, chunks), kind="stable")
-    starts = list(range(SCORE_BUCKET_ROWS, len(order), SCORE_BUCKET_ROWS))
-    # a lone leftover row joins the bucket before it: a one-row product
-    # (each step's s @ W) takes another BLAS path, and its bits would
-    # differ from the same row scored among others
-    if starts and len(order) - starts[-1] == 1:
-        starts.pop()
     finals = np.empty((len(chunks), model.hidden_dim), dtype=model.dtype)
-    for bucket in np.split(order, starts):
+    for bucket in np.split(order, range(SCORE_BUCKET_ROWS, len(order),
+                                        SCORE_BUCKET_ROWS)):
         finals[bucket], _, _ = _final_states(model,
                                              [chunks[i] for i in bucket])
     logits = finals.astype(np.float64) @ model.head_w.astype(np.float64) \

@@ -16,7 +16,8 @@ from chatscreen.config import PipelineConfig, apply_strict_paper, load_config
 from chatscreen.core_math import Rng
 from chatscreen.errors import ConfigError
 from chatscreen.language_model import LanguageModel
-from chatscreen.model_store import VectorBundle, load, save
+from chatscreen.model_store import (VectorBundle, load, read_container,
+                                    save, write_container)
 from chatscreen.preprocessing import (RESERVED_TOKENS, Vocabulary, tokenize,
                                       vocab_to_text)
 
@@ -459,14 +460,14 @@ class TestStageFiles:
             (small_run / "predators.txt").read_bytes()
 
     @pytest.mark.parametrize("file,name,dims,stage", [
-        ("lm.model", "layer1.Uf", lambda rows, cols: (rows // 2, cols * 2),
+        ("lm.model", "layer1.U", lambda rows, cols: (rows // 2, cols * 2),
          "vectorize"),
         ("lm.model", "out_w", lambda rows, cols: (cols, rows), "vectorize"),
         ("vectors.bin", "conv0", lambda rows, cols: (rows * 2, cols // 2),
          "train-scd"),
         ("vectors.bin", "conv0", lambda rows, cols: (rows * 2, cols // 2),
          "eval-scd"),
-    ], ids=["layer1.Uf", "out_w", "conv0-train-scd", "conv0-eval-scd"])
+    ], ids=["layer1.U", "out_w", "conv0-train-scd", "conv0-eval-scd"])
     def test_misshapen_container_tensor_is_data_error(self, small_run,
                                                       tmp_path, capsys, file,
                                                       name, dims, stage):
@@ -488,6 +489,25 @@ class TestStageFiles:
             + raw[end:])
         assert main([stage, "--config", str(cfg_path)]) == 2
         assert name in capsys.readouterr().err
+
+    def test_per_gate_lstm_layout_is_data_error(self, small_run, tmp_path,
+                                                capsys):
+        # the layout before the fused layerK.{U,W,b}: layerK.Ui ... bg
+        out, cfg_path = copy_run(small_run, tmp_path)
+        container = read_container(out / "scd.model")
+        tensors = {}
+        for name, tensor in container.tensors.items():
+            if name.startswith("layer"):
+                prefix, side = name.split(".")
+                tensors.update((f"{prefix}.{side}{gate}", block)
+                               for gate, block in zip(
+                                   "ifog", np.split(tensor, 4, axis=-1)))
+            else:
+                tensors[name] = tensor
+        container.tensors = tensors
+        write_container(container, out / "scd.model")
+        assert main(["eval-scd", "--config", str(cfg_path)]) == 2
+        assert "layer1.U" in capsys.readouterr().err
 
     def test_vector_width_not_the_models_is_data_error(self, small_run,
                                                         tmp_path, capsys):

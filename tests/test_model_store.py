@@ -224,58 +224,68 @@ class TestContainerFormat:
         assert len(MAGIC) == 8
 
 
-def gate_names(prefix, use_bias=True):
-    sides = "UWb" if use_bias else "UW"
-    return [f"{prefix}.{side}{gate}" for side in sides for gate in "ifog"]
+def layer_names(prefix, use_bias=True):
+    return [f"{prefix}.{side}" for side in ("UWb" if use_bias else "UW")]
 
 
 class TestLstmLayout:
-    """Format v1 stores each LSTM layer per gate; the model holds the
-    same numbers fused."""
+    """Each LSTM layer is stored as its fused U, W and optional b."""
 
-    def test_v1_tensor_names_and_order(self):
+    def test_fused_tensor_names_and_order(self):
         lm = container_for_model(lm_fixture())
         assert list(lm.tensors) == (
-            ["embedding"] + gate_names("layer1") + gate_names("layer2")
+            ["embedding"] + layer_names("layer1") + layer_names("layer2")
             + ["out_w", "out_b"])
         shapes = {n: t.shape for n, t in lm.tensors.items()}
-        assert shapes["layer1.Uo"] == (4, 5)
-        assert shapes["layer2.Wg"] == (5, 5)
-        assert shapes["layer2.bf"] == (5,)
+        assert shapes["layer1.U"] == (4, 20)
+        assert shapes["layer2.W"] == (5, 20)
+        assert shapes["layer2.b"] == (20,)
         scd = ScdModel.create(Rng(3), input_dim=5, hidden_dim=6,
                               use_bias=False)
         assert list(container_for_model(scd).tensors) == (
-            gate_names("layer1", False) + gate_names("layer2", False)
+            layer_names("layer1", False) + layer_names("layer2", False)
             + ["head_w", "head_b"])
 
     @pytest.mark.parametrize("use_bias", [False, True])
-    def test_per_gate_container_loads_to_source_model(self, tmp_path,
-                                                      use_bias):
+    def test_fused_container_round_trip(self, tmp_path, use_bias):
         vocab = Vocabulary(list(RESERVED_TOKENS) + ["alpha", "beta"],
                            min_term_frequency=10)
-        model = LanguageModel.create(vocab, 4, 5, 7, Rng(9),
-                                     use_bias=use_bias)
+        models = [LanguageModel.create(vocab, 4, 5, 7, Rng(9),
+                                       use_bias=use_bias),
+                  ScdModel.create(Rng(3), input_dim=5, hidden_dim=6,
+                                  use_bias=use_bias)]
+        loaded = []
+        for model in models:
+            save(model, tmp_path / "fused.model")
+            loaded.append(load(tmp_path / "fused.model"))
+            assert (loaded[-1].layer2.b is None) == (not use_bias)
+            for a, b in zip(model.param_list(), loaded[-1].param_list(),
+                            strict=True):
+                assert a.tobytes() == b.tobytes()
+        for tokens in ([], ["alpha", "beta", "zzz"], ["beta"] * 9):
+            assert np.array_equal(sentence_vector(loaded[0], tokens),
+                                  sentence_vector(models[0], tokens))
+
+    def test_per_gate_container_is_refused(self, tmp_path):
+        model = lm_fixture()
         tensors = {"embedding": model.embedding}
         for prefix, layer in (("layer1", model.layer1),
                               ("layer2", model.layer2)):
-            blocks = [block for fused in layer.param_list()
-                      for block in np.split(fused, 4, axis=-1)]
-            tensors.update(zip(gate_names(prefix, use_bias), blocks))
+            for side, fused in zip("UWb", layer.param_list()):
+                tensors.update((f"{prefix}.{side}{gate}", block) for gate,
+                               block in zip("ifog",
+                                            np.split(fused, 4, axis=-1)))
         tensors.update(out_w=model.out_w, out_b=model.out_b)
         write_container(Container(
             kind="language_model",
-            metas={"window": "7", "vocab_min_tf": "10"},
-            strtabs={"vocab": list(vocab.tokens)}, tensors=tensors),
-            tmp_path / "hand.model")
-        again = load(tmp_path / "hand.model")
-        for a, b in zip(model.param_list(), again.param_list(), strict=True):
-            assert np.array_equal(a, b)
-        for tokens in ([], ["alpha", "beta", "zzz"], ["beta"] * 9):
-            assert np.array_equal(sentence_vector(again, tokens),
-                                  sentence_vector(model, tokens))
+            metas={"window": "7", "vocab_min_tf": "3"},
+            strtabs={"vocab": list(model.vocab.tokens)}, tensors=tensors),
+            tmp_path / "per_gate.model")
+        with pytest.raises(ContainerFormatError, match="'layer1.U'"):
+            load(tmp_path / "per_gate.model")
 
     @pytest.mark.parametrize("name,shape", [
-        ("layer1.Uf", (2, 10)), ("layer2.bi", (1, 5)),
+        ("layer1.U", (8, 10)), ("layer2.W", (10, 10)), ("layer2.b", (2, 10)),
         ("out_w", (9, 5)), ("embedding", (4, 9))])
     def test_misshapen_tensor_is_format_error(self, name, shape):
         container = container_for_model(lm_fixture())

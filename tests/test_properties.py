@@ -26,6 +26,9 @@ xml_text = st.text(xml_char)
 
 @settings(max_examples=500)
 @given(st.text())
+@example("C8")      # lowercased into an emoticon
+@example("}O=")
+@example("C888")    # lowercased and collapsed into one
 def test_normalize_text_is_idempotent(raw):
     once = normalize_text(raw)
     assert normalize_text(once) == once

@@ -45,7 +45,7 @@ ALLOWED_DEFAULTS = {
 
 # Class members kept on purpose although no src/ statement reads them.
 ALLOWED_MEMBERS = {
-    # model_store writes each layer per gate through getattr(layer, name)
+    # benchmarks/reference.py and tests/oracles.py read them
     tuple(f"LstmLayerParams.{side}{gate}"
           for side in "UWb" for gate in "ifog"),
     # the acceptance suite builds Chunk positionally, so the field stays
