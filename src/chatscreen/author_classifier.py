@@ -12,7 +12,7 @@ no flag on an exact P-score tie), so equality never creates a predator.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,16 +52,6 @@ class SentimentScore:
 
     def argmax_class(self) -> str:
         return CLASSES[int(argmax_classes(self.as_array()))]
-
-
-@dataclass
-class AuthorVerdict:
-    author: str
-    score: SentimentScore
-    predicted_class: str = field(init=False)
-
-    def __post_init__(self):
-        self.predicted_class = self.score.argmax_class()
 
 
 @dataclass
@@ -228,7 +218,8 @@ def train_author(model: ShallowModel, units, cfg: PipelineConfig, rng):
     cfg's [author] recipe.
 
     All three classes must be present. With balance on, each epoch
-    oversamples every class to the majority count. Returns (model, records).
+    oversamples every class to the majority count. Trains model in place
+    and returns one record per epoch.
     """
     units = list(units)
     if not units:
@@ -268,41 +259,44 @@ def train_author(model: ShallowModel, units, cfg: PipelineConfig, rng):
             optimizer.step(params, grads)
             epoch_loss += loss
             n_batches += 1
-        probs = class_probabilities(model, pooled(model, cached))
-        correct = int(np.sum(argmax_classes(probs) == target))
+        correct = 0
+        for start in range(0, len(units), cfg.author_batch_size):
+            stop = start + cfg.author_batch_size
+            probs = class_probabilities(model, pooled(model,
+                                                      cached[start:stop]))
+            correct += int(np.sum(argmax_classes(probs) == target[start:stop]))
         records.append(AuthorEpochRecord(epoch, epoch_loss / n_batches,
                                          correct / len(units)))
-    return model, records
+    return records
 
 
-def average_author_scores(scores) -> SentimentScore:
-    """Component-wise mean, renormalized to absorb rounding."""
-    scores = list(scores)
-    if not scores:
+def average_author_scores(rows) -> SentimentScore:
+    """Component-wise mean of one author's (m, 3) P/V/N rows, renormalized
+    to absorb rounding."""
+    if not len(rows):
         raise UsageError("average_author_scores: no scores")
-    mean = np.mean([s.as_array() for s in scores], axis=0)
+    mean = np.mean(rows, axis=0)
     mean = mean / mean.sum()
-    return SentimentScore(p=float(mean[0]), v=float(mean[1]),
-                          n=float(mean[2]))
+    return SentimentScore(*mean.tolist())
 
 
-def identify_predators(suspicious_conversation_ids, verdicts,
+def identify_predators(suspicious_conversation_ids, scores,
                        conversations) -> set[str]:
     """Flag, per suspicious conversation, the participant with the highest
     averaged P score, and only when that author's predicted class is P
     (both classifiers must agree). At most one author per conversation; an
     exact top-P tie, or no participant, flags nobody.
 
-    Every suspicious id must name one of `conversations`, and `verdicts`
-    must score each of their participants: read_scd_verdicts and
-    read_author_scores guarantee both for the pipeline's artifacts."""
+    Every suspicious id must name one of `conversations`, and `scores` must
+    score each of their participants; run_identify checks both of the files
+    it reads them from against normalized.xml."""
     conv_by_id = {c.id: c for c in conversations}
     flagged: set[str] = set()
     for conv_id in suspicious_conversation_ids:
         authors = conv_by_id[conv_id].authors()
-        top_p = max((verdicts[a].score.p for a in authors), default=None)
-        top_authors = [a for a in authors if verdicts[a].score.p == top_p]
+        top_p = max((scores[a].p for a in authors), default=None)
+        top_authors = [a for a in authors if scores[a].p == top_p]
         if (len(top_authors) == 1
-                and verdicts[top_authors[0]].predicted_class == "P"):
+                and scores[top_authors[0]].argmax_class() == "P"):
             flagged.add(top_authors[0])
     return flagged

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import pipeline
-from .config import PipelineConfig, apply_strict_paper, load_config
+from .config import PipelineConfig, load_config
 from .errors import DataFormatError, NumericError, UsageError
 
 _STAGES = {
@@ -60,8 +60,8 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out = args.out
-        if args.strict_paper:
-            apply_strict_paper(cfg)
+        if args.strict_paper:   # bare gate equations, no padding mask
+            cfg.use_bias = cfg.scd_masked = False
         _STAGES[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,15 +13,6 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError
 
 
-def _parse_bool(raw: str) -> bool:
-    value = raw.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _key(section: str, default, bound=None):
     """A field set in the file as `key = value` under `[section]`, where the
     key is the field name less any `<section>_` prefix; `bound` is the
@@ -115,7 +106,9 @@ def load_config(path) -> PipelineConfig:
                 elif target.type == "float":
                     value = float(raw)
                 elif target.type == "bool":
-                    value = _parse_bool(raw)
+                    value = parser.BOOLEAN_STATES.get(raw.strip().lower())
+                    if value is None:
+                        raise ValueError("not a boolean")
                 else:
                     value = raw
             except ValueError as exc:
@@ -126,11 +119,4 @@ def load_config(path) -> PipelineConfig:
                 raise ConfigError(f"{path}: [{section}] {key} = {raw} must "
                                   f"be {bound[1]}")
             setattr(cfg, target.name, value)
-    return cfg
-
-
-def apply_strict_paper(cfg: PipelineConfig) -> PipelineConfig:
-    """Strict mode: bare gate equations (no biases) and no padding mask."""
-    cfg.use_bias = False
-    cfg.scd_masked = False
     return cfg

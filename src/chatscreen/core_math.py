@@ -17,8 +17,9 @@ from .errors import NumericError, ShapeError, UsageError
 LOG_EPS = 1e-12  # clamp under the log so a confident-wrong model stays finite
 
 
-class Rng:
-    """Deterministic random source: PCG64 seeded with a 64-bit integer.
+class Rng(np.random.Generator):
+    """Deterministic random source: a numpy Generator over PCG64 seeded
+    with a 64-bit integer.
 
     The same seed yields the same draw sequence on every platform numpy
     supports. Stage-local streams come from derive(), which hashes a name
@@ -27,29 +28,17 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        super().__init__(np.random.PCG64(self.seed))
 
     def derive(self, name: str) -> "Rng":
         digest = hashlib.sha256(f"{self.seed}:{name}".encode("utf-8")).digest()
         return Rng(int.from_bytes(digest[:8], "little"))
 
     def uniform(self, low, high, shape, dtype=np.float32):
-        return self._gen.uniform(low, high, shape).astype(dtype)
-
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size)
-
-    def random(self, size=None):
-        return self._gen.random(size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def geometric(self, p: float) -> int:
-        return int(self._gen.geometric(p))
+        return super().uniform(low, high, shape).astype(dtype)
 
     def hex_id(self) -> str:
-        return self._gen.bytes(16).hex()
+        return self.bytes(16).hex()
 
 
 def init_uniform(rng: Rng, rows: int, cols: int, fan_in: int,

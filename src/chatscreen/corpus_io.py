@@ -4,9 +4,10 @@ the labeling and filtering steps between parsing and training.
 The XML dialect is one <conversations> root holding <conversation id="...">
 elements, each a sequence of <message line="N"> elements with <author>,
 <time>, and <text> children. Parsing streams through expat so malformed
-input reports a byte offset; messages with missing or unusable fields are
-skipped and counted rather than failing the file; a conversation without
-an id, or one whose id repeats, fails it.
+input reports a byte offset; messages with missing or unusable fields, or
+outside any conversation, are skipped and counted rather than failing the
+file; a conversation without an id, one whose id repeats, or one opened
+inside another fails it.
 
 Every file the package writes goes to disk through write_atomic, and the
 ground truth and text artifacts are read back through read_text.
@@ -70,6 +71,9 @@ class _PanHandler:
 
     def start(self, name, attrs):
         if name == "conversation":
+            if self._conv is not None:
+                raise CorpusParseError(f"a conversation opens inside "
+                                       f"conversation {self._conv.id!r}")
             if "id" not in attrs:
                 raise CorpusParseError(f"conversation "
                                        f"{len(self.conversations) + 1} has "
@@ -95,12 +99,11 @@ class _PanHandler:
         elif name == "message":
             self._finish_message()
         elif name == "conversation":
-            if self._conv is not None:
-                if self._conv.id in self._ids:
-                    raise CorpusParseError(f"conversation id "
-                                           f"{self._conv.id!r} appears twice")
-                self._ids.add(self._conv.id)
-                self.conversations.append(self._conv)
+            if self._conv.id in self._ids:
+                raise CorpusParseError(f"conversation id {self._conv.id!r} "
+                                       "appears twice")
+            self._ids.add(self._conv.id)
+            self.conversations.append(self._conv)
             self._conv = None
 
     def chars(self, data):
@@ -109,14 +112,12 @@ class _PanHandler:
 
     def _finish_message(self):
         conv = self._conv
-        if conv is None:
-            return
         author = self._fields.get("author", "").strip()
         try:
             line_no = int(self._line_attr)
         except (TypeError, ValueError):    # no line attribute, or not an int
             line_no = 0
-        if not author or line_no < 1:
+        if conv is None or not author or line_no < 1:
             self.skipped += 1
             return
         # author_scores.tsv holds one author per line, fields split by tabs

@@ -283,6 +283,15 @@ def model_from_container(container: Container):
             f"{exc}") from exc
 
 
+def _flag(container: Container, key: str) -> bool:
+    """A boolean setting, which the writer stores as 1 or 0."""
+    value = container.metas.get(key)
+    if value not in ("0", "1"):
+        raise ContainerFormatError(f"{container.kind} container setting "
+                                   f"{key!r} is {value!r}, not 0 or 1")
+    return value == "1"
+
+
 def _model_from(container: Container):
     kind = container.kind
     if kind == "language_model":
@@ -300,13 +309,13 @@ def _model_from(container: Container):
                         _layer_from(container, "layer2"),
                         container.tensor("head_w"),
                         container.tensor("head_b"),
-                        masked=container.metas.get("masked", "1") == "1")
+                        masked=_flag(container, "masked"))
     if kind == "author_classifier":
         return ShallowModel(container.strtabs["features"],
                             container.tensor("embedding"),
                             container.tensor("class_w"),
                             container.tensor("class_b"),
-                            bigrams=container.metas.get("bigrams", "1") == "1")
+                            bigrams=_flag(container, "bigrams"))
     if kind == "sentence_vectors":
         ids = container.strtabs["conversation_ids"]
         matrices = [container.tensor(f"conv{i}") for i in range(len(ids))]

@@ -187,12 +187,12 @@ def run_vectorize(cfg: PipelineConfig) -> None:
     skipped = 0
     memo: dict = {}
     for conv in conversations:
-        seq = vectorize_conversation(conv, model, memo)
-        if seq is None:
+        matrix = vectorize_conversation(conv, model, memo)
+        if matrix is None:
             skipped += 1
             continue
         ids.append(conv.id)
-        matrices.append(seq.matrix)
+        matrices.append(matrix)
     bundle = model_store.VectorBundle(ids, matrices)
     model_store.save(bundle, out / VECTORS_FILE)
     note = f", skipped {skipped} empty" if skipped else ""
@@ -327,8 +327,8 @@ def run_train_author(cfg: PipelineConfig) -> None:
                          "author.min_feature_freq")
     model = ac.ShallowModel.create(_stage_rng(cfg, "author-init"), features,
                                    cfg.author_k, bigrams=cfg.author_bigrams)
-    _, records = ac.train_author(model, units, cfg,
-                                 _stage_rng(cfg, "author-train"))
+    records = ac.train_author(model, units, cfg,
+                              _stage_rng(cfg, "author-train"))
     model_store.save(model, out / AUTHOR_MODEL)
     write_atomic(out / AUTHOR_LOG,
                  "".join(r.format_line() + "\n" for r in records))
@@ -342,16 +342,14 @@ def run_score_authors(cfg: PipelineConfig) -> None:
     units = _author_units(_load_normalized(cfg))
     probs = ac.class_probabilities(
         model, [ac.featurize(model, unit.lines) for unit in units])
-    per_author: dict[str, list[ac.SentimentScore]] = {}
-    for unit, (p, v, n) in zip(units, probs.tolist()):
-        per_author.setdefault(unit.author, []).append(
-            ac.SentimentScore(p, v, n))
+    rows_by_author: dict[str, list[int]] = {}
+    for i, unit in enumerate(units):
+        rows_by_author.setdefault(unit.author, []).append(i)
     rows = []
-    for author in sorted(per_author):
-        avg = ac.average_author_scores(per_author[author])
-        verdict = ac.AuthorVerdict(author, avg)
+    for author in sorted(rows_by_author):
+        avg = ac.average_author_scores(probs[rows_by_author[author]])
         rows.append(f"{author}\t{avg.p!r}\t{avg.v!r}\t{avg.n!r}\t"
-                    f"{verdict.predicted_class}")
+                    f"{avg.argmax_class()}")
     write_atomic(out / AUTHOR_SCORES, "".join(f"{r}\n" for r in rows))
     print(f"score-authors: {len(rows)} authors -> {out / AUTHOR_SCORES}")
 
@@ -392,13 +390,13 @@ def _probability(raw: str) -> float:
     return value
 
 
-def _author_row(author, p, v, n, cls) -> ac.AuthorVerdict:
-    verdict = ac.AuthorVerdict(author, ac.SentimentScore(
-        _probability(p), _probability(v), _probability(n)))
-    if cls != verdict.predicted_class:
+def _author_row(_author, p, v, n, cls) -> ac.SentimentScore:
+    score = ac.SentimentScore(_probability(p), _probability(v),
+                              _probability(n))
+    if cls != score.argmax_class():
         raise ValueError(f"class {cls!r} does not match the scores' class "
-                         f"{verdict.predicted_class}")
-    return verdict
+                         f"{score.argmax_class()}")
+    return score
 
 
 def _verdict_row(_conv_id, prob, verdict) -> tuple[float, bool]:
@@ -408,16 +406,6 @@ def _verdict_row(_conv_id, prob, verdict) -> tuple[float, bool]:
     return _probability(prob), verdict == "positive"
 
 
-def read_author_scores(path, authors) -> dict[str, ac.AuthorVerdict]:
-    """author_scores.tsv, which must score exactly `authors`."""
-    return _read_tsv(Path(path), 5, _author_row, authors)
-
-
-def read_scd_verdicts(path, conversation_ids) -> dict[str, tuple[float, bool]]:
-    """scd_verdicts.tsv, which must judge exactly `conversation_ids`."""
-    return _read_tsv(Path(path), 3, _verdict_row, conversation_ids)
-
-
 def run_identify(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     verdicts_path = _artifact(cfg, SCD_VERDICTS, "eval-scd")
@@ -425,12 +413,11 @@ def run_identify(cfg: PipelineConfig) -> None:
     conversations = _load_normalized(cfg)
     truth = _load_truth(cfg)
     authors = {a for conv in conversations for a in conv.authors()}
-    verdict_rows = read_scd_verdicts(verdicts_path,
-                                     [c.id for c in conversations])
-    verdicts = read_author_scores(scores_path, authors)
-    suspicious = [cid for cid, (_p, positive) in verdict_rows.items()
-                  if positive]
-    flagged = ac.identify_predators(suspicious, verdicts, conversations)
+    verdicts = _read_tsv(verdicts_path, 3, _verdict_row,
+                         [c.id for c in conversations])
+    scores = _read_tsv(scores_path, 5, _author_row, authors)
+    suspicious = [cid for cid, (_p, positive) in verdicts.items() if positive]
+    flagged = ac.identify_predators(suspicious, scores, conversations)
     corpus_io.write_ground_truth(flagged, out / PREDATORS_FILE)
     counts = confusion(flagged, truth, authors | truth)
     report = "Predator identification vs ground truth\n"

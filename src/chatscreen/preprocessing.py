@@ -16,6 +16,7 @@ tokens below the minimum term frequency.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import Counter
@@ -91,19 +92,14 @@ def load_emoticon_patterns(path) -> list[re.Pattern]:
     return patterns
 
 
-_default_rules: NormRuleSet | None = None
-
-
+@functools.cache
 def default_rules() -> NormRuleSet:
     """Rule set backed by the data files shipped with the package."""
-    global _default_rules
-    if _default_rules is None:
-        data = resources.files("chatscreen") / "data"
-        _default_rules = NormRuleSet(
-            abbreviation_map=load_abbreviations(data / "abbreviations.tsv"),
-            emoticon_patterns=load_emoticon_patterns(data / "emoticons.txt"),
-            long_word_limit=PipelineConfig.long_word_limit)
-    return _default_rules
+    data = resources.files("chatscreen") / "data"
+    return NormRuleSet(
+        abbreviation_map=load_abbreviations(data / "abbreviations.tsv"),
+        emoticon_patterns=load_emoticon_patterns(data / "emoticons.txt"),
+        long_word_limit=PipelineConfig.long_word_limit)
 
 
 def _split_punctuation(token: str):

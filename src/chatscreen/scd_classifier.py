@@ -94,9 +94,10 @@ class ScdModel:
 
 
 def vectorize_conversation(conv, lm: LanguageModel,
-                           memo: dict) -> ConversationSequence | None:
-    """One sentence vector per message, in message order; None signals an
-    empty conversation to skip (reported by the caller, not fatal).
+                           memo: dict) -> np.ndarray | None:
+    """One sentence vector per message, in message order, as an (n, H)
+    matrix; None signals an empty conversation to skip (reported by the
+    caller, not fatal).
 
     memo maps a message's normalized text to its vector; a caller that
     passes the same dict for every conversation of a run encodes each
@@ -109,7 +110,7 @@ def vectorize_conversation(conv, lm: LanguageModel,
         if vector is None:
             vector = memo[m.text] = sentence_vector(lm, tokenize(m.text))
         vectors.append(vector)
-    return ConversationSequence(conv.id, np.stack(vectors))
+    return np.stack(vectors)
 
 
 def chunk_and_pad(seq: ConversationSequence, chunk_len: int) -> list[Chunk]:

@@ -1,11 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from chatscreen import author_classifier
-from chatscreen.author_classifier import (CLASSES, AuthorUnit, AuthorVerdict,
-                                          SentimentScore, ShallowModel,
+from chatscreen.author_classifier import (CLASSES, AuthorUnit, SentimentScore, ShallowModel,
                                           _unit_loss_and_grads,
                                           average_author_scores,
                                           build_feature_vocab,
@@ -46,10 +46,6 @@ class TestSentimentScore:
         assert SentimentScore(0.4, 0.2, 0.4).argmax_class() == "N"
         assert SentimentScore(0.5, 0.5, 0.0).argmax_class() == "V"
         assert SentimentScore(0.6, 0.3, 0.1).argmax_class() == "P"
-
-    def test_verdict_class_derived_from_score(self):
-        verdict = AuthorVerdict("a", SentimentScore(0.7, 0.2, 0.1))
-        assert verdict.predicted_class == "P"
 
 
 class TestFeaturize:
@@ -209,8 +205,8 @@ class TestTrainAuthor:
         features = build_feature_vocab(units, min_freq=1)
         model = ShallowModel.create(Rng(2), features, 4)
         before = [p.copy() for p in model.param_list()]
-        _, records = train_author(model, units,
-                                  PipelineConfig(author_epochs=0), Rng(3))
+        records = train_author(model, units, PipelineConfig(author_epochs=0),
+                               Rng(3))
         assert records == []
         for old, new in zip(before, model.param_list()):
             assert np.array_equal(old, new)
@@ -229,7 +225,7 @@ class TestTrainAuthor:
         model = ShallowModel.create(Rng(2), features, 8)
         cfg = PipelineConfig(author_epochs=25, author_lr=0.5,
                              author_batch_size=8)
-        _, records = train_author(model, units, cfg, Rng(3))
+        records = train_author(model, units, cfg, Rng(3))
         assert records[-1].train_accuracy >= 0.99
 
     def test_feature_vocab_min_frequency(self):
@@ -320,12 +316,15 @@ class TestBatchedUnits:
         want = [score(model, pooled(model, [model.feature_ids(unit_lines)])[0])
                 .argmax_class() for unit_lines in lines]
         assert want[:6] == ["V", "N", "N", "P", "N", "V"]
-        cfg = PipelineConfig(author_epochs=1, author_lr=0.0)
-        for labels in (want, ["P"] * 4 + ["V"] * 4 + ["N"] * 3):
+        # the accuracy pass in batches of 4 (the last one short) and in one
+        for batch_size, labels in itertools.product(
+                (4, 32), (want, ["P"] * 4 + ["V"] * 4 + ["N"] * 3)):
+            cfg = PipelineConfig(author_epochs=1, author_lr=0.0,
+                                 author_batch_size=batch_size)
             units = [AuthorUnit(f"a{i}", f"c{i}", unit_lines, label)
                      for i, (unit_lines, label) in enumerate(zip(lines,
                                                                  labels))]
-            _, records = train_author(fresh(), units, cfg, Rng(3))
+            records = train_author(fresh(), units, cfg, Rng(3))
             hits = sum(w == label for w, label in zip(want, labels))
             assert records[0].train_accuracy == hits / len(units)
 
@@ -335,9 +334,9 @@ class TestBatchedUnits:
         units += [AuthorUnit("x", "cx", [["unheard"]], "N")]
         units[3] = AuthorUnit("y", "cy", units[3].lines, "N")
         model = ShallowModel.create(Rng(2), features, 8)
-        _, records = train_author(model, units,
-                                  PipelineConfig(author_epochs=3,
-                                                 author_lr=0.5), Rng(3))
+        records = train_author(model, units,
+                               PipelineConfig(author_epochs=3, author_lr=0.5),
+                               Rng(3))
         hits = sum(score(model, featurize(model, u.lines)).argmax_class()
                    == u.label for u in units)
         assert records[-1].train_accuracy == hits / len(units)
@@ -352,13 +351,15 @@ class TestBatchedUnits:
         def fresh():
             return ShallowModel.create(Rng(2), features, 8).astype(np.float64)
 
-        model, records = train_author(fresh(), units, cfg, Rng(3))
+        model = fresh()
+        records = train_author(model, units, cfg, Rng(3))
         monkeypatch.setattr(author_classifier, "_unit_loss_and_grads",
                             per_unit_author_loss_and_grads)
         monkeypatch.setattr(author_classifier, "class_probabilities",
                             lambda model, x: np.array([
                                 score(model, row).as_array() for row in x]))
-        loop_model, loop_records = train_author(fresh(), units, cfg, Rng(3))
+        loop_model = fresh()
+        loop_records = train_author(loop_model, units, cfg, Rng(3))
         assert ([(r.epoch, r.train_accuracy) for r in records]
                 == [(r.epoch, r.train_accuracy) for r in loop_records])
         for got, want in zip(records, loop_records):
@@ -369,26 +370,34 @@ class TestBatchedUnits:
 
 class TestAverageScores:
     def test_single_score_identity(self):
-        s = SentimentScore(0.2, 0.3, 0.5)
-        out = average_author_scores([s])
+        out = average_author_scores(np.array([[0.2, 0.3, 0.5]]))
         assert (out.p, out.v, out.n) == (0.2, 0.3, 0.5)
 
     def test_two_pure_scores(self):
-        out = average_author_scores([SentimentScore(1.0, 0.0, 0.0),
-                                     SentimentScore(0.0, 1.0, 0.0)])
+        out = average_author_scores(np.array([[1.0, 0.0, 0.0],
+                                              [0.0, 1.0, 0.0]]))
         assert (out.p, out.v, out.n) == (0.5, 0.5, 0.0)
 
     def test_three_fixture_scores_hand_mean(self):
-        scores = [SentimentScore(0.6, 0.3, 0.1), SentimentScore(0.2, 0.5, 0.3),
-                  SentimentScore(0.1, 0.1, 0.8)]
-        out = average_author_scores(scores)
+        out = average_author_scores(np.array([[0.6, 0.3, 0.1],
+                                              [0.2, 0.5, 0.3],
+                                              [0.1, 0.1, 0.8]]))
         assert abs(out.p - 0.3) < 1e-12
         assert abs(out.v - 0.3) < 1e-12
         assert abs(out.n - 0.4) < 1e-12
 
+    def test_rows_of_a_larger_array(self):
+        # the rows one author's units take in score-authors' array
+        probs = np.array([[0.6, 0.3, 0.1], [0.0, 0.0, 1.0],
+                          [0.2, 0.5, 0.3]])
+        out = average_author_scores(probs[[0, 2]])
+        assert np.allclose([out.p, out.v, out.n], [0.4, 0.4, 0.2],
+                           rtol=0, atol=1e-12)
+        assert out.argmax_class() == "V"
+
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
-            average_author_scores([])
+            average_author_scores(np.empty((0, 3)))
 
 
 def conversation(conv_id, authors):
@@ -396,47 +405,43 @@ def conversation(conv_id, authors):
     return Conversation(conv_id, msgs)
 
 
-def verdict(author, p, v, n):
-    return AuthorVerdict(author, SentimentScore(p, v, n))
-
-
 class TestIdentifyPredators:
     def test_top_p_author_with_p_class_flagged(self):
-        verdicts = {"hunter": verdict("hunter", 0.9, 0.05, 0.05),
-                    "target": verdict("target", 0.1, 0.8, 0.1)}
+        scores = {"hunter": SentimentScore(0.9, 0.05, 0.05),
+                  "target": SentimentScore(0.1, 0.8, 0.1)}
         convs = [conversation("c1", ["hunter", "target"])]
-        flagged = identify_predators(["c1"], verdicts, convs)
+        flagged = identify_predators(["c1"], scores, convs)
         assert flagged == {"hunter"}
 
     def test_top_p_author_with_other_class_blocks_flag(self):
         # intersection rule: highest P score but argmax class V -> no flag
-        verdicts = {"a": verdict("a", 0.4, 0.5, 0.1),
-                    "b": verdict("b", 0.1, 0.1, 0.8)}
+        scores = {"a": SentimentScore(0.4, 0.5, 0.1),
+                  "b": SentimentScore(0.1, 0.1, 0.8)}
         convs = [conversation("c1", ["a", "b"])]
-        flagged = identify_predators(["c1"], verdicts, convs)
+        flagged = identify_predators(["c1"], scores, convs)
         assert flagged == set()
 
     def test_shared_predator_flagged_once(self):
-        verdicts = {"p": verdict("p", 0.9, 0.05, 0.05),
-                    "x": verdict("x", 0.05, 0.05, 0.9),
-                    "y": verdict("y", 0.05, 0.05, 0.9)}
+        scores = {"p": SentimentScore(0.9, 0.05, 0.05),
+                  "x": SentimentScore(0.05, 0.05, 0.9),
+                  "y": SentimentScore(0.05, 0.05, 0.9)}
         convs = [conversation("c1", ["p", "x"]),
                  conversation("c2", ["p", "y"])]
-        flagged = identify_predators(["c1", "c2"], verdicts, convs)
+        flagged = identify_predators(["c1", "c2"], scores, convs)
         assert flagged == {"p"}
 
     def test_flagged_subset_of_suspicious_participants(self):
-        verdicts = {"p": verdict("p", 0.9, 0.05, 0.05),
-                    "q": verdict("q", 0.8, 0.1, 0.1)}
+        scores = {"p": SentimentScore(0.9, 0.05, 0.05),
+                  "q": SentimentScore(0.8, 0.1, 0.1)}
         convs = [conversation("c1", ["p"]), conversation("c2", ["q"])]
-        flagged = identify_predators(["c1"], verdicts, convs)
+        flagged = identify_predators(["c1"], scores, convs)
         assert flagged <= {"p"}
 
     def test_exact_tie_flags_nobody(self):
-        verdicts = {"a": verdict("a", 0.6, 0.2, 0.2),
-                    "b": verdict("b", 0.6, 0.3, 0.1)}
+        scores = {"a": SentimentScore(0.6, 0.2, 0.2),
+                  "b": SentimentScore(0.6, 0.3, 0.1)}
         convs = [conversation("c1", ["a", "b"])]
-        flagged = identify_predators(["c1"], verdicts, convs)
+        flagged = identify_predators(["c1"], scores, convs)
         assert flagged == set()
 
     def test_conversation_without_participants_flags_nobody(self):
@@ -444,8 +449,8 @@ class TestIdentifyPredators:
             == set()
 
     def test_at_most_one_flag_per_conversation(self):
-        verdicts = {"a": verdict("a", 0.9, 0.05, 0.05),
-                    "b": verdict("b", 0.8, 0.1, 0.1)}
+        scores = {"a": SentimentScore(0.9, 0.05, 0.05),
+                  "b": SentimentScore(0.8, 0.1, 0.1)}
         convs = [conversation("c1", ["a", "b"])]
-        flagged = identify_predators(["c1"], verdicts, convs)
+        flagged = identify_predators(["c1"], scores, convs)
         assert len(flagged) == 1

@@ -12,7 +12,7 @@ import pytest
 
 from chatscreen import corpus_io, pipeline, scd_classifier
 from chatscreen.cli import main
-from chatscreen.config import PipelineConfig, apply_strict_paper, load_config
+from chatscreen.config import PipelineConfig, load_config
 from chatscreen.core_math import Rng
 from chatscreen.errors import ConfigError
 from chatscreen.language_model import LanguageModel
@@ -89,6 +89,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("raw,value", [
+        ("1", True), ("yes", True), ("True", True), ("ON", True),
+        ("0", False), ("No", False), ("false", False), ("off", False)])
+    def test_boolean_spellings(self, tmp_path, raw, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[run]\nuse_bias = {raw}\n[scd]\nmasked = {raw}\n")
+        cfg = load_config(path)
+        assert (cfg.use_bias, cfg.scd_masked) == (value, value)
+
+    @pytest.mark.parametrize("raw", ["maybe", "2", "y", "t"])
+    def test_other_boolean_values_rejected(self, tmp_path, raw):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[author]\nbigrams = {raw}\n")
+        with pytest.raises(ConfigError, match="not a boolean"):
+            load_config(path)
+
     def test_default_config_file_lists_every_default(self):
         path = Path(__file__).parents[1] / "configs" / "chat-default.cfg"
         cfg = load_config(path)
@@ -141,10 +157,26 @@ class TestConfig:
                             scd={"threshold": 0.0})
         assert load_config(path).scd_threshold == 0.0
 
-    def test_strict_paper_mode(self):
-        cfg = apply_strict_paper(PipelineConfig())
-        assert cfg.use_bias is False
-        assert cfg.scd_masked is False
+    def test_strict_paper_mode(self, small_run, tmp_path):
+        # --strict-paper: no gate biases in either model's LSTM layers, and
+        # an SCD model that reads the padded chunk's last state
+        out, cfg_path = copy_run(small_run, tmp_path)
+        for stage in ("train-lm", "train-scd"):
+            assert main([stage, "--config", str(cfg_path),
+                         "--strict-paper"]) == 0
+        lm, scd = (read_container(out / name)
+                   for name in ("lm.model", "scd.model"))
+        for container in (lm, scd):
+            assert {"layer1.U", "layer1.W", "layer2.U", "layer2.W"} \
+                <= container.tensors.keys()
+            assert not {"layer1.b", "layer2.b"} & container.tensors.keys()
+        assert scd.metas["masked"] == "0"
+        assert load(out / "scd.model").masked is False
+        # the same run without the flag keeps both
+        default = read_container(small_run / "scd.model")
+        assert default.metas["masked"] == "1"
+        assert "layer1.b" in default.tensors
+        assert "layer1.b" in read_container(small_run / "lm.model").tensors
 
 
 class TestExitCodes:
@@ -174,6 +206,21 @@ class TestExitCodes:
         assert main(["preprocess", "--config", str(cfg_path)]) == 2
         assert first.decode() in capsys.readouterr().err
         assert not (tmp_path / "normalized.xml").exists()
+
+    def test_nested_conversation_is_data_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        corpus = tmp_path / "corpus.xml"
+        xml = corpus.read_bytes()
+        outer = re.findall(rb'<conversation id="([^"]+)">', xml)[0]
+        # the first conversation's end tag moves after the second's
+        first_end = xml.index(b"</conversation>")
+        second_end = xml.index(b"</conversation>", first_end + 1)
+        end = len(b"</conversation>")
+        corpus.write_bytes(xml[:first_end] + xml[first_end + end:second_end]
+                           + xml[first_end:first_end + end] + xml[second_end:])
+        assert main(["preprocess", "--config", str(cfg_path)]) == 2
+        assert outer.decode() in capsys.readouterr().err
 
     def test_conversation_without_id_is_data_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
@@ -489,6 +536,28 @@ class TestStageFiles:
             + raw[end:])
         assert main([stage, "--config", str(cfg_path)]) == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file,key,stage", [
+        ("scd.model", "masked", "eval-scd"),
+        ("author.model", "bigrams", "score-authors"),
+    ])
+    @pytest.mark.parametrize("value", [b"x", b"2", None])
+    def test_boolean_setting_not_0_or_1_is_data_error(
+            self, small_run, tmp_path, capsys, file, key, stage, value):
+        # the manifest is outside the checksum; the same length keeps the
+        # header's manifest length right
+        out, cfg_path = copy_run(small_run, tmp_path)
+        raw = (out / file).read_bytes()
+        line = b"meta\t%s\t1\n" % key.encode()
+        assert raw.count(line) == 1
+        if value is None:      # the setting missing
+            new = b"meta\t%s\t1\n" % (b"z" * len(key))
+        else:
+            new = line[:-2] + value + b"\n"
+        assert len(new) == len(line)
+        (out / file).write_bytes(raw.replace(line, new))
+        assert main([stage, "--config", str(cfg_path)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_per_gate_lstm_layout_is_data_error(self, small_run, tmp_path,
                                                 capsys):

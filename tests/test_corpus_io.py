@@ -94,6 +94,33 @@ class TestParsePanCorpus:
         with pytest.raises(CorpusParseError, match="conversation 2 has no id"):
             parse_pan_corpus(xml)
 
+    def test_nested_conversation_rejected_naming_the_outer(self):
+        xml = b"""<conversations>
+          <conversation id="a"><message line="1"><author>x</author>
+            <time>1</time><text>hi</text></message>
+            <conversation id="b"><message line="1"><author>y</author>
+              <time>1</time><text>yo</text></message></conversation>
+            <message line="2"><author>x</author>
+            <time>2</time><text>again</text></message></conversation>
+        </conversations>"""
+        with pytest.raises(CorpusParseError,
+                           match="inside conversation 'a'"):
+            parse_pan_corpus(xml)
+
+    def test_message_outside_a_conversation_skipped_and_counted(self):
+        xml = b"""<conversations>
+          <message line="1"><author>x</author><time>1</time>
+            <text>stray</text></message>
+          <conversation id="a"><message line="1"><author>y</author>
+            <time>1</time><text>hi</text></message></conversation>
+          <message line="2"><author>z&#9;q</author><time>2</time>
+            <text>stray too</text></message>
+        </conversations>"""
+        result = parse_pan_corpus(xml)
+        assert [c.id for c in result.conversations] == ["a"]
+        assert [m.text for m in result.conversations[0].messages] == ["hi"]
+        assert result.skipped_messages == 2
+
     # author_scores.tsv could not carry these: its reader splits on tabs
     # and on every line boundary str.splitlines knows
     @pytest.mark.parametrize("inside", ["&#9;", "&#13;", "&#10;", "\u2028"])

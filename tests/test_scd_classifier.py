@@ -87,21 +87,21 @@ def make_conv(texts):
 class TestVectorizeConversation:
     def test_one_vector_per_message(self):
         lm = tiny_lm()
-        seq = vectorize_conversation(make_conv(["hi there", "friend", "hi"]),
-                                     lm, {})
-        assert seq.matrix.shape == (3, 4)
+        matrix = vectorize_conversation(
+            make_conv(["hi there", "friend", "hi"]), lm, {})
+        assert matrix.shape == (3, 4)
 
     def test_identical_messages_identical_vectors(self):
         lm = tiny_lm()
-        seq = vectorize_conversation(make_conv(["hi there", "hi there"]), lm,
-                                     {})
-        assert np.array_equal(seq.matrix[0], seq.matrix[1])
+        matrix = vectorize_conversation(make_conv(["hi there", "hi there"]),
+                                        lm, {})
+        assert np.array_equal(matrix[0], matrix[1])
 
     def test_matches_per_message_oracle(self):
         lm = tiny_lm()
         conv = make_conv(["hi there friend", "there hi"])
-        seq = vectorize_conversation(conv, lm, {})
-        for message, vec in zip(conv.messages, seq.matrix):
+        matrix = vectorize_conversation(conv, lm, {})
+        for message, vec in zip(conv.messages, matrix):
             solo = sentence_vector(lm, tokenize(message.text))
             assert np.array_equal(vec, solo)
 
