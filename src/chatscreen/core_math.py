@@ -66,14 +66,6 @@ def row_softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def row_log_softmax64(x: np.ndarray) -> np.ndarray:
-    """Float64 log-softmax over the last axis; used for loss evaluation so
-    perplexity anchors hold to 1e-6."""
-    z = np.asarray(x, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def _clip_scale(params, grads, clip_norm: float) -> float:
     """Check that grads match params one for one in shape, then return the
     factor that brings the global gradient norm down to clip_norm (1.0

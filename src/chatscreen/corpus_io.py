@@ -7,7 +7,9 @@ elements, each a sequence of <message line="N"> elements with <author>,
 input reports a byte offset; messages with missing or unusable fields, or
 outside any conversation, are skipped and counted rather than failing the
 file; a conversation without an id, one whose id repeats, or one opened
-inside another fails it.
+inside another fails it, and so does a message opened inside another, or
+a message field (<author>, <time>, <text>) opened inside another field or
+given twice in one message.
 
 Every file the package writes goes to disk through write_atomic, and the
 ground truth and text artifacts are read back through read_text.
@@ -19,7 +21,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 from xml.parsers import expat
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import CorpusParseError, DataFormatError
 from .preprocessing import tokenize
@@ -65,7 +66,7 @@ class _PanHandler:
         self._ids: set[str] = set()
         self._conv: Conversation | None = None
         self._line_attr: str | None = None
-        self._fields: dict[str, str] = {}
+        self._fields: dict[str, str] | None = None    # None outside a message
         self._capture: str | None = None
         self._buf: list[str] = []
 
@@ -86,14 +87,21 @@ class _PanHandler:
                                        "a tab or line break")
             self._conv = Conversation(id=conv_id, messages=[])
         elif name == "message":
+            if self._fields is not None:
+                raise self._field_error("a <message> opens inside it")
             self._line_attr = attrs.get("line")
             self._fields = {}
-        elif name in ("author", "time", "text"):
+        elif name in ("author", "time", "text") and self._fields is not None:
+            if self._capture is not None:
+                raise self._field_error(f"<{name}> opens inside "
+                                        f"<{self._capture}>")
+            if name in self._fields:
+                raise self._field_error(f"a second <{name}>")
             self._capture = name
             self._buf = []
 
     def end(self, name):
-        if name in ("author", "time", "text"):
+        if name in ("author", "time", "text") and self._capture is not None:
             self._fields[name] = "".join(self._buf)
             self._capture = None
         elif name == "message":
@@ -106,13 +114,20 @@ class _PanHandler:
             self.conversations.append(self._conv)
             self._conv = None
 
+    def _field_error(self, what: str) -> CorpusParseError:
+        where = ("outside any conversation" if self._conv is None
+                 else f"conversation {self._conv.id!r}")
+        return CorpusParseError(f"{where}, message line {self._line_attr}: "
+                                f"{what}")
+
     def chars(self, data):
         if self._capture is not None:
             self._buf.append(data)
 
     def _finish_message(self):
         conv = self._conv
-        author = self._fields.get("author", "").strip()
+        fields, self._fields = self._fields, None
+        author = fields.get("author", "").strip()
         try:
             line_no = int(self._line_attr)
         except (TypeError, ValueError):    # no line attribute, or not an int
@@ -125,8 +140,8 @@ class _PanHandler:
             raise CorpusParseError(f"conversation {conv.id!r}: author "
                                    f"{author!r} holds a tab or line break")
         conv.messages.append(Message(author=author, line_no=line_no,
-                                     time=self._fields.get("time", ""),
-                                     text=self._fields.get("text", "")))
+                                     time=fields.get("time", ""),
+                                     text=fields.get("text", "")))
 
 
 def write_atomic(path, data) -> int:
@@ -183,15 +198,29 @@ def parse_pan_corpus(source) -> PanParseResult:
 
 
 def _xml_text(value: str) -> str:
-    # a raw CR would reach the reader as LF (XML line-end normalization)
-    return escape(value, {"\r": "&#13;"})
+    """xml.sax.saxutils.escape(value, {"\r": "&#13;"}), without importing
+    that module (it loads urllib and ssl). A raw CR would reach the reader
+    as LF (XML line-end normalization)."""
+    return (value.replace("&", "&amp;").replace(">", "&gt;")
+            .replace("<", "&lt;").replace("\r", "&#13;"))
+
+
+def _xml_attr(value: str) -> str:
+    """xml.sax.saxutils.quoteattr(value): escaped as text, with LF and tab
+    as character references too, in the quotes the value does not hold."""
+    value = _xml_text(value).replace("\n", "&#10;").replace("\t", "&#9;")
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"{}"'.format(value.replace('"', "&quot;"))
 
 
 def write_pan_corpus(conversations) -> bytes:
     """Serialize conversations to the XML dialect parse_pan_corpus reads."""
     parts = ['<?xml version="1.0" encoding="UTF-8"?>\n<conversations>\n']
     for conv in conversations:
-        parts.append(f"  <conversation id={quoteattr(conv.id)}>\n")
+        parts.append(f"  <conversation id={_xml_attr(conv.id)}>\n")
         for m in conv.messages:
             parts.append(
                 f'    <message line="{m.line_no}">\n'

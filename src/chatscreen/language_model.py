@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import (LOG_EPS, init_uniform, make_optimizer, row_log_softmax64,
-                        row_softmax)
+from .core_math import LOG_EPS, init_uniform, make_optimizer, row_softmax
 from .config import PipelineConfig
 from .errors import NumericError, ShapeError, UsageError
-from .lstm import LstmLayerParams, backward_stack, forward_stack
+from .lstm import LstmLayerParams, backward_stack, forward_stack, top_states
 from .preprocessing import Vocabulary, encode
 
 
@@ -100,8 +99,7 @@ def sentence_vector(model: LanguageModel, tokens) -> np.ndarray:
     consumed token."""
     ids = encode(tokens, model.vocab, model.window)
     xs = model.embedding[np.asarray(ids)][:, None, :]
-    traces = forward_stack(xs, [model.layer1, model.layer2])
-    return traces[1].S[-1, 0].copy()
+    return top_states(xs, [model.layer1, model.layer2])[-1, 0].copy()
 
 
 def _windows(model: LanguageModel, documents, order, batch_size: int):
@@ -196,6 +194,19 @@ def train_lm(documents, model: LanguageModel, cfg: PipelineConfig,
     return records
 
 
+def _target_nll(logits: np.ndarray, targets: np.ndarray) -> float:
+    """Summed float64 cross-entropy of each row's target. The logits are
+    cast to float64 once and worked in place: the row maximum subtracted,
+    the target entries picked, exp taken, and the log of the row sums
+    subtracted from the picked entries only. The copy lives in this frame,
+    so it is freed before perplexity runs the next window."""
+    z = logits.astype(np.float64)
+    z -= z.max(axis=-1, keepdims=True)
+    picked = z[np.arange(len(z)), targets]
+    np.exp(z, out=z)
+    return float(-(picked - np.log(z.sum(axis=-1))).sum())
+
+
 def perplexity(model: LanguageModel, documents) -> float:
     """exp(mean next-token cross-entropy) over batches of 32 documents;
     log-probabilities taken in float64 so anchor values hold tightly."""
@@ -207,8 +218,7 @@ def perplexity(model: LanguageModel, documents) -> float:
                                           range(len(documents)), 32):
         valid = np.flatnonzero(mask)
         s2 = traces[1].S.reshape(len(y), model.hidden_dim)[valid]
-        logp = row_log_softmax64(s2 @ model.out_w + model.out_b)
-        total_nll += float(-logp[np.arange(len(valid)), y[valid]].sum())
+        total_nll += _target_nll(s2 @ model.out_w + model.out_b, y[valid])
         total += len(valid)
     return float(np.exp(total_nll / total))
 

@@ -266,6 +266,18 @@ def forward_stack(xs: np.ndarray, layers, init_states=None):
     return traces
 
 
+def top_states(xs: np.ndarray, layers) -> np.ndarray:
+    """The top layer's hidden states (T, B, H) of a stack run from zero
+    states, as forward_stack computes them. Only each layer's S outlives
+    its own pass, so the gates and cell states of one layer are gone
+    before the next layer runs; for passes that are only read, not
+    backpropagated."""
+    for layer in layers:
+        s0 = np.zeros((xs.shape[1], layer.hidden_dim), dtype=xs.dtype)
+        xs = forward_steps(xs, s0, np.zeros_like(s0), layer).S
+    return xs
+
+
 def backward_stack(traces, d_top: np.ndarray):
     """BPTT through a layer stack given upstream gradients on the top
     layer's hidden states. Returns (per-layer grad lists, gradient on xs)."""

@@ -1,12 +1,14 @@
 """Suspicious-conversation detection: sentence-vector sequences through two
 LSTM layers into a sigmoid head.
 
-Conversations become sequences of sentence vectors (one per message), zero
-padded and split into fixed-length chunks. In masked mode (default) the
-head reads the hidden state at the last valid timestep so padding rows
-cannot dilute the state; the unmasked variant reads the state after the
-full padded chunk. A conversation is positive when any of its chunks
-scores at or above the threshold.
+Conversations become sequences of sentence vectors (one per message), split
+into fixed-length chunks. A chunk is a view of its conversation's rows, not
+a padded copy: the zero rows past each chunk's valid length are made once
+per training batch or scoring bucket, when its chunks are stacked. In
+masked mode (default) the head reads the hidden state at the last valid
+timestep so padding rows cannot dilute the state; the unmasked variant
+reads the state after the full padded chunk. A conversation is positive
+when any of its chunks scores at or above the threshold.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .config import PipelineConfig
 from .core_math import LOG_EPS, init_uniform, make_optimizer, sigmoid
 from .errors import NumericError, ShapeError, UsageError
-from .lstm import LstmLayerParams, backward_stack, forward_stack
+from .lstm import LstmLayerParams, backward_stack, forward_stack, top_states
 from .metrics import accuracy, confusion, precision_recall_f
 from .language_model import LanguageModel, sentence_vector
 from .preprocessing import tokenize
@@ -36,9 +38,16 @@ class ConversationSequence:
 class Chunk:
     conversation_id: str
     part_index: int
-    matrix: np.ndarray        # (chunk_len, H); rows >= valid_len are zero
+    # (n, H), n >= valid_len; only the first valid_len rows are read, and
+    # the rows from valid_len up to padded_len count as zero
+    matrix: np.ndarray
     valid_len: int
     label: bool | None = None
+    padded_len: int | None = None    # len(matrix) when not given
+
+    def __post_init__(self):
+        if self.padded_len is None:
+            self.padded_len = len(self.matrix)
 
 
 class ScdModel:
@@ -114,19 +123,18 @@ def vectorize_conversation(conv, lm: LanguageModel,
 
 
 def chunk_and_pad(seq: ConversationSequence, chunk_len: int) -> list[Chunk]:
-    """Split into ceil(n/chunk_len) parts, the last zero-padded; every
-    chunk inherits the conversation label."""
+    """Split into ceil(n/chunk_len) parts, each a view of its rows of
+    seq.matrix that stands for chunk_len rows (the last one padded with
+    zeros when stacked); every chunk inherits the conversation label."""
     if chunk_len < 1:
         raise UsageError(f"chunk_len must be >= 1, got {chunk_len}")
-    n, dim = seq.matrix.shape
     chunks = []
-    for part in range(math.ceil(n / chunk_len)):
+    for part in range(math.ceil(len(seq.matrix) / chunk_len)):
         rows = seq.matrix[part * chunk_len:(part + 1) * chunk_len]
-        matrix = np.zeros((chunk_len, dim), dtype=seq.matrix.dtype)
-        matrix[:len(rows)] = rows
         chunks.append(Chunk(conversation_id=seq.conversation_id,
-                            part_index=part, matrix=matrix,
-                            valid_len=len(rows), label=seq.label))
+                            part_index=part, matrix=rows,
+                            valid_len=len(rows), label=seq.label,
+                            padded_len=chunk_len))
     return chunks
 
 
@@ -137,18 +145,27 @@ SCORE_BUCKET_ROWS = 64
 def _read_rows(model: ScdModel, chunks) -> np.ndarray:
     """The timestep whose top-layer state the head reads, per chunk
     (masked: valid_len - 1, unmasked: the last padded row)."""
-    return np.array([c.valid_len - 1 if model.masked else len(c.matrix) - 1
+    return np.array([c.valid_len - 1 if model.masked else c.padded_len - 1
                      for c in chunks])
+
+
+def _stacked_inputs(model: ScdModel, chunks, rows) -> np.ndarray:
+    """The (T, B, I) input of a batch or bucket, T = one past the last of
+    its rows read: each chunk's valid rows, then zeros. Steps past the last
+    row read are never run."""
+    xs = np.zeros((rows.max() + 1, len(chunks), model.input_dim),
+                  dtype=model.dtype)
+    for b, c in enumerate(chunks):
+        xs[:c.valid_len, b] = c.matrix[:c.valid_len]
+    return xs
 
 
 def _final_states(model: ScdModel, chunks):
     """Top-layer hidden state read per chunk (see _read_rows), plus the
-    traces for backprop. Steps past the last row read are never run."""
+    traces for backprop."""
     rows = _read_rows(model, chunks)
-    steps = rows.max() + 1
-    xs = np.stack([c.matrix[:steps] for c in chunks],
-                  axis=1).astype(model.dtype, copy=False)
-    traces = forward_stack(xs, [model.layer1, model.layer2])
+    traces = forward_stack(_stacked_inputs(model, chunks, rows),
+                           [model.layer1, model.layer2])
     finals = traces[1].S[rows, np.arange(len(chunks)), :]
     return finals, rows, traces
 
@@ -156,13 +173,17 @@ def _final_states(model: ScdModel, chunks):
 def _chunk_probabilities(model: ScdModel, chunks) -> np.ndarray:
     """Sigmoid probability per chunk, in input order. Chunks sorted by read
     row are scored in buckets of SCORE_BUCKET_ROWS, each run only as far as
-    its own longest chunk, so the cost follows the real steps."""
-    order = np.argsort(_read_rows(model, chunks), kind="stable")
+    its own longest chunk, so the cost follows the real steps; a bucket
+    keeps only the top layer's states it reads (top_states)."""
+    rows = _read_rows(model, chunks)
+    order = np.argsort(rows, kind="stable")
     finals = np.empty((len(chunks), model.hidden_dim), dtype=model.dtype)
     for bucket in np.split(order, range(SCORE_BUCKET_ROWS, len(order),
                                         SCORE_BUCKET_ROWS)):
-        finals[bucket], _, _ = _final_states(model,
-                                             [chunks[i] for i in bucket])
+        states = top_states(
+            _stacked_inputs(model, [chunks[i] for i in bucket], rows[bucket]),
+            [model.layer1, model.layer2])
+        finals[bucket] = states[rows[bucket], np.arange(len(bucket))]
     logits = finals.astype(np.float64) @ model.head_w.astype(np.float64) \
         + float(model.head_b[0])
     probs = sigmoid(logits)

@@ -9,7 +9,10 @@ kernels must match within a tolerance, and tanh_gate_step_loop is the
 float32 forward step loop that lstm.forward_steps must match bit for bit;
 masked_head_window_grads is the language model's window loss and gradients
 with the output layer run on every row and the rows without a target
-masked out afterwards; per_unit_author_loss_and_grads is the author
+masked out afterwards; log_softmax_perplexity is the language model's
+perplexity as a full float64 log-softmax per window, the formula that
+perplexity's in-place form must match bit for bit;
+per_unit_author_loss_and_grads is the author
 scorer's batch loss and gradients as a loop over the units, run in float64
 as the reference that the batched form must match within a tolerance;
 score is the author scorer's one-unit float64 scoring, which each row of
@@ -22,6 +25,7 @@ import numpy as np
 
 from chatscreen.author_classifier import CLASSES, SentimentScore, ShallowModel
 from chatscreen.core_math import LOG_EPS, row_softmax
+from chatscreen.language_model import _windows
 from chatscreen.lstm import backward_stack
 
 
@@ -217,6 +221,29 @@ def masked_head_window_grads(model, x, y, mask, traces):
     np.add.at(d_emb, x, d_xs.reshape(len(x), model.embedding_dim))
     return nll_sum, count, ([d_emb] + layer_grads[0] + layer_grads[1]
                             + [d_out_w, d_out_b])
+
+
+def row_log_softmax64(x: np.ndarray) -> np.ndarray:
+    """Float64 log-softmax over the last axis."""
+    z = np.asarray(x, dtype=np.float64)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def log_softmax_perplexity(model, documents) -> float:
+    """exp(mean next-token cross-entropy) over batches of 32 documents,
+    each window's log-probabilities taken as a whole float64 log-softmax
+    and the target entries read from it."""
+    documents = [list(d) for d in documents if len(d) >= 2]
+    total_nll, total = 0.0, 0
+    for _, _, y, mask, traces in _windows(model, documents,
+                                          range(len(documents)), 32):
+        valid = np.flatnonzero(mask)
+        s2 = traces[1].S.reshape(len(y), model.hidden_dim)[valid]
+        logp = row_log_softmax64(s2 @ model.out_w + model.out_b)
+        total_nll += float(-logp[np.arange(len(valid)), y[valid]].sum())
+        total += len(valid)
+    return float(np.exp(total_nll / total))
 
 
 def per_unit_author_loss_and_grads(model, units, cached_ids):

@@ -222,6 +222,23 @@ class TestExitCodes:
         assert main(["preprocess", "--config", str(cfg_path)]) == 2
         assert outer.decode() in capsys.readouterr().err
 
+    def test_field_inside_another_field_is_data_error(self, tmp_path,
+                                                      capsys):
+        # the inner author used to take the message over, with exit 0
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        corpus = tmp_path / "corpus.xml"
+        xml = corpus.read_bytes()
+        conv_id, line = re.search(rb'<conversation id="([^"]+)">\s*'
+                                  rb'<message line="(\d+)">', xml).groups()
+        text = xml.index(b"<text>") + len(b"<text>")
+        corpus.write_bytes(xml[:text] + b"<author>y</author>" + xml[text:])
+        assert main(["preprocess", "--config", str(cfg_path)]) == 2
+        assert (f"conversation {conv_id.decode()!r}, message line "
+                f"{line.decode()}: <author> opens inside <text>"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "normalized.xml").exists()
+
     def test_conversation_without_id_is_data_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
         assert main(["synth", "--config", str(cfg_path)]) == 0

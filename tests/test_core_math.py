@@ -5,7 +5,7 @@ import pytest
 
 from chatscreen.core_math import (AdamOptimizer, Rng, SgdOptimizer,
                                   gradient_check, make_optimizer,
-                                  row_log_softmax64, row_softmax, sigmoid)
+                                  row_softmax, sigmoid)
 from chatscreen.errors import NumericError, ShapeError, UsageError
 from chatscreen.language_model import LanguageModel, perplexity
 from chatscreen.preprocessing import RESERVED_TOKENS, Vocabulary
@@ -85,23 +85,38 @@ class TestSoftmax:
         assert np.abs(row_softmax(v) - row_softmax(v + 11.5)).max() < 1e-12
 
 
+def bias_only_lm(out_b):
+    """A language model whose logits are out_b at every step (out_w = 0),
+    one vocabulary entry per logit."""
+    words = [f"w{i}" for i in range(len(out_b) - len(RESERVED_TOKENS))]
+    vocab = Vocabulary(list(RESERVED_TOKENS) + words, min_term_frequency=1)
+    model = LanguageModel.create(vocab, 3, 4, 5, Rng(1))
+    model.out_w[:] = 0
+    model.out_b[:] = out_b
+    return model
+
+
 class TestCrossEntropy:
-    """-row_log_softmax64(logits)[target], the float64 cross-entropy that
-    perplexity averages."""
+    """The float64 next-token cross-entropy that perplexity averages, seen
+    through log(perplexity) of a model whose logits are fixed."""
 
     def test_uniform_eight_classes(self):
-        loss = -row_log_softmax64(np.zeros((1, 8)))[0, 3]
-        assert abs(loss - 2.0794415416798357) < 1e-12
+        ppl = perplexity(bias_only_lm(np.zeros(8)), [[6, 7, 3, 6, 7, 6]])
+        assert abs(math.log(ppl) - 2.0794415416798357) < 1e-12
 
     def test_certain_prediction(self):
-        assert -row_log_softmax64(np.array([[0.0, 1000.0]]))[0, 1] == 0.0
+        out_b = np.zeros(8)
+        out_b[7] = 1000.0
+        assert perplexity(bias_only_lm(out_b), [[7, 7, 7], [6, 7]]) == 1.0
 
     def test_scalar_oracle(self):
-        logits = [0.3, -1.2, 2.0]
-        want = [-math.log(p) for p in scalar_softmax(logits)]
-        got = -row_log_softmax64(np.array([logits], dtype=np.float32))[0]
-        assert got.dtype == np.float64
-        assert np.abs(got - want).max() < 1e-7
+        logits = np.array([0.3, -1.2, 2.0, 0.0, -0.5, 1.1, 0.7, -2.4],
+                          dtype=np.float32)
+        doc = [6, 0, 2, 5, 7, 1, 3, 4]
+        costs = [-math.log(scalar_softmax([float(v) for v in logits])[t])
+                 for t in doc[1:]]
+        ppl = perplexity(bias_only_lm(logits), [doc])
+        assert abs(math.log(ppl) - sum(costs) / len(costs)) < 1e-12
 
     def test_out_of_range_index(self):
         # numpy would wrap -1 to the last class; perplexity must refuse it
@@ -114,9 +129,15 @@ class TestCrossEntropy:
             perplexity(model, [[3, -1]])
 
     def test_zero_probability_clamped(self):
-        # a target the model rules out still costs a finite loss
-        loss = -row_log_softmax64(np.array([[0.0, -1e4]]))[0, 1]
-        assert np.isfinite(loss) and abs(loss - 1e4) < 1e-9
+        # a target the model rules out still costs a finite loss: 1e4 +
+        # ln 7 here, among 99 targets that cost ln 7 each (exp of the one
+        # cost alone would overflow the perplexity)
+        out_b = np.zeros(8)
+        out_b[7] = -1e4
+        ppl = perplexity(bias_only_lm(out_b), [[6] * 100 + [7]])
+        assert math.isfinite(ppl)
+        loss = 100 * (math.log(ppl) - math.log(7.0))
+        assert abs(loss - 1e4) < 1e-8
 
 
 class TestSgdStep:

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import chatscreen
 from chatscreen.corpus_io import (Conversation, Message, filter_corpus,
                                   label_conversations, parse_ground_truth,
                                   parse_pan_corpus, read_text, write_atomic,
@@ -147,6 +150,64 @@ class TestParsePanCorpus:
         with pytest.raises(CorpusParseError, match="conversation id 'b.+c' "
                                                    "holds a tab or line"):
             parse_pan_corpus(xml)
+
+    def test_field_inside_another_field_rejected(self):
+        # the inner <author> used to replace the message's author and text
+        xml = b"""<conversations><conversation id="a">
+          <message line="3"><author>x</author><time>1</time>
+          <text>hello <author>y</author> there</text></message>
+          </conversation></conversations>"""
+        with pytest.raises(CorpusParseError,
+                           match="conversation 'a', message line 3: "
+                                 "<author> opens inside <text>"):
+            parse_pan_corpus(xml)
+
+    @pytest.mark.parametrize("field", ["author", "time", "text"])
+    def test_repeated_field_rejected(self, field):
+        # the second one used to replace the first
+        xml = f"""<conversations><conversation id="a">
+          <message line="4"><author>x</author><time>1</time>
+          <text>hi</text><{field}>y</{field}></message>
+          </conversation></conversations>""".encode()
+        with pytest.raises(CorpusParseError,
+                           match=f"conversation 'a', message line 4: "
+                                 f"a second <{field}>"):
+            parse_pan_corpus(xml)
+
+    def test_message_inside_a_message_rejected(self):
+        xml = b"""<conversations><conversation id="a">
+          <message line="1"><author>x</author><time>1</time>
+          <message line="2"><author>y</author><time>2</time>
+          <text>inner</text></message><text>outer</text></message>
+          </conversation></conversations>"""
+        with pytest.raises(CorpusParseError,
+                           match="conversation 'a', message line 1: a "
+                                 "<message> opens inside it"):
+            parse_pan_corpus(xml)
+
+    def test_nested_field_outside_a_conversation_rejected(self):
+        xml = b"""<conversations><message line="2"><author>x<time>1</time>
+          </author></message></conversations>"""
+        with pytest.raises(CorpusParseError,
+                           match="outside any conversation, message line 2"):
+            parse_pan_corpus(xml)
+
+    def test_fields_outside_a_message_ignored(self):
+        xml = b"""<conversations><conversation id="a"><author>z</author>
+          <author>z</author><message line="1"><author>x</author>
+          <time>1</time><text>hi</text></message><text>stray</text>
+          </conversation></conversations>"""
+        result = parse_pan_corpus(xml)
+        assert result.skipped_messages == 0
+        assert result.conversations == [
+            Conversation("a", [Message("x", 1, "1", "hi")])]
+
+    @pytest.mark.parametrize("conv_id", ['a"b', "a'b", "a\"b'c", "'\"",
+                                         "&<>", "&quot;"])
+    def test_ids_with_quotes_round_trip(self, conv_id):
+        convs = [Conversation(conv_id, [Message("x", 1, "t", "hi")])]
+        assert parse_pan_corpus(write_pan_corpus(convs)).conversations \
+            == convs
 
     def test_author_whitespace_stripped_at_the_ends(self):
         xml = b"""<conversations><conversation id="a"><message line="1">
@@ -318,3 +379,18 @@ class TestGroupByAuthor:
         units = _author_units(conversations)
         assert sum(len(u.lines) for u in units) == \
             sum(len(c.messages) for c in conversations)
+
+
+def test_package_import_loads_no_network_modules():
+    # xml.sax.saxutils would pull these in, about 3 MB of every process
+    code = ("import sys, chatscreen.pipeline, chatscreen.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(    # the package under test first
+        [os.path.dirname(os.path.dirname(chatscreen.__file__))]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True,
+                                check=True).stdout.split())
+    assert "chatscreen.pipeline" in loaded
+    assert not loaded & {"urllib.request", "http.client", "ssl", "email"}

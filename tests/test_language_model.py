@@ -12,7 +12,8 @@ from chatscreen.language_model import (LanguageModel, _window_grads, _windows,
 from chatscreen.preprocessing import (RESERVED_TOKENS, Vocabulary,
                                       build_vocabulary)
 
-from oracles import masked_head_window_grads, scalar_lm_steps
+from oracles import (log_softmax_perplexity, masked_head_window_grads,
+                     scalar_lm_steps)
 
 
 def make_vocab(n_words):
@@ -105,6 +106,18 @@ class TestPerplexity:
                       for d in docs)
         want = math.exp(log_sum / sum(len(d) - 1 for d in docs))
         assert abs(perplexity(model, docs) - want) < 1e-10
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_full_log_softmax(self, dtype):
+        # 70 documents of 1-30 tokens: three batches, windows whose rows
+        # past a short document's end are masked out, and single-token
+        # documents that perplexity drops
+        rng = Rng(41)
+        model = tiny_model(make_vocab(40), seed=41, dtype=dtype)
+        model.out_w *= 8.0    # logits far apart, as in a trained model
+        docs = [rng.integers(0, 46, int(rng.integers(1, 31))).tolist()
+                for _ in range(70)]
+        assert perplexity(model, docs) == log_softmax_perplexity(model, docs)
+
     def test_no_predictions_rejected(self):
         model = tiny_model(make_vocab(2))
         with pytest.raises(UsageError):

@@ -1,6 +1,8 @@
 """Property tests: normalization is idempotent, and each text artifact
 reads back as what was written."""
 
+from xml.sax.saxutils import escape, quoteattr
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -8,8 +10,9 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chatscreen.corpus_io import (Conversation, Message,  # noqa: E402
-                                  parse_ground_truth, parse_pan_corpus,
-                                  write_ground_truth, write_pan_corpus)
+                                  _xml_attr, _xml_text, parse_ground_truth,
+                                  parse_pan_corpus, write_ground_truth,
+                                  write_pan_corpus)
 from chatscreen.errors import DataFormatError  # noqa: E402
 from chatscreen.preprocessing import (RESERVED_TOKENS,  # noqa: E402
                                       Vocabulary, normalize_text,
@@ -59,10 +62,23 @@ messages = st.builds(Message, author=authors,
                           messages=st.lists(messages, max_size=4)),
                 max_size=4, unique_by=lambda c: c.id))
 @example([Conversation("c", [Message("a b", 1, "\r\n", "x\ry\r")])])
+@example([Conversation("a\"b'c", []), Conversation("'", []),
+          Conversation('"', [])])
 def test_pan_corpus_round_trip(conversations):
     parsed = parse_pan_corpus(write_pan_corpus(conversations))
     assert parsed.skipped_messages == 0
     assert parsed.conversations == conversations
+
+
+# The escaping of write_pan_corpus is that of xml.sax.saxutils, written out
+# so that the package does not import it (with urllib, http and ssl).
+@settings(max_examples=500)
+@given(st.text(st.one_of(st.sampled_from("&<>\"'\r\n\t"),
+                         st.characters())))
+@example("a\"b'c\r\n\t&amp;<>\u00e9\u2028")
+def test_xml_escapes_match_saxutils(value):
+    assert _xml_text(value) == escape(value, {"\r": "&#13;"})
+    assert _xml_attr(value) == quoteattr(value)
 
 
 @given(st.sets(xml_text, max_size=6))

@@ -37,10 +37,24 @@ def make_chunks(rng, n_pos, n_neg, dim=8, length=6):
 
 class TestChunkAndPad:
     def test_short_sequence_single_padded_chunk(self):
-        chunks = chunk_and_pad(make_sequence(5), chunk_len=100)
+        seq = make_sequence(5)
+        chunks = chunk_and_pad(seq, chunk_len=100)
         assert len(chunks) == 1
         assert chunks[0].valid_len == 5
-        assert np.array_equal(chunks[0].matrix[5:], np.zeros((95, 4)))
+        assert chunks[0].padded_len == 100
+        # the zero rows are not stored: they are made when chunks stack
+        assert chunks[0].matrix.shape == (5, 4)
+
+    def test_chunks_are_views_of_the_sequence(self):
+        seq = make_sequence(237, seed=9)
+        for c in chunk_and_pad(seq, chunk_len=100):
+            assert np.shares_memory(c.matrix, seq.matrix)
+            assert c.padded_len == 100
+            assert len(c.matrix) == c.valid_len
+
+    def test_padded_len_defaults_to_stored_rows(self):
+        chunk = Chunk("c", 0, np.zeros((6, 4), dtype=np.float32), 3)
+        assert chunk.padded_len == 6
 
     def test_exact_boundary_no_padding(self):
         chunks = chunk_and_pad(make_sequence(100), chunk_len=100)
@@ -181,16 +195,39 @@ class TestPredict:
 
 
 def mixed_length_chunks(n, dim=64, chunk_len=20, seed=6):
-    """n chunks whose valid_len runs over 1..chunk_len in shuffled order;
-    every valid row is nonzero, every padding row zero."""
+    """n one-chunk conversations whose valid_len runs over 1..chunk_len in
+    shuffled order; every valid row is nonzero."""
     rng = Rng(seed)
     chunks = []
     for i in range(n):
         valid = 1 + int(rng.integers(0, chunk_len))
-        matrix = np.zeros((chunk_len, dim), dtype=np.float32)
-        matrix[:valid] = rng.uniform(0.1, 1.0, (valid, dim))
-        chunks.append(Chunk(f"c{i}", 0, matrix, valid))
+        seq = ConversationSequence(f"c{i}", rng.uniform(0.1, 1.0,
+                                                        (valid, dim)))
+        chunks += chunk_and_pad(seq, chunk_len)
     return chunks
+
+
+def spy_inputs(monkeypatch, name):
+    """Record the xs passed to scd_classifier's `name` (forward_stack or
+    top_states), one array per call, before the call runs."""
+    seen = []
+    run = getattr(scd_classifier, name)
+
+    def spy(xs, layers, *args):
+        seen.append(xs.copy())
+        return run(xs, layers, *args)
+
+    monkeypatch.setattr(scd_classifier, name, spy)
+    return seen
+
+
+def assert_rows_then_zeros(xs, chunks):
+    """Column b of a stacked (T, B, I) input is chunk b's valid rows and
+    zeros after them."""
+    assert xs.shape[1] == len(chunks)
+    for b, c in enumerate(chunks):
+        assert np.array_equal(xs[:c.valid_len, b], c.matrix[:c.valid_len])
+        assert not xs[c.valid_len:, b].any()
 
 
 def one_pass_probabilities(model, chunks):
@@ -221,22 +258,53 @@ class TestBucketedScoring:
     def test_buckets_trimmed_to_their_longest_chunk(self, monkeypatch, n,
                                                     sizes):
         model = ScdModel.create(Rng(2), input_dim=64, hidden_dim=16)
-        forward_stack = scd_classifier.forward_stack
-        seen = []
-
-        def spy(xs, layers, init_states=None):
-            seen.append(xs)
-            return forward_stack(xs, layers, init_states)
-
-        monkeypatch.setattr(scd_classifier, "forward_stack", spy)
+        seen = spy_inputs(monkeypatch, "top_states")
         chunks = mixed_length_chunks(n)
         scd_classifier._chunk_probabilities(model, chunks)
         assert [xs.shape[1] for xs in seen] == sizes
+        # buckets take the chunks in order of valid length
+        by_length = sorted(chunks, key=lambda c: c.valid_len)
         for xs in seen:
-            # a chunk's valid length: one past its last nonzero row
-            nonzero = np.any(xs != 0, axis=2)
-            lengths = xs.shape[0] - np.argmax(nonzero[::-1], axis=0)
-            assert xs.shape[0] == lengths.max()
+            size = xs.shape[1]
+            bucket, by_length = by_length[:size], by_length[size:]
+            assert xs.shape[0] == max(c.valid_len for c in bucket)
+            assert_rows_then_zeros(xs, bucket)
+
+    def test_unmasked_bucket_runs_the_padded_length(self, monkeypatch):
+        model = ScdModel.create(Rng(2), input_dim=64, hidden_dim=16,
+                                masked=False)
+        seen = spy_inputs(monkeypatch, "top_states")
+        chunks = mixed_length_chunks(10, chunk_len=20)
+        scd_classifier._chunk_probabilities(model, chunks)
+        assert [xs.shape for xs in seen] == [(20, 10, 64)]
+        assert_rows_then_zeros(seen[0], chunks)
+
+
+class TestTrainingBatchInput:
+    """A training batch stacks its chunks' valid rows and pads them with
+    zeros to the last row read, whatever a chunk stores past valid_len."""
+
+    def batch(self):
+        rng = Rng(8)
+        chunks = (chunk_and_pad(ConversationSequence(
+                      "a", rng.uniform(0.1, 1.0, (25, 4)), True), 10)
+                  + chunk_and_pad(ConversationSequence(
+                      "b", rng.uniform(0.1, 1.0, (3, 4)), False), 10))
+        stored = rng.uniform(0.1, 1.0, (6, 4))    # nonzero past valid_len
+        return chunks + [Chunk("c", 0, stored, 2, False)]
+
+    # from the third chunk on, the valid lengths are 5, 3 and 2
+    @pytest.mark.parametrize("masked,first,steps", [
+        (True, 0, 10), (False, 0, 10), (True, 2, 5), (False, 2, 10)])
+    def test_rows_then_zeros_to_the_last_row_read(self, monkeypatch, masked,
+                                                  first, steps):
+        model = ScdModel.create(Rng(2), input_dim=4, hidden_dim=3,
+                                masked=masked)
+        seen = spy_inputs(monkeypatch, "forward_stack")
+        chunks = self.batch()[first:]
+        training_loss_and_grads(model, chunks)
+        assert [xs.shape for xs in seen] == [(steps, len(chunks), 4)]
+        assert_rows_then_zeros(seen[0], chunks)
 
 
 def scripted_f1(monkeypatch, f1s, val=None, val_f1s=()):
