@@ -47,11 +47,9 @@ class SentimentScore:
             if not 0.0 <= value <= 1.0:
                 raise UsageError(f"sentiment score outside [0, 1]: {self}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p, self.v, self.n], dtype=np.float64)
-
     def argmax_class(self) -> str:
-        return CLASSES[int(argmax_classes(self.as_array()))]
+        probs = np.array([self.p, self.v, self.n], dtype=np.float64)
+        return CLASSES[int(argmax_classes(probs))]
 
 
 @dataclass

@@ -79,7 +79,9 @@ class PipelineConfig:
 def load_config(path) -> PipelineConfig:
     """Parse and validate a configuration file against PipelineConfig's
     fields."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names the section "", so [DEFAULT] is an ordinary section,
+    # refused below, rather than defaults copied into every other section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -259,60 +259,26 @@ def label_conversations(conversations,
             for c in conversations]
 
 
-@dataclass
-class FilterReport:
-    """Before/after corpus attributes in the four-row layout used by the
-    filter stage's report file."""
-
-    positive_before: int = 0
-    positive_after: int = 0
-    negative_before: int = 0
-    negative_after: int = 0
-    authors_before: int = 0
-    authors_after: int = 0
-    predators_before: int = 0
-    predators_after: int = 0
-
-    def format_table(self) -> str:
-        rows = [
-            ("Positive", self.positive_before, self.positive_after),
-            ("Negative", self.negative_before, self.negative_after),
-            ("Non-predators", self.authors_before - self.predators_before,
-             self.authors_after - self.predators_after),
-            ("Predators", self.predators_before, self.predators_after),
-        ]
-        lines = [f"{'':<16}{'Original':>12}{'Filtered':>12}"]
-        for name, before, after in rows:
-            lines.append(f"{name:<16}{before:>12}{after:>12}")
-        return "\n".join(lines) + "\n"
-
-
 def filter_corpus(conversations, predator_ids):
     """Drop messages that normalize to zero tokens, participants left with
     no lines, and conversations left empty. Texts must already be
-    normalized. A conversation is positive iff a known predator takes part
-    in it before filtering. Returns (filtered labeled list, FilterReport)."""
-    report = FilterReport()
-    filtered: list[tuple[Conversation, bool]] = []
-    authors_before: set[str] = set()
-    authors_after: set[str] = set()
-    for conv, positive in label_conversations(conversations, predator_ids):
-        if positive:
-            report.positive_before += 1
-        else:
-            report.negative_before += 1
-        authors_before.update(m.author for m in conv.messages)
-        kept = [m for m in conv.messages if tokenize(m.text)]
-        if not kept:
-            continue
-        authors_after.update(m.author for m in kept)
-        filtered.append((Conversation(conv.id, kept), positive))
-        if positive:
-            report.positive_after += 1
-        else:
-            report.negative_after += 1
-    report.authors_before = len(authors_before)
-    report.authors_after = len(authors_after)
-    report.predators_before = len(authors_before & predator_ids)
-    report.predators_after = len(authors_after & predator_ids)
-    return filtered, report
+    normalized. Returns the kept conversations and the filter report, a
+    table whose columns are Original (before filtering) and Filtered
+    (after) and whose rows count Positive and Negative conversations, then
+    Non-predator and Predator authors. A conversation is positive iff a
+    known predator takes part in it before filtering."""
+    before = label_conversations(conversations, predator_ids)
+    after = [(Conversation(c.id, kept), positive) for c, positive in before
+             if (kept := [m for m in c.messages if tokenize(m.text)])]
+    columns = []
+    for labeled in (before, after):
+        positive = sum(p for _, p in labeled)
+        authors = {m.author for c, _ in labeled for m in c.messages}
+        predators = len(authors & predator_ids)
+        columns.append((positive, len(labeled) - positive,
+                        len(authors) - predators, predators))
+    lines = [f"{'':<16}{'Original':>12}{'Filtered':>12}"]
+    for name, n_before, n_after in zip(
+            ("Positive", "Negative", "Non-predators", "Predators"), *columns):
+        lines.append(f"{name:<16}{n_before:>12}{n_after:>12}")
+    return [c for c, _ in after], "\n".join(lines) + "\n"

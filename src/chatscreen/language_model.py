@@ -111,6 +111,8 @@ def _windows(model: LanguageModel, documents, order, batch_size: int):
     with inputs, targets and mask flattened time-major to match the rows of
     the stacked (T, B, H) states. The next window's forward runs only when
     the consumer asks for it, so a parameter update made in between applies.
+    Only the carried states outlive a window here, so a consumer that drops
+    its traces before asking for the next window holds one window at a time.
     """
     vocab_size = len(model.vocab)
     for start in range(0, len(order), batch_size):
@@ -132,9 +134,10 @@ def _windows(model: LanguageModel, documents, order, batch_size: int):
             traces = forward_stack(np.ascontiguousarray(xs),
                                    [model.layer1, model.layer2],
                                    init_states=states)
+            states = [(t.S[-1].copy(), t.C[-1].copy()) for t in traces]
             yield (k, X.T.reshape(-1), ids[:, k + 1:k + 1 + tw].T.reshape(-1),
                    mask.T.reshape(-1), traces)
-            states = [(t.S[-1].copy(), t.C[-1].copy()) for t in traces]
+            del traces
 
 
 def _window_grads(model: LanguageModel, x, y, mask, traces):
@@ -182,6 +185,7 @@ def train_lm(documents, model: LanguageModel, cfg: PipelineConfig,
         for k, x, y, mask, traces in _windows(model, documents, order,
                                               cfg.lm_batch_size):
             nll, count, grads = _window_grads(model, x, y, mask, traces)
+            del traces
             if not np.isfinite(nll):
                 raise NumericError(
                     f"train_lm: non-finite loss (lr={cfg.lm_lr}, "
@@ -218,6 +222,7 @@ def perplexity(model: LanguageModel, documents) -> float:
                                           range(len(documents)), 32):
         valid = np.flatnonzero(mask)
         s2 = traces[1].S.reshape(len(y), model.hidden_dim)[valid]
+        del traces
         total_nll += _target_nll(s2 @ model.out_w + model.out_b, y[valid])
         total += len(valid)
     return float(np.exp(total_nll / total))

@@ -112,9 +112,8 @@ def run_preprocess(cfg: PipelineConfig) -> None:
         for conv in parsed.conversations
     ]
     filtered, report = corpus_io.filter_corpus(normalized, truth)
-    write_atomic(out / NORMALIZED_XML, corpus_io.write_pan_corpus(
-        [c for c, _ in filtered]))
-    write_atomic(out / FILTER_REPORT, report.format_table())
+    write_atomic(out / NORMALIZED_XML, corpus_io.write_pan_corpus(filtered))
+    write_atomic(out / FILTER_REPORT, report)
     print(f"preprocess: {len(normalized)} -> {len(filtered)} conversations "
           f"-> {out / NORMALIZED_XML}")
 

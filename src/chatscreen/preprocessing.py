@@ -183,9 +183,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def lookup(self, token: str) -> int:
-        return self.index_of.get(token, self.UNK)
-
 
 def build_vocabulary(documents, min_tf: int) -> Vocabulary:
     """Count term and document frequencies over token-list documents, drop
@@ -217,7 +214,7 @@ def encode(tokens, vocab: Vocabulary, max_len: int) -> list[int]:
     max_len. Never pads; that is the consumer's concern."""
     if max_len < 1:
         raise UsageError(f"encode: max_len must be >= 1, got {max_len}")
-    ids = [vocab.lookup(t) for t in tokens]
+    ids = [vocab.index_of.get(t, Vocabulary.UNK) for t in tokens]
     ids.append(Vocabulary.EOS)
     return ids[:max_len]
 

@@ -160,16 +160,6 @@ def _stacked_inputs(model: ScdModel, chunks, rows) -> np.ndarray:
     return xs
 
 
-def _final_states(model: ScdModel, chunks):
-    """Top-layer hidden state read per chunk (see _read_rows), plus the
-    traces for backprop."""
-    rows = _read_rows(model, chunks)
-    traces = forward_stack(_stacked_inputs(model, chunks, rows),
-                           [model.layer1, model.layer2])
-    finals = traces[1].S[rows, np.arange(len(chunks)), :]
-    return finals, rows, traces
-
-
 def _chunk_probabilities(model: ScdModel, chunks) -> np.ndarray:
     """Sigmoid probability per chunk, in input order. Chunks sorted by read
     row are scored in buckets of SCORE_BUCKET_ROWS, each run only as far as
@@ -244,7 +234,10 @@ def _chunk_metrics(model, chunks, threshold):
 def training_loss_and_grads(model: ScdModel, chunks):
     """Mean binary cross-entropy over a list of chunks and gradients in
     model.param_list() order; also the gradient-check entry point."""
-    finals, rows, traces = _final_states(model, chunks)
+    rows = _read_rows(model, chunks)
+    traces = forward_stack(_stacked_inputs(model, chunks, rows),
+                           [model.layer1, model.layer2])
+    finals = traces[1].S[rows, np.arange(len(chunks))]
     labels = np.array([1.0 if c.label else 0.0 for c in chunks],
                       dtype=model.dtype)
     logits = finals @ model.head_w + model.head_b[0]

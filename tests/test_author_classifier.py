@@ -180,7 +180,8 @@ class TestScore:
         stacked = class_probabilities(model, x)
         assert stacked.dtype == np.float64
         for i, row in enumerate(x):
-            want = score(model, row).as_array()
+            s = score(model, row)
+            want = np.array([s.p, s.v, s.n])
             assert np.allclose(class_probabilities(model, row[None, :])[0],
                                want, rtol=0, atol=1e-14)
             assert np.allclose(stacked[i], want, rtol=0, atol=1e-14)
@@ -357,7 +358,8 @@ class TestBatchedUnits:
                             per_unit_author_loss_and_grads)
         monkeypatch.setattr(author_classifier, "class_probabilities",
                             lambda model, x: np.array([
-                                score(model, row).as_array() for row in x]))
+                                [s.p, s.v, s.n] for s in (score(model, row)
+                                                          for row in x)]))
         loop_model = fresh()
         loop_records = train_author(loop_model, units, cfg, Rng(3))
         assert ([(r.epoch, r.train_accuracy) for r in records]

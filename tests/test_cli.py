@@ -83,6 +83,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="nonsense"):
             load_config(path)
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nseed = 5\n", "[DEFAULT]\nlr = 0.2\n",
+        "[DEFAULT]\nepochs = 0\n\n[lm]\nwindow = 4\n"],
+        ids=["seed", "lr", "epochs-beside-lm"])
+    def test_default_section_rejected(self, tmp_path, text):
+        # configparser's own [DEFAULT] would be dropped or copied into
+        # every other section, never reported
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            load_config(path)
+
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[lm]\nepochs = soon\n")
@@ -187,6 +199,13 @@ class TestExitCodes:
         code = main(["train-lm", "--config", str(cfg_path)])
         assert code == 1
         assert "build-vocab" in capsys.readouterr().err
+
+    def test_default_section_is_config_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
+        cfg_path.write_text("[DEFAULT]\nseed = 5\n\n" + cfg_path.read_text())
+        assert main(["synth", "--config", str(cfg_path)]) == 1
+        assert "[DEFAULT]" in capsys.readouterr().err
+        assert not (tmp_path / "corpus.xml").exists()
 
     def test_malformed_corpus_is_data_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "run.cfg", tmp_path)

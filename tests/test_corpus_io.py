@@ -315,12 +315,22 @@ class TestLabeling:
             assert now or not was
 
 
+def filter_table(*rows):
+    """The filter report for (name, original, filtered) rows."""
+    lines = [f"{'':<16}{'Original':>12}{'Filtered':>12}"]
+    lines += [f"{name:<16}{before:>12}{after:>12}"
+              for name, before, after in rows]
+    return "\n".join(lines) + "\n"
+
+
 class TestFilterCorpus:
     def test_emoticon_only_conversation_dropped(self):
         # ":)" normalizes to an empty string upstream of the filter
         filtered, report = filter_corpus([conv("c", ("a", ""))], set())
         assert filtered == []
-        assert (report.negative_before, report.negative_after) == (1, 0)
+        assert report == filter_table(("Positive", 0, 0), ("Negative", 1, 0),
+                                      ("Non-predators", 1, 0),
+                                      ("Predators", 0, 0))
 
     def test_normal_conversation_retained(self):
         filtered, _ = filter_corpus([conv("c", ("a", "hello there"))], set())
@@ -335,22 +345,28 @@ class TestFilterCorpus:
         convs += [conv("drop0", ("p", "")),
                   conv("drop1", ("b", "")), conv("drop2", ("c", ""))]
         filtered, report = filter_corpus(convs, predator_ids={"p"})
-        assert len(filtered) == 7
-        assert [c.id for c, positive in filtered if positive] == \
-            ["keep0", "keep1"]
-        assert (report.positive_before, report.positive_after) == (3, 2)
-        assert (report.negative_before, report.negative_after) == (7, 5)
-        assert (report.predators_before, report.predators_after) == (1, 1)
-        assert (report.authors_before, report.authors_after) == (4, 3)
-        table = report.format_table()
-        assert "Original" in table and "Filtered" in table
-        assert "Predators" in table
+        assert filtered == convs[:7]
+        assert report == (
+            "                    Original    Filtered\n"
+            "Positive                   3           2\n"
+            "Negative                   7           5\n"
+            "Non-predators              3           2\n"
+            "Predators                  1           1\n")
+
+    def test_label_taken_before_filtering(self):
+        # the predator's only line is empty, so only "a" is left in c, and
+        # c still counts as positive after filtering
+        filtered, report = filter_corpus(
+            [conv("c", ("a", "hello"), ("p", ""))], {"p"})
+        assert filtered == [conv("c", ("a", "hello"))]
+        assert report == filter_table(("Positive", 1, 1), ("Negative", 0, 0),
+                                      ("Non-predators", 1, 1),
+                                      ("Predators", 1, 0))
 
     def test_participant_with_only_empty_lines_dropped(self):
         filtered, _ = filter_corpus([conv("c", ("a", "hello"), ("ghost", ""))],
                                     set())
-        authors = {m.author for m in filtered[0][0].messages}
-        assert authors == {"a"}
+        assert filtered == [conv("c", ("a", "hello"))]
 
 
 class TestGroupByAuthor:

@@ -1,8 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from chatscreen import language_model
 from chatscreen.config import PipelineConfig
 from chatscreen.core_math import Rng, gradient_check
 from chatscreen.errors import UsageError
@@ -182,6 +184,35 @@ class TestTrainLm:
         records = train_lm([doc], model, cfg, Rng(1))
         # lr 0: logged perplexity equals evaluation perplexity exactly
         assert abs(records[0].train_ppl - perplexity(model, [doc])) < 1e-3
+
+
+class TestOneWindowAtATime:
+    """Each window's forward pass runs after every earlier window's traces
+    are freed: a consumer holds one window at a time."""
+
+    @pytest.mark.parametrize("run", [
+        lambda model, docs: train_lm(docs, model, PipelineConfig(
+            lm_epochs=2, lm_batch_size=2), Rng(1)),
+        lambda model, docs: perplexity(model, docs)],
+        ids=["train_lm", "perplexity"])
+    def test_earlier_traces_freed_before_each_forward(self, monkeypatch, run):
+        model = tiny_model(make_vocab(6), window=3)
+        docs = [[3, 4, 5, 6, 7, 8, 3, 4, 5, 6], [4, 5, 6],
+                [7, 8, 3, 4, 5, 6, 7, 8]]
+        forward = language_model.forward_stack
+        refs, alive = [], []
+
+        def spy(*args, **kwargs):
+            alive.append(sum(r() is not None for r in refs))
+            traces = forward(*args, **kwargs)
+            refs.extend(weakref.ref(a) for t in traces
+                        for a in (t, t.S, t.C, t.Z, t.TC))
+            return traces
+
+        monkeypatch.setattr(language_model, "forward_stack", spy)
+        run(model, docs)
+        assert len(alive) >= 3
+        assert alive == [0] * len(alive)
 
 
 class TestGradientFidelity:

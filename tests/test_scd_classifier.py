@@ -9,6 +9,7 @@ from chatscreen.core_math import LOG_EPS, Rng, gradient_check, sigmoid
 from chatscreen.corpus_io import Conversation, Message
 from chatscreen.errors import UsageError
 from chatscreen.language_model import LanguageModel, sentence_vector
+from chatscreen.lstm import forward_stack
 from chatscreen.preprocessing import RESERVED_TOKENS, Vocabulary, tokenize
 from chatscreen.scd_classifier import (Chunk, ConversationSequence, ScdModel,
                                        chunk_and_pad, predict_scd, train_scd,
@@ -232,7 +233,10 @@ def assert_rows_then_zeros(xs, chunks):
 
 def one_pass_probabilities(model, chunks):
     """Every chunk in one forward pass as long as the longest read row."""
-    finals, _, _ = scd_classifier._final_states(model, chunks)
+    rows = scd_classifier._read_rows(model, chunks)
+    traces = forward_stack(scd_classifier._stacked_inputs(model, chunks, rows),
+                           [model.layer1, model.layer2])
+    finals = traces[1].S[rows, np.arange(len(chunks))]
     logits = finals.astype(np.float64) @ model.head_w.astype(np.float64) \
         + float(model.head_b[0])
     return np.clip(sigmoid(logits), LOG_EPS, 1.0 - LOG_EPS)
