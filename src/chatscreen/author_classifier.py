@@ -62,46 +62,41 @@ class AuthorUnit:
     label: str | None = None
 
 
-def unit_features(lines, bigrams: bool = True) -> list[str]:
+def unit_features(lines) -> list[str]:
     """Unigrams plus adjacent bigrams (within a line), with multiplicity."""
     feats: list[str] = []
     for line in lines:
         feats.extend(line)
-        if bigrams:
-            feats.extend(f"{a} {b}" for a, b in zip(line, line[1:]))
+        feats.extend(f"{a} {b}" for a, b in zip(line, line[1:]))
     return feats
 
 
-def build_feature_vocab(units, min_freq: int,
-                        bigrams: bool = True) -> list[str]:
+def build_feature_vocab(units, min_freq: int) -> list[str]:
     """Features seen at least min_freq times across units, ordered by count
     descending then lexicographically."""
     counts: Counter = Counter()
     for unit in units:
-        counts.update(unit_features(unit.lines, bigrams))
+        counts.update(unit_features(unit.lines))
     kept = [f for f, c in counts.items() if c >= min_freq]
     return sorted(kept, key=lambda f: (-counts[f], f))
 
 
 class ShallowModel:
     def __init__(self, features: list[str], embedding: np.ndarray,
-                 class_w: np.ndarray, class_b: np.ndarray,
-                 bigrams: bool = True):
+                 class_w: np.ndarray, class_b: np.ndarray):
         self.features = list(features)
         self.feature_index = {f: i for i, f in enumerate(self.features)}
         self.embedding = embedding
         self.class_w = class_w
         self.class_b = class_b
-        self.bigrams = bigrams
         self.validate()
 
     @classmethod
-    def create(cls, rng, features, k: int,
-               bigrams: bool = True) -> "ShallowModel":
+    def create(cls, rng, features, k: int) -> "ShallowModel":
         embedding = init_uniform(rng, len(features), k, fan_in=k)
         class_w = init_uniform(rng, k, len(CLASSES), fan_in=k)
         class_b = np.zeros(len(CLASSES), dtype=np.float32)
-        return cls(features, embedding, class_w, class_b, bigrams=bigrams)
+        return cls(features, embedding, class_w, class_b)
 
     def validate(self) -> None:
         if self.embedding.shape[0] != len(self.features):
@@ -129,11 +124,11 @@ class ShallowModel:
     def astype(self, dtype) -> "ShallowModel":
         return ShallowModel(self.features, self.embedding.astype(dtype),
                             self.class_w.astype(dtype),
-                            self.class_b.astype(dtype), bigrams=self.bigrams)
+                            self.class_b.astype(dtype))
 
     def feature_ids(self, lines) -> list[int]:
         idx = self.feature_index
-        return [idx[f] for f in unit_features(lines, self.bigrams) if f in idx]
+        return [idx[f] for f in unit_features(lines) if f in idx]
 
 
 def _flat_ids(id_lists):
@@ -215,9 +210,9 @@ def train_author(model: ShallowModel, units, cfg: PipelineConfig, rng):
     """Minimize 3-class cross-entropy over (author, conversation) units with
     cfg's [author] recipe.
 
-    All three classes must be present. With balance on, each epoch
-    oversamples every class to the majority count. Trains model in place
-    and returns one record per epoch.
+    All three classes must be present. Each epoch oversamples every class
+    to the majority count. Trains model in place and returns one record per
+    epoch.
     """
     units = list(units)
     if not units:
@@ -234,17 +229,13 @@ def train_author(model: ShallowModel, units, cfg: PipelineConfig, rng):
     params = model.param_list()
     by_class = {c: [i for i, u in enumerate(units) if u.label == c]
                 for c in CLASSES}
+    majority = max(len(v) for v in by_class.values())
     target = np.array([CLASSES.index(u.label) for u in units])
     for epoch in range(1, cfg.author_epochs + 1):
-        if cfg.author_balance:
-            majority = max(len(v) for v in by_class.values())
-            pool: list[int] = []
-            for c in CLASSES:
-                members = by_class[c]
-                picks = rng.integers(0, len(members), size=majority)
-                pool.extend(members[int(i)] for i in picks)
-        else:
-            pool = list(range(len(units)))
+        pool: list[int] = []
+        for members in by_class.values():
+            picks = rng.integers(0, len(members), size=majority)
+            pool.extend(members[int(i)] for i in picks)
         order = rng.permutation(len(pool))
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, len(order), cfg.author_batch_size):

@@ -60,14 +60,12 @@ class PipelineConfig:
     scd_val_fraction: float = _key("scd", 0.2, _FRACTION)
     scd_masked: bool = _key("scd", True)
     author_k: int = _key("author", 16, _SIZE)
-    author_bigrams: bool = _key("author", True)
-    author_min_feature_freq: int = _key("author", 5)
+    author_min_feature_freq: int = _key("author", 5, _SIZE)
     author_epochs: int = _key("author", 8, _EPOCHS)
     author_lr: float = _key("author", 0.1, _STEP)
     author_optimizer: str = _key("author", "sgd", _OPTIMIZER)
     author_batch_size: int = _key("author", 32, _SIZE)
     author_clip_norm: float = _key("author", 5.0, _STEP)
-    author_balance: bool = _key("author", True)
     seed: int = _key("run", 1)
     use_bias: bool = _key("run", True)
     synth_n_conversations: int = _key("synth", 500, _SIZE)

@@ -213,7 +213,8 @@ def _target_nll(logits: np.ndarray, targets: np.ndarray) -> float:
 
 def perplexity(model: LanguageModel, documents) -> float:
     """exp(mean next-token cross-entropy) over batches of 32 documents;
-    log-probabilities taken in float64 so anchor values hold tightly."""
+    log-probabilities taken in float64 so anchor values hold tightly. A
+    non-finite result, from diverged weights, is a NumericError."""
     documents = [list(d) for d in documents if len(d) >= 2]
     if not documents:
         raise UsageError("perplexity: corpus has no next-token predictions")
@@ -225,7 +226,11 @@ def perplexity(model: LanguageModel, documents) -> float:
         del traces
         total_nll += _target_nll(s2 @ model.out_w + model.out_b, y[valid])
         total += len(valid)
-    return float(np.exp(total_nll / total))
+    with np.errstate(over="ignore"):
+        ppl = float(np.exp(total_nll / total))
+    if not np.isfinite(ppl):
+        raise NumericError(f"perplexity: non-finite result {ppl}")
+    return ppl
 
 
 def training_loss_and_grads(model: LanguageModel, documents):

@@ -256,7 +256,7 @@ def container_for_model(model) -> Container:
         return c
     if isinstance(model, ShallowModel):
         c = Container(kind="author_classifier")
-        c.metas["bigrams"] = "1" if model.bigrams else "0"
+        c.metas["bigrams"] = "1"    # features always include bigrams
         c.strtabs["features"] = list(model.features)
         c.tensors["embedding"] = model.embedding
         c.tensors["class_w"] = model.class_w
@@ -311,11 +311,13 @@ def _model_from(container: Container):
                         container.tensor("head_b"),
                         masked=_flag(container, "masked"))
     if kind == "author_classifier":
+        if not _flag(container, "bigrams"):     # a unigram-only model
+            raise ContainerFormatError(f"{kind} container setting 'bigrams' "
+                                       "is '0'; scoring uses bigrams")
         return ShallowModel(container.strtabs["features"],
                             container.tensor("embedding"),
                             container.tensor("class_w"),
-                            container.tensor("class_b"),
-                            bigrams=_flag(container, "bigrams"))
+                            container.tensor("class_b"))
     if kind == "sentence_vectors":
         ids = container.strtabs["conversation_ids"]
         matrices = [container.tensor(f"conv{i}") for i in range(len(ids))]

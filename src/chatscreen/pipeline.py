@@ -198,6 +198,19 @@ def run_vectorize(cfg: PipelineConfig) -> None:
     print(f"vectorize: {len(ids)} conversations{note} -> {out / VECTORS_FILE}")
 
 
+def _check_keys(path: Path, found: list, expected) -> None:
+    """Refuse an artifact whose keys are not each of `expected` once: a
+    DataFormatError naming the file and counting the missing, unexpected
+    and repeated keys, so one left over from another corpus is not read."""
+    seen, expected = set(found), set(expected)
+    missing, unexpected = expected - seen, seen - expected
+    repeated = len(found) - len(seen)
+    if missing or unexpected or repeated:
+        raise DataFormatError(
+            f"{path}: keys do not match {NORMALIZED_XML}: {len(missing)} "
+            f"missing, {len(unexpected)} unexpected, {repeated} repeated")
+
+
 def _labeled_sequences(cfg: PipelineConfig,
                        input_dim: int | None = None):
     """vectors.bin's sentence-vector sequences, each labeled positive iff a
@@ -214,13 +227,7 @@ def _labeled_sequences(cfg: PipelineConfig,
                   [c for c in _load_normalized(cfg) if c.messages],
                   _load_truth(cfg))}
     ids = bundle.conversation_ids
-    missing = labels.keys() - set(ids)
-    unexpected = set(ids) - labels.keys()
-    if missing or unexpected or len(set(ids)) != len(ids):
-        raise DataFormatError(
-            f"{path}: conversations do not match {NORMALIZED_XML}: "
-            f"{len(missing)} missing, {len(unexpected)} unexpected, "
-            f"{len(ids) - len(set(ids))} repeated")
+    _check_keys(path, ids, labels.keys())
     for conv_id, matrix in zip(ids, bundle.matrices):
         if not len(matrix):
             raise DataFormatError(f"{path}: conversation {conv_id!r} has no "
@@ -318,14 +325,12 @@ def run_train_author(cfg: PipelineConfig) -> None:
     conversations = _load_normalized(cfg)
     classes = _author_classes(conversations, _load_truth(cfg))
     units = _author_units(conversations, classes)
-    features = ac.build_feature_vocab(units,
-                                      min_freq=cfg.author_min_feature_freq,
-                                      bigrams=cfg.author_bigrams)
+    features = ac.build_feature_vocab(units, cfg.author_min_feature_freq)
     if not features:
         raise UsageError("train-author: feature vocabulary is empty; lower "
                          "author.min_feature_freq")
     model = ac.ShallowModel.create(_stage_rng(cfg, "author-init"), features,
-                                   cfg.author_k, bigrams=cfg.author_bigrams)
+                                   cfg.author_k)
     records = ac.train_author(model, units, cfg,
                               _stage_rng(cfg, "author-train"))
     model_store.save(model, out / AUTHOR_MODEL)
@@ -373,12 +378,7 @@ def _read_tsv(path: Path, n_fields: int, parse, keys) -> dict:
             rows[fields[0]] = parse(*fields)
         except (ValueError, UsageError) as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    missing = set(keys) - rows.keys()
-    unexpected = rows.keys() - set(keys)
-    if missing or unexpected:
-        raise DataFormatError(
-            f"{path}: rows do not match {NORMALIZED_XML}: {len(missing)} "
-            f"missing, {len(unexpected)} unexpected")
+    _check_keys(path, list(rows), keys)
     return rows
 
 

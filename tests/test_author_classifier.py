@@ -123,7 +123,7 @@ class TestFeaturize:
                                atol=1e-6 if dtype == np.float32 else 1e-14)
 
     def test_unit_features_multiplicity(self):
-        feats = unit_features([["x", "x"], ["y"]], bigrams=True)
+        feats = unit_features([["x", "x"], ["y"]])
         assert feats == ["x", "x", "x x", "y"]
 
 
@@ -231,7 +231,8 @@ class TestTrainAuthor:
 
     def test_feature_vocab_min_frequency(self):
         units = [AuthorUnit("a", "c", [["common"] * 5 + ["rare"]], "N")]
-        features = build_feature_vocab(units, min_freq=5, bigrams=False)
+        # "common common" occurs 4 times, "common rare" once
+        features = build_feature_vocab(units, min_freq=5)
         assert features == ["common"]
 
     def test_tiny_model_gradient_check(self):

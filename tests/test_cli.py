@@ -4,7 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,8 @@ from chatscreen.model_store import (VectorBundle, load, read_container,
                                     save, write_container)
 from chatscreen.preprocessing import (RESERVED_TOKENS, Vocabulary, tokenize,
                                       vocab_to_text)
+
+from test_acceptance import write_accept_config
 
 
 def write_config(path, out_dir, **overrides):
@@ -113,9 +115,30 @@ class TestConfig:
     @pytest.mark.parametrize("raw", ["maybe", "2", "y", "t"])
     def test_other_boolean_values_rejected(self, tmp_path, raw):
         path = tmp_path / "bad.cfg"
-        path.write_text(f"[author]\nbigrams = {raw}\n")
+        path.write_text(f"[scd]\nmasked = {raw}\n")
         with pytest.raises(ConfigError, match="not a boolean"):
             load_config(path)
+
+    @pytest.mark.parametrize("key", ["bigrams", "balance"])
+    def test_removed_author_switch_is_unknown_key(self, tmp_path, capsys,
+                                                  key):
+        # the scorer always uses bigrams and class balancing
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path,
+                                author={key: "true"})
+        assert main(["synth", "--config", str(cfg_path)]) == 1
+        assert f"unknown key {key!r} in [author]" in capsys.readouterr().err
+        assert not (tmp_path / "corpus.xml").exists()
+
+    def test_acceptance_recipe_matches_the_shipped_config(self, tmp_path):
+        # the benchmark runs configs/synth-accept.cfg, criterion 7 the copy
+        # write_accept_config writes; only their [paths] may differ
+        shipped = load_config(Path(__file__).parents[1] / "configs"
+                              / "synth-accept.cfg")
+        inline = load_config(write_accept_config(tmp_path / "accept.cfg",
+                                                 tmp_path))
+        paths = {f.name: "" for f in fields(PipelineConfig)
+                 if f.metadata["section"] == "paths"}
+        assert replace(shipped, **paths) == replace(inline, **paths)
 
     def test_default_config_file_lists_every_default(self):
         path = Path(__file__).parents[1] / "configs" / "chat-default.cfg"
@@ -328,6 +351,8 @@ class TestExitCodes:
         ("lm", "optimizer", "adagrad"), ("scd", "optimizer", "adagrad"),
         ("author", "optimizer", "adagrad"), ("lm", "optimizer", "SGD"),
         ("preprocessing", "min_tf", "0"),
+        ("author", "min_feature_freq", "0"),
+        ("author", "min_feature_freq", "-3"),
         ("synth", "n_conversations", "0"),
         ("synth", "predator_fraction", "1"),
         ("synth", "predator_fraction", "-0.1"),
@@ -431,6 +456,22 @@ class TestStages:
         (out / "truth.txt").write_text("")
         assert main(["eval-lm", "--config", str(cfg_path)]) == 0
         assert (out / "eval_lm.txt").read_text() == "perplexity=100.000000\n"
+
+    def test_eval_lm_on_diverged_model_is_numeric_error(self, tmp_path,
+                                                        capsys):
+        # weights blown up by a huge learning rate: the perplexity is not
+        # finite, which used to be written out with exit 0
+        self.test_eval_lm_on_uniform_model_reports_vocab_size(tmp_path,
+                                                              capsys)
+        cfg_path = tmp_path / "run.cfg"
+        eval_lm = (tmp_path / "eval_lm.txt").read_bytes()
+        model = load(tmp_path / "lm.model")
+        model.out_w[:] = 3e38
+        model.out_w[:, ::2] = -3e38
+        save(model, tmp_path / "lm.model")
+        assert main(["eval-lm", "--config", str(cfg_path)]) == 3
+        assert "perplexity" in capsys.readouterr().err
+        assert (tmp_path / "eval_lm.txt").read_bytes() == eval_lm
 
     def test_identify_fixture_enumeration(self, tmp_path):
         cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
@@ -594,6 +635,20 @@ class TestStageFiles:
         (out / file).write_bytes(raw.replace(line, new))
         assert main([stage, "--config", str(cfg_path)]) == 2
         assert key in capsys.readouterr().err
+
+    def test_unigram_only_author_model_is_data_error(self, small_run,
+                                                      tmp_path, capsys):
+        # scored with bigram features, it used to give wrong scores, exit 0
+        out, cfg_path = copy_run(small_run, tmp_path)
+        raw = (out / "author.model").read_bytes()
+        line = b"meta\tbigrams\t1\n"
+        assert raw.count(line) == 1
+        (out / "author.model").write_bytes(
+            raw.replace(line, b"meta\tbigrams\t0\n"))
+        assert main(["score-authors", "--config", str(cfg_path)]) == 2
+        assert "bigrams" in capsys.readouterr().err
+        assert (out / "author_scores.tsv").read_bytes() == \
+            (small_run / "author_scores.tsv").read_bytes()
 
     def test_per_gate_lstm_layout_is_data_error(self, small_run, tmp_path,
                                                 capsys):

@@ -7,7 +7,7 @@ import pytest
 from chatscreen import language_model
 from chatscreen.config import PipelineConfig
 from chatscreen.core_math import Rng, gradient_check
-from chatscreen.errors import UsageError
+from chatscreen.errors import NumericError, UsageError
 from chatscreen.language_model import (LanguageModel, _window_grads, _windows,
                                        perplexity, sentence_vector, train_lm,
                                        training_loss_and_grads)
@@ -45,6 +45,14 @@ class TestLmForward:
         model.out_b[:] = 0
         ppl = perplexity(model, [[3, 6, 7, 8, 9, 6, 7, 8, 9, 3, 4, 5]])
         assert abs(ppl - len(vocab)) < 1e-6
+
+    def test_diverged_weights_are_numeric_error(self):
+        # logits of +-inf: the perplexity used to come back as inf
+        model = tiny_model(make_vocab(4))
+        model.out_w[:] = 3e38
+        model.out_w[:, ::2] = -3e38
+        with pytest.raises(NumericError, match="perplexity"):
+            perplexity(model, [[3, 6, 7, 8, 9]])
 
     def test_single_token_one_distribution(self):
         model = tiny_model(make_vocab(4), seed=23, dtype=np.float64)
