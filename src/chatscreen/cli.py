@@ -14,20 +14,8 @@ from . import pipeline
 from .config import PipelineConfig, load_config
 from .errors import DataFormatError, NumericError, UsageError
 
-_STAGES = {
-    "preprocess": pipeline.run_preprocess,
-    "build-vocab": pipeline.run_build_vocab,
-    "train-lm": pipeline.run_train_lm,
-    "eval-lm": pipeline.run_eval_lm,
-    "vectorize": pipeline.run_vectorize,
-    "train-scd": pipeline.run_train_scd,
-    "eval-scd": pipeline.run_eval_scd,
-    "train-author": pipeline.run_train_author,
-    "score-authors": pipeline.run_score_authors,
-    "identify": pipeline.run_identify,
-    "pipeline": pipeline.run_pipeline,
-    "synth": pipeline.run_synth,
-}
+_COMMANDS = {pipeline.command_name(fn): fn for fn, _ in pipeline.STAGES}
+_COMMANDS.update(pipeline=pipeline.run_pipeline, synth=pipeline.run_synth)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,14 +24,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chat-log screening: LSTM sentence vectors, conversation "
                     "classification, and author scoring.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _STAGES:
+    for name in _COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", help="configuration file (key = value "
                                         "with [section] headers)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--strict-paper", action="store_true",
-                       help="disable gate biases and padding masking")
     return parser
 
 
@@ -60,9 +46,7 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out = args.out
-        if args.strict_paper:   # bare gate equations, no padding mask
-            cfg.use_bias = cfg.scd_masked = False
-        _STAGES[args.command](cfg)
+        _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -53,10 +53,12 @@ def _out_dir(cfg: PipelineConfig) -> Path:
     return path
 
 
-def _artifact(cfg: PipelineConfig, name: str, producer: str) -> Path:
+def _artifact(cfg: PipelineConfig, name: str) -> Path:
     path = Path(cfg.out) / name
     if not path.exists():
-        raise UsageError(f"{path} not found; run `chatscreen {producer}` first")
+        producer = next(fn for fn, writes in STAGES if name in writes)
+        raise UsageError(f"{path} not found; run `chatscreen "
+                         f"{command_name(producer)}` first")
     return path
 
 
@@ -85,7 +87,7 @@ def _load_normalized(cfg: PipelineConfig):
     hands every later stage the same tuple for as long as the file's bytes
     stay the same, so stages must not modify the conversations."""
     return _parse_normalized(
-        _artifact(cfg, NORMALIZED_XML, "preprocess").read_bytes())
+        _artifact(cfg, NORMALIZED_XML).read_bytes())
 
 
 @functools.lru_cache(maxsize=1)
@@ -129,7 +131,7 @@ def run_build_vocab(cfg: PipelineConfig) -> None:
 
 
 def _load_vocab(cfg: PipelineConfig) -> Vocabulary:
-    path = _artifact(cfg, VOCAB_FILE, "build-vocab")
+    path = _artifact(cfg, VOCAB_FILE)
     text = read_text(path)
     try:
         return vocab_from_text(text)
@@ -169,7 +171,7 @@ def run_train_lm(cfg: PipelineConfig) -> None:
 
 def run_eval_lm(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    model = model_store.load(_artifact(cfg, LM_MODEL, "train-lm"))
+    model = model_store.load(_artifact(cfg, LM_MODEL))
     conversations = _load_normalized(cfg)
     documents = _lm_documents(conversations, model.vocab, model.window)
     ppl = perplexity(model, documents)
@@ -179,7 +181,7 @@ def run_eval_lm(cfg: PipelineConfig) -> None:
 
 def run_vectorize(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    model = model_store.load(_artifact(cfg, LM_MODEL, "train-lm"))
+    model = model_store.load(_artifact(cfg, LM_MODEL))
     conversations = _load_normalized(cfg)
     ids: list[str] = []
     matrices = []
@@ -220,7 +222,7 @@ def _labeled_sequences(cfg: PipelineConfig,
     and no other, each with at least one row, and rows input_dim wide when
     that is given; anything else is a DataFormatError naming the file, so
     vectors left over from another corpus are refused, not mislabeled."""
-    path = _artifact(cfg, VECTORS_FILE, "vectorize")
+    path = _artifact(cfg, VECTORS_FILE)
     bundle = model_store.load(path)
     labels = {conv.id: positive for conv, positive in
               corpus_io.label_conversations(
@@ -265,7 +267,7 @@ def run_train_scd(cfg: PipelineConfig) -> None:
 
 def run_eval_scd(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    model = model_store.load(_artifact(cfg, SCD_MODEL, "train-scd"))
+    model = model_store.load(_artifact(cfg, SCD_MODEL))
     sequences = _labeled_sequences(cfg, model.input_dim)
     rows = []
     flagged = []
@@ -342,7 +344,7 @@ def run_train_author(cfg: PipelineConfig) -> None:
 
 def run_score_authors(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    model = model_store.load(_artifact(cfg, AUTHOR_MODEL, "train-author"))
+    model = model_store.load(_artifact(cfg, AUTHOR_MODEL))
     units = _author_units(_load_normalized(cfg))
     probs = ac.class_probabilities(
         model, [ac.featurize(model, unit.lines) for unit in units])
@@ -407,8 +409,8 @@ def _verdict_row(_conv_id, prob, verdict) -> tuple[float, bool]:
 
 def run_identify(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    verdicts_path = _artifact(cfg, SCD_VERDICTS, "eval-scd")
-    scores_path = _artifact(cfg, AUTHOR_SCORES, "score-authors")
+    verdicts_path = _artifact(cfg, SCD_VERDICTS)
+    scores_path = _artifact(cfg, AUTHOR_SCORES)
     conversations = _load_normalized(cfg)
     truth = _load_truth(cfg)
     authors = {a for conv in conversations for a in conv.authors()}
@@ -429,17 +431,30 @@ def run_identify(cfg: PipelineConfig) -> None:
           f"F0.5={format_metric(prf.f_beta)} -> {out / PREDATORS_FILE}")
 
 
+# The stages in pipeline order, each with the files it writes to cfg.out.
+STAGES = (
+    (run_preprocess, (NORMALIZED_XML, FILTER_REPORT)),
+    (run_build_vocab, (VOCAB_FILE,)),
+    (run_train_lm, (LM_MODEL, LM_LOG)),
+    (run_eval_lm, (EVAL_LM,)),
+    (run_vectorize, (VECTORS_FILE,)),
+    (run_train_scd, (SCD_MODEL, SCD_LOG)),
+    (run_eval_scd, (SCD_VERDICTS, SCD_METRICS)),
+    (run_train_author, (AUTHOR_MODEL, AUTHOR_LOG)),
+    (run_score_authors, (AUTHOR_SCORES,)),
+    (run_identify, (PREDATORS_FILE, REPORT_FILE)),
+)
+
+
+def command_name(fn) -> str:
+    """The CLI subcommand of a stage function: run_train_lm -> train-lm."""
+    return fn.__name__.removeprefix("run_").replace("_", "-")
+
+
 def run_pipeline(cfg: PipelineConfig) -> None:
-    run_preprocess(cfg)
-    run_build_vocab(cfg)
-    run_train_lm(cfg)
-    run_eval_lm(cfg)
-    run_vectorize(cfg)
-    run_train_scd(cfg)
-    run_eval_scd(cfg)
-    run_train_author(cfg)
-    run_score_authors(cfg)
-    run_identify(cfg)
+    for fn, _writes in STAGES:
+        # looked up at call time: a tracer may have wrapped it on the module
+        globals()[fn.__name__](cfg)
 
 
 def run_synth(cfg: PipelineConfig) -> None:

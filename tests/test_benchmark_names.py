@@ -3,7 +3,9 @@
 The benchmark worker calls `pipeline.run_<stage>` by name, and a traced run
 wraps package functions by module attribute. A rename under src/chatscreen
 would break every benchmark run, or every traced one, without failing
-another test. The check runs in its own process because installing the
+another test. The tracer also keeps its own list of the stages, which must
+match `pipeline.STAGES` in order, so a stage added to the table is traced
+too. The check runs in its own process because installing the
 tracer replaces package functions for the rest of that process.
 """
 
@@ -23,6 +25,9 @@ names = [f"run_{stage}" for stage in tracer.STAGES] + ["run_pipeline"]
 missing = [n for n in names if not callable(getattr(pipeline, n, None))]
 assert not missing, f"pipeline lacks {missing}"
 assert set(worker.STAGE_FUNCTIONS.values()) == set(names)
+commands = [pipeline.command_name(fn) for fn, _writes in pipeline.STAGES]
+assert [c.replace("-", "_") for c in commands] == list(tracer.STAGES), \
+    f"pipeline.STAGES {commands} != tracer.STAGES {tracer.STAGES}"
 tracer.install(tracer.Tracer())
 """
 

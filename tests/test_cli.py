@@ -193,12 +193,14 @@ class TestConfig:
         assert load_config(path).scd_threshold == 0.0
 
     def test_strict_paper_mode(self, small_run, tmp_path):
-        # --strict-paper: no gate biases in either model's LSTM layers, and
-        # an SCD model that reads the padded chunk's last state
-        out, cfg_path = copy_run(small_run, tmp_path)
+        # the literal equations, [run] use_bias = false with [scd] masked =
+        # false: no gate biases in either model's LSTM layers, and an SCD
+        # model that reads the padded chunk's last state
+        out, cfg_path = copy_run(small_run, tmp_path,
+                                 run={"use_bias": "false"},
+                                 scd={"masked": "false"})
         for stage in ("train-lm", "train-scd"):
-            assert main([stage, "--config", str(cfg_path),
-                         "--strict-paper"]) == 0
+            assert main([stage, "--config", str(cfg_path)]) == 0
         lm, scd = (read_container(out / name)
                    for name in ("lm.model", "scd.model"))
         for container in (lm, scd):
@@ -207,7 +209,7 @@ class TestConfig:
             assert not {"layer1.b", "layer2.b"} & container.tensors.keys()
         assert scd.metas["masked"] == "0"
         assert load(out / "scd.model").masked is False
-        # the same run without the flag keeps both
+        # the same run without the two keys keeps both
         default = read_container(small_run / "scd.model")
         assert default.metas["masked"] == "1"
         assert "layer1.b" in default.tensors
@@ -215,13 +217,22 @@ class TestConfig:
 
 
 class TestExitCodes:
-    def test_missing_artifact_names_producer(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
-        assert main(["synth", "--config", str(cfg_path)]) == 0
-        assert main(["preprocess", "--config", str(cfg_path)]) == 0
-        code = main(["train-lm", "--config", str(cfg_path)])
-        assert code == 1
-        assert "build-vocab" in capsys.readouterr().err
+    @pytest.mark.parametrize("name,reader,writer", [
+        ("normalized.xml", "build-vocab", "preprocess"),
+        ("vocab.txt", "train-lm", "build-vocab"),
+        ("lm.model", "vectorize", "train-lm"),
+        ("vectors.bin", "train-scd", "vectorize"),
+        ("scd.model", "eval-scd", "train-scd"),
+        ("author.model", "score-authors", "train-author"),
+        ("scd_verdicts.tsv", "identify", "eval-scd"),
+        ("author_scores.tsv", "identify", "score-authors")])
+    def test_missing_artifact_names_producer(self, small_run, tmp_path,
+                                             capsys, name, reader, writer):
+        out, cfg_path = copy_run(small_run, tmp_path)
+        (out / name).unlink()
+        assert main([reader, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{name} not found; run `chatscreen {writer}` first" in err
 
     def test_default_section_is_config_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
@@ -410,6 +421,17 @@ class TestExitCodes:
         assert main(["synth", "--mystery-flag"]) == 1
         capsys.readouterr()
 
+    def test_strict_paper_flag_is_gone(self, small_run, tmp_path, capsys):
+        # [run] use_bias and [scd] masked are the one way to pick the
+        # literal equations, so the config records every run
+        out, cfg_path = copy_run(small_run, tmp_path)
+        (out / "lm.model").unlink()
+        assert main(["train-lm", "--config", str(cfg_path),
+                     "--strict-paper"]) == 1
+        assert "unrecognized arguments: --strict-paper" in \
+            capsys.readouterr().err
+        assert not (out / "lm.model").exists()
+
     def test_numeric_failure_maps_to_exit_three(self, tmp_path, monkeypatch):
         from chatscreen import cli
         from chatscreen.errors import NumericError
@@ -417,7 +439,7 @@ class TestExitCodes:
         def explode(cfg):
             raise NumericError("loss went non-finite")
 
-        monkeypatch.setitem(cli._STAGES, "train-lm", explode)
+        monkeypatch.setitem(cli._COMMANDS, "train-lm", explode)
         assert main(["train-lm", "--out", str(tmp_path)]) == 3
 
 
@@ -791,15 +813,50 @@ ARTIFACTS = ["normalized.xml", "filter_report.txt", "vocab.txt", "lm.model",
              "predators.txt", "report.txt"]
 
 
+class TestStageTable:
+    def test_each_stage_writes_exactly_its_files(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg_path = write_config(tmp_path / "run.cfg", out)
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+
+        def contents():
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        for fn, writes in pipeline.STAGES:
+            stage = pipeline.command_name(fn)
+            before = contents()
+            assert main([stage, "--config", str(cfg_path)]) == 0, stage
+            after = contents()
+            assert before.keys() <= after.keys(), stage
+            changed = {name for name in after
+                       if before.get(name) != after[name]}
+            assert changed == set(writes), stage
+        assert sorted(name for _fn, writes in pipeline.STAGES
+                      for name in writes) == sorted(ARTIFACTS)
+
+    def test_readme_cli_table_matches_stages(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        table = readme.split("| subcommand | reads | writes |\n")[1]
+        rows = []
+        for line in table.split("\n\n")[0].splitlines()[1:]:
+            command, _reads, writes = line.strip("|").split("|")
+            rows.append((command.strip().strip("`"),
+                         set(re.findall(r"`([^`]+)`", writes))))
+        assert [row for row in rows
+                if row[0] not in ("synth", "pipeline")] == [
+            (pipeline.command_name(fn), set(writes))
+            for fn, writes in pipeline.STAGES]
+
+
 class TestPipeline:
-    def _run(self, tmp_path, name, seed=77, strict=False):
+    def _run(self, tmp_path, name, seed=77, **overrides):
         out = tmp_path / name
         out.mkdir()
-        cfg_path = write_config(tmp_path / f"{name}.cfg", out,
-                                run={"seed": seed})
+        overrides.setdefault("run", {})["seed"] = seed
+        cfg_path = write_config(tmp_path / f"{name}.cfg", out, **overrides)
         args = ["--config", str(cfg_path)]
-        if strict:
-            args.append("--strict-paper")
         assert main(["synth"] + args) == 0
         assert main(["pipeline"] + args) == 0
         return out
@@ -816,7 +873,8 @@ class TestPipeline:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_strict_paper_mode_runs(self, tmp_path):
-        out = self._run(tmp_path, "strict", strict=True)
+        out = self._run(tmp_path, "strict", run={"use_bias": "false"},
+                        scd={"masked": "false"})
         assert (out / "report.txt").exists()
 
     def test_stagewise_equals_pipeline(self, tmp_path):

@@ -21,7 +21,9 @@ outputs, which checks that in-process reuse inside `pipeline` changes
 nothing. Prints two lines per pass and exits 1 naming each file that
 differs or exists on one side only.
 
-Standard library only; the three runs of a pass go side by side, each one
+The stagewise command list comes from the working tree's
+`pipeline.STAGES`, so the tool imports the working tree's package (and
+numpy with it). The three runs of a pass go side by side, each one
 process at a time. A run takes a few minutes.
 """
 
@@ -39,6 +41,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+from chatscreen import pipeline  # noqa: E402  (the working tree's package)
+
 CONFIG = Path("configs") / "synth-accept.cfg"
 SEEDS = (2026, 7)
 WIDE_CONFIG = """\
@@ -71,9 +76,6 @@ optimizer = adam
 n_conversations = 60
 predator_fraction = 0.05
 """
-STAGES = ("preprocess", "build-vocab", "train-lm", "eval-lm", "vectorize",
-          "train-scd", "eval-scd", "train-author", "score-authors",
-          "identify")
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -133,10 +135,12 @@ def main(argv=None) -> int:
         wide.write_text(WIDE_CONFIG)
         passes = [(f"seed {seed}", seed, None) for seed in SEEDS]
         passes.append((f"200-wide, seed {SEEDS[0]}", SEEDS[0], wide))
+        stagewise = tuple(pipeline.command_name(fn)
+                          for fn, _writes in pipeline.STAGES)
         for n, (label, seed, config) in enumerate(passes):
             chains = {"base": (tmp / "base", ("synth", "pipeline")),
                       "work": (REPO, ("synth", "pipeline")),
-                      "stages": (REPO, ("synth",) + STAGES)}
+                      "stages": (REPO, ("synth",) + stagewise)}
             runs = {run: tmp / f"{run}-{n}" for run in chains}
             with ThreadPoolExecutor(len(chains)) as pool:
                 futures = {run: pool.submit(run_chain, tree,
