@@ -16,7 +16,7 @@ from . import corpus_io, model_store, synthgen
 from .corpus_io import read_text, write_atomic
 from .config import PipelineConfig
 from .core_math import Rng
-from .errors import DataFormatError, UsageError
+from .errors import DataFormatError, NumericError, UsageError
 from .language_model import LanguageModel, perplexity, train_lm
 from .metrics import (accuracy, confusion, format_metric, format_report,
                       precision_recall_f)
@@ -162,6 +162,15 @@ def run_train_lm(cfg: PipelineConfig) -> None:
                                  _stage_rng(cfg, "lm-init"),
                                  use_bias=cfg.use_bias)
     records = train_lm(documents, model, cfg, _stage_rng(cfg, "lm-train"))
+    # a diverged model can end every parameter finite; its loss is not.
+    # Shortest documents first pad the least, and order cannot change
+    # whether the result is finite.
+    try:
+        perplexity(model, sorted(documents, key=len))
+    except NumericError as exc:
+        raise NumericError(f"train-lm: the trained model diverged on its "
+                           f"training documents ({exc}); {LM_MODEL} not "
+                           f"written, lower [lm] lr") from exc
     model_store.save(model, out / LM_MODEL)
     write_atomic(out / LM_LOG,
                  "".join(r.format_line() + "\n" for r in records))
@@ -271,12 +280,12 @@ def run_eval_scd(cfg: PipelineConfig) -> None:
     sequences = _labeled_sequences(cfg, model.input_dim)
     rows = []
     flagged = []
-    for seq in sequences:
-        chunks = chunk_and_pad(seq, cfg.scd_chunk_len)
-        pred = predict_scd(model, chunks, cfg.scd_threshold)
-        rows.append(f"{seq.conversation_id}\t{pred.max_prob:.6f}\t"
-                    f"{'positive' if pred.verdict else 'negative'}")
-        if pred.verdict:
+    max_probs = predict_scd(model, sequences, cfg.scd_chunk_len)
+    for seq, max_prob in zip(sequences, max_probs):
+        verdict = max_prob >= cfg.scd_threshold
+        rows.append(f"{seq.conversation_id}\t{max_prob:.6f}\t"
+                    f"{'positive' if verdict else 'negative'}")
+        if verdict:
             flagged.append(seq.conversation_id)
     write_atomic(out / SCD_VERDICTS, "".join(f"{r}\n" for r in rows))
     counts = confusion(flagged,

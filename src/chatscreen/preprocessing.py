@@ -45,11 +45,17 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[^A-Za-z0-9\s]")
 
 @dataclass
 class NormRuleSet:
-    """Normalization tables: abbreviation map, emoticon patterns, length cap."""
+    """Normalization tables: abbreviation map, emoticon patterns, length cap.
+
+    token_cache maps each whitespace token seen so far to its normalized
+    piece under these tables, so a token is normalized once per rule set;
+    the tables must not change once the set is in use."""
 
     abbreviation_map: dict[str, str]
     emoticon_patterns: list[re.Pattern]
     long_word_limit: int
+    token_cache: dict[str, str] = field(default_factory=dict, init=False,
+                                        repr=False, compare=False)
 
 
 def _rule_lines(path):
@@ -93,13 +99,19 @@ def load_emoticon_patterns(path) -> list[re.Pattern]:
 
 
 @functools.cache
-def default_rules() -> NormRuleSet:
-    """Rule set backed by the data files shipped with the package."""
+def _packaged_tables() -> tuple[dict[str, str], list[re.Pattern]]:
     data = resources.files("chatscreen") / "data"
-    return NormRuleSet(
-        abbreviation_map=load_abbreviations(data / "abbreviations.tsv"),
-        emoticon_patterns=load_emoticon_patterns(data / "emoticons.txt"),
-        long_word_limit=PipelineConfig.long_word_limit)
+    return (load_abbreviations(data / "abbreviations.tsv"),
+            load_emoticon_patterns(data / "emoticons.txt"))
+
+
+def default_rules() -> NormRuleSet:
+    """Rule set backed by the data files shipped with the package, which
+    are read once per process; each call gives a set with its own, empty
+    token cache, so no cache outlives the caller that made it."""
+    abbr, emo = _packaged_tables()
+    return NormRuleSet(abbreviation_map=abbr, emoticon_patterns=emo,
+                       long_word_limit=PipelineConfig.long_word_limit)
 
 
 def _split_punctuation(token: str):
@@ -124,35 +136,43 @@ def _is_emoticon(token: str, rules: NormRuleSet) -> bool:
     return any(p.fullmatch(token) for p in rules.emoticon_patterns)
 
 
+def _normalize_token(token: str, rules: NormRuleSet) -> str:
+    """The piece one whitespace token normalizes to; empty when dropped."""
+    if _is_emoticon(token, rules):
+        return ""
+    if _URL_RE.fullmatch(token):
+        return URL_TOKEN
+    prefix, core, suffix = _split_punctuation(token)
+    if core and core not in _PLACEHOLDERS:
+        if len(core) > rules.long_word_limit:
+            core = LONGWORD_TOKEN
+        elif _NUMBER_RE.fullmatch(token):
+            # signed number: the sign sits outside the alnum core
+            return NUM_TOKEN
+        elif _NUMBER_RE.fullmatch(core):
+            core = NUM_TOKEN
+        else:
+            core = _recover_abbreviation(core.lower(), rules.abbreviation_map)
+    rebuilt = prefix + core + suffix
+    # lowercasing and collapsing can make an emoticon: "C888" -> "c8"
+    if rebuilt == token or (rebuilt and not _is_emoticon(rebuilt, rules)):
+        return rebuilt
+    return ""
+
+
 def normalize_text(raw: str, rules: NormRuleSet | None = None) -> str:
-    """Apply the normalization rules; total function, empty in -> empty out."""
+    """Apply the normalization rules; total function, empty in -> empty out.
+    Each distinct token is normalized once per rule set (token_cache)."""
     if rules is None:
         rules = default_rules()
-    ascii_text = raw.encode("ascii", "ignore").decode("ascii")
+    cache = rules.token_cache
     out: list[str] = []
-    for token in ascii_text.split():
-        if _is_emoticon(token, rules):
-            continue
-        if _URL_RE.fullmatch(token):
-            out.append(URL_TOKEN)
-            continue
-        prefix, core, suffix = _split_punctuation(token)
-        if core and core not in _PLACEHOLDERS:
-            if len(core) > rules.long_word_limit:
-                core = LONGWORD_TOKEN
-            elif _NUMBER_RE.fullmatch(token):
-                # signed number: the sign sits outside the alnum core
-                out.append(NUM_TOKEN)
-                continue
-            elif _NUMBER_RE.fullmatch(core):
-                core = NUM_TOKEN
-            else:
-                core = _recover_abbreviation(core.lower(),
-                                             rules.abbreviation_map)
-        rebuilt = prefix + core + suffix
-        # lowercasing and collapsing can make an emoticon: "C888" -> "c8"
-        if rebuilt == token or (rebuilt and not _is_emoticon(rebuilt, rules)):
-            out.append(rebuilt)
+    for token in raw.encode("ascii", "ignore").decode("ascii").split():
+        piece = cache.get(token)
+        if piece is None:
+            piece = cache[token] = _normalize_token(token, rules)
+        if piece:
+            out.append(piece)
     return " ".join(out)
 
 

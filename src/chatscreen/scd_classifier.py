@@ -138,8 +138,9 @@ def chunk_and_pad(seq: ConversationSequence, chunk_len: int) -> list[Chunk]:
     return chunks
 
 
-# Rows per forward pass when chunks are only scored, not trained on.
-SCORE_BUCKET_ROWS = 64
+# The largest scoring bucket, when chunks are only scored, not trained on:
+# at most 64 chunks, and at most 64 x 24 cells (chunks x steps run).
+SCORE_BUCKET = (64, 64 * 24)
 
 
 def _read_rows(model: ScdModel, chunks) -> np.ndarray:
@@ -160,16 +161,29 @@ def _stacked_inputs(model: ScdModel, chunks, rows) -> np.ndarray:
     return xs
 
 
+def _buckets(order: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+    """Split chunk indices sorted by read row into consecutive buckets of
+    at most SCORE_BUCKET chunks and cells; a bucket runs as many steps as
+    its last (longest) chunk reads, and one chunk alone always fits."""
+    max_chunks, max_cells = SCORE_BUCKET
+    starts, start = [], 0
+    for i, row in enumerate(rows[order]):
+        n = i - start + 1
+        if n > 1 and (n > max_chunks or n * (row + 1) > max_cells):
+            starts.append(i)
+            start = i
+    return np.split(order, starts)
+
+
 def _chunk_probabilities(model: ScdModel, chunks) -> np.ndarray:
     """Sigmoid probability per chunk, in input order. Chunks sorted by read
-    row are scored in buckets of SCORE_BUCKET_ROWS, each run only as far as
-    its own longest chunk, so the cost follows the real steps; a bucket
-    keeps only the top layer's states it reads (top_states)."""
+    row are scored in buckets (_buckets), each run only as far as its own
+    longest chunk, so the cost follows the real steps; a bucket keeps only
+    the top layer's states it reads (top_states)."""
     rows = _read_rows(model, chunks)
     order = np.argsort(rows, kind="stable")
     finals = np.empty((len(chunks), model.hidden_dim), dtype=model.dtype)
-    for bucket in np.split(order, range(SCORE_BUCKET_ROWS, len(order),
-                                        SCORE_BUCKET_ROWS)):
+    for bucket in _buckets(order, rows):
         states = top_states(
             _stacked_inputs(model, [chunks[i] for i in bucket], rows[bucket]),
             [model.layer1, model.layer2])
@@ -181,24 +195,18 @@ def _chunk_probabilities(model: ScdModel, chunks) -> np.ndarray:
     return np.clip(probs, LOG_EPS, 1.0 - LOG_EPS)
 
 
-@dataclass
-class ScdPrediction:
-    max_prob: float
-    verdict: bool
-
-
-def predict_scd(model: ScdModel, chunks, threshold: float) -> ScdPrediction:
-    """The highest chunk probability of one conversation; positive iff it
-    reaches the threshold."""
-    chunks = list(chunks)
-    if not chunks:
-        raise UsageError("predict_scd: no chunks")
-    ids = {c.conversation_id for c in chunks}
-    if len(ids) != 1:
-        raise UsageError(f"predict_scd: chunks from several conversations {ids}")
-    probs = _chunk_probabilities(model, chunks)
-    max_prob = float(probs.max())
-    return ScdPrediction(max_prob=max_prob, verdict=max_prob >= threshold)
+def predict_scd(model: ScdModel, sequences, chunk_len: int) -> np.ndarray:
+    """The highest chunk probability of each sequence, in input order. The
+    chunks of all the sequences are scored in one bucketed pass; an empty
+    list gives an empty array."""
+    parts = [chunk_and_pad(seq, chunk_len) for seq in sequences]
+    if not all(parts):
+        raise UsageError("predict_scd: a sequence has no rows")
+    if not parts:
+        return np.empty(0)
+    starts = np.cumsum([0] + [len(p) for p in parts[:-1]])
+    probs = _chunk_probabilities(model, [c for p in parts for c in p])
+    return np.maximum.reduceat(probs, starts)
 
 
 @dataclass

@@ -413,6 +413,21 @@ class TestExitCodes:
         assert err.startswith("error:") and "next-token targets" in err
         assert not (tmp_path / "lm.model").exists()
 
+    def test_diverged_train_lm_is_numeric_error(self, tmp_path, capsys):
+        # a learning rate this large leaves every parameter finite but the
+        # model's loss is not; train-lm used to write it with exit 0
+        cfg_path = str(write_config(
+            tmp_path / "run.cfg", tmp_path, synth={"n_conversations": 20},
+            lm={"lr": 1e38, "window": 5000, "epochs": 1, "batch_size": 64}))
+        for cmd in ["synth", "preprocess", "build-vocab"]:
+            assert main([cmd, "--config", cfg_path]) == 0, cmd
+        capsys.readouterr()
+        assert main(["train-lm", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: train-lm:") and "lm.model" in err
+        assert not (tmp_path / "lm.model").exists()
+        assert not (tmp_path / "lm_train.log").exists()
+
     def test_unconfigured_corpus_is_usage_error(self, tmp_path):
         assert main(["preprocess", "--out", str(tmp_path)]) == 1
 
@@ -782,6 +797,26 @@ class TestStageFiles:
             tmp_path / "per_message.bin")
         assert (out / "vectors.bin").read_bytes() == \
             (tmp_path / "per_message.bin").read_bytes()
+
+    def test_eval_scd_flags_a_maximum_at_the_threshold(self, small_run,
+                                                        tmp_path):
+        # positive iff a conversation's highest chunk probability reaches
+        # the threshold: at its exact value, and not one float above it
+        out, cfg_path = copy_run(small_run, tmp_path)
+        cfg = load_config(cfg_path)
+        model = load(out / "scd.model")
+        sequences = pipeline._labeled_sequences(cfg, model.input_dim)
+        max_probs = scd_classifier.predict_scd(model, sequences,
+                                               cfg.scd_chunk_len)
+        conv_id, max_prob = sequences[0].conversation_id, max_probs[0]
+        for threshold, verdict in [(max_prob, "positive"),
+                                   (np.nextafter(max_prob, 1), "negative")]:
+            cfg_path = write_config(tmp_path / "t.cfg", out,
+                                    scd={"threshold": repr(float(threshold))})
+            assert main(["eval-scd", "--config", str(cfg_path)]) == 0
+            rows = dict(line.split("\t", 1) for line in
+                        (out / "scd_verdicts.tsv").read_text().splitlines())
+            assert rows[conv_id].endswith("\t" + verdict)
 
     def test_unlabeled_stages_run_without_ground_truth(self, small_run,
                                                        tmp_path):

@@ -2,11 +2,14 @@ import math
 
 import pytest
 
+from chatscreen import pipeline
+from chatscreen.config import PipelineConfig
 from chatscreen.errors import DataFormatError, UsageError
 from chatscreen.preprocessing import (RESERVED_TOKENS, Vocabulary,
-                                      build_vocabulary, default_rules, encode,
-                                      normalize_text, tokenize,
-                                      vocab_from_text, vocab_to_text)
+                                      _normalize_token, build_vocabulary,
+                                      default_rules, encode, normalize_text,
+                                      tokenize, vocab_from_text,
+                                      vocab_to_text)
 
 from norm_fixtures import NORMALIZATION_FIXTURES
 
@@ -31,6 +34,56 @@ class TestNormalize:
         assert rules.abbreviation_map["ur"] == "your"
         assert rules.long_word_limit == 30
         assert rules.emoticon_patterns
+
+
+# One message per noise kind of the screening benchmark
+# (benchmarks/README.md), with its normalized form.
+NOISE_KINDS = {
+    "emoticon": ("see you xD ^_^ <3 :-)", "see you"),
+    "url": ("go to https://chat.example.org/room?id=42 or "
+            "http://example.com/a7", "go to 00URL or 00URL"),
+    "number": ("i am 42 and 3.5 not -7", "i am 00NUM and 00NUM not 00NUM"),
+    "elongation": ("babaaaa nooooo wayyy", "baba no way"),
+    "abbreviation": ("u r gr8 plz thx b4 l8r",
+                     "you are great please thanks before later"),
+    "non-ascii": ("caf\u00e9 na\u00efve \u65e5\u672c \u00bf\u00bf "
+                  "\u2603 ok", "caf nave ok"),
+    "extra words": (" ".join(f"word{i}" for i in range(45)),
+                    " ".join(f"word{i}" for i in range(45))),
+    "stock line": ("u there?", "you there?"),
+    "stock emoticon": (":)", ""),
+}
+
+
+class TestTokenCache:
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_cached_equals_uncached_per_token_rules(self, kind):
+        rules = default_rules()
+        raw, expected = NOISE_KINDS[kind]
+        assert normalize_text(raw, rules) == expected      # filling
+        tokens = raw.encode("ascii", "ignore").decode("ascii").split()
+        assert set(tokens) <= set(rules.token_cache)
+        for other, _ in NOISE_KINDS.values():
+            normalize_text(other, rules)
+        assert normalize_text(raw, rules) == expected      # cache only
+        for token, piece in rules.token_cache.items():
+            assert piece == _normalize_token(token, default_rules())
+
+    def test_override_rule_set_ignores_the_packaged_cache(self, tmp_path):
+        packaged = pipeline._rules(PipelineConfig())
+        assert normalize_text("u ok", packaged) == "you ok"
+        assert packaged.token_cache["u"] == "you"
+        table = tmp_path / "abbr.tsv"
+        table.write_text("u\tunicorn\n", encoding="utf-8")
+        rules = pipeline._rules(PipelineConfig(abbreviations=str(table)))
+        assert normalize_text("u ok", rules) == "unicorn ok"
+        assert normalize_text("u ok", packaged) == "you ok"
+
+    def test_no_cache_outlives_its_rule_set(self):
+        # each stage call, and each call without rules, gets its own set
+        assert normalize_text("u ok") == "you ok"
+        for rules in (default_rules(), pipeline._rules(PipelineConfig())):
+            assert rules.token_cache == {}
 
 
 class TestTokenize:
