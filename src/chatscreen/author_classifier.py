@@ -224,8 +224,7 @@ def train_author(model: ShallowModel, units, cfg: PipelineConfig, rng):
                          f"{missing}")
     cached = [model.feature_ids(u.lines) for u in units]
     records: list[AuthorEpochRecord] = []
-    optimizer = make_optimizer(cfg.author_optimizer, cfg.author_lr,
-                               cfg.author_clip_norm)
+    optimizer = make_optimizer(cfg.author_optimizer, cfg.author_lr)
     params = model.param_list()
     by_class = {c: [i for i, u in enumerate(units) if u.label == c]
                 for c in CLASSES}

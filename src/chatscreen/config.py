@@ -37,7 +37,6 @@ class PipelineConfig:
     ground_truth: str = _key("paths", "")
     out: str = _key("paths", "out")
     min_tf: int = _key("preprocessing", 10, _SIZE)
-    long_word_limit: int = _key("preprocessing", 30, _SIZE)
     abbreviations: str = _key("preprocessing", "")  # empty: packaged table
     emoticons: str = _key("preprocessing", "")  # empty: packaged patterns
     lm_embedding_dim: int = _key("lm", 200, _SIZE)
@@ -47,7 +46,6 @@ class PipelineConfig:
     lm_lr: float = _key("lm", 0.5, _STEP)
     lm_optimizer: str = _key("lm", "sgd", _OPTIMIZER)
     lm_batch_size: int = _key("lm", 16, _SIZE)
-    lm_clip_norm: float = _key("lm", 5.0, _STEP)
     scd_hidden_dim: int = _key("scd", 200, _SIZE)
     scd_chunk_len: int = _key("scd", 100, _SIZE)
     scd_threshold: float = _key("scd", 0.5, _PROBABILITY)
@@ -56,7 +54,6 @@ class PipelineConfig:
     scd_lr: float = _key("scd", 0.05, _STEP)
     scd_optimizer: str = _key("scd", "sgd", _OPTIMIZER)
     scd_batch_size: int = _key("scd", 32, _SIZE)
-    scd_clip_norm: float = _key("scd", 5.0, _STEP)
     scd_val_fraction: float = _key("scd", 0.2, _FRACTION)
     scd_masked: bool = _key("scd", True)
     author_k: int = _key("author", 16, _SIZE)
@@ -65,7 +62,6 @@ class PipelineConfig:
     author_lr: float = _key("author", 0.1, _STEP)
     author_optimizer: str = _key("author", "sgd", _OPTIMIZER)
     author_batch_size: int = _key("author", 32, _SIZE)
-    author_clip_norm: float = _key("author", 5.0, _STEP)
     seed: int = _key("run", 1)
     use_bias: bool = _key("run", True)
     synth_n_conversations: int = _key("synth", 500, _SIZE)

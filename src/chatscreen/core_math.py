@@ -15,6 +15,7 @@ import numpy as np
 from .errors import NumericError, ShapeError, UsageError
 
 LOG_EPS = 1e-12  # clamp under the log so a confident-wrong model stays finite
+CLIP_NORM = 5.0  # every optimizer step caps the global gradient norm here
 
 
 class Rng(np.random.Generator):
@@ -66,9 +67,9 @@ def row_softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _clip_scale(params, grads, clip_norm: float) -> float:
+def _clip_scale(params, grads) -> float:
     """Check that grads match params one for one in shape, then return the
-    factor that brings the global gradient norm down to clip_norm (1.0
+    factor that brings the global gradient norm down to CLIP_NORM (1.0
     when the norm is within it)."""
     if len(params) != len(grads):
         raise ShapeError(f"optimizer: {len(params)} params vs {len(grads)} "
@@ -79,18 +80,17 @@ def _clip_scale(params, grads, clip_norm: float) -> float:
                              f"shape {g.shape}")
     norm = float(np.sqrt(sum(float(np.sum(np.asarray(g, np.float64) ** 2))
                              for g in grads)))
-    return clip_norm / norm if norm > clip_norm else 1.0
+    return CLIP_NORM / norm if norm > CLIP_NORM else 1.0
 
 
 class SgdOptimizer:
     """In-place p <- p - lr*g after global gradient-norm clipping."""
 
-    def __init__(self, lr: float, clip_norm: float):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.clip_norm = clip_norm
 
     def step(self, params, grads):
-        scale = _clip_scale(params, grads, self.clip_norm)
+        scale = _clip_scale(params, grads)
         for p, g in zip(params, grads):
             p -= (self.lr * scale) * g.astype(p.dtype, copy=False)
 
@@ -101,15 +101,14 @@ class AdamOptimizer:
     Applies the same global-norm clip as SGD before the moment update.
     """
 
-    def __init__(self, lr: float, clip_norm: float):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.clip_norm = clip_norm
         self._m = None
         self._v = None
         self._t = 0
 
     def step(self, params, grads):
-        scale = _clip_scale(params, grads, self.clip_norm)
+        scale = _clip_scale(params, grads)
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
@@ -126,11 +125,11 @@ class AdamOptimizer:
             p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + 1e-8)
 
 
-def make_optimizer(name: str, lr: float, clip_norm: float):
+def make_optimizer(name: str, lr: float):
     if name == "sgd":
-        return SgdOptimizer(lr, clip_norm)
+        return SgdOptimizer(lr)
     if name == "adam":
-        return AdamOptimizer(lr, clip_norm)
+        return AdamOptimizer(lr)
     raise UsageError(f"unknown optimizer {name!r} (expected sgd or adam)")
 
 

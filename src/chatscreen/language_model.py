@@ -176,7 +176,7 @@ def train_lm(documents, model: LanguageModel, cfg: PipelineConfig,
         raise UsageError("train_lm: empty corpus")
     if all(len(d) < 2 for d in documents):
         raise UsageError("train_lm: corpus has no next-token targets")
-    optimizer = make_optimizer(cfg.lm_optimizer, cfg.lm_lr, cfg.lm_clip_norm)
+    optimizer = make_optimizer(cfg.lm_optimizer, cfg.lm_lr)
     params = model.param_list()
     records: list[LmEpochRecord] = []
     for epoch in range(1, cfg.lm_epochs + 1):

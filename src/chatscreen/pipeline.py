@@ -72,8 +72,7 @@ def _rules(cfg: PipelineConfig) -> NormRuleSet:
             else base.abbreviation_map)
     emo = (load_emoticon_patterns(cfg.emoticons) if cfg.emoticons
            else base.emoticon_patterns)
-    return NormRuleSet(abbreviation_map=abbr, emoticon_patterns=emo,
-                       long_word_limit=cfg.long_word_limit)
+    return NormRuleSet(abbreviation_map=abbr, emoticon_patterns=emo)
 
 
 def _load_truth(cfg: PipelineConfig) -> set[str]:

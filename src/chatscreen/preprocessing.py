@@ -23,11 +23,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .config import PipelineConfig
 from .errors import ConfigError, DataFormatError, UsageError
 
 NUM_TOKEN = "00NUM"
 LONGWORD_TOKEN = "00LW"
+LONG_WORD_LIMIT = 30  # a token longer than this becomes LONGWORD_TOKEN
 URL_TOKEN = "00URL"
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -45,7 +45,7 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[^A-Za-z0-9\s]")
 
 @dataclass
 class NormRuleSet:
-    """Normalization tables: abbreviation map, emoticon patterns, length cap.
+    """Normalization tables: abbreviation map and emoticon patterns.
 
     token_cache maps each whitespace token seen so far to its normalized
     piece under these tables, so a token is normalized once per rule set;
@@ -53,7 +53,6 @@ class NormRuleSet:
 
     abbreviation_map: dict[str, str]
     emoticon_patterns: list[re.Pattern]
-    long_word_limit: int
     token_cache: dict[str, str] = field(default_factory=dict, init=False,
                                         repr=False, compare=False)
 
@@ -110,8 +109,7 @@ def default_rules() -> NormRuleSet:
     are read once per process; each call gives a set with its own, empty
     token cache, so no cache outlives the caller that made it."""
     abbr, emo = _packaged_tables()
-    return NormRuleSet(abbreviation_map=abbr, emoticon_patterns=emo,
-                       long_word_limit=PipelineConfig.long_word_limit)
+    return NormRuleSet(abbreviation_map=abbr, emoticon_patterns=emo)
 
 
 def _split_punctuation(token: str):
@@ -144,7 +142,7 @@ def _normalize_token(token: str, rules: NormRuleSet) -> str:
         return URL_TOKEN
     prefix, core, suffix = _split_punctuation(token)
     if core and core not in _PLACEHOLDERS:
-        if len(core) > rules.long_word_limit:
+        if len(core) > LONG_WORD_LIMIT:
             core = LONGWORD_TOKEN
         elif _NUMBER_RE.fullmatch(token):
             # signed number: the sign sits outside the alnum core

@@ -283,8 +283,7 @@ def train_scd(chunks, cfg: PipelineConfig, rng, val_chunks=None):
     model = ScdModel.create(rng, input_dim, cfg.scd_hidden_dim,
                             use_bias=cfg.use_bias, masked=cfg.scd_masked)
     records: list[ScdEpochRecord] = []
-    optimizer = make_optimizer(cfg.scd_optimizer, cfg.scd_lr,
-                               cfg.scd_clip_norm)
+    optimizer = make_optimizer(cfg.scd_optimizer, cfg.scd_lr)
     params = model.param_list()
     best_f1 = -1.0
     best_params = None

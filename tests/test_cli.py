@@ -13,13 +13,13 @@ import pytest
 from chatscreen import corpus_io, pipeline, scd_classifier
 from chatscreen.cli import main
 from chatscreen.config import PipelineConfig, load_config
-from chatscreen.core_math import Rng
+from chatscreen.core_math import CLIP_NORM, Rng
 from chatscreen.errors import ConfigError
 from chatscreen.language_model import LanguageModel
 from chatscreen.model_store import (VectorBundle, load, read_container,
                                     save, write_container)
-from chatscreen.preprocessing import (RESERVED_TOKENS, Vocabulary, tokenize,
-                                      vocab_to_text)
+from chatscreen.preprocessing import (LONG_WORD_LIMIT, RESERVED_TOKENS,
+                                      Vocabulary, tokenize, vocab_to_text)
 
 from test_acceptance import write_accept_config
 
@@ -56,7 +56,8 @@ class TestConfig:
     def test_defaults(self):
         cfg = PipelineConfig()
         assert cfg.min_tf == 10
-        assert cfg.long_word_limit == 30
+        assert LONG_WORD_LIMIT == 30
+        assert CLIP_NORM == 5.0
         assert cfg.lm_hidden_dim == 200
         assert cfg.lm_window == 35
         assert cfg.scd_chunk_len == 100
@@ -119,14 +120,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not a boolean"):
             load_config(path)
 
-    @pytest.mark.parametrize("key", ["bigrams", "balance"])
+    @pytest.mark.parametrize("section,key", [
+        pytest.param("author", "bigrams", id="bigrams"),
+        pytest.param("author", "balance", id="balance"),
+        pytest.param("lm", "clip_norm", id="lm-clip_norm"),
+        pytest.param("scd", "clip_norm", id="scd-clip_norm"),
+        pytest.param("author", "clip_norm", id="author-clip_norm"),
+        pytest.param("preprocessing", "long_word_limit",
+                     id="long_word_limit"),
+    ])
     def test_removed_author_switch_is_unknown_key(self, tmp_path, capsys,
-                                                  key):
-        # the scorer always uses bigrams and class balancing
+                                                  section, key):
+        # the scorer always uses bigrams and class balancing, every
+        # optimizer clips at core_math.CLIP_NORM and normalization caps
+        # words at preprocessing.LONG_WORD_LIMIT; "1" would be a valid value
+        # for each of these keys
         cfg_path = write_config(tmp_path / "run.cfg", tmp_path,
-                                author={key: "true"})
+                                **{section: {key: "1"}})
         assert main(["synth", "--config", str(cfg_path)]) == 1
-        assert f"unknown key {key!r} in [author]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unknown key {key!r} in [{section}]" in err
         assert not (tmp_path / "corpus.xml").exists()
 
     def test_acceptance_recipe_matches_the_shipped_config(self, tmp_path):
@@ -344,8 +357,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("section,key,value", [
         ("lm", "lr", "-0.1"), ("lm", "lr", "nan"), ("scd", "lr", "0"),
         ("author", "lr", "inf"),
-        ("lm", "clip_norm", "0"), ("scd", "clip_norm", "-1"),
-        ("author", "clip_norm", "-inf"),
         ("scd", "val_fraction", "-0.5"), ("scd", "val_fraction", "1"),
         ("scd", "neg_ratio", "-1"), ("scd", "neg_ratio", "inf"),
         ("scd", "threshold", "-1"), ("scd", "threshold", "2"),
@@ -357,7 +368,6 @@ class TestExitCodes:
         ("lm", "hidden_dim", "0"), ("lm", "embedding_dim", "0"),
         ("scd", "hidden_dim", "0"), ("author", "k", "0"),
         ("lm", "window", "0"), ("scd", "chunk_len", "0"),
-        ("preprocessing", "long_word_limit", "0"),
         ("synth", "geometric_p", "0"), ("synth", "marker_density", "2"),
         ("lm", "optimizer", "adagrad"), ("scd", "optimizer", "adagrad"),
         ("author", "optimizer", "adagrad"), ("lm", "optimizer", "SGD"),

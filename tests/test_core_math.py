@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from chatscreen.core_math import (AdamOptimizer, Rng, SgdOptimizer,
-                                  gradient_check, make_optimizer,
-                                  row_softmax, sigmoid)
+from chatscreen.core_math import (CLIP_NORM, AdamOptimizer, Rng,
+                                  SgdOptimizer, gradient_check,
+                                  make_optimizer, row_softmax, sigmoid)
 from chatscreen.errors import NumericError, ShapeError, UsageError
 from chatscreen.language_model import LanguageModel, perplexity
 from chatscreen.preprocessing import RESERVED_TOKENS, Vocabulary
@@ -143,27 +143,63 @@ class TestCrossEntropy:
 class TestSgdStep:
     def test_zero_lr_no_change(self):
         p = np.array([1.0, 2.0])
-        SgdOptimizer(lr=0.0, clip_norm=100.0).step([p], [np.array([5.0, 5.0])])
+        SgdOptimizer(lr=0.0).step([p], [np.array([5.0, 5.0])])
         assert np.array_equal(p, [1.0, 2.0])
 
     def test_basic_step(self):
         p = np.array([1.0])
-        SgdOptimizer(lr=0.5, clip_norm=100.0).step([p], [np.array([2.0])])
+        SgdOptimizer(lr=0.5).step([p], [np.array([2.0])])
         assert np.array_equal(p, [0.0])
 
+    # Three steps whose gradient direction changes each time, each split
+    # over two parameters so only their global norm is CLIP_NORM. A single
+    # Adam step barely depends on the gradient's scale, so the clip shows
+    # in Adam only over steps whose norms differ.
+    STEPS_AT_BOUND = [(np.array([3.0]), np.array([4.0, 0.0])),
+                      (np.array([-4.0]), np.array([0.0, 3.0])),
+                      (np.array([0.0]), np.array([3.0, -4.0]))]
+
+    @staticmethod
+    def _run(name, steps):
+        params = [np.array([1.0]), np.array([-1.0, 2.0])]
+        opt = make_optimizer(name, 0.1)
+        for grads in steps:
+            opt.step(params, grads)
+        return params
+
     def test_global_norm_clip_scales_gradient(self):
-        # ||g|| = 4 against threshold 1 -> effective gradient scaled by 0.25
-        p = np.array([1.0])
-        SgdOptimizer(lr=1.0, clip_norm=1.0).step([p], [np.array([4.0])])
-        assert abs(p[0] - 0.0) < 1e-12
+        assert CLIP_NORM == 5.0  # the global norm of each STEPS_AT_BOUND
+        # global norms 20, 10 and 40 clip to exactly the norm-5 steps
+        over = [[g * f for g in grads]
+                for grads, f in zip(self.STEPS_AT_BOUND, (4.0, 2.0, 8.0))]
+        for name in ("sgd", "adam"):
+            clipped = self._run(name, over)
+            at_bound = self._run(name, self.STEPS_AT_BOUND)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(clipped, at_bound)), name
 
     def test_clip_inactive_below_threshold(self):
-        p = np.array([1.0])
-        SgdOptimizer(lr=1.0, clip_norm=1.0).step([p], [np.array([0.5])])
-        assert abs(p[0] - 0.5) < 1e-12
+        # global norms 4, 1 and 2 pass unscaled: the parameters follow
+        # plain SGD and Adam (Kingma & Ba 2015) on the raw gradients
+        under = [[g * f for g in grads]
+                 for grads, f in zip(self.STEPS_AT_BOUND, (0.8, 0.2, 0.4))]
+        for name in ("sgd", "adam"):
+            p = np.array([1.0, -1.0, 2.0])
+            m = v = np.zeros(3)
+            for t, grads in enumerate(under, start=1):
+                g = np.concatenate(grads)
+                if name == "sgd":
+                    p = p - 0.1 * g
+                    continue
+                m = 0.9 * m + 0.1 * g
+                v = 0.999 * v + 0.001 * g * g
+                p = p - 0.1 * (m / (1 - 0.9 ** t)) / (
+                    np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
+            got = np.concatenate(self._run(name, under))
+            np.testing.assert_allclose(got, p, rtol=1e-12, err_msg=name)
 
     def test_shape_mismatch(self):
-        opt = SgdOptimizer(lr=0.1, clip_norm=100.0)
+        opt = SgdOptimizer(lr=0.1)
         with pytest.raises(ShapeError):
             opt.step([np.zeros(2)], [np.zeros(3)])
         with pytest.raises(ShapeError):
@@ -174,7 +210,7 @@ class TestSgdStep:
         # the second gradient is misshapen: the first parameter and Adam's
         # moments must not move before the error
         params = [np.array([1.0, -2.0]), np.array([0.5, 0.5, 0.5])]
-        opt = make_optimizer(name, 0.1, 5.0)
+        opt = make_optimizer(name, 0.1)
         opt.step(params, [np.ones(2), np.ones(3)])
 
         def state():
@@ -194,7 +230,7 @@ class TestAdam:
     def test_deterministic(self):
         def run():
             p = np.array([1.0, -2.0], dtype=np.float32)
-            opt = AdamOptimizer(lr=0.1, clip_norm=5.0)
+            opt = AdamOptimizer(lr=0.1)
             for _ in range(5):
                 opt.step([p], [2 * p])
             return p
@@ -203,14 +239,14 @@ class TestAdam:
 
     def test_descends_quadratic(self):
         p = np.array([3.0], dtype=np.float64)
-        opt = AdamOptimizer(lr=0.2, clip_norm=5.0)
+        opt = AdamOptimizer(lr=0.2)
         for _ in range(100):
             opt.step([p], [2 * p])
         assert abs(p[0]) < 0.5
 
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(UsageError):
-            make_optimizer("adagrad", 0.1, 5.0)
+            make_optimizer("adagrad", 0.1)
 
 
 class TestGradientCheck:

@@ -5,11 +5,11 @@ import pytest
 from chatscreen import pipeline
 from chatscreen.config import PipelineConfig
 from chatscreen.errors import DataFormatError, UsageError
-from chatscreen.preprocessing import (RESERVED_TOKENS, Vocabulary,
-                                      _normalize_token, build_vocabulary,
-                                      default_rules, encode, normalize_text,
-                                      tokenize, vocab_from_text,
-                                      vocab_to_text)
+from chatscreen.preprocessing import (LONG_WORD_LIMIT, RESERVED_TOKENS,
+                                      Vocabulary, _normalize_token,
+                                      build_vocabulary, default_rules,
+                                      encode, normalize_text, tokenize,
+                                      vocab_from_text, vocab_to_text)
 
 from norm_fixtures import NORMALIZATION_FIXTURES
 
@@ -32,8 +32,8 @@ class TestNormalize:
     def test_rules_load_from_package_data(self):
         rules = default_rules()
         assert rules.abbreviation_map["ur"] == "your"
-        assert rules.long_word_limit == 30
         assert rules.emoticon_patterns
+        assert LONG_WORD_LIMIT == 30
 
 
 # One message per noise kind of the screening benchmark
