@@ -102,10 +102,10 @@ def sentence_vector(model: LanguageModel, tokens) -> np.ndarray:
     return top_states(xs, [model.layer1, model.layer2])[-1, 0].copy()
 
 
-def _windows(model: LanguageModel, documents, order, batch_size: int):
+def _windows(model: LanguageModel, documents, batch_size: int):
     """Forward passes over truncated windows of encoded documents.
 
-    Documents are taken in `order`, batch_size lanes at a time; each lane
+    Documents run in the order given, batch_size lanes at a time; each lane
     starts from zero states, which then carry from one window of model.window
     steps to the next. Yields (window_start, inputs, targets, mask, traces)
     with inputs, targets and mask flattened time-major to match the rows of
@@ -115,8 +115,8 @@ def _windows(model: LanguageModel, documents, order, batch_size: int):
     its traces before asking for the next window holds one window at a time.
     """
     vocab_size = len(model.vocab)
-    for start in range(0, len(order), batch_size):
-        batch = [documents[i] for i in order[start:start + batch_size]]
+    for start in range(0, len(documents), batch_size):
+        batch = documents[start:start + batch_size]
         lens = np.array([len(d) for d in batch], dtype=np.int64)
         ids = np.zeros((len(batch), int(lens.max())), dtype=np.int64)
         for b, doc in enumerate(batch):
@@ -180,9 +180,9 @@ def train_lm(documents, model: LanguageModel, cfg: PipelineConfig,
     params = model.param_list()
     records: list[LmEpochRecord] = []
     for epoch in range(1, cfg.lm_epochs + 1):
-        order = rng.permutation(len(documents))
+        epoch_docs = [documents[i] for i in rng.permutation(len(documents))]
         epoch_nll, epoch_count = 0.0, 0
-        for k, x, y, mask, traces in _windows(model, documents, order,
+        for k, x, y, mask, traces in _windows(model, epoch_docs,
                                               cfg.lm_batch_size):
             nll, count, grads = _window_grads(model, x, y, mask, traces)
             del traces
@@ -212,15 +212,15 @@ def _target_nll(logits: np.ndarray, targets: np.ndarray) -> float:
 
 
 def perplexity(model: LanguageModel, documents) -> float:
-    """exp(mean next-token cross-entropy) over batches of 32 documents;
-    log-probabilities taken in float64 so anchor values hold tightly. A
-    non-finite result, from diverged weights, is a NumericError."""
-    documents = [list(d) for d in documents if len(d) >= 2]
+    """exp(mean next-token cross-entropy) over batches of 32 documents,
+    shortest first so the batches pad the least; log-probabilities taken
+    in float64 so anchor values hold tightly. A non-finite result, from
+    diverged weights, is a NumericError."""
+    documents = sorted((list(d) for d in documents if len(d) >= 2), key=len)
     if not documents:
         raise UsageError("perplexity: corpus has no next-token predictions")
     total_nll, total = 0.0, 0
-    for _, _, y, mask, traces in _windows(model, documents,
-                                          range(len(documents)), 32):
+    for _, _, y, mask, traces in _windows(model, documents, 32):
         valid = np.flatnonzero(mask)
         s2 = traces[1].S.reshape(len(y), model.hidden_dim)[valid]
         del traces
@@ -244,9 +244,7 @@ def training_loss_and_grads(model: LanguageModel, documents):
         if len(doc) > model.window + 1:
             raise UsageError("training_loss_and_grads: document longer than "
                              "one window")
-    for _, x, y, mask, traces in _windows(model, documents,
-                                          range(len(documents)),
-                                          len(documents)):
+    for _, x, y, mask, traces in _windows(model, documents, len(documents)):
         nll, count, grads = _window_grads(model, x, y, mask, traces)
         return nll / count, grads
     raise UsageError("training_loss_and_grads: no next-token targets")

@@ -161,11 +161,9 @@ def run_train_lm(cfg: PipelineConfig) -> None:
                                  _stage_rng(cfg, "lm-init"),
                                  use_bias=cfg.use_bias)
     records = train_lm(documents, model, cfg, _stage_rng(cfg, "lm-train"))
-    # a diverged model can end every parameter finite; its loss is not.
-    # Shortest documents first pad the least, and order cannot change
-    # whether the result is finite.
+    # a diverged model can end every parameter finite; its loss is not
     try:
-        perplexity(model, sorted(documents, key=len))
+        perplexity(model, documents)
     except NumericError as exc:
         raise NumericError(f"train-lm: the trained model diverged on its "
                            f"training documents ({exc}); {LM_MODEL} not "

@@ -232,12 +232,11 @@ def row_log_softmax64(x: np.ndarray) -> np.ndarray:
 
 def log_softmax_perplexity(model, documents) -> float:
     """exp(mean next-token cross-entropy) over batches of 32 documents,
-    each window's log-probabilities taken as a whole float64 log-softmax
-    and the target entries read from it."""
-    documents = [list(d) for d in documents if len(d) >= 2]
+    shortest first, each window's log-probabilities taken as a whole
+    float64 log-softmax and the target entries read from it."""
+    documents = sorted((list(d) for d in documents if len(d) >= 2), key=len)
     total_nll, total = 0.0, 0
-    for _, _, y, mask, traces in _windows(model, documents,
-                                          range(len(documents)), 32):
+    for _, _, y, mask, traces in _windows(model, documents, 32):
         valid = np.flatnonzero(mask)
         s2 = traces[1].S.reshape(len(y), model.hidden_dim)[valid]
         logp = row_log_softmax64(s2 @ model.out_w + model.out_b)

@@ -960,6 +960,20 @@ class TestPipeline:
                                                     "truth.txt"])
         assert set(modes.values()) == {0o644}, modes
 
+    def test_divergence_check_and_eval_lm_make_one_pass(self, tmp_path,
+                                                        monkeypatch):
+        score = pipeline.perplexity
+        results = []
+
+        def recording(model, documents):
+            results.append(score(model, documents))
+            return results[-1]
+
+        monkeypatch.setattr(pipeline, "perplexity", recording)
+        self._run(tmp_path, "one-pass")
+        assert len(results) == 2    # train-lm's check, then eval-lm
+        assert results[0] == results[1]
+
     def test_normalized_xml_parsed_once_per_process(self, tmp_path,
                                                     monkeypatch):
         parse = corpus_io.parse_pan_corpus

@@ -128,6 +128,19 @@ class TestPerplexity:
                 for _ in range(70)]
         assert perplexity(model, docs) == log_softmax_perplexity(model, docs)
 
+    def test_documents_run_in_the_order_given(self):
+        # _windows keeps the caller's order; perplexity sorts its own, so
+        # any order of documents with distinct lengths gives the same bits
+        model = tiny_model(make_vocab(8), window=12)
+        docs = [[3, 4, 5, 6, 7, 8], [9, 10, 3, 4], [5, 6, 7]]
+        _, x, _, _, _ = next(_windows(model, docs, len(docs)))
+        assert x.reshape(-1, len(docs)).T.tolist() == \
+            [[3, 4, 5, 6, 7], [9, 10, 3, 4, 0], [5, 6, 7, 0, 0]]
+        rng = np.random.default_rng(5)
+        docs = [rng.integers(0, 12, n).tolist()
+                for n in rng.permutation(np.arange(2, 82))]
+        assert perplexity(model, docs) == perplexity(model, docs[::-1])
+
     def test_no_predictions_rejected(self):
         model = tiny_model(make_vocab(2))
         with pytest.raises(UsageError):
@@ -257,8 +270,7 @@ class TestPackedHead:
     def test_window_grads_match_all_rows_head(self, docs, window, shape):
         model = tiny_model(make_vocab(8), window=window, dtype=np.float64)
         seen = []
-        for _, x, y, mask, traces in _windows(model, docs, range(len(docs)),
-                                              len(docs)):
+        for _, x, y, mask, traces in _windows(model, docs, len(docs)):
             nll, count, grads = _window_grads(model, x, y, mask, traces)
             want_nll, want_count, want = masked_head_window_grads(
                 model, x, y, mask, traces)
@@ -275,8 +287,7 @@ class TestPackedHead:
     def test_perplexity_matches_all_rows_head(self, docs, window):
         model = tiny_model(make_vocab(8), window=window, dtype=np.float64)
         nll, count = 0.0, 0
-        for _, x, y, mask, traces in _windows(model, docs, range(len(docs)),
-                                              32):
+        for _, x, y, mask, traces in _windows(model, docs, 32):
             window_nll, window_count, _ = masked_head_window_grads(
                 model, x, y, mask, traces)
             nll += window_nll

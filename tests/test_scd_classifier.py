@@ -430,7 +430,8 @@ class TestTrainScd:
         ([0.5, 0.995, 0.8, 1.0, 0.9, 1.0], 4, 4),
         ([1.0, 0.5, 1.0], 1, 1),
         ([None, 0.5, 0.7, 0.6], 4, 3),
-    ], ids=["late", "first", "never"])
+        ([None, None, None], 3, 3),
+    ], ids=["late", "first", "never", "undefined"])
     def test_stop_and_kept_epoch(self, monkeypatch, f1s, run, kept):
         after_epoch = scripted_f1(monkeypatch, f1s)
         cfg = PipelineConfig(scd_hidden_dim=4, scd_epochs=len(f1s),
