@@ -152,9 +152,7 @@ def pooled(model: ShallowModel, id_lists) -> np.ndarray:
 
 def featurize(model: ShallowModel, lines) -> np.ndarray:
     """Mean embedding over in-vocabulary feature occurrences; the zero
-    vector when every feature is out of vocabulary."""
-    if not any(line for line in lines):
-        raise UsageError("featurize: no tokens")
+    vector when there are none."""
     return pooled(model, [model.feature_ids(lines)])[0]
 
 

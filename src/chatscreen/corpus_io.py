@@ -5,7 +5,7 @@ The XML dialect is one <conversations> root holding <conversation id="...">
 elements, each a sequence of <message line="N"> elements with <author>,
 <time>, and <text> children. Parsing streams through expat so malformed
 input reports a byte offset; messages with missing or unusable fields, or
-outside any conversation, are skipped and counted rather than failing the
+outside any conversation, are skipped and listed rather than failing the
 file; a conversation without an id, one whose id repeats, or one opened
 inside another fails it, and so does a message opened inside another, or
 a message field (<author>, <time>, <text>) opened inside another field or
@@ -23,7 +23,6 @@ from pathlib import Path
 from xml.parsers import expat
 
 from .errors import CorpusParseError, DataFormatError
-from .preprocessing import tokenize
 
 
 @dataclass
@@ -50,7 +49,12 @@ class Conversation:
 @dataclass
 class PanParseResult:
     conversations: list[Conversation]
-    skipped_messages: int = 0
+    skipped_messages: list[str]     # where each skipped message was
+
+
+def has_token(text: str) -> bool:
+    """Whether preprocessing.tokenize(text) would give a token."""
+    return bool(text) and not text.isspace()
 
 
 def _breaks_a_line(value: str) -> bool:
@@ -62,7 +66,7 @@ def _breaks_a_line(value: str) -> bool:
 class _PanHandler:
     def __init__(self):
         self.conversations: list[Conversation] = []
-        self.skipped = 0
+        self.skipped: list[str] = []
         self._ids: set[str] = set()
         self._conv: Conversation | None = None
         self._line_attr: str | None = None
@@ -88,15 +92,16 @@ class _PanHandler:
             self._conv = Conversation(id=conv_id, messages=[])
         elif name == "message":
             if self._fields is not None:
-                raise self._field_error("a <message> opens inside it")
+                raise CorpusParseError(f"{self._where()}: a <message> opens "
+                                       "inside it")
             self._line_attr = attrs.get("line")
             self._fields = {}
         elif name in ("author", "time", "text") and self._fields is not None:
             if self._capture is not None:
-                raise self._field_error(f"<{name}> opens inside "
-                                        f"<{self._capture}>")
+                raise CorpusParseError(f"{self._where()}: <{name}> opens "
+                                       f"inside <{self._capture}>")
             if name in self._fields:
-                raise self._field_error(f"a second <{name}>")
+                raise CorpusParseError(f"{self._where()}: a second <{name}>")
             self._capture = name
             self._buf = []
 
@@ -114,11 +119,10 @@ class _PanHandler:
             self.conversations.append(self._conv)
             self._conv = None
 
-    def _field_error(self, what: str) -> CorpusParseError:
+    def _where(self) -> str:
         where = ("outside any conversation" if self._conv is None
                  else f"conversation {self._conv.id!r}")
-        return CorpusParseError(f"{where}, message line {self._line_attr}: "
-                                f"{what}")
+        return f"{where}, message line {self._line_attr}"
 
     def chars(self, data):
         if self._capture is not None:
@@ -133,7 +137,7 @@ class _PanHandler:
         except (TypeError, ValueError):    # no line attribute, or not an int
             line_no = 0
         if conv is None or not author or line_no < 1:
-            self.skipped += 1
+            self.skipped.append(self._where())
             return
         # author_scores.tsv holds one author per line, fields split by tabs
         if _breaks_a_line(author):
@@ -236,8 +240,8 @@ def write_pan_corpus(conversations) -> bytes:
 def parse_ground_truth(path) -> set[str]:
     """Newline-delimited author ids; trimmed, deduplicated, blanks skipped.
     Only CR and LF end a line (read_text turns CR LF and CR into LF), so an
-    id may hold any other character."""
-    text = read_text(path)
+    id may hold any other character; a leading byte-order mark is dropped."""
+    text = read_text(path).removeprefix("\ufeff")
     return {line.strip() for line in text.split("\n") if line.strip()}
 
 
@@ -269,7 +273,7 @@ def filter_corpus(conversations, predator_ids):
     known predator takes part in it before filtering."""
     before = label_conversations(conversations, predator_ids)
     after = [(Conversation(c.id, kept), positive) for c, positive in before
-             if (kept := [m for m in c.messages if tokenize(m.text)])]
+             if (kept := [m for m in c.messages if has_token(m.text)])]
     columns = []
     for labeled in (before, after):
         positive = sum(p for _, p in labeled)

@@ -24,8 +24,9 @@ from .preprocessing import (NormRuleSet, Vocabulary, build_vocabulary,
                             default_rules, encode, load_abbreviations,
                             load_emoticon_patterns, normalize_text, tokenize,
                             vocab_from_text, vocab_to_text)
-from .scd_classifier import (Chunk, ConversationSequence, chunk_and_pad,
-                             predict_scd, train_scd, vectorize_conversation)
+from .scd_classifier import (Chunk, ConversationSequence, ScdModel,
+                             chunk_and_pad, predict_scd, train_scd,
+                             vectorize_conversation)
 
 NORMALIZED_XML = "normalized.xml"
 FILTER_REPORT = "filter_report.txt"
@@ -85,13 +86,28 @@ def _load_normalized(cfg: PipelineConfig):
     """normalized.xml's conversations. A process parses the file once and
     hands every later stage the same tuple for as long as the file's bytes
     stay the same, so stages must not modify the conversations."""
-    return _parse_normalized(
-        _artifact(cfg, NORMALIZED_XML).read_bytes())
+    path = _artifact(cfg, NORMALIZED_XML)
+    try:
+        return _parse_normalized(path.read_bytes())
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 @functools.lru_cache(maxsize=1)
 def _parse_normalized(data: bytes) -> tuple[corpus_io.Conversation, ...]:
-    return tuple(corpus_io.parse_pan_corpus(data).conversations)
+    """Refuses what preprocess never writes: a message the parser skips, a
+    conversation without messages, a message without a token."""
+    parsed = corpus_io.parse_pan_corpus(data)
+    for where in parsed.skipped_messages:
+        raise DataFormatError(f"{where}: a message the parser skips")
+    for conv in parsed.conversations:
+        if not conv.messages:
+            raise DataFormatError(f"conversation {conv.id!r}: no messages")
+        for m in conv.messages:
+            if not corpus_io.has_token(m.text):
+                raise DataFormatError(f"conversation {conv.id!r}, message "
+                                      f"line {m.line_no}: no token")
+    return tuple(parsed.conversations)
 
 
 def run_preprocess(cfg: PipelineConfig) -> None:
@@ -100,8 +116,8 @@ def run_preprocess(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     parsed = corpus_io.parse_pan_corpus(cfg.corpus)
     if parsed.skipped_messages:
-        print(f"preprocess: skipped {parsed.skipped_messages} malformed "
-              "message(s)")
+        print(f"preprocess: skipped {len(parsed.skipped_messages)} "
+              "malformed message(s)")
     truth = _load_truth(cfg)
     rules = _rules(cfg)
     normalized = [
@@ -141,14 +157,9 @@ def _load_vocab(cfg: PipelineConfig) -> Vocabulary:
 def _lm_documents(conversations, vocab: Vocabulary, window: int):
     """One document per conversation: each message encoded (EOS-terminated,
     truncated to the window) and concatenated in order."""
-    docs = []
-    for conv in conversations:
-        doc: list[int] = []
-        for m in conv.messages:
-            doc.extend(encode(tokenize(m.text), vocab, window))
-        if doc:
-            docs.append(doc)
-    return docs
+    return [[i for m in conv.messages
+             for i in encode(tokenize(m.text), vocab, window)]
+            for conv in conversations]
 
 
 def run_train_lm(cfg: PipelineConfig) -> None:
@@ -175,9 +186,19 @@ def run_train_lm(cfg: PipelineConfig) -> None:
     print(f"train-lm: {last} -> {out / LM_MODEL}")
 
 
+def _load_model(path: Path, kind: type):
+    """The model in the container at path, which must be a `kind`; one of
+    another kind is a DataFormatError naming the file and both kinds."""
+    model = model_store.load(path)
+    if not isinstance(model, kind):
+        raise DataFormatError(f"{path} holds a {type(model).__name__}, not "
+                              f"a {kind.__name__}")
+    return model
+
+
 def run_eval_lm(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    model = model_store.load(_artifact(cfg, LM_MODEL))
+    model = _load_model(_artifact(cfg, LM_MODEL), LanguageModel)
     conversations = _load_normalized(cfg)
     documents = _lm_documents(conversations, model.vocab, model.window)
     ppl = perplexity(model, documents)
@@ -187,23 +208,15 @@ def run_eval_lm(cfg: PipelineConfig) -> None:
 
 def run_vectorize(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    model = model_store.load(_artifact(cfg, LM_MODEL))
+    model = _load_model(_artifact(cfg, LM_MODEL), LanguageModel)
     conversations = _load_normalized(cfg)
-    ids: list[str] = []
-    matrices = []
-    skipped = 0
     memo: dict = {}
-    for conv in conversations:
-        matrix = vectorize_conversation(conv, model, memo)
-        if matrix is None:
-            skipped += 1
-            continue
-        ids.append(conv.id)
-        matrices.append(matrix)
-    bundle = model_store.VectorBundle(ids, matrices)
+    bundle = model_store.VectorBundle(
+        [conv.id for conv in conversations],
+        [vectorize_conversation(conv, model, memo) for conv in conversations])
     model_store.save(bundle, out / VECTORS_FILE)
-    note = f", skipped {skipped} empty" if skipped else ""
-    print(f"vectorize: {len(ids)} conversations{note} -> {out / VECTORS_FILE}")
+    print(f"vectorize: {len(conversations)} conversations -> "
+          f"{out / VECTORS_FILE}")
 
 
 def _check_keys(path: Path, found: list, expected) -> None:
@@ -224,16 +237,15 @@ def _labeled_sequences(cfg: PipelineConfig,
     """vectors.bin's sentence-vector sequences, each labeled positive iff a
     ground-truth predator takes part in its conversation.
 
-    The file must hold each non-empty conversation of normalized.xml once
-    and no other, each with at least one row, and rows input_dim wide when
-    that is given; anything else is a DataFormatError naming the file, so
+    The file must hold each conversation of normalized.xml once and no
+    other, each with at least one row, and rows input_dim wide when that
+    is given; anything else is a DataFormatError naming the file, so
     vectors left over from another corpus are refused, not mislabeled."""
     path = _artifact(cfg, VECTORS_FILE)
-    bundle = model_store.load(path)
+    bundle = _load_model(path, model_store.VectorBundle)
     labels = {conv.id: positive for conv, positive in
-              corpus_io.label_conversations(
-                  [c for c in _load_normalized(cfg) if c.messages],
-                  _load_truth(cfg))}
+              corpus_io.label_conversations(_load_normalized(cfg),
+                                            _load_truth(cfg))}
     ids = bundle.conversation_ids
     _check_keys(path, ids, labels.keys())
     for conv_id, matrix in zip(ids, bundle.matrices):
@@ -273,7 +285,7 @@ def run_train_scd(cfg: PipelineConfig) -> None:
 
 def run_eval_scd(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    model = model_store.load(_artifact(cfg, SCD_MODEL))
+    model = _load_model(_artifact(cfg, SCD_MODEL), ScdModel)
     sequences = _labeled_sequences(cfg, model.input_dim)
     rows = []
     flagged = []
@@ -350,7 +362,7 @@ def run_train_author(cfg: PipelineConfig) -> None:
 
 def run_score_authors(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    model = model_store.load(_artifact(cfg, AUTHOR_MODEL))
+    model = _load_model(_artifact(cfg, AUTHOR_MODEL), ac.ShallowModel)
     units = _author_units(_load_normalized(cfg))
     probs = ac.class_probabilities(
         model, [ac.featurize(model, unit.lines) for unit in units])

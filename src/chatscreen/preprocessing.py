@@ -59,10 +59,10 @@ class NormRuleSet:
 
 def _rule_lines(path):
     """(line number, line) for each line of a UTF-8 rules file that is
-    neither blank nor a '#' comment."""
+    neither blank nor a '#' comment; a leading byte-order mark is dropped."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+            lines = fh.read().removeprefix("\ufeff").split("\n")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     for lineno, line in enumerate(lines, start=1):

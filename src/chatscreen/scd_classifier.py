@@ -103,16 +103,13 @@ class ScdModel:
 
 
 def vectorize_conversation(conv, lm: LanguageModel,
-                           memo: dict) -> np.ndarray | None:
+                           memo: dict) -> np.ndarray:
     """One sentence vector per message, in message order, as an (n, H)
-    matrix; None signals an empty conversation to skip (reported by the
-    caller, not fatal).
+    matrix; the conversation must have a message.
 
     memo maps a message's normalized text to its vector; a caller that
     passes the same dict for every conversation of a run encodes each
     distinct message once."""
-    if not conv.messages:
-        return None
     vectors = []
     for m in conv.messages:
         vector = memo.get(m.text)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import PipelineConfig
 from .core_math import Rng
 from .corpus_io import Conversation, Message, write_pan_corpus
 from .errors import UsageError
@@ -31,11 +32,15 @@ VICTIM_MARKER_DENSITY = 0.2   # marker share of each victim line
 
 @dataclass
 class SynthSpec:
+    """A corpus to generate; the defaults are the config's [synth] ones."""
+
     seed: int
-    n_conversations: int = 500
-    predator_fraction: float = 0.05
-    geometric_p: float = 0.08      # message-count distribution over 1..500
-    marker_density: float = 0.3    # marker share of each predator line
+    n_conversations: int = PipelineConfig.synth_n_conversations
+    predator_fraction: float = PipelineConfig.synth_predator_fraction
+    # message-count distribution over 1..500
+    geometric_p: float = PipelineConfig.synth_geometric_p
+    # marker share of each predator line
+    marker_density: float = PipelineConfig.synth_marker_density
 
     # Fixed token rings, class attributes rather than settings. 'z'/'j' are
     # not background consonants, so the three rings are disjoint.

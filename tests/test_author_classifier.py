@@ -79,10 +79,12 @@ class TestFeaturize:
         out = featurize(model, [["mystery", "tokens"]])
         assert np.array_equal(out, np.zeros(model.k, dtype=np.float32))
 
-    def test_zero_tokens_rejected(self):
+    def test_no_tokens_give_zero_vector(self):
+        # as train_author pools a unit without features
         model = model_with_features(["known"])
-        with pytest.raises(UsageError):
-            featurize(model, [[]])
+        for lines in ([[]], [[], []], []):
+            out = featurize(model, lines)
+            assert np.array_equal(out, np.zeros(model.k, dtype=np.float32))
 
     def test_pooled_empty_list_is_the_zero_row(self):
         model = model_with_features(["a", "b", "c"])

@@ -407,15 +407,18 @@ class TestExitCodes:
 
     def test_train_lm_without_targets_is_usage_error(self, tmp_path,
                                                       capsys):
-        # every conversation is one empty message: documents of EOS alone
-        cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
+        # one-message conversations cut to a window of one token: every
+        # document is a single id, with nothing to predict
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path,
+                                lm={"window": 1})
         vocab = Vocabulary(list(RESERVED_TOKENS), min_term_frequency=1)
         (tmp_path / "vocab.txt").write_text(vocab_to_text(vocab))
         (tmp_path / "normalized.xml").write_bytes(
             b'<?xml version="1.0" encoding="UTF-8"?>\n<conversations>\n'
             + b"".join(b'<conversation id="c%d"><message line="1">'
-                       b"<author>a</author><time>0</time><text></text>"
-                       b"</message></conversation>\n" % i for i in (1, 2))
+                       b"<author>a</author><time>0</time><text>hello you"
+                       b"</text></message></conversation>\n" % i
+                       for i in (1, 2))
             + b"</conversations>\n")
         (tmp_path / "truth.txt").write_text("")
         assert main(["train-lm", "--config", str(cfg_path)]) == 1
@@ -608,6 +611,20 @@ def copy_run(small_run, tmp_path, **overrides):
     return out, write_config(tmp_path / "copy.cfg", out, **overrides)
 
 
+STAGE_WRITES = {pipeline.command_name(fn): writes
+                for fn, writes in pipeline.STAGES}
+# every stage after preprocess reads normalized.xml
+NORMALIZED_READERS = list(STAGE_WRITES)[1:]
+# the model class each container file must hold, and the stages that
+# load it
+CONTAINER_KINDS = {"lm.model": "LanguageModel", "vectors.bin": "VectorBundle",
+                   "scd.model": "ScdModel", "author.model": "ShallowModel"}
+CONTAINER_READS = [("eval-lm", "lm.model"), ("vectorize", "lm.model"),
+                   ("train-scd", "vectors.bin"), ("eval-scd", "scd.model"),
+                   ("eval-scd", "vectors.bin"),
+                   ("score-authors", "author.model")]
+
+
 class TestStageFiles:
     @pytest.mark.parametrize("name", ["scd_verdicts.tsv",
                                       "author_scores.tsv"])
@@ -779,6 +796,78 @@ class TestStageFiles:
         assert main([stage, "--config", str(cfg_path)]) == 2
         assert "truth.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", ["no-messages", "whitespace-text",
+                                       "no-author"])
+    @pytest.mark.parametrize("stage", NORMALIZED_READERS)
+    def test_normalized_xml_preprocess_cannot_write_is_data_error(
+            self, small_run, tmp_path, capsys, stage, fault):
+        out, cfg_path = copy_run(small_run, tmp_path)
+        conversations = corpus_io.parse_pan_corpus(
+            out / "normalized.xml").conversations
+        conv = conversations[1]
+        if fault == "no-messages":
+            conv.messages = []
+        elif fault == "whitespace-text":
+            conv.messages[-1].text = " \t\u00a0 "
+        data = corpus_io.write_pan_corpus(conversations)
+        if fault == "no-author":
+            start = data.index(b'<conversation id="%s">' % conv.id.encode())
+            data = data[:start] + re.sub(rb"\s*<author>[^<]*</author>", b"",
+                                         data[start:], count=1)
+        (out / "normalized.xml").write_bytes(data)
+        writes = STAGE_WRITES[stage]
+        for name in writes:
+            (out / name).unlink()
+        listing = sorted(os.listdir(out))
+        assert main([stage, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "normalized.xml" in err and repr(conv.id) in err
+        assert sorted(os.listdir(out)) == listing
+
+    def test_every_stage_accepts_what_preprocess_writes(self, small_run,
+                                                         tmp_path, capsys):
+        # messages that normalize away, a conversation left without any,
+        # and a message the parser skips
+        out, cfg_path = copy_run(small_run, tmp_path)
+        conversations = corpus_io.parse_pan_corpus(
+            out / "corpus.xml").conversations
+        dropped = [":) :-(", " \t ", "\u00e9\u00e8 \u65e5\u672c", "xD <3"]
+        first = conversations[0]
+        first.messages += [
+            corpus_io.Message(first.messages[0].author, 900 + i, "00:00", t)
+            for i, t in enumerate(dropped)]
+        conversations.append(corpus_io.Conversation("all-dropped", [
+            corpus_io.Message("ghost", i + 1, "00:00", t)
+            for i, t in enumerate(dropped)]))
+        data = corpus_io.write_pan_corpus(conversations).replace(
+            b"</conversation>", b'<message line="999"><time>00:00</time>'
+            b"<text>no author</text></message></conversation>", 1)
+        (out / "corpus.xml").write_bytes(data)
+        # preprocess, then the nine stages that read normalized.xml
+        assert main(["pipeline", "--config", str(cfg_path)]) == 0
+        assert "skipped 1 malformed message" in capsys.readouterr().out
+        kept = corpus_io.parse_pan_corpus(out / "normalized.xml")
+        assert [c.id for c in kept.conversations] == \
+            [c.id for c in conversations[:-1]]
+        assert len(kept.conversations[0].messages) == \
+            len(first.messages) - len(dropped)
+
+    @pytest.mark.parametrize("stage,file,foreign", [
+        (stage, file, foreign) for stage, file in CONTAINER_READS
+        for foreign in CONTAINER_KINDS if foreign != file])
+    def test_container_of_another_kind_is_data_error(
+            self, small_run, tmp_path, capsys, stage, file, foreign):
+        out, cfg_path = copy_run(small_run, tmp_path)
+        shutil.copyfile(out / foreign, out / file)
+        before = {name: (out / name).read_bytes()
+                  for name in STAGE_WRITES[stage]}
+        assert main([stage, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / file) in err
+        assert CONTAINER_KINDS[foreign] in err and \
+            CONTAINER_KINDS[file] in err
+        assert {name: (out / name).read_bytes() for name in before} == before
+
     def test_vectorize_encodes_each_distinct_message_once(self, small_run,
                                                            tmp_path,
                                                            monkeypatch):
@@ -800,10 +889,10 @@ class TestStageFiles:
         # the same bytes as one encoding per message
         lm = load(out / "lm.model")
         save(VectorBundle(
-            [conv.id for conv in conversations if conv.messages],
+            [conv.id for conv in conversations],
             [np.stack([one_message(lm, tokenize(m.text))
                        for m in conv.messages])
-             for conv in conversations if conv.messages]),
+             for conv in conversations]),
             tmp_path / "per_message.bin")
         assert (out / "vectors.bin").read_bytes() == \
             (tmp_path / "per_message.bin").read_bytes()

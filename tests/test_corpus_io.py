@@ -6,11 +6,13 @@ import pytest
 
 import chatscreen
 from chatscreen.corpus_io import (Conversation, Message, filter_corpus,
-                                  label_conversations, parse_ground_truth,
-                                  parse_pan_corpus, read_text, write_atomic,
+                                  has_token, label_conversations,
+                                  parse_ground_truth, parse_pan_corpus,
+                                  read_text, write_atomic,
                                   write_ground_truth, write_pan_corpus)
 from chatscreen.errors import CorpusParseError, DataFormatError
 from chatscreen.pipeline import _author_units
+from chatscreen.preprocessing import tokenize
 
 SMALL_XML = b"""<?xml version="1.0" encoding="UTF-8"?>
 <conversations>
@@ -33,7 +35,7 @@ SMALL_XML = b"""<?xml version="1.0" encoding="UTF-8"?>
 class TestParsePanCorpus:
     def test_round_trips_exactly(self):
         first = parse_pan_corpus(SMALL_XML)
-        assert first.skipped_messages == 0
+        assert first.skipped_messages == []
         rewritten = write_pan_corpus(first.conversations)
         second = parse_pan_corpus(rewritten)
         assert second.conversations == first.conversations
@@ -60,7 +62,7 @@ class TestParsePanCorpus:
         </conversations>"""
         result = parse_pan_corpus(xml)
         assert len(result.conversations) == 3
-        assert result.skipped_messages == 1
+        assert result.skipped_messages == ["conversation 'b', message line 1"]
         assert len(result.conversations[1].messages) == 1
 
     def test_malformed_xml_reports_byte_offset(self):
@@ -73,7 +75,8 @@ class TestParsePanCorpus:
           <message line="zero"><author>x</author><time>1</time>
           <text>hi</text></message></conversation></conversations>"""
         result = parse_pan_corpus(xml)
-        assert result.skipped_messages == 1
+        assert result.skipped_messages == [
+            "conversation 'a', message line zero"]
 
     def test_repeated_conversation_id_rejected(self):
         xml = b"""<conversations>
@@ -122,7 +125,9 @@ class TestParsePanCorpus:
         result = parse_pan_corpus(xml)
         assert [c.id for c in result.conversations] == ["a"]
         assert [m.text for m in result.conversations[0].messages] == ["hi"]
-        assert result.skipped_messages == 2
+        assert result.skipped_messages == [
+            "outside any conversation, message line 1",
+            "outside any conversation, message line 2"]
 
     # author_scores.tsv could not carry these: its reader splits on tabs
     # and on every line boundary str.splitlines knows
@@ -198,7 +203,7 @@ class TestParsePanCorpus:
           <time>1</time><text>hi</text></message><text>stray</text>
           </conversation></conversations>"""
         result = parse_pan_corpus(xml)
-        assert result.skipped_messages == 0
+        assert result.skipped_messages == []
         assert result.conversations == [
             Conversation("a", [Message("x", 1, "1", "hi")])]
 
@@ -281,6 +286,13 @@ class TestGroundTruth:
         write_ground_truth({"b", "a"}, path)
         assert path.read_text() == "a\nb\n"
         assert parse_ground_truth(path) == {"a", "b"}
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # some editors write one; str.strip keeps it
+        plain = parse_ground_truth(truth_file(tmp_path, b"alice\nbob\n"))
+        marked = parse_ground_truth(
+            truth_file(tmp_path, "\ufeffalice\nbob\n".encode("utf-8")))
+        assert marked == plain == {"alice", "bob"}
 
 
 def conv(conv_id, *author_text_pairs):
@@ -367,6 +379,21 @@ class TestFilterCorpus:
         filtered, _ = filter_corpus([conv("c", ("a", "hello"), ("ghost", ""))],
                                     set())
         assert filtered == [conv("c", ("a", "hello"))]
+
+
+class TestHasToken:
+    # whitespace of every kind str.isspace knows, punctuation, non-ASCII
+    @pytest.mark.parametrize("text", [
+        "", " ", " \t\r\n", "\x0b\x0c", "\x1c", "\x1f", "\x85", "\u00a0",
+        "\u2028", "\u3000", " \u00a0\x1c ", "a", "0", ".", " ! ", ":)",
+        "\x00", "\u00e9", "\u200b", "\ufeff", "\u65e5", "x\u00a0y",
+        "\U0001f600"])
+    def test_agrees_with_tokenize(self, text):
+        assert has_token(text) == bool(tokenize(text))
+
+    def test_agrees_with_tokenize_on_every_code_point(self):
+        assert [c for c in map(chr, range(0x110000))
+                if has_token(c) != bool(tokenize(c))] == []
 
 
 class TestGroupByAuthor:

@@ -8,8 +8,10 @@ from chatscreen.errors import DataFormatError, UsageError
 from chatscreen.preprocessing import (LONG_WORD_LIMIT, RESERVED_TOKENS,
                                       Vocabulary, _normalize_token,
                                       build_vocabulary, default_rules,
-                                      encode, normalize_text, tokenize,
-                                      vocab_from_text, vocab_to_text)
+                                      encode, load_abbreviations,
+                                      load_emoticon_patterns, normalize_text,
+                                      tokenize, vocab_from_text,
+                                      vocab_to_text)
 
 from norm_fixtures import NORMALIZATION_FIXTURES
 
@@ -34,6 +36,26 @@ class TestNormalize:
         assert rules.abbreviation_map["ur"] == "your"
         assert rules.emoticon_patterns
         assert LONG_WORD_LIMIT == 30
+
+
+class TestRulesFiles:
+    @pytest.mark.parametrize("load,text", [
+        (load_abbreviations, "brb\tbe right back\nidk\ti do not know\n"),
+        (load_emoticon_patterns, ":\\)+\n# a comment\n<3\n"),
+    ], ids=["abbreviations", "emoticons"])
+    def test_byte_order_mark_dropped(self, tmp_path, load, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert load(marked) == load(plain)
+
+    def test_marked_abbreviations_apply_to_their_first_entry(self, tmp_path):
+        table = tmp_path / "abbr.tsv"
+        table.write_text("\ufeffbrb\tbe right back\nidk\ti do not know\n",
+                         encoding="utf-8")
+        rules = pipeline._rules(PipelineConfig(abbreviations=str(table)))
+        assert normalize_text("brb idk", rules) == \
+            "be right back i do not know"
 
 
 # One message per noise kind of the screening benchmark

@@ -77,7 +77,7 @@ messages = st.builds(Message, author=authors,
           Conversation('"', [])])
 def test_pan_corpus_round_trip(conversations):
     parsed = parse_pan_corpus(write_pan_corpus(conversations))
-    assert parsed.skipped_messages == 0
+    assert parsed.skipped_messages == []
     assert parsed.conversations == conversations
 
 

@@ -120,11 +120,6 @@ class TestVectorizeConversation:
             solo = sentence_vector(lm, tokenize(message.text))
             assert np.array_equal(vec, solo)
 
-    def test_empty_conversation_skip_signal(self):
-        lm = tiny_lm()
-        assert vectorize_conversation(Conversation("empty", []), lm,
-                                      {}) is None
-
 
 class TestPredict:
     def test_zero_head_gives_half(self):

@@ -37,7 +37,7 @@ class TestPlant:
     def test_round_trips_through_parser(self):
         result = generate(SynthSpec(seed=11, n_conversations=25))
         parsed = parse_pan_corpus(result.xml_bytes)
-        assert parsed.skipped_messages == 0
+        assert parsed.skipped_messages == []
         assert len(parsed.conversations) == 25
         assert parsed.conversations == result.conversations
 
