@@ -72,12 +72,12 @@ class PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     """Parse and validate a configuration file against PipelineConfig's
-    fields."""
+    fields; a leading UTF-8 byte-order mark is dropped."""
     # no header names the section "", so [DEFAULT] is an ordinary section,
     # refused below, rather than defaults copied into every other section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc

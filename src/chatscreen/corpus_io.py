@@ -248,12 +248,16 @@ def parse_ground_truth(path) -> set[str]:
 def write_ground_truth(author_ids, path) -> None:
     """One id per line, sorted. An id that would not read back as itself
     (empty, padded with whitespace, or holding a CR or LF) is a
-    DataFormatError."""
+    DataFormatError. parse_ground_truth drops one leading byte-order mark,
+    so a file whose first id starts with one gets a second in front."""
     for a in author_ids:
         if not a or a != a.strip() or "\r" in a or "\n" in a:
             raise DataFormatError(f"{path}: author id {a!r} cannot be "
                                   "written one per line")
-    write_atomic(path, "".join(f"{a}\n" for a in sorted(author_ids)))
+    text = "".join(f"{a}\n" for a in sorted(author_ids))
+    if text.startswith("\ufeff"):
+        text = "\ufeff" + text
+    write_atomic(path, text)
 
 
 def label_conversations(conversations,

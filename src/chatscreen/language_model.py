@@ -92,6 +92,17 @@ class LanguageModel:
                              self.out_w.astype(dtype),
                              self.out_b.astype(dtype), self.window)
 
+    def read_only(self) -> "LanguageModel":
+        """The model for a pass that only reads it: the same arrays, with
+        each LSTM layer's gate weights scaled once (lstm.ScaledGates)
+        instead of on every forward call. The pass makes its own copy and
+        drops it at its end, so no weight update can leave it stale. It
+        must only be read: param_list, astype and model_store.save raise
+        AttributeError on it."""
+        return LanguageModel(self.vocab, self.embedding, self.layer1.scaled(),
+                             self.layer2.scaled(), self.out_w, self.out_b,
+                             self.window)
+
 
 def sentence_vector(model: LanguageModel, tokens) -> np.ndarray:
     """Encode tokens (unknowns to UNK, EOS appended, truncated to the
@@ -220,7 +231,7 @@ def perplexity(model: LanguageModel, documents) -> float:
     if not documents:
         raise UsageError("perplexity: corpus has no next-token predictions")
     total_nll, total = 0.0, 0
-    for _, _, y, mask, traces in _windows(model, documents, 32):
+    for _, _, y, mask, traces in _windows(model.read_only(), documents, 32):
         valid = np.flatnonzero(mask)
         s2 = traces[1].S.reshape(len(y), model.hidden_dim)[valid]
         del traces

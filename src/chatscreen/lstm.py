@@ -21,7 +21,9 @@ mutate parameters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +96,45 @@ class LstmLayerParams:
     def astype(self, dtype) -> "LstmLayerParams":
         return LstmLayerParams(*(m.astype(dtype) for m in self.param_list()))
 
+    def scaled(self) -> "ScaledGates":
+        """U, W and b times the gate constants k, made fresh on each call."""
+        k, _ = gate_constants(4 * self.hidden_dim, self.U.dtype)
+        return ScaledGates(self.U * k, self.W * k,
+                           None if self.b is None else self.b * k)
+
+
+@functools.cache
+def gate_constants(width: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(k, m) over width = 4H gate lanes: k is 1/2 on the i, f, o lanes and
+    1 on the g lanes, m = 1 - k (see forward_steps). Made once per (width,
+    dtype) and shared by every call, so both are read-only."""
+    k = np.full(width, 0.5, dtype=dtype)
+    k[3 * width // 4:] = 1.0
+    m = 1.0 - k
+    k.flags.writeable = m.flags.writeable = False
+    return k, m
+
+
+class ScaledGates(NamedTuple):
+    """A layer's U, W and b times the gate constants k, the form
+    forward_steps runs on. A pass that only reads the layer makes it once
+    and hands it to each of its forward_steps calls; it is never kept on
+    the layer, where an optimizer step would leave it stale. Its fields
+    are not named U, W and b, so backward_steps cannot take it for the
+    weights it was made from."""
+
+    Uk: np.ndarray
+    Wk: np.ndarray
+    bk: np.ndarray | None
+
+    @property
+    def input_dim(self) -> int:
+        return self.Uk.shape[0]
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.Wk.shape[0]
+
 
 @dataclass
 class LstmState:
@@ -107,7 +148,7 @@ class LstmState:
 class LstmTrace:
     """Forward-pass cache for one layer over one (T, B, ...) unroll."""
 
-    params: LstmLayerParams
+    params: LstmLayerParams | ScaledGates   # ScaledGates: no backward
     xs: np.ndarray          # (T, B, I)
     s0: np.ndarray          # (B, H)
     c0: np.ndarray          # (B, H)
@@ -118,47 +159,49 @@ class LstmTrace:
 
 
 def forward_steps(xs: np.ndarray, s0: np.ndarray, c0: np.ndarray,
-                  params: LstmLayerParams) -> LstmTrace:
+                  params: LstmLayerParams | ScaledGates) -> LstmTrace:
     """Unroll the cell over xs (T, B, I) from initial states (B, H).
 
     All four gates go through one tanh per step, by sigmoid(a) =
     1/2 tanh(a/2) + 1/2: with k 1/2 on the i, f, o lanes and 1 on the g
     lanes, and m = 1 - k, the gates are m + k * tanh(k * a). U, W and b
-    are scaled by k, which is exact. The input projection and the bias are
-    made for all T steps before the recurrence, as one flat
-    (T*B, I) @ (I, 4H) product written into the gate tensor Z; each step
-    adds s @ (W*k) to Z[t] in place, runs tanh over it, maps it by
-    z*k + m, and writes c, tanh(c) and s into the trace through out=.
+    are scaled by k, which is exact: a layer's LstmLayerParams is scaled on
+    each call (LstmLayerParams.scaled), its ScaledGates (made once by a
+    pass that only reads the layer) are used as they are. The input
+    projection and the bias are made for all T steps before the
+    recurrence, as one flat (T*B, I) @ (I, 4H) product written into the
+    gate tensor Z; each step adds s @ (W*k) to Z[t] in place, runs tanh
+    over it, maps it by z*k + m, and writes c, tanh(c) and s into the
+    trace through out=. The loop walks per-step views of Z, of its four
+    gate blocks, and of C, TC and S.
     """
     T, B, I = xs.shape
     H = params.hidden_dim
-    k = np.full(4 * H, 0.5, dtype=params.U.dtype)
-    k[3 * H:] = 1.0
-    m = 1.0 - k
-    Z = (xs.reshape(T * B, I) @ (params.U * k)).reshape(T, B, 4 * H)
-    if params.b is not None:
-        Z += params.b * k
-    Wk = params.W * k
+    sg = params if isinstance(params, ScaledGates) else params.scaled()
+    k, m = gate_constants(4 * H, sg.Uk.dtype)
+    Z = (xs.reshape(T * B, I) @ sg.Uk).reshape(T, B, 4 * H)
+    if sg.bk is not None:
+        Z += sg.bk
+    Wk = sg.Wk
     S = np.empty((T, B, H), dtype=xs.dtype)
     C = np.empty_like(S)
     TC = np.empty_like(S)
     sW = np.empty((B, 4 * H), dtype=Z.dtype)
     ig = np.empty((B, H), dtype=xs.dtype)
+    blocks = Z.reshape(T, B, 4, H).transpose(2, 0, 1, 3)   # i, f, o, g
     s, c = s0, c0
-    for t in range(T):
-        z = Z[t]
+    for z, i, f, o, g, c_t, tc, s_t in zip(Z, *blocks, C, TC, S):
         np.matmul(s, Wk, out=sW)
         z += sW
         np.tanh(z, out=z)
         z *= k
         z += m
-        i, f, o, g = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
-        np.multiply(f, c, out=C[t])
+        np.multiply(f, c, out=c_t)
         np.multiply(i, g, out=ig)
-        C[t] += ig
-        np.tanh(C[t], out=TC[t])
-        np.multiply(o, TC[t], out=S[t])
-        s, c = S[t], C[t]
+        c_t += ig
+        np.tanh(c_t, out=tc)
+        np.multiply(o, tc, out=s_t)
+        s, c = s_t, c_t
     return LstmTrace(params=params, xs=xs, s0=s0, c0=c0, S=S, C=C, Z=Z,
                      TC=TC)
 

@@ -208,7 +208,7 @@ def run_eval_lm(cfg: PipelineConfig) -> None:
 
 def run_vectorize(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
-    model = _load_model(_artifact(cfg, LM_MODEL), LanguageModel)
+    model = _load_model(_artifact(cfg, LM_MODEL), LanguageModel).read_only()
     conversations = _load_normalized(cfg)
     memo: dict = {}
     bundle = model_store.VectorBundle(

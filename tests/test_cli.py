@@ -626,6 +626,17 @@ CONTAINER_READS = [("eval-lm", "lm.model"), ("vectorize", "lm.model"),
 
 
 class TestStageFiles:
+    def test_config_with_byte_order_mark_runs(self, small_run, tmp_path):
+        # as the ground-truth and rules files do, a config file drops a
+        # leading UTF-8 byte-order mark
+        out, cfg_path = copy_run(small_run, tmp_path)
+        bom_path = tmp_path / "bom.cfg"
+        bom_path.write_bytes(b"\xef\xbb\xbf" + cfg_path.read_bytes())
+        assert load_config(bom_path) == load_config(cfg_path)
+        vocab = (out / "vocab.txt").read_bytes()
+        assert main(["build-vocab", "--config", str(bom_path)]) == 0
+        assert (out / "vocab.txt").read_bytes() == vocab
+
     @pytest.mark.parametrize("name", ["scd_verdicts.tsv",
                                       "author_scores.tsv"])
     def test_truncated_file_is_data_error(self, small_run, tmp_path, capsys,

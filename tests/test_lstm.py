@@ -5,7 +5,7 @@ from chatscreen.core_math import Rng, gradient_check, init_uniform
 from chatscreen.errors import ShapeError, UsageError
 from chatscreen.lstm import (LstmLayerParams, LstmState, LstmTrace,
                              backward_stack, backward_steps, cell_step,
-                             forward_stack, forward_steps)
+                             forward_stack, forward_steps, gate_constants)
 
 from oracles import (scalar_cell_step, step_loop_backward, step_loop_forward,
                      tanh_gate_step_loop)
@@ -210,24 +210,40 @@ class TestSequenceForward:
             assert np.abs(got - want).max() <= TOL, name
 
     # the in-place recurrence over the hoisted projection against fresh
-    # arrays per step; tobytes() also tells -0.0 from +0.0
+    # arrays per step, at 4, 64 and 200 wide and with I != H (the first call
+    # at 64 x 24 is the original case), from the layer itself and from its
+    # ScaledGates made once and reused over several calls; tobytes() also
+    # tells -0.0 from +0.0
     @pytest.mark.parametrize("batch", [1, 3, 16])
     @pytest.mark.parametrize("use_bias", [False, True])
     def test_hoisted_projection_matches_step_loop_bit_for_bit(self, batch,
                                                               use_bias):
         rng = Rng(50 + batch)
-        params = make_params(rng, 64, 24, use_bias, dtype=np.float32)
-        if use_bias:
-            params.b[:] = rng.uniform(-1, 1, params.b.shape)
-        xs = rng.uniform(-1, 1, (9, batch, 64))
-        s0 = rng.uniform(-0.9, 0.9, (batch, 24))
-        c0 = rng.uniform(-1.5, 1.5, (batch, 24))
-        trace = forward_steps(xs, s0, c0, params)
-        want = tanh_gate_step_loop(xs, s0, c0, params)
-        got = (trace.S, trace.C, trace.Z, trace.TC)
-        for name, array, ref in zip(("S", "C", "Z", "TC"), got, want):
-            assert array.dtype == np.float32
-            assert array.tobytes() == ref.tobytes(), name
+        for width, hidden in ((64, 24), (4, 4), (64, 64), (200, 200)):
+            params = make_params(rng, width, hidden, use_bias, np.float32)
+            if use_bias:
+                params.b[:] = rng.uniform(-1, 1, params.b.shape)
+            gates = params.scaled()
+            for _ in range(3):
+                xs = rng.uniform(-1, 1, (9, batch, width))
+                s0 = rng.uniform(-0.9, 0.9, (batch, hidden))
+                c0 = rng.uniform(-1.5, 1.5, (batch, hidden))
+                want = tanh_gate_step_loop(xs, s0, c0, params)
+                for layer in (params, gates):
+                    trace = forward_steps(xs, s0, c0, layer)
+                    got = (trace.S, trace.C, trace.Z, trace.TC)
+                    for name, array, ref in zip(("S", "C", "Z", "TC"), got,
+                                                want):
+                        assert array.dtype == np.float32
+                        assert array.tobytes() == ref.tobytes(), \
+                            (width, name)
+
+    def test_gate_constants_are_shared_and_read_only(self):
+        k, m = gate_constants(8, np.dtype(np.float32))
+        assert gate_constants(8, np.dtype(np.float32))[0] is k
+        assert k.tolist() == [0.5] * 6 + [1.0] * 2
+        assert m.tolist() == [0.5] * 6 + [0.0] * 2
+        assert not k.flags.writeable and not m.flags.writeable
 
 
 class TestSequenceBackward:

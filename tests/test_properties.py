@@ -95,6 +95,7 @@ def test_xml_escapes_match_saxutils(value):
 @given(st.sets(xml_text, max_size=6))
 @example({"a\u2028b", "c\x85d", "e\x1cf"})   # str.splitlines would split these
 @example({"a\rb"})
+@example({"\ufeff"})   # parse_ground_truth drops one leading byte-order mark
 def test_ground_truth_round_trip(tmp_path_factory, ids):
     path = tmp_path_factory.mktemp("truth") / "truth.txt"
     try:

@@ -5,7 +5,8 @@ import pytest
 
 from chatscreen import scd_classifier
 from chatscreen.config import PipelineConfig
-from chatscreen.core_math import LOG_EPS, Rng, gradient_check, sigmoid
+from chatscreen.core_math import (LOG_EPS, Rng, gradient_check,
+                                  make_optimizer, sigmoid)
 from chatscreen.corpus_io import Conversation, Message
 from chatscreen.errors import UsageError
 from chatscreen.language_model import LanguageModel, sentence_vector
@@ -305,6 +306,23 @@ class TestBucketedScoring:
             max(lengths))]
         scd_classifier._chunk_probabilities(model, chunks)
         assert [xs.shape[1] for xs in seen] == sizes
+
+    def test_scores_read_the_weights_of_the_last_optimizer_step(self):
+        # each call scales the gate weights afresh, so scores after an
+        # update are those of a new model holding the updated weights
+        model = ScdModel.create(Rng(3), input_dim=8, hidden_dim=6)
+        chunks = make_chunks(Rng(4), 4, 4)
+        before = scd_classifier._chunk_probabilities(model, chunks)
+        optimizer = make_optimizer("adam", 0.05)
+        for _ in range(2):
+            _, grads = training_loss_and_grads(model, chunks)
+            optimizer.step(model.param_list(), grads)
+            got = scd_classifier._chunk_probabilities(model, chunks)
+            fresh = model.astype(model.dtype)   # copies of every array
+            assert got.tobytes() == scd_classifier._chunk_probabilities(
+                fresh, chunks).tobytes()
+            assert got.tobytes() != before.tobytes()
+            before = got
 
     def test_unmasked_bucket_runs_the_padded_length(self, monkeypatch):
         model = ScdModel.create(Rng(2), input_dim=64, hidden_dim=16,
