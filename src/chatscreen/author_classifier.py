@@ -157,9 +157,9 @@ def featurize(model: ShallowModel, lines) -> np.ndarray:
 
 
 def class_probabilities(model: ShallowModel, rows) -> np.ndarray:
-    """P/V/N probabilities (n, 3), in float64, of n pooled rows: an (n, k)
-    array or a list of n vectors, none for n = 0."""
-    x = np.asarray(rows, dtype=np.float64).reshape(len(rows), model.k)
+    """P/V/N probabilities (n, 3), in float64, of n >= 1 pooled rows: an
+    (n, k) array or a list of n vectors."""
+    x = np.asarray(rows, dtype=np.float64)
     return row_softmax(x @ model.class_w.astype(np.float64)
                        + model.class_b.astype(np.float64))
 
@@ -213,8 +213,6 @@ def train_author(model: ShallowModel, units, cfg: PipelineConfig, rng):
     epoch.
     """
     units = list(units)
-    if not units:
-        raise UsageError("train_author: no training units")
     present = {u.label for u in units}
     missing = [c for c in CLASSES if c not in present]
     if missing:
@@ -271,16 +269,16 @@ def identify_predators(suspicious_conversation_ids, scores,
     """Flag, per suspicious conversation, the participant with the highest
     averaged P score, and only when that author's predicted class is P
     (both classifiers must agree). At most one author per conversation; an
-    exact top-P tie, or no participant, flags nobody.
+    exact top-P tie flags nobody.
 
-    Every suspicious id must name one of `conversations`, and `scores` must
-    score each of their participants; run_identify checks both of the files
-    it reads them from against normalized.xml."""
+    Every suspicious id must name one of `conversations`, each of which has
+    a participant, and `scores` must score each of them; run_identify checks
+    all three against normalized.xml, whose parser refuses an empty one."""
     conv_by_id = {c.id: c for c in conversations}
     flagged: set[str] = set()
     for conv_id in suspicious_conversation_ids:
         authors = conv_by_id[conv_id].authors()
-        top_p = max((scores[a].p for a in authors), default=None)
+        top_p = max(scores[a].p for a in authors)
         top_authors = [a for a in authors if scores[a].p == top_p]
         if (len(top_authors) == 1
                 and scores[top_authors[0]].argmax_class() == "P"):

@@ -81,6 +81,8 @@ def load_config(path) -> PipelineConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot be read ({exc.strerror})") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     schema: dict[str, dict] = {}

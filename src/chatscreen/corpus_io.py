@@ -57,7 +57,7 @@ def has_token(text: str) -> bool:
     return bool(text) and not text.isspace()
 
 
-def _breaks_a_line(value: str) -> bool:
+def breaks_a_line(value: str) -> bool:
     """True if value holds a tab or any line boundary str.splitlines
     knows, so that one field of a tab-separated line cannot carry it."""
     return "\t" in value or value.splitlines() not in ([], [value])
@@ -86,7 +86,7 @@ class _PanHandler:
             conv_id = attrs["id"]
             # the vectors container's string table and scd_verdicts.tsv
             # hold one id per line, like author_scores.tsv its authors
-            if _breaks_a_line(conv_id):
+            if breaks_a_line(conv_id):
                 raise CorpusParseError(f"conversation id {conv_id!r} holds "
                                        "a tab or line break")
             self._conv = Conversation(id=conv_id, messages=[])
@@ -140,7 +140,7 @@ class _PanHandler:
             self.skipped.append(self._where())
             return
         # author_scores.tsv holds one author per line, fields split by tabs
-        if _breaks_a_line(author):
+        if breaks_a_line(author):
             raise CorpusParseError(f"conversation {conv.id!r}: author "
                                    f"{author!r} holds a tab or line break")
         conv.messages.append(Message(author=author, line_no=line_no,

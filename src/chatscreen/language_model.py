@@ -183,8 +183,6 @@ def train_lm(documents, model: LanguageModel, cfg: PipelineConfig,
     """Truncated-BPTT training over encoded documents with cfg's [lm]
     recipe and the model's window; returns one LmEpochRecord per epoch."""
     documents = [list(d) for d in documents]
-    if not documents:
-        raise UsageError("train_lm: empty corpus")
     if all(len(d) < 2 for d in documents):
         raise UsageError("train_lm: corpus has no next-token targets")
     optimizer = make_optimizer(cfg.lm_optimizer, cfg.lm_lr)

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .author_classifier import ShallowModel
-from .corpus_io import write_atomic
+from .corpus_io import breaks_a_line, write_atomic
 from .errors import (ContainerCorruptionError, ContainerFormatError,
                      ContainerVersionError, ShapeError, UsageError)
 from .language_model import LanguageModel
@@ -72,9 +72,9 @@ def _manifest_text(container: Container) -> str:
     for name, table in container.strtabs.items():
         lines.append(f"strtab\t{name}\t{len(table)}")
         for s in table:
-            if "\t" in s or "\n" in s:
-                raise UsageError(f"string table entry contains tab/newline: "
-                                 f"{s!r}")
+            if breaks_a_line(s):
+                raise UsageError(f"string table entry holds a tab or line "
+                                 f"break: {s!r}")
             lines.append(f"s\t{s}")
     for name, tensor in container.tensors.items():
         dims = ",".join(str(d) for d in tensor.shape)

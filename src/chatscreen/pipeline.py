@@ -95,9 +95,11 @@ def _load_normalized(cfg: PipelineConfig):
 
 @functools.lru_cache(maxsize=1)
 def _parse_normalized(data: bytes) -> tuple[corpus_io.Conversation, ...]:
-    """Refuses what preprocess never writes: a message the parser skips, a
-    conversation without messages, a message without a token."""
+    """Refuses what preprocess never writes: no conversation, a message the
+    parser skips, an empty conversation, a message without a token."""
     parsed = corpus_io.parse_pan_corpus(data)
+    if not parsed.conversations:
+        raise DataFormatError("no conversations")
     for where in parsed.skipped_messages:
         raise DataFormatError(f"{where}: a message the parser skips")
     for conv in parsed.conversations:
@@ -113,7 +115,6 @@ def _parse_normalized(data: bytes) -> tuple[corpus_io.Conversation, ...]:
 def run_preprocess(cfg: PipelineConfig) -> None:
     if not cfg.corpus:
         raise UsageError("paths.corpus is not configured")
-    out = _out_dir(cfg)
     parsed = corpus_io.parse_pan_corpus(cfg.corpus)
     if parsed.skipped_messages:
         print(f"preprocess: skipped {len(parsed.skipped_messages)} "
@@ -129,6 +130,10 @@ def run_preprocess(cfg: PipelineConfig) -> None:
         for conv in parsed.conversations
     ]
     filtered, report = corpus_io.filter_corpus(normalized, truth)
+    if not filtered:
+        raise DataFormatError(f"{cfg.corpus}: {len(normalized)} "
+                              "conversation(s) before filtering, none after")
+    out = _out_dir(cfg)
     write_atomic(out / NORMALIZED_XML, corpus_io.write_pan_corpus(filtered))
     write_atomic(out / FILTER_REPORT, report)
     print(f"preprocess: {len(normalized)} -> {len(filtered)} conversations "
@@ -238,20 +243,22 @@ def _labeled_sequences(cfg: PipelineConfig,
     ground-truth predator takes part in its conversation.
 
     The file must hold each conversation of normalized.xml once and no
-    other, each with at least one row, and rows input_dim wide when that
-    is given; anything else is a DataFormatError naming the file, so
+    other, each with one row per message, and rows input_dim wide when
+    that is given; anything else is a DataFormatError naming the file, so
     vectors left over from another corpus are refused, not mislabeled."""
     path = _artifact(cfg, VECTORS_FILE)
     bundle = _load_model(path, model_store.VectorBundle)
+    conversations = _load_normalized(cfg)
     labels = {conv.id: positive for conv, positive in
-              corpus_io.label_conversations(_load_normalized(cfg),
-                                            _load_truth(cfg))}
+              corpus_io.label_conversations(conversations, _load_truth(cfg))}
     ids = bundle.conversation_ids
     _check_keys(path, ids, labels.keys())
+    n_messages = {conv.id: len(conv.messages) for conv in conversations}
     for conv_id, matrix in zip(ids, bundle.matrices):
-        if not len(matrix):
-            raise DataFormatError(f"{path}: conversation {conv_id!r} has no "
-                                  "sentence vectors")
+        if len(matrix) != n_messages[conv_id]:
+            raise DataFormatError(
+                f"{path}: conversation {conv_id!r} has {len(matrix)} rows, "
+                f"but {n_messages[conv_id]} messages in {NORMALIZED_XML}")
         if input_dim is not None and matrix.shape[1] != input_dim:
             raise DataFormatError(
                 f"{path} holds sentence vectors of width {matrix.shape[1]}, "

@@ -63,6 +63,8 @@ def _rule_lines(path):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().removeprefix("\ufeff").split("\n")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot be read ({exc.strerror})") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     for lineno, line in enumerate(lines, start=1):
@@ -209,8 +211,6 @@ def build_vocabulary(documents, min_tf: int) -> Vocabulary:
     if min_tf < 1:
         raise UsageError(f"min_tf must be >= 1, got {min_tf}")
     documents = list(documents)
-    if not documents:
-        raise UsageError("build_vocabulary: empty corpus")
     tf: Counter = Counter()
     df: Counter = Counter()
     for doc in documents:

@@ -196,14 +196,11 @@ def _chunk_probabilities(model: ScdModel, chunks) -> np.ndarray:
 
 
 def predict_scd(model: ScdModel, sequences, chunk_len: int) -> np.ndarray:
-    """The highest chunk probability of each sequence, in input order. The
-    chunks of all the sequences are scored in one bucketed pass; an empty
-    list gives an empty array."""
+    """The highest chunk probability of each sequence, in input order, all
+    chunks scored in one bucketed pass; `sequences` must not be empty."""
     parts = [chunk_and_pad(seq, chunk_len) for seq in sequences]
     if not all(parts):
         raise UsageError("predict_scd: a sequence has no rows")
-    if not parts:
-        return np.empty(0)
     starts = np.cumsum([0] + [len(p) for p in parts[:-1]])
     probs = _chunk_probabilities(model, [c for p in parts for c in p])
     return np.maximum.reduceat(probs, starts)

@@ -449,10 +449,6 @@ class TestIdentifyPredators:
         flagged = identify_predators(["c1"], scores, convs)
         assert flagged == set()
 
-    def test_conversation_without_participants_flags_nobody(self):
-        assert identify_predators(["c1"], {}, [conversation("c1", [])]) \
-            == set()
-
     def test_at_most_one_flag_per_conversation(self):
         scores = {"a": SentimentScore(0.9, 0.05, 0.05),
                   "b": SentimentScore(0.8, 0.1, 0.1)}

@@ -405,6 +405,30 @@ class TestExitCodes:
         assert err.startswith("error: ") and "rules.txt" in err
         assert not (tmp_path / "normalized.xml").exists()
 
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_config_file_that_cannot_be_read_is_usage_error(
+            self, tmp_path, capsys, target):
+        path = tmp_path / ("run.cfg" if target == "missing" else "")
+        assert main(["synth", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot be read")
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    @pytest.mark.parametrize("key", ["abbreviations", "emoticons"])
+    def test_rules_file_that_cannot_be_read_is_usage_error(
+            self, tmp_path, capsys, key, target):
+        rules = tmp_path / "rules"
+        if target == "directory":
+            rules.mkdir()
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path,
+                                preprocessing={key: str(rules)})
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["preprocess", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {rules}: cannot be read")
+        assert not (tmp_path / "normalized.xml").exists()
+
     def test_train_lm_without_targets_is_usage_error(self, tmp_path,
                                                       capsys):
         # one-message conversations cut to a window of one token: every
@@ -808,7 +832,7 @@ class TestStageFiles:
         assert "truth.txt" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault", ["no-messages", "whitespace-text",
-                                       "no-author"])
+                                       "no-author", "no-conversations"])
     @pytest.mark.parametrize("stage", NORMALIZED_READERS)
     def test_normalized_xml_preprocess_cannot_write_is_data_error(
             self, small_run, tmp_path, capsys, stage, fault):
@@ -820,7 +844,8 @@ class TestStageFiles:
             conv.messages = []
         elif fault == "whitespace-text":
             conv.messages[-1].text = " \t\u00a0 "
-        data = corpus_io.write_pan_corpus(conversations)
+        data = corpus_io.write_pan_corpus(
+            [] if fault == "no-conversations" else conversations)
         if fault == "no-author":
             start = data.index(b'<conversation id="%s">' % conv.id.encode())
             data = data[:start] + re.sub(rb"\s*<author>[^<]*</author>", b"",
@@ -832,7 +857,9 @@ class TestStageFiles:
         listing = sorted(os.listdir(out))
         assert main([stage, "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert "normalized.xml" in err and repr(conv.id) in err
+        assert "normalized.xml" in err
+        assert ("no conversations" if fault == "no-conversations"
+                else repr(conv.id)) in err
         assert sorted(os.listdir(out)) == listing
 
     def test_every_stage_accepts_what_preprocess_writes(self, small_run,
@@ -943,12 +970,47 @@ class TestStageFiles:
                     "identify"]:
             assert main([cmd, "--config", str(cfg_path)]) == 1, cmd
 
-    def test_score_authors_on_an_empty_corpus(self, small_run, tmp_path):
+    @pytest.mark.parametrize("stage", ["train-scd", "eval-scd"])
+    def test_vectors_of_a_message_since_dropped_are_data_error(
+            self, small_run, tmp_path, capsys, stage):
+        # preprocess rerun on a corpus that lost one message of one
+        # conversation, vectorize not rerun: same ids, one row too many
         out, cfg_path = copy_run(small_run, tmp_path)
+        conversations = corpus_io.parse_pan_corpus(
+            out / "normalized.xml").conversations
+        conv = next(c for c in conversations if len(c.messages) > 1)
+        n_messages = len(conv.messages)
+        del conv.messages[-1]
         (out / "normalized.xml").write_bytes(
-            corpus_io.write_pan_corpus([]))
-        assert main(["score-authors", "--config", str(cfg_path)]) == 0
-        assert (out / "author_scores.tsv").read_bytes() == b""
+            corpus_io.write_pan_corpus(conversations))
+        before = {name: (out / name).read_bytes()
+                  for name in STAGE_WRITES[stage]}
+        assert main([stage, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / "vectors.bin") in err and repr(conv.id) in err
+        assert f"{n_messages} rows, but {n_messages - 1} messages" in err
+        assert {name: (out / name).read_bytes() for name in before} == before
+
+    @pytest.mark.parametrize("corpus", ["no-conversation", "all-filtered"])
+    def test_preprocess_refuses_a_corpus_with_nothing_left(
+            self, small_run, tmp_path, capsys, corpus):
+        # an empty corpus would give an empty normalized.xml, which every
+        # later stage refuses; preprocess refuses it before writing, so
+        # the files of an earlier run stay as they are
+        out, cfg_path = copy_run(small_run, tmp_path)
+        conversations = [] if corpus == "no-conversation" else [
+            corpus_io.Conversation("c1", [
+                corpus_io.Message("a", 1, "00:00", ":) :-(")])]
+        (out / "corpus.xml").write_bytes(
+            corpus_io.write_pan_corpus(conversations))
+        (out / "truth.txt").write_text("")
+        stamps = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+        assert main(["preprocess", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / "corpus.xml") in err
+        assert f"{len(conversations)} conversation(s) before filtering" in err
+        assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == \
+            stamps
 
 
 ARTIFACTS = ["normalized.xml", "filter_report.txt", "vocab.txt", "lm.model",

@@ -177,6 +177,25 @@ class TestContainerFormat:
         with pytest.raises(UsageError):
             write_container(container, tmp_path / "x.model")
 
+    @pytest.mark.parametrize("breaking", ["\t", "\n", "\r", "\v", "\x1c",
+                                          "\x85", "\u2028"])
+    def test_entry_the_manifest_parser_would_split_rejected(self, tmp_path,
+                                                           breaking):
+        # the manifest is read back with str.splitlines, so the writer
+        # refuses every line boundary it knows, not only tab and LF
+        bundle = VectorBundle([f"a{breaking}b", "z"],
+                              [np.zeros((1, 2), np.float32)] * 2)
+        with pytest.raises(UsageError, match="tab or line break"):
+            save(bundle, tmp_path / "v.bin")
+        assert not (tmp_path / "v.bin").exists()
+
+    def test_entry_with_other_control_characters_round_trips(self,
+                                                             tmp_path):
+        ids = ["a\x00b", "\x1fx\u00a0y\u2027", " lead and trail "]
+        bundle = VectorBundle(ids, [np.ones((1, 2), np.float32)] * 3)
+        save(bundle, tmp_path / "v.bin")
+        assert load(tmp_path / "v.bin").conversation_ids == ids
+
     def test_float64_tensor_rejected(self, tmp_path):
         container = Container(kind="scd_classifier",
                               tensors={"t": np.zeros(2, dtype=np.float64)})

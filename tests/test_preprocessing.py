@@ -164,10 +164,8 @@ class TestBuildVocabulary:
         for first, second in zip(ordered, ordered[1:]):
             assert (weights[first], second) >= (weights[second], first)
 
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(UsageError):
-            build_vocabulary([], min_tf=1)
-        with pytest.raises(UsageError):
+    def test_min_tf_below_one_rejected(self):
+        with pytest.raises(UsageError, match="min_tf must be >= 1"):
             build_vocabulary([["a"]], min_tf=0)
 
 

@@ -203,10 +203,6 @@ class TestPredict:
         got = predict_scd(model, seqs, 10)
         assert got.tobytes() == np.array(want).tobytes()
 
-    def test_no_sequences_give_no_maxima(self):
-        model = ScdModel.create(Rng(3), input_dim=4, hidden_dim=4)
-        assert predict_scd(model, [], 10).shape == (0,)
-
     def test_sequence_without_rows_rejected(self):
         model = ScdModel.create(Rng(3), input_dim=4, hidden_dim=4)
         empty = ConversationSequence("e", np.zeros((0, 4), np.float32))
