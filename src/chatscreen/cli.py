@@ -2,7 +2,8 @@
 
 Subcommands run the pipeline stages over a configuration file; every run
 is reproducible from that file plus the seed. Exit codes: 0 success,
-1 usage error, 2 data/format error, 3 numeric failure.
+1 usage error or a file the operating system refuses, 2 data/format error
+(a file's content is wrong), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -50,7 +51,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataFormatError, OSError) as exc:
+    except OSError as exc:
+        # os.replace names its temp file first, then the file asked for
+        where = exc.filename2 if exc.filename2 is not None else exc.filename
+        print(f"error: {exc}" if where is None
+              else f"error: {where}: {exc.strerror}", file=sys.stderr)
+        return 1
+    except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -72,7 +72,8 @@ class PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     """Parse and validate a configuration file against PipelineConfig's
-    fields; a leading UTF-8 byte-order mark is dropped."""
+    fields; a leading UTF-8 byte-order mark is dropped. This is the one
+    place a setting's bound is checked: no stage checks it again."""
     # no header names the section "", so [DEFAULT] is an ordinary section,
     # refused below, rather than defaults copied into every other section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
@@ -81,8 +82,6 @@ def load_config(path) -> PipelineConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot be read ({exc.strerror})") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     schema: dict[str, dict] = {}

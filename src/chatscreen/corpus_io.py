@@ -23,6 +23,7 @@ from pathlib import Path
 from xml.parsers import expat
 
 from .errors import CorpusParseError, DataFormatError
+from .preprocessing import TOKEN_RE
 
 
 @dataclass
@@ -54,7 +55,7 @@ class PanParseResult:
 
 def has_token(text: str) -> bool:
     """Whether preprocessing.tokenize(text) would give a token."""
-    return bool(text) and not text.isspace()
+    return TOKEN_RE.search(text) is not None
 
 
 def breaks_a_line(value: str) -> bool:

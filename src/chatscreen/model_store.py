@@ -29,14 +29,14 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .author_classifier import ShallowModel
 from .corpus_io import breaks_a_line, write_atomic
 from .errors import (ContainerCorruptionError, ContainerFormatError,
-                     ContainerVersionError, ShapeError, UsageError)
+                     ContainerVersionError, DataFormatError, ShapeError,
+                     UsageError)
 from .language_model import LanguageModel
 from .lstm import LstmLayerParams
 from .preprocessing import Vocabulary
@@ -148,49 +148,45 @@ def _parse_manifest(text: str):
 
 
 def read_container(path) -> Container:
-    path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_LEN)
         if len(head) < _HEADER_LEN or head[:8] != MAGIC:
-            raise ContainerFormatError(f"{path}: not a model container "
-                                       "(bad magic)")
+            raise ContainerFormatError("not a model container (bad magic)")
         version = int.from_bytes(head[8:12], "little")
         if version > FORMAT_VERSION:
             raise ContainerVersionError(
-                f"{path}: file format version {version} is newer than "
+                f"file format version {version} is newer than "
                 f"supported version {FORMAT_VERSION}")
         manifest_len = int.from_bytes(head[12:20], "little")
         if manifest_len > DEFAULT_ALLOC_CAP:
-            raise ContainerCorruptionError(f"{path}: declared manifest length "
+            raise ContainerCorruptionError("declared manifest length "
                                            f"{manifest_len} exceeds cap")
         manifest_raw = fh.read(manifest_len)
         if len(manifest_raw) < manifest_len:
-            raise ContainerCorruptionError(f"{path}: truncated manifest")
+            raise ContainerCorruptionError("truncated manifest")
         try:
             kind, metas, strtabs, specs = _parse_manifest(
                 manifest_raw.decode("utf-8"))
         except ValueError as exc:   # also non-UTF-8 bytes
-            raise ContainerFormatError(f"{path}: bad manifest field: "
-                                       f"{exc}") from exc
+            raise ContainerFormatError(f"bad manifest field: {exc}") from exc
         if any(d < 0 for shape in specs.values() for d in shape):
-            raise ContainerCorruptionError(f"{path}: negative dimension")
+            raise ContainerCorruptionError("negative dimension")
         counts = [math.prod(shape) for shape in specs.values()]
         payload_len = 4 * sum(counts)
         if payload_len > DEFAULT_ALLOC_CAP:
-            raise ContainerCorruptionError(f"{path}: declared payload "
+            raise ContainerCorruptionError("declared payload "
                                            f"{payload_len} bytes exceeds cap "
                                            f"{DEFAULT_ALLOC_CAP}")
         payload = fh.read(payload_len)
         if len(payload) < payload_len:
-            raise ContainerCorruptionError(f"{path}: truncated payload")
+            raise ContainerCorruptionError("truncated payload")
         crc_raw = fh.read(4)
         if len(crc_raw) < 4:
-            raise ContainerCorruptionError(f"{path}: missing checksum")
+            raise ContainerCorruptionError("missing checksum")
         if fh.read(1):
-            raise ContainerCorruptionError(f"{path}: trailing bytes after "
-                                           "checksum")
+            raise ContainerCorruptionError("trailing bytes after checksum")
     if zlib.crc32(payload) != int.from_bytes(crc_raw, "little"):
-        raise ContainerCorruptionError(f"{path}: payload checksum mismatch")
+        raise ContainerCorruptionError("payload checksum mismatch")
     tensors = {}
     offset = 0
     for (name, shape), count in zip(specs.items(), counts):
@@ -331,5 +327,9 @@ def save(model, path) -> int:
 
 
 def load(path):
-    """Load whatever model kind the manifest names."""
-    return model_from_container(read_container(path))
+    """Load whatever model kind the manifest names; every refusal is a
+    DataFormatError of the same class whose message names the file."""
+    try:
+        return model_from_container(read_container(path))
+    except DataFormatError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

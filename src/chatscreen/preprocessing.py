@@ -40,7 +40,7 @@ _PLACEHOLDERS = {NUM_TOKEN, LONGWORD_TOKEN, URL_TOKEN}
 _URL_RE = re.compile(r"(?:(?:https?|ftp)://|www\.)\S*", re.IGNORECASE)
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)")
 _ELONGATION_RE = re.compile(r"(.)\1{2,}")
-_TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[^A-Za-z0-9\s]")
+TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[^A-Za-z0-9\s]")
 
 
 @dataclass
@@ -63,8 +63,6 @@ def _rule_lines(path):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().removeprefix("\ufeff").split("\n")
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot be read ({exc.strerror})") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     for lineno, line in enumerate(lines, start=1):
@@ -178,7 +176,7 @@ def normalize_text(raw: str, rules: NormRuleSet | None = None) -> str:
 
 def tokenize(normalized: str) -> list[str]:
     """Whitespace split with punctuation characters as their own tokens."""
-    return _TOKEN_RE.findall(normalized)
+    return TOKEN_RE.findall(normalized)
 
 
 @dataclass
@@ -208,8 +206,6 @@ def build_vocabulary(documents, min_tf: int) -> Vocabulary:
     """Count term and document frequencies over token-list documents, drop
     tokens with tf < min_tf, and order survivors by tf * ln(N/df)
     descending (ties lexicographic)."""
-    if min_tf < 1:
-        raise UsageError(f"min_tf must be >= 1, got {min_tf}")
     documents = list(documents)
     tf: Counter = Counter()
     df: Counter = Counter()
@@ -230,8 +226,6 @@ def build_vocabulary(documents, min_tf: int) -> Vocabulary:
 def encode(tokens, vocab: Vocabulary, max_len: int) -> list[int]:
     """Map tokens to indices (unknown -> UNK), append EOS, truncate to
     max_len. Never pads; that is the consumer's concern."""
-    if max_len < 1:
-        raise UsageError(f"encode: max_len must be >= 1, got {max_len}")
     ids = [vocab.index_of.get(t, Vocabulary.UNK) for t in tokens]
     ids.append(Vocabulary.EOS)
     return ids[:max_len]

@@ -123,8 +123,6 @@ def chunk_and_pad(seq: ConversationSequence, chunk_len: int) -> list[Chunk]:
     """Split into ceil(n/chunk_len) parts, each a view of its rows of
     seq.matrix that stands for chunk_len rows (the last one padded with
     zeros when stacked); every chunk inherits the conversation label."""
-    if chunk_len < 1:
-        raise UsageError(f"chunk_len must be >= 1, got {chunk_len}")
     chunks = []
     for part in range(math.ceil(len(seq.matrix) / chunk_len)):
         rows = seq.matrix[part * chunk_len:(part + 1) * chunk_len]

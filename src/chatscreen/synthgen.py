@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .config import PipelineConfig
 from .core_math import Rng
 from .corpus_io import Conversation, Message, write_pan_corpus
-from .errors import UsageError
 
 _SYLLABLES = tuple(c + v for c in "bcdfghklmnprstv" for v in "aeiou")
 
@@ -48,13 +47,6 @@ class SynthSpec:
                             for b in _SYLLABLES)[:240]
     predator_pool = tuple("zu" + s for s in _SYLLABLES[:8])
     victim_pool = tuple("ju" + s for s in _SYLLABLES[:8])
-
-    def validate(self) -> None:
-        if not 0.0 <= self.predator_fraction < 1.0:
-            raise UsageError(f"predator_fraction must be in [0, 1), got "
-                             f"{self.predator_fraction}")
-        if self.n_conversations < 1:
-            raise UsageError("n_conversations must be >= 1")
 
 
 @dataclass
@@ -88,7 +80,6 @@ class _RingWalk:
 def generate(spec: SynthSpec) -> SynthResult:
     """Build the corpus; round(n * fraction) conversations are positive
     (round half to even, matching Python's round)."""
-    spec.validate()
     rng = Rng(spec.seed)
     n_positive = round(spec.n_conversations * spec.predator_fraction)
     positive_slots = set(int(i) for i in

@@ -1,4 +1,5 @@
 import configparser
+import errno
 import os
 import re
 import shutil
@@ -411,7 +412,7 @@ class TestExitCodes:
         path = tmp_path / ("run.cfg" if target == "missing" else "")
         assert main(["synth", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: cannot be read")
+        assert err.startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("target", ["missing", "directory"])
     @pytest.mark.parametrize("key", ["abbreviations", "emoticons"])
@@ -426,8 +427,34 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["preprocess", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {rules}: cannot be read")
+        assert err.startswith(f"error: {rules}: ")
         assert not (tmp_path / "normalized.xml").exists()
+
+    @pytest.mark.parametrize("name,code", [
+        ("corpus.xml", errno.ENOENT), ("corpus.xml", errno.EISDIR),
+        ("truth.txt", errno.ENOENT), ("out", errno.EEXIST),
+        ("normalized.xml", errno.EISDIR),
+    ], ids=["missing-corpus", "corpus-directory", "missing-truth",
+            "out-names-a-file", "artifact-directory"])
+    def test_path_the_os_refuses_is_usage_error(self, tmp_path, capsys, name,
+                                                code):
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        path = tmp_path / name
+        argv = ["preprocess", "--config", str(cfg_path)]
+        if code == errno.EEXIST:
+            path.write_text("")
+            argv += ["--out", str(path)]
+        else:
+            path.unlink(missing_ok=True)
+            if code == errno.EISDIR:
+                path.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}: {os.strerror(code)}\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_train_lm_without_targets_is_usage_error(self, tmp_path,
                                                       capsys):
@@ -767,6 +794,23 @@ class TestStageFiles:
         write_container(container, out / "scd.model")
         assert main(["eval-scd", "--config", str(cfg_path)]) == 2
         assert "layer1.U" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["masked", "head_w"])
+    def test_invalid_model_names_its_file(self, small_run, tmp_path, capsys,
+                                          fault):
+        # checksummed and well-formed, but not a valid scd_classifier
+        out, cfg_path = copy_run(small_run, tmp_path)
+        container = read_container(out / "scd.model")
+        if fault == "masked":
+            container.metas["masked"] = "2"
+        else:
+            container.tensors["head_w"] = container.tensors["head_w"][:-1]
+        write_container(container, out / "scd.model")
+        assert main(["eval-scd", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'scd.model'}: ") and fault in err
+        assert (out / "scd_verdicts.tsv").read_bytes() == \
+            (small_run / "scd_verdicts.tsv").read_bytes()
 
     def test_vector_width_not_the_models_is_data_error(self, small_run,
                                                         tmp_path, capsys):

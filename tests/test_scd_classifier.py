@@ -84,10 +84,6 @@ class TestChunkAndPad:
         rebuilt = np.concatenate([c.matrix[:c.valid_len] for c in chunks])
         assert np.array_equal(rebuilt, seq.matrix)
 
-    def test_bad_chunk_len(self):
-        with pytest.raises(UsageError):
-            chunk_and_pad(make_sequence(5), chunk_len=0)
-
 
 def tiny_lm(seed=4):
     vocab = Vocabulary(list(RESERVED_TOKENS) + ["hi", "there", "friend"],

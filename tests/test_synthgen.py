@@ -1,7 +1,4 @@
-import pytest
-
 from chatscreen.corpus_io import label_conversations, parse_pan_corpus
-from chatscreen.errors import UsageError
 from chatscreen.synthgen import MAX_MESSAGES, SynthSpec, generate
 
 
@@ -63,14 +60,6 @@ class TestPlant:
 
 
 class TestSpecValidation:
-    def test_fraction_bounds(self):
-        with pytest.raises(UsageError):
-            generate(SynthSpec(seed=1, n_conversations=5,
-                               predator_fraction=1.0))
-        with pytest.raises(UsageError):
-            generate(SynthSpec(seed=1, n_conversations=5,
-                               predator_fraction=-0.1))
-
     def test_default_pools_disjoint(self):
         spec = SynthSpec(seed=1)
         pools = (spec.background_pool, spec.predator_pool, spec.victim_pool)
