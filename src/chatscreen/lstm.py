@@ -21,7 +21,6 @@ mutate parameters.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,21 +97,31 @@ class LstmLayerParams:
 
     def scaled(self) -> "ScaledGates":
         """U, W and b times the gate constants k, made fresh on each call."""
-        k, _ = gate_constants(4 * self.hidden_dim, self.U.dtype)
+        k = gate_constants(4 * self.hidden_dim, self.U.dtype, 1)[0][0]
         return ScaledGates(self.U * k, self.W * k,
                            None if self.b is None else self.b * k)
 
 
-@functools.cache
-def gate_constants(width: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(k, m) over width = 4H gate lanes: k is 1/2 on the i, f, o lanes and
-    1 on the g lanes, m = 1 - k (see forward_steps). Made once per (width,
-    dtype) and shared by every call, so both are read-only."""
-    k = np.full(width, 0.5, dtype=dtype)
-    k[3 * width // 4:] = 1.0
-    m = 1.0 - k
-    k.flags.writeable = m.flags.writeable = False
-    return k, m
+_GATE_ROWS: dict = {}
+
+
+def gate_constants(width: int, dtype,
+                   rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, m) as read-only (rows, width) arrays over width = 4H gate lanes:
+    k is 1/2 on the i, f, o lanes and 1 on the g lanes, m = 1 - k (see
+    forward_steps). Rows, so that a step scales and shifts its gates
+    without broadcasting. One buffer per (width, dtype) is shared by every
+    call; it is remade only for more rows than it holds, and a call gets
+    its first `rows` rows."""
+    key = (width, np.dtype(dtype))
+    km = _GATE_ROWS.get(key)
+    if km is None or len(km[0]) < rows:
+        k = np.full((rows, width), 0.5, dtype=dtype)
+        k[:, 3 * width // 4:] = 1.0
+        m = 1.0 - k
+        k.flags.writeable = m.flags.writeable = False
+        _GATE_ROWS[key] = km = (k, m)
+    return km[0][:rows], km[1][:rows]
 
 
 class ScaledGates(NamedTuple):
@@ -178,7 +187,7 @@ def forward_steps(xs: np.ndarray, s0: np.ndarray, c0: np.ndarray,
     T, B, I = xs.shape
     H = params.hidden_dim
     sg = params if isinstance(params, ScaledGates) else params.scaled()
-    k, m = gate_constants(4 * H, sg.Uk.dtype)
+    k, m = gate_constants(4 * H, sg.Uk.dtype, B)
     Z = (xs.reshape(T * B, I) @ sg.Uk).reshape(T, B, 4 * H)
     if sg.bk is not None:
         Z += sg.bk
@@ -191,7 +200,7 @@ def forward_steps(xs: np.ndarray, s0: np.ndarray, c0: np.ndarray,
     blocks = Z.reshape(T, B, 4, H).transpose(2, 0, 1, 3)   # i, f, o, g
     s, c = s0, c0
     for z, i, f, o, g, c_t, tc, s_t in zip(Z, *blocks, C, TC, S):
-        np.matmul(s, Wk, out=sW)
+        np.dot(s, Wk, out=sW)
         z += sW
         np.tanh(z, out=z)
         z *= k
@@ -215,18 +224,21 @@ def backward_steps(trace: LstmTrace, d_states: np.ndarray):
 
     Only the recurrence runs per step: ds, dc, the gate gradients dA,
     dc_next and ds_next = dA @ W.T. Each gate block of dA is one upstream
-    factor times one factor K that comes from the trace alone:
+    factor times one factor K that comes from the trace alone, each
+    product rounded left to right:
 
         block   upstream   K
-        i       dc         g * i * (1 - i)
-        f       dc         c_{t-1} * f * (1 - f)
-        o       ds         tanh(c) * o * (1 - o)
-        g       dc         i * (1 - g^2)
+        i       dc         (1 - i) * i * g
+        f       dc         (1 - f) * f * c_{t-1}
+        o       ds         (1 - o) * o * tanh(c)
+        g       dc         (1 - g * g) * i
 
-    and dc = ds * OT + dc_next with OT = o * (1 - tanh(c)^2). K and OT are
-    made before the loop for all T steps at once, and step t turns K[t]
-    into dA in place. After the loop, dU, dW, db and d_inputs come from
-    the dA of all steps, as flat (T*B, .) products and one sum.
+    and dc = ds * OT + dc_next with OT = (1 - tanh(c)^2) * o. K and OT are
+    made before the loop for all T steps at once: K starts as (1 - Z) * Z
+    over the whole contiguous gate tensor, and its g block is then
+    overwritten. Step t turns K[t] into dA in place. After the loop, dU,
+    dW, db and d_inputs come from the dA of all steps, as flat (T*B, .)
+    products and one sum.
     """
     p = trace.params
     T, B, H = trace.S.shape
@@ -235,9 +247,8 @@ def backward_steps(trace: LstmTrace, d_states: np.ndarray):
                          f"does not match cached states {trace.S.shape}")
     gates = trace.Z.reshape(T, B, 4, H)
     i, g = gates[:, :, 0], gates[:, :, 3]
-    K = np.empty_like(gates)
-    np.subtract(1.0, gates[:, :, :3], out=K[:, :, :3])
-    K[:, :, :3] *= gates[:, :, :3]
+    K = np.subtract(1.0, gates)
+    K *= gates
     K[:, :, 0] *= g
     K[0, :, 1] *= trace.c0
     K[1:, :, 1] *= trace.C[:-1]
@@ -261,7 +272,7 @@ def backward_steps(trace: LstmTrace, d_states: np.ndarray):
         dA = K[t]
         dA *= X.reshape(B, 4 * H)
         dc_next = dc * gates[t, :, 1]
-        ds_next = dA @ p.W.T
+        ds_next = np.dot(dA, p.W.T)
     DA = K.reshape(T * B, 4 * H)
     s_prev = np.concatenate((trace.s0[None], trace.S[:-1]))
     grads = [trace.xs.reshape(T * B, -1).T @ DA,

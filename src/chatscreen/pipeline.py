@@ -115,7 +115,10 @@ def _parse_normalized(data: bytes) -> tuple[corpus_io.Conversation, ...]:
 def run_preprocess(cfg: PipelineConfig) -> None:
     if not cfg.corpus:
         raise UsageError("paths.corpus is not configured")
-    parsed = corpus_io.parse_pan_corpus(cfg.corpus)
+    try:
+        parsed = corpus_io.parse_pan_corpus(cfg.corpus)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{cfg.corpus}: {exc}") from exc
     if parsed.skipped_messages:
         print(f"preprocess: skipped {len(parsed.skipped_messages)} "
               "malformed message(s)")

@@ -6,7 +6,9 @@ masked_sigmoid is the textbook numpy form the package's one-pass sigmoid
 must match bit for bit; step_loop_forward / step_loop_backward are
 step-by-step LSTM forms, run in float64 as references that the float32
 kernels must match within a tolerance, and tanh_gate_step_loop is the
-float32 forward step loop that lstm.forward_steps must match bit for bit;
+float32 forward step loop that lstm.forward_steps must match bit for bit,
+tanh_gate_step_loop_backward the float32 backward step loop that
+lstm.backward_steps must match bit for bit;
 masked_head_window_grads is the language model's window loss and gradients
 with the output layer run on every row and the rows without a target
 masked out afterwards; log_softmax_perplexity is the language model's
@@ -129,7 +131,6 @@ def step_loop_forward(xs, s0, c0, params):
     return S, C, Z, TC
 
 
-
 def tanh_gate_step_loop(xs, s0, c0, params):
     """forward_steps' arithmetic the step-by-step way, each value in a fresh
     array: every gate is m + k * tanh(k * a), with k 1/2 on the i, f, o
@@ -161,6 +162,43 @@ def tanh_gate_step_loop(xs, s0, c0, params):
         s = o * tc
         Z[t], C[t], TC[t], S[t] = z, c, tc, s
     return S, C, Z, TC
+
+
+
+def tanh_gate_step_loop_backward(trace, d_states):
+    """backward_steps' arithmetic the step-by-step way, each value in a
+    fresh array: every step makes its own factors K, each product rounded
+    in the order backward_steps' docstring gives, multiplies each gate
+    block by its upstream factor and takes ds_next = dA @ W.T. The weight
+    and input gradients come from the dA of all steps as the same flat
+    (T*B, .) products, since BLAS rounds a sum of per-step products
+    differently. Returns (grads, d_inputs) as lstm.backward_steps does."""
+    p = trace.params
+    T, B, H = trace.S.shape
+    DA = np.empty((T, B, 4 * H), dtype=p.U.dtype)
+    ds_next = np.zeros((B, H), dtype=p.U.dtype)
+    dc_next = np.zeros((B, H), dtype=p.U.dtype)
+    for t in range(T - 1, -1, -1):
+        z = trace.Z[t]
+        i, f, o, g = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
+        tc = trace.TC[t]
+        c_prev = trace.C[t - 1] if t > 0 else trace.c0
+        ds = d_states[t] + ds_next
+        dc = ds * ((1.0 - tc * tc) * o) + dc_next
+        DA[t, :, :H] = (1.0 - i) * i * g * dc
+        DA[t, :, H:2 * H] = (1.0 - f) * f * c_prev * dc
+        DA[t, :, 2 * H:3 * H] = (1.0 - o) * o * tc * ds
+        DA[t, :, 3 * H:] = (1.0 - g * g) * i * dc
+        dc_next = dc * f
+        ds_next = DA[t] @ p.W.T
+    DA = DA.reshape(T * B, 4 * H)
+    s_prev = np.concatenate((trace.s0[None], trace.S[:-1]))
+    grads = [trace.xs.reshape(T * B, -1).T @ DA,
+             s_prev.reshape(T * B, H).T @ DA]
+    if p.b is not None:
+        grads.append(DA.sum(axis=0))
+    return grads, (DA @ p.U.T).reshape(T, B, -1)
+
 
 def step_loop_backward(trace, d_states):
     """BPTT through one layer the step-by-step way: every product and

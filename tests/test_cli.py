@@ -262,6 +262,21 @@ class TestExitCodes:
         assert main(["preprocess", "--config", str(cfg_path)]) == 2
         assert "byte offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("xml", [
+        b"<conversations><conv",
+        b'<conversations><conversation id="a"><conversation id="b">'
+        b"</conversation></conversation></conversations>"],
+        ids=["malformed", "nested"])
+    def test_corpus_parse_error_names_the_corpus(self, tmp_path, capsys,
+                                                 xml):
+        cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
+        (tmp_path / "corpus.xml").write_bytes(xml)
+        (tmp_path / "truth.txt").write_text("")
+        assert main(["preprocess", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'corpus.xml'}: ")
+        assert not (tmp_path / "normalized.xml").exists()
+
     def test_repeated_conversation_id_is_data_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "run.cfg", tmp_path)
         assert main(["synth", "--config", str(cfg_path)]) == 0

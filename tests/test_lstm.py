@@ -8,7 +8,7 @@ from chatscreen.lstm import (LstmLayerParams, LstmState, LstmTrace,
                              forward_stack, forward_steps, gate_constants)
 
 from oracles import (scalar_cell_step, step_loop_backward, step_loop_forward,
-                     tanh_gate_step_loop)
+                     tanh_gate_step_loop, tanh_gate_step_loop_backward)
 
 # frozen from the scalar oracle: sigmoid(1), tanh(1), and their combination
 SIG1 = 0.7310585786300049
@@ -238,12 +238,19 @@ class TestSequenceForward:
                         assert array.tobytes() == ref.tobytes(), \
                             (width, name)
 
+    # one row per batch row, so that no step broadcasts; the rows of a
+    # smaller batch are a slice of the buffer a larger one made
     def test_gate_constants_are_shared_and_read_only(self):
-        k, m = gate_constants(8, np.dtype(np.float32))
-        assert gate_constants(8, np.dtype(np.float32))[0] is k
-        assert k.tolist() == [0.5] * 6 + [1.0] * 2
-        assert m.tolist() == [0.5] * 6 + [0.0] * 2
-        assert not k.flags.writeable and not m.flags.writeable
+        k1 = np.array([0.5] * 6 + [1.0] * 2, dtype=np.float32)
+        for rows in (1, 3, 16):
+            k, m = gate_constants(8, np.dtype(np.float32), rows)
+            assert k.dtype == m.dtype == np.float32
+            assert np.array_equal(k, np.broadcast_to(k1, (rows, 8)))
+            assert np.array_equal(m, np.broadcast_to(1 - k1, (rows, 8)))
+            assert not k.flags.writeable and not m.flags.writeable
+        k16, m16 = gate_constants(8, np.float32, 16)
+        k3, m3 = gate_constants(8, np.float32, 3)
+        assert np.shares_memory(k3, k16) and np.shares_memory(m3, m16)
 
 
 class TestSequenceBackward:
@@ -328,6 +335,35 @@ class TestSequenceBackward:
             assert got.dtype == np.float32
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= TOL * np.abs(want).max()
+
+    # the K prelude and the in-place recurrence against fresh arrays per
+    # step, at the widths of the forward's bit-for-bit test, with the zero
+    # and -0.0 upstream patterns above; the float64 comparison cannot see
+    # a reordered product, this one can
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("use_bias", [False, True])
+    def test_backward_matches_step_loop_bit_for_bit(self, batch, use_bias):
+        rng = Rng(60 + batch)
+        steps = 9
+        for width, hidden in ((64, 24), (4, 4), (64, 64), (200, 200)):
+            params = make_params(rng, width, hidden, use_bias, np.float32)
+            if use_bias:
+                params.b[:] = rng.uniform(-1, 1, params.b.shape)
+            xs = rng.uniform(-1, 1, (steps, batch, width))
+            s0 = rng.uniform(-0.9, 0.9, (batch, hidden))
+            c0 = rng.uniform(-1.5, 1.5, (batch, hidden))
+            trace = forward_steps(xs, s0, c0, params)
+            d_states = rng.uniform(-1, 1, trace.S.shape)
+            d_states[steps // 2] = 0.0
+            d_states[steps // 2 + 1:, batch // 2] = 0.0
+            d_states[-1, :, : hidden // 2] = -0.0
+            grads, d_xs = backward_steps(trace, d_states)
+            want_grads, want_d_xs = tanh_gate_step_loop_backward(trace,
+                                                                 d_states)
+            for got, want in zip(grads + [d_xs], want_grads + [want_d_xs],
+                                 strict=True):
+                assert got.dtype == np.float32
+                assert got.tobytes() == want.tobytes(), (width, got.shape)
 
     def test_forward_backward_leave_params_unmodified(self):
         rng = Rng(13)
