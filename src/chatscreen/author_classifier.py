@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .core_math import LOG_EPS, init_uniform, make_optimizer, row_softmax
-from .errors import NumericError, ShapeError, UsageError
+from .errors import NumericError, UsageError
 
 CLASSES = ("P", "V", "N")
 
@@ -100,14 +100,14 @@ class ShallowModel:
 
     def validate(self) -> None:
         if self.embedding.shape[0] != len(self.features):
-            raise ShapeError(f"embedding rows {self.embedding.shape[0]} != "
+            raise UsageError(f"embedding rows {self.embedding.shape[0]} != "
                              f"feature count {len(self.features)}")
         k = self.embedding.shape[1]
         if self.class_w.shape != (k, len(CLASSES)):
-            raise ShapeError(f"class_w shape {self.class_w.shape}, expected "
+            raise UsageError(f"class_w shape {self.class_w.shape}, expected "
                              f"{(k, len(CLASSES))}")
         if self.class_b.shape != (len(CLASSES),):
-            raise ShapeError(f"class_b shape {self.class_b.shape}, expected "
+            raise UsageError(f"class_b shape {self.class_b.shape}, expected "
                              f"{(len(CLASSES),)}")
 
     @property

@@ -10,7 +10,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
+from .errors import UsageError
 
 
 def _key(section: str, default, bound=None):
@@ -81,9 +81,9 @@ def load_config(path) -> PipelineConfig:
         with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise UsageError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+        raise UsageError(f"{path}: not UTF-8 text ({exc})") from exc
     schema: dict[str, dict] = {}
     for f in fields(PipelineConfig):
         section = f.metadata["section"]
@@ -91,11 +91,11 @@ def load_config(path) -> PipelineConfig:
     cfg = PipelineConfig()
     for section in parser.sections():
         if section not in schema:
-            raise ConfigError(f"{path}: unknown section [{section}]")
+            raise UsageError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
             if key not in schema[section]:
-                raise ConfigError(f"{path}: unknown key {key!r} in "
-                                  f"[{section}]")
+                raise UsageError(f"{path}: unknown key {key!r} in "
+                                 f"[{section}]")
             target = schema[section][key]
             try:
                 if target.type == "int":
@@ -109,11 +109,11 @@ def load_config(path) -> PipelineConfig:
                 else:
                     value = raw
             except ValueError as exc:
-                raise ConfigError(f"{path}: bad value for {section}.{key}: "
-                                  f"{raw!r} ({exc})") from exc
+                raise UsageError(f"{path}: bad value for {section}.{key}: "
+                                 f"{raw!r} ({exc})") from exc
             bound = target.metadata["bound"]
             if bound is not None and not bound[0](value):
-                raise ConfigError(f"{path}: [{section}] {key} = {raw} must "
-                                  f"be {bound[1]}")
+                raise UsageError(f"{path}: [{section}] {key} = {raw} must "
+                                 f"be {bound[1]}")
             setattr(cfg, target.name, value)
     return cfg

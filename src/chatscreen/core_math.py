@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, UsageError
+from .errors import NumericError, UsageError
 
 LOG_EPS = 1e-12  # clamp under the log so a confident-wrong model stays finite
 CLIP_NORM = 5.0  # every optimizer step caps the global gradient norm here
@@ -72,11 +72,11 @@ def _clip_scale(params, grads) -> float:
     factor that brings the global gradient norm down to CLIP_NORM (1.0
     when the norm is within it)."""
     if len(params) != len(grads):
-        raise ShapeError(f"optimizer: {len(params)} params vs {len(grads)} "
+        raise UsageError(f"optimizer: {len(params)} params vs {len(grads)} "
                          "grads")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
-            raise ShapeError(f"optimizer: param shape {p.shape} vs grad "
+            raise UsageError(f"optimizer: param shape {p.shape} vs grad "
                              f"shape {g.shape}")
     norm = float(np.sqrt(sum(float(np.sum(np.asarray(g, np.float64) ** 2))
                              for g in grads)))
@@ -152,7 +152,7 @@ def gradient_check(loss_and_grads, params, epsilon: float = 1e-5) -> float:
         raise NumericError(f"gradient_check: non-finite loss {loss0}")
     grads = [np.array(g, dtype=np.float64, copy=True) for g in grads]
     if len(grads) != len(params):
-        raise ShapeError(f"gradient_check: {len(params)} params vs "
+        raise UsageError(f"gradient_check: {len(params)} params vs "
                          f"{len(grads)} grads")
     max_err = 0.0
     for p, g in zip(params, grads):

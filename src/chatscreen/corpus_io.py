@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from xml.parsers import expat
 
-from .errors import CorpusParseError, DataFormatError
+from .errors import DataFormatError
 from .preprocessing import TOKEN_RE
 
 
@@ -78,31 +78,31 @@ class _PanHandler:
     def start(self, name, attrs):
         if name == "conversation":
             if self._conv is not None:
-                raise CorpusParseError(f"a conversation opens inside "
-                                       f"conversation {self._conv.id!r}")
+                raise DataFormatError(f"a conversation opens inside "
+                                      f"conversation {self._conv.id!r}")
             if "id" not in attrs:
-                raise CorpusParseError(f"conversation "
-                                       f"{len(self.conversations) + 1} has "
-                                       "no id attribute")
+                raise DataFormatError(f"conversation "
+                                      f"{len(self.conversations) + 1} has "
+                                      "no id attribute")
             conv_id = attrs["id"]
             # the vectors container's string table and scd_verdicts.tsv
             # hold one id per line, like author_scores.tsv its authors
             if breaks_a_line(conv_id):
-                raise CorpusParseError(f"conversation id {conv_id!r} holds "
-                                       "a tab or line break")
+                raise DataFormatError(f"conversation id {conv_id!r} holds "
+                                      "a tab or line break")
             self._conv = Conversation(id=conv_id, messages=[])
         elif name == "message":
             if self._fields is not None:
-                raise CorpusParseError(f"{self._where()}: a <message> opens "
-                                       "inside it")
+                raise DataFormatError(f"{self._where()}: a <message> opens "
+                                      "inside it")
             self._line_attr = attrs.get("line")
             self._fields = {}
         elif name in ("author", "time", "text") and self._fields is not None:
             if self._capture is not None:
-                raise CorpusParseError(f"{self._where()}: <{name}> opens "
-                                       f"inside <{self._capture}>")
+                raise DataFormatError(f"{self._where()}: <{name}> opens "
+                                      f"inside <{self._capture}>")
             if name in self._fields:
-                raise CorpusParseError(f"{self._where()}: a second <{name}>")
+                raise DataFormatError(f"{self._where()}: a second <{name}>")
             self._capture = name
             self._buf = []
 
@@ -114,8 +114,8 @@ class _PanHandler:
             self._finish_message()
         elif name == "conversation":
             if self._conv.id in self._ids:
-                raise CorpusParseError(f"conversation id {self._conv.id!r} "
-                                       "appears twice")
+                raise DataFormatError(f"conversation id {self._conv.id!r} "
+                                      "appears twice")
             self._ids.add(self._conv.id)
             self.conversations.append(self._conv)
             self._conv = None
@@ -142,8 +142,8 @@ class _PanHandler:
             return
         # author_scores.tsv holds one author per line, fields split by tabs
         if breaks_a_line(author):
-            raise CorpusParseError(f"conversation {conv.id!r}: author "
-                                   f"{author!r} holds a tab or line break")
+            raise DataFormatError(f"conversation {conv.id!r}: author "
+                                  f"{author!r} holds a tab or line break")
         conv.messages.append(Message(author=author, line_no=line_no,
                                      time=fields.get("time", ""),
                                      text=fields.get("text", "")))
@@ -196,7 +196,7 @@ def parse_pan_corpus(source) -> PanParseResult:
             with open(source, "rb") as fh:
                 parser.ParseFile(fh)
     except expat.ExpatError as exc:
-        raise CorpusParseError(
+        raise DataFormatError(
             f"malformed XML: {expat.errors.messages[exc.code]} at line "
             f"{exc.lineno}, byte offset {parser.ErrorByteIndex}") from exc
     return PanParseResult(handler.conversations, handler.skipped)

@@ -1,32 +1,17 @@
-"""Exception taxonomy shared by every module.
-
-The CLI maps these onto exit codes: UsageError -> 1, DataFormatError -> 2,
-NumericError -> 3.
+"""Exception taxonomy shared by every module: one class per CLI exit code,
+UsageError -> 1, DataFormatError -> 2, NumericError -> 3. The container
+classes stay apart, as subclasses of DataFormatError (exit 2), because the
+persistence gate of the acceptance tests tells a bad manifest, a corrupt
+payload and a newer format version apart by class.
 """
 
 
-class ChatScreenError(Exception):
-    """Base class for all errors raised by this package."""
+class UsageError(Exception):
+    """Caller violated a documented precondition or gave a bad setting."""
 
 
-class UsageError(ChatScreenError):
-    """Caller violated a documented precondition."""
-
-
-class ShapeError(UsageError):
-    """Array dimensions do not agree; message names both shapes."""
-
-
-class ConfigError(UsageError):
-    """Bad configuration file, key, or directory layout."""
-
-
-class DataFormatError(ChatScreenError):
+class DataFormatError(Exception):
     """An input file does not match its documented format."""
-
-
-class CorpusParseError(DataFormatError):
-    """Malformed corpus XML; message carries the byte offset."""
 
 
 class ContainerFormatError(DataFormatError):
@@ -41,5 +26,5 @@ class ContainerVersionError(DataFormatError):
     """Model container written by a newer format version."""
 
 
-class NumericError(ChatScreenError):
+class NumericError(Exception):
     """A computation produced a non-finite value."""

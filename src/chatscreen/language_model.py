@@ -16,7 +16,7 @@ import numpy as np
 
 from .core_math import LOG_EPS, init_uniform, make_optimizer, row_softmax
 from .config import PipelineConfig
-from .errors import NumericError, ShapeError, UsageError
+from .errors import NumericError, UsageError
 from .lstm import LstmLayerParams, backward_stack, forward_stack, top_states
 from .preprocessing import Vocabulary, encode
 
@@ -59,17 +59,17 @@ class LanguageModel:
     def validate(self) -> None:
         v = len(self.vocab)
         if self.embedding.shape[0] != v:
-            raise ShapeError(f"embedding rows {self.embedding.shape[0]} != "
+            raise UsageError(f"embedding rows {self.embedding.shape[0]} != "
                              f"vocabulary size {v}")
         if self.layer1.input_dim != self.embedding_dim:
-            raise ShapeError("layer1 input dim does not match embedding dim")
+            raise UsageError("layer1 input dim does not match embedding dim")
         if self.layer2.input_dim != self.layer1.hidden_dim:
-            raise ShapeError("layer2 input dim does not match layer1 hidden dim")
+            raise UsageError("layer2 input dim does not match layer1 hidden dim")
         if self.out_w.shape != (self.hidden_dim, v):
-            raise ShapeError(f"out_w shape {self.out_w.shape}, expected "
+            raise UsageError(f"out_w shape {self.out_w.shape}, expected "
                              f"{(self.hidden_dim, v)}")
         if self.out_b.shape != (v,):
-            raise ShapeError(f"out_b shape {self.out_b.shape}, expected {(v,)}")
+            raise UsageError(f"out_b shape {self.out_b.shape}, expected {(v,)}")
         if self.window < 1:
             raise UsageError(f"window must be >= 1, got {self.window}")
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core_math import init_uniform
-from .errors import ShapeError, UsageError
+from .errors import UsageError
 
 
 def _gate_view(side: str, j: int) -> property:
@@ -87,7 +87,7 @@ class LstmLayerParams:
                             ("U", (self.input_dim, h4)), ("b", (h4,))):
             m = getattr(self, name)
             if m is not None and m.shape != shape:
-                raise ShapeError(f"{name} shape {m.shape}, expected {shape}")
+                raise UsageError(f"{name} shape {m.shape}, expected {shape}")
 
     def param_list(self) -> list[np.ndarray]:
         return [self.U, self.W] + ([] if self.b is None else [self.b])
@@ -287,11 +287,11 @@ def cell_step(x: np.ndarray, prev: LstmState,
     """One gate update from a single input vector and previous state."""
     x = np.asarray(x, dtype=params.U.dtype)
     if x.ndim != 1 or x.shape[0] != params.input_dim:
-        raise ShapeError(f"cell_step: input shape {x.shape}, expected "
+        raise UsageError(f"cell_step: input shape {x.shape}, expected "
                          f"({params.input_dim},)")
     h = params.hidden_dim
     if prev.s.shape != (h,) or prev.c.shape != (h,):
-        raise ShapeError(f"cell_step: state shapes {prev.s.shape}/{prev.c.shape},"
+        raise UsageError(f"cell_step: state shapes {prev.s.shape}/{prev.c.shape},"
                          f" expected ({h},)")
     trace = forward_steps(x[None, None, :], prev.s[None, :], prev.c[None, :],
                           params)

@@ -20,11 +20,6 @@ class ConfusionCounts:
     tn: int
     fn: int
 
-    def __post_init__(self):
-        for name in ("tp", "fp", "tn", "fn"):
-            if getattr(self, name) < 0:
-                raise UsageError(f"confusion count {name} is negative")
-
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
@@ -62,8 +57,6 @@ def f_beta_from_pr(precision: float | None, recall: float | None,
                    beta: float) -> float | None:
     """F_beta = (1+beta^2)PR / (beta^2 P + R); None when either input is
     absent or both are zero."""
-    if beta <= 0:
-        raise UsageError(f"beta must be positive, got {beta}")
     if precision is None or recall is None or not (precision or recall):
         return None
     b2 = beta * beta

@@ -35,8 +35,7 @@ import numpy as np
 from .author_classifier import ShallowModel
 from .corpus_io import breaks_a_line, write_atomic
 from .errors import (ContainerCorruptionError, ContainerFormatError,
-                     ContainerVersionError, DataFormatError, ShapeError,
-                     UsageError)
+                     ContainerVersionError, DataFormatError, UsageError)
 from .language_model import LanguageModel
 from .lstm import LstmLayerParams
 from .preprocessing import Vocabulary
@@ -120,6 +119,8 @@ def _parse_manifest(text: str):
         fields = line.split("\t")
         tag = fields[0]
         if tag == "kind" and len(fields) == 2:
+            if kind is not None:
+                raise ContainerFormatError("kind appears twice in the manifest")
             kind = fields[1]
         elif tag == "meta" and len(fields) == 3:
             _add(metas, fields[1], fields[2], "meta key")
@@ -136,8 +137,6 @@ def _parse_manifest(text: str):
                 raise ContainerFormatError(f"tensor {name!r}: rank {rank} does "
                                            f"not match dims {dims!r}")
             _add(specs, name, shape, "tensor")
-        elif tag == "":
-            continue
         else:
             raise ContainerFormatError(f"unrecognized manifest line: {line!r}")
     if pending_left:
@@ -208,7 +207,7 @@ def _layer_from(container: Container, prefix: str) -> LstmLayerParams:
         return LstmLayerParams(container.tensor(f"{prefix}.U"),
                                container.tensor(f"{prefix}.W"),
                                container.tensors.get(f"{prefix}.b"))
-    except ShapeError as exc:   # its message begins with U, W or b
+    except UsageError as exc:   # its message begins with U, W or b
         raise ContainerFormatError(f"tensor {prefix}.{exc}") from exc
 
 
@@ -224,7 +223,7 @@ class VectorBundle:
         for i, matrix in enumerate(self.matrices):
             first = self.matrices[0]
             if matrix.ndim != 2 or matrix.shape[1] != first.shape[-1]:
-                raise ShapeError(f"conv{i} has shape {matrix.shape} and conv0 "
+                raise UsageError(f"conv{i} has shape {matrix.shape} and conv0 "
                                  f"{first.shape}: sentence vectors must be "
                                  "2-D rows of one width")
 

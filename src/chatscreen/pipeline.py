@@ -420,8 +420,7 @@ def _probability(raw: str) -> float:
 
 
 def _author_row(_author, p, v, n, cls) -> ac.SentimentScore:
-    score = ac.SentimentScore(_probability(p), _probability(v),
-                              _probability(n))
+    score = ac.SentimentScore(float(p), float(v), float(n))
     if cls != score.argmax_class():
         raise ValueError(f"class {cls!r} does not match the scores' class "
                          f"{score.argmax_class()}")

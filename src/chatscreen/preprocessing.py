@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import ConfigError, DataFormatError, UsageError
+from .errors import DataFormatError, UsageError
 
 NUM_TOKEN = "00NUM"
 LONGWORD_TOKEN = "00LW"
@@ -64,7 +64,7 @@ def _rule_lines(path):
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().removeprefix("\ufeff").split("\n")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+        raise UsageError(f"{path}: not UTF-8 text ({exc})") from exc
     for lineno, line in enumerate(lines, start=1):
         if line.strip() and not line.lstrip().startswith("#"):
             yield lineno, line
@@ -75,12 +75,12 @@ def load_abbreviations(path) -> dict[str, str]:
     table: dict[str, str] = {}
     for lineno, line in _rule_lines(path):
         if "\t" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected short<TAB>expansion")
+            raise UsageError(f"{path}:{lineno}: expected short<TAB>expansion")
         short, expansion = line.split("\t", 1)
         short = short.strip()
         if short != short.lower() or " " in short:
-            raise ConfigError(f"{path}:{lineno}: abbreviation keys must be "
-                              "lowercase single tokens")
+            raise UsageError(f"{path}:{lineno}: abbreviation keys must be "
+                             "lowercase single tokens")
         table[short] = expansion.strip().lower()
     return table
 
@@ -93,7 +93,7 @@ def load_emoticon_patterns(path) -> list[re.Pattern]:
         try:
             patterns.append(re.compile(line))
         except re.error as exc:
-            raise ConfigError(f"{path}:{lineno}: bad pattern: {exc}") from exc
+            raise UsageError(f"{path}:{lineno}: bad pattern: {exc}") from exc
     return patterns
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .core_math import LOG_EPS, init_uniform, make_optimizer, sigmoid
-from .errors import NumericError, ShapeError, UsageError
+from .errors import NumericError, UsageError
 from .lstm import LstmLayerParams, backward_stack, forward_stack, top_states
 from .metrics import accuracy, confusion, precision_recall_f
 from .language_model import LanguageModel, sentence_vector
@@ -74,11 +74,11 @@ class ScdModel:
     def validate(self) -> None:
         h = self.layer2.hidden_dim
         if self.layer2.input_dim != self.layer1.hidden_dim:
-            raise ShapeError("layer2 input dim does not match layer1 hidden dim")
+            raise UsageError("layer2 input dim does not match layer1 hidden dim")
         if self.head_w.shape != (h,):
-            raise ShapeError(f"head_w shape {self.head_w.shape}, expected {(h,)}")
+            raise UsageError(f"head_w shape {self.head_w.shape}, expected {(h,)}")
         if self.head_b.shape != (1,):
-            raise ShapeError(f"head_b shape {self.head_b.shape}, expected (1,)")
+            raise UsageError(f"head_b shape {self.head_b.shape}, expected (1,)")
 
     @property
     def input_dim(self) -> int:

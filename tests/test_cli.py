@@ -1,5 +1,6 @@
 import configparser
 import errno
+import inspect
 import os
 import re
 import shutil
@@ -11,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chatscreen import corpus_io, pipeline, scd_classifier
+from chatscreen import cli, corpus_io, errors, pipeline, scd_classifier
 from chatscreen.cli import main
 from chatscreen.config import PipelineConfig, load_config
 from chatscreen.core_math import CLIP_NORM, Rng
-from chatscreen.errors import ConfigError
+from chatscreen.errors import UsageError
 from chatscreen.language_model import LanguageModel
 from chatscreen.model_store import (VectorBundle, load, read_container,
                                     save, write_container)
@@ -78,13 +79,13 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[lm]\nmystery = 4\n")
-        with pytest.raises(ConfigError, match="mystery"):
+        with pytest.raises(UsageError, match="mystery"):
             load_config(path)
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[nonsense]\nx = 1\n")
-        with pytest.raises(ConfigError, match="nonsense"):
+        with pytest.raises(UsageError, match="nonsense"):
             load_config(path)
 
     @pytest.mark.parametrize("text", [
@@ -96,13 +97,13 @@ class TestConfig:
         # every other section, never reported
         path = tmp_path / "bad.cfg"
         path.write_text(text)
-        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        with pytest.raises(UsageError, match=r"unknown section \[DEFAULT\]"):
             load_config(path)
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[lm]\nepochs = soon\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(UsageError, match="bad value for lm.epochs"):
             load_config(path)
 
     @pytest.mark.parametrize("raw,value", [
@@ -118,7 +119,7 @@ class TestConfig:
     def test_other_boolean_values_rejected(self, tmp_path, raw):
         path = tmp_path / "bad.cfg"
         path.write_text(f"[scd]\nmasked = {raw}\n")
-        with pytest.raises(ConfigError, match="not a boolean"):
+        with pytest.raises(UsageError, match="not a boolean"):
             load_config(path)
 
     @pytest.mark.parametrize("section,key", [
@@ -189,7 +190,7 @@ class TestConfig:
         for text in ("[lm]\nchunk_len = 3\n", "[run]\nlm_epochs = 3\n"):
             path = tmp_path / "bad.cfg"
             path.write_text(text)
-            with pytest.raises(ConfigError, match="unknown key"):
+            with pytest.raises(UsageError, match="unknown key"):
                 load_config(path)
 
     def test_values_at_the_bounds_load(self, tmp_path):
@@ -527,7 +528,6 @@ class TestExitCodes:
         assert not (out / "lm.model").exists()
 
     def test_numeric_failure_maps_to_exit_three(self, tmp_path, monkeypatch):
-        from chatscreen import cli
         from chatscreen.errors import NumericError
 
         def explode(cfg):
@@ -535,6 +535,24 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli._COMMANDS, "train-lm", explode)
         assert main(["train-lm", "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("cls", [
+        c for _, c in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(c, Exception)], ids=lambda c: c.__name__)
+    def test_every_error_class_has_its_exit_code(self, tmp_path, monkeypatch,
+                                                 capsys, cls):
+        # README: usage errors exit 1, data errors 2, numeric failures 3
+        codes = {errors.UsageError: 1, errors.DataFormatError: 2,
+                 errors.NumericError: 3}
+
+        def explode(cfg):
+            raise cls("the stage failed")
+
+        monkeypatch.setitem(cli._COMMANDS, "train-lm", explode)
+        code = main(["train-lm", "--out", str(tmp_path)])
+        assert [c for base, c in codes.items() if issubclass(cls, base)] \
+            == [code]
+        assert capsys.readouterr().err == "error: the stage failed\n"
 
 
 class TestStages:
@@ -638,6 +656,9 @@ class TestStages:
         ("scd_verdicts.tsv", "c2\t", "c9\t"),
         ("author_scores.tsv", "0.9\t0.05\t0.05", "0.9\t0.1\t0.05"),
         ("author_scores.tsv", "0.9\t0.05\t0.05", "inf\t0.05\t0.05"),
+        ("author_scores.tsv", "0.9\t0.05\t0.05", "nan\t0.05\t0.05"),
+        ("author_scores.tsv", "0.9\t0.05\t0.05", "x\t0.05\t0.05"),
+        ("author_scores.tsv", "0.9\t0.05\t0.05", "1.5\t-0.5\t0.0"),
         ("author_scores.tsv", "0.05\t0.05\tP", "0.05\t0.05\tV"),
         ("author_scores.tsv", "0.05\t0.05\tP", "0.05\t0.05\tX"),
         ("author_scores.tsv", "norm2\t", "norm1\t"),

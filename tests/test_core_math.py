@@ -6,7 +6,7 @@ import pytest
 from chatscreen.core_math import (CLIP_NORM, AdamOptimizer, Rng,
                                   SgdOptimizer, gradient_check,
                                   make_optimizer, row_softmax, sigmoid)
-from chatscreen.errors import NumericError, ShapeError, UsageError
+from chatscreen.errors import NumericError, UsageError
 from chatscreen.language_model import LanguageModel, perplexity
 from chatscreen.preprocessing import RESERVED_TOKENS, Vocabulary
 
@@ -200,9 +200,9 @@ class TestSgdStep:
 
     def test_shape_mismatch(self):
         opt = SgdOptimizer(lr=0.1)
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError, match="optimizer: param shape"):
             opt.step([np.zeros(2)], [np.zeros(3)])
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError, match="optimizer: 1 params vs 0"):
             opt.step([np.zeros(2)], [])
 
     @pytest.mark.parametrize("name", ["sgd", "adam"])
@@ -218,7 +218,7 @@ class TestSgdStep:
             return [a.copy() for a in arrays], getattr(opt, "_t", None)
 
         arrays, t = state()
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError, match="optimizer: param shape"):
             opt.step(params, [np.ones(2), np.ones(4)])
         arrays_after, t_after = state()
         assert t_after == t

@@ -10,7 +10,7 @@ from chatscreen.corpus_io import (Conversation, Message, filter_corpus,
                                   parse_ground_truth, parse_pan_corpus,
                                   read_text, write_atomic,
                                   write_ground_truth, write_pan_corpus)
-from chatscreen.errors import CorpusParseError, DataFormatError
+from chatscreen.errors import DataFormatError
 from chatscreen.pipeline import _author_units
 from chatscreen.preprocessing import tokenize
 
@@ -67,7 +67,7 @@ class TestParsePanCorpus:
 
     def test_malformed_xml_reports_byte_offset(self):
         bad = b"<conversations><conversation id='x'>"
-        with pytest.raises(CorpusParseError, match="byte offset"):
+        with pytest.raises(DataFormatError, match="byte offset"):
             parse_pan_corpus(bad)
 
     def test_bad_line_attribute_skipped(self):
@@ -87,7 +87,7 @@ class TestParsePanCorpus:
           <conversation id="a"><message line="1"><author>z</author>
             <time>1</time><text>hey</text></message></conversation>
         </conversations>"""
-        with pytest.raises(CorpusParseError, match="'a' appears twice"):
+        with pytest.raises(DataFormatError, match="'a' appears twice"):
             parse_pan_corpus(xml)
 
     def test_conversation_without_id_rejected(self):
@@ -97,7 +97,7 @@ class TestParsePanCorpus:
           <conversation><message line="1"><author>y</author>
             <time>1</time><text>yo</text></message></conversation>
         </conversations>"""
-        with pytest.raises(CorpusParseError, match="conversation 2 has no id"):
+        with pytest.raises(DataFormatError, match="conversation 2 has no id"):
             parse_pan_corpus(xml)
 
     def test_nested_conversation_rejected_naming_the_outer(self):
@@ -109,7 +109,7 @@ class TestParsePanCorpus:
             <message line="2"><author>x</author>
             <time>2</time><text>again</text></message></conversation>
         </conversations>"""
-        with pytest.raises(CorpusParseError,
+        with pytest.raises(DataFormatError,
                            match="inside conversation 'a'"):
             parse_pan_corpus(xml)
 
@@ -139,7 +139,7 @@ class TestParsePanCorpus:
           <conversation id="b"><message line="1"><author> y{inside}z </author>
             <time>1</time><text>yo</text></message></conversation>
         </conversations>""".encode()
-        with pytest.raises(CorpusParseError, match="conversation 'b': author"):
+        with pytest.raises(DataFormatError, match="conversation 'b': author"):
             parse_pan_corpus(xml)
 
     # the vectors container's string table and scd_verdicts.tsv could not
@@ -152,8 +152,8 @@ class TestParsePanCorpus:
           <conversation id="b{inside}c"><message line="1"><author>y</author>
             <time>1</time><text>yo</text></message></conversation>
         </conversations>""".encode()
-        with pytest.raises(CorpusParseError, match="conversation id 'b.+c' "
-                                                   "holds a tab or line"):
+        with pytest.raises(DataFormatError, match="conversation id 'b.+c' "
+                                                  "holds a tab or line"):
             parse_pan_corpus(xml)
 
     def test_field_inside_another_field_rejected(self):
@@ -162,7 +162,7 @@ class TestParsePanCorpus:
           <message line="3"><author>x</author><time>1</time>
           <text>hello <author>y</author> there</text></message>
           </conversation></conversations>"""
-        with pytest.raises(CorpusParseError,
+        with pytest.raises(DataFormatError,
                            match="conversation 'a', message line 3: "
                                  "<author> opens inside <text>"):
             parse_pan_corpus(xml)
@@ -174,7 +174,7 @@ class TestParsePanCorpus:
           <message line="4"><author>x</author><time>1</time>
           <text>hi</text><{field}>y</{field}></message>
           </conversation></conversations>""".encode()
-        with pytest.raises(CorpusParseError,
+        with pytest.raises(DataFormatError,
                            match=f"conversation 'a', message line 4: "
                                  f"a second <{field}>"):
             parse_pan_corpus(xml)
@@ -185,7 +185,7 @@ class TestParsePanCorpus:
           <message line="2"><author>y</author><time>2</time>
           <text>inner</text></message><text>outer</text></message>
           </conversation></conversations>"""
-        with pytest.raises(CorpusParseError,
+        with pytest.raises(DataFormatError,
                            match="conversation 'a', message line 1: a "
                                  "<message> opens inside it"):
             parse_pan_corpus(xml)
@@ -193,7 +193,7 @@ class TestParsePanCorpus:
     def test_nested_field_outside_a_conversation_rejected(self):
         xml = b"""<conversations><message line="2"><author>x<time>1</time>
           </author></message></conversations>"""
-        with pytest.raises(CorpusParseError,
+        with pytest.raises(DataFormatError,
                            match="outside any conversation, message line 2"):
             parse_pan_corpus(xml)
 

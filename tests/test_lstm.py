@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chatscreen.core_math import Rng, gradient_check, init_uniform
-from chatscreen.errors import ShapeError, UsageError
+from chatscreen.errors import UsageError
 from chatscreen.lstm import (LstmLayerParams, LstmState, LstmTrace,
                              backward_stack, backward_steps, cell_step,
                              forward_stack, forward_steps, gate_constants)
@@ -109,9 +109,9 @@ class TestCellStep:
 
     def test_dimension_mismatch(self):
         params = all_value_params(0.0, 2, 3)
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError, match="cell_step: input shape"):
             cell_step(np.zeros(5), zero_state(3), params)
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError, match="cell_step: state shapes"):
             cell_step(np.zeros(2), zero_state(4), params)
 
 
@@ -153,7 +153,7 @@ class TestLayout:
     def test_validate_rejects_wrong_shape(self, side, shape):
         params = make_params(Rng(7), 3, 4, use_bias=True)
         setattr(params, side, np.zeros(shape))
-        with pytest.raises(ShapeError, match=f"^{side} shape"):
+        with pytest.raises(UsageError, match=f"^{side} shape"):
             params.validate()
 
 

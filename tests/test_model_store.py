@@ -222,26 +222,44 @@ class TestContainerFormat:
         with pytest.raises(ContainerFormatError):
             load(path)
 
+    VECTORS_MANIFEST = (b"kind\tsentence_vectors\nmeta\tnote\tx\n"
+                        b"strtab\tconversation_ids\t1\ns\tc1\n"
+                        b"tensor\tconv0\t2\t1,2\tf32\n")
+
     @pytest.mark.parametrize("repeated", [
         b"tensor\tconv0\t2\t1,2\tf32\n",
         b"meta\tnote\tx\n",
         b"strtab\tconversation_ids\t1\ns\tc1\n",
-    ], ids=["tensor", "meta", "strtab"])
+        b"kind\tsentence_vectors\n",
+    ], ids=["tensor", "meta", "strtab", "kind"])
     def test_repeated_name_rejected(self, tmp_path, repeated):
-        # a vectors.bin that names conv0 (or a setting, or a table) twice
-        manifest = (b"kind\tsentence_vectors\nmeta\tnote\tx\n"
-                    b"strtab\tconversation_ids\t1\ns\tc1\n"
-                    b"tensor\tconv0\t2\t1,2\tf32\n" + repeated)
-        payload = bytes(8 * manifest.count(b"tensor\t"))
+        # a vectors.bin that names conv0 (or a setting, a table or its
+        # kind) twice; a second kind line used to win over the first
         path = tmp_path / "vectors.bin"
-        path.write_bytes(MAGIC + (1).to_bytes(4, "little")
-                         + len(manifest).to_bytes(8, "little") + manifest
-                         + payload + zlib.crc32(payload).to_bytes(4, "little"))
+        path.write_bytes(vectors_blob(self.VECTORS_MANIFEST + repeated))
         with pytest.raises(ContainerFormatError, match="twice"):
+            load(path)
+
+    def test_blank_manifest_line_rejected(self, tmp_path):
+        # the writer never writes one; it used to be skipped
+        path = tmp_path / "vectors.bin"
+        path.write_bytes(vectors_blob(self.VECTORS_MANIFEST.replace(
+            b"\nmeta", b"\n\nmeta")))
+        with pytest.raises(ContainerFormatError,
+                           match="unrecognized manifest line: ''"):
             load(path)
 
     def test_magic_is_eight_bytes(self):
         assert len(MAGIC) == 8
+
+
+def vectors_blob(manifest: bytes) -> bytes:
+    """A version-1 container around manifest, with a zero payload of the
+    right length (every tensor line declares two floats) and its CRC."""
+    payload = bytes(8 * manifest.count(b"tensor\t"))
+    return (MAGIC + (1).to_bytes(4, "little")
+            + len(manifest).to_bytes(8, "little") + manifest
+            + payload + zlib.crc32(payload).to_bytes(4, "little"))
 
 
 def layer_names(prefix, use_bias=True):

@@ -19,6 +19,10 @@ function of that name passes it, by keyword or by position (after `self`
 or `cls` for a method); a call to a class passes `__init__`'s parameters.
 This too matches by name, so a call to any `create` counts for every
 method called `create`.
+
+An exception class counts as used only where src/chatscreen raises it or
+names it in an `except` clause; being subclassed or imported does not
+count, so a class that no code tells apart from its base is caught.
 """
 
 import ast
@@ -242,3 +246,37 @@ def test_default_allowlist_names_real_parameters():
     defined = {qualified for _, qualified, _, _, _ in defaulted_params()}
     stale = ALLOWED_DEFAULTS - defined
     assert not stale, f"allowlisted parameters that do not exist: {stale}"
+
+
+def exception_classes(trees):
+    """Names of the src/ classes derived, directly or through each other,
+    from Exception."""
+    bases = {cls.name: {b.id for b in cls.bases if isinstance(b, ast.Name)}
+             for tree in trees for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef)}
+    found = {"Exception"}
+    while True:
+        more = {name for name, parents in bases.items() if parents & found}
+        if more <= found:
+            return found - {"Exception"}
+        found |= more
+
+
+def raised_or_caught(trees):
+    """Class names a `raise` or an `except` clause under src/ names."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                names |= loaded_names(target)
+            elif isinstance(node, ast.ExceptHandler) and node.type:
+                names |= loaded_names(node.type)
+    return names
+
+
+def test_every_exception_class_is_raised_or_caught():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    unused = exception_classes(trees) - raised_or_caught(trees)
+    assert not unused, f"neither raised nor caught in src/: {sorted(unused)}"
