@@ -55,7 +55,6 @@ class PipelineConfig:
     scd_optimizer: str = _key("scd", "sgd", _OPTIMIZER)
     scd_batch_size: int = _key("scd", 32, _SIZE)
     scd_val_fraction: float = _key("scd", 0.2, _FRACTION)
-    scd_masked: bool = _key("scd", True)
     author_k: int = _key("author", 16, _SIZE)
     author_min_feature_freq: int = _key("author", 5, _SIZE)
     author_epochs: int = _key("author", 8, _EPOCHS)
@@ -63,7 +62,6 @@ class PipelineConfig:
     author_optimizer: str = _key("author", "sgd", _OPTIMIZER)
     author_batch_size: int = _key("author", 32, _SIZE)
     seed: int = _key("run", 1)
-    use_bias: bool = _key("run", True)
     synth_n_conversations: int = _key("synth", 500, _SIZE)
     synth_predator_fraction: float = _key("synth", 0.05, _FRACTION)
     synth_geometric_p: float = _key("synth", 0.08, _SUCCESS_RATE)
@@ -102,10 +100,6 @@ def load_config(path) -> PipelineConfig:
                     value = int(raw)
                 elif target.type == "float":
                     value = float(raw)
-                elif target.type == "bool":
-                    value = parser.BOOLEAN_STATES.get(raw.strip().lower())
-                    if value is None:
-                        raise ValueError("not a boolean")
                 else:
                     value = raw
             except ValueError as exc:

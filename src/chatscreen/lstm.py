@@ -46,7 +46,10 @@ class LstmLayerParams:
 
     Ui ... bg are views of those blocks, not copies. The default
     initialization sets the biases to zero with a +1 forget-gate bias so
-    the cell starts out remembering.
+    the cell starts out remembering. Every model the pipeline trains has
+    biases; `init(use_bias=False)` and the `b is None` branches stay for
+    the bias-free cells of the paper's literal equations, which the
+    acceptance suite's single-cell oracle check (criterion 2) builds.
     """
 
     U: np.ndarray

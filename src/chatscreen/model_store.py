@@ -243,7 +243,7 @@ def container_for_model(model) -> Container:
         return c
     if isinstance(model, ScdModel):
         c = Container(kind="scd_classifier")
-        c.metas["masked"] = "1" if model.masked else "0"
+        c.metas["masked"] = "1"     # the head reads the last real row
         c.tensors.update(_layer_tensors("layer1", model.layer1))
         c.tensors.update(_layer_tensors("layer2", model.layer2))
         c.tensors["head_w"] = model.head_w
@@ -278,13 +278,13 @@ def model_from_container(container: Container):
             f"{exc}") from exc
 
 
-def _flag(container: Container, key: str) -> bool:
-    """A boolean setting, which the writer stores as 1 or 0."""
+def _require_1(container: Container, key: str, reason: str) -> None:
+    """Refuse a container whose setting `key` is not 1: the writer always
+    stores 1, since `reason` is the program's one path."""
     value = container.metas.get(key)
-    if value not in ("0", "1"):
+    if value != "1":
         raise ContainerFormatError(f"{container.kind} container setting "
-                                   f"{key!r} is {value!r}, not 0 or 1")
-    return value == "1"
+                                   f"{key!r} is {value!r}; {reason}")
 
 
 def _model_from(container: Container):
@@ -300,15 +300,14 @@ def _model_from(container: Container):
                              container.tensor("out_b"),
                              window=int(container.metas["window"]))
     if kind == "scd_classifier":
+        _require_1(container, "masked",
+                   "the head reads each chunk's last real row")
         return ScdModel(_layer_from(container, "layer1"),
                         _layer_from(container, "layer2"),
                         container.tensor("head_w"),
-                        container.tensor("head_b"),
-                        masked=_flag(container, "masked"))
+                        container.tensor("head_b"))
     if kind == "author_classifier":
-        if not _flag(container, "bigrams"):     # a unigram-only model
-            raise ContainerFormatError(f"{kind} container setting 'bigrams' "
-                                       "is '0'; scoring uses bigrams")
+        _require_1(container, "bigrams", "scoring uses bigrams")
         return ShallowModel(container.strtabs["features"],
                             container.tensor("embedding"),
                             container.tensor("class_w"),

@@ -177,8 +177,7 @@ def run_train_lm(cfg: PipelineConfig) -> None:
     documents = _lm_documents(conversations, vocab, cfg.lm_window)
     model = LanguageModel.create(vocab, cfg.lm_embedding_dim,
                                  cfg.lm_hidden_dim, cfg.lm_window,
-                                 _stage_rng(cfg, "lm-init"),
-                                 use_bias=cfg.use_bias)
+                                 _stage_rng(cfg, "lm-init"))
     records = train_lm(documents, model, cfg, _stage_rng(cfg, "lm-train"))
     # a diverged model can end every parameter finite; its loss is not
     try:

@@ -4,11 +4,10 @@ LSTM layers into a sigmoid head.
 Conversations become sequences of sentence vectors (one per message), split
 into fixed-length chunks. A chunk is a view of its conversation's rows, not
 a padded copy: the zero rows past each chunk's valid length are made once
-per training batch or scoring bucket, when its chunks are stacked. In
-masked mode (default) the head reads the hidden state at the last valid
-timestep so padding rows cannot dilute the state; the unmasked variant
-reads the state after the full padded chunk. A conversation is positive
-when any of its chunks scores at or above the threshold.
+per training batch or scoring bucket, when its chunks are stacked. The
+head reads the hidden state at the last valid timestep, so padding rows
+cannot dilute the state. A conversation is positive when any of its chunks
+scores at or above the threshold.
 """
 
 from __future__ import annotations
@@ -38,38 +37,32 @@ class ConversationSequence:
 class Chunk:
     conversation_id: str
     part_index: int
-    # (n, H), n >= valid_len; only the first valid_len rows are read, and
-    # the rows from valid_len up to padded_len count as zero
+    # (n, H), n >= valid_len; only the first valid_len rows are read
     matrix: np.ndarray
     valid_len: int
     label: bool | None = None
-    padded_len: int | None = None    # len(matrix) when not given
-
-    def __post_init__(self):
-        if self.padded_len is None:
-            self.padded_len = len(self.matrix)
 
 
 class ScdModel:
+    # The head reads each chunk's last real row; a constant because the
+    # benchmark's float64 reference (benchmarks/reference.py) reads it.
+    masked = True
+
     def __init__(self, layer1: LstmLayerParams, layer2: LstmLayerParams,
-                 head_w: np.ndarray, head_b: np.ndarray, masked: bool = True):
+                 head_w: np.ndarray, head_b: np.ndarray):
         self.layer1 = layer1
         self.layer2 = layer2
         self.head_w = head_w
         self.head_b = head_b
-        self.masked = masked
         self.validate()
 
     @classmethod
-    def create(cls, rng, input_dim: int, hidden_dim: int, use_bias: bool = True,
-               masked: bool = True) -> "ScdModel":
-        layer1 = LstmLayerParams.init(rng, input_dim, hidden_dim,
-                                      use_bias=use_bias)
-        layer2 = LstmLayerParams.init(rng, hidden_dim, hidden_dim,
-                                      use_bias=use_bias)
+    def create(cls, rng, input_dim: int, hidden_dim: int) -> "ScdModel":
+        layer1 = LstmLayerParams.init(rng, input_dim, hidden_dim)
+        layer2 = LstmLayerParams.init(rng, hidden_dim, hidden_dim)
         head_w = init_uniform(rng, hidden_dim, 1, fan_in=hidden_dim)[:, 0]
         head_b = np.zeros(1, dtype=np.float32)
-        return cls(layer1, layer2, head_w, head_b, masked=masked)
+        return cls(layer1, layer2, head_w, head_b)
 
     def validate(self) -> None:
         h = self.layer2.hidden_dim
@@ -98,8 +91,7 @@ class ScdModel:
 
     def astype(self, dtype) -> "ScdModel":
         return ScdModel(self.layer1.astype(dtype), self.layer2.astype(dtype),
-                        self.head_w.astype(dtype), self.head_b.astype(dtype),
-                        masked=self.masked)
+                        self.head_w.astype(dtype), self.head_b.astype(dtype))
 
 
 def vectorize_conversation(conv, lm: LanguageModel,
@@ -121,15 +113,14 @@ def vectorize_conversation(conv, lm: LanguageModel,
 
 def chunk_and_pad(seq: ConversationSequence, chunk_len: int) -> list[Chunk]:
     """Split into ceil(n/chunk_len) parts, each a view of its rows of
-    seq.matrix that stands for chunk_len rows (the last one padded with
-    zeros when stacked); every chunk inherits the conversation label."""
+    seq.matrix (zero rows follow the last one only when chunks are
+    stacked); every chunk inherits the conversation label."""
     chunks = []
     for part in range(math.ceil(len(seq.matrix) / chunk_len)):
         rows = seq.matrix[part * chunk_len:(part + 1) * chunk_len]
         chunks.append(Chunk(conversation_id=seq.conversation_id,
                             part_index=part, matrix=rows,
-                            valid_len=len(rows), label=seq.label,
-                            padded_len=chunk_len))
+                            valid_len=len(rows), label=seq.label))
     return chunks
 
 
@@ -138,11 +129,10 @@ def chunk_and_pad(seq: ConversationSequence, chunk_len: int) -> list[Chunk]:
 SCORE_BUCKET = (64, 64 * 24)
 
 
-def _read_rows(model: ScdModel, chunks) -> np.ndarray:
-    """The timestep whose top-layer state the head reads, per chunk
-    (masked: valid_len - 1, unmasked: the last padded row)."""
-    return np.array([c.valid_len - 1 if model.masked else c.padded_len - 1
-                     for c in chunks])
+def _read_rows(chunks) -> np.ndarray:
+    """The timestep whose top-layer state the head reads, per chunk: its
+    last valid row."""
+    return np.array([c.valid_len - 1 for c in chunks])
 
 
 def _stacked_inputs(model: ScdModel, chunks, rows) -> np.ndarray:
@@ -177,7 +167,7 @@ def _chunk_probabilities(model: ScdModel, chunks) -> np.ndarray:
     the top layer's states it reads (top_states). Each layer's gate weights
     are scaled once per call (lstm.ScaledGates), so a call made after an
     optimizer step reads the new weights."""
-    rows = _read_rows(model, chunks)
+    rows = _read_rows(chunks)
     order = np.argsort(rows, kind="stable")
     finals = np.empty((len(chunks), model.hidden_dim), dtype=model.dtype)
     layers = [model.layer1.scaled(), model.layer2.scaled()]
@@ -237,7 +227,7 @@ def _chunk_metrics(model, chunks, threshold):
 def training_loss_and_grads(model: ScdModel, chunks):
     """Mean binary cross-entropy over a list of chunks and gradients in
     model.param_list() order; also the gradient-check entry point."""
-    rows = _read_rows(model, chunks)
+    rows = _read_rows(chunks)
     traces = forward_stack(_stacked_inputs(model, chunks, rows),
                            [model.layer1, model.layer2])
     finals = traces[1].S[rows, np.arange(len(chunks))]
@@ -275,8 +265,7 @@ def train_scd(chunks, cfg: PipelineConfig, rng, val_chunks=None):
         raise UsageError("train_scd: need at least one positive and one "
                          "negative chunk")
     input_dim = chunks[0].matrix.shape[1]
-    model = ScdModel.create(rng, input_dim, cfg.scd_hidden_dim,
-                            use_bias=cfg.use_bias, masked=cfg.scd_masked)
+    model = ScdModel.create(rng, input_dim, cfg.scd_hidden_dim)
     records: list[ScdEpochRecord] = []
     optimizer = make_optimizer(cfg.scd_optimizer, cfg.scd_lr)
     params = model.param_list()

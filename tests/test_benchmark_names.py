@@ -6,9 +6,12 @@ would break every benchmark run, or every traced one, without failing
 another test. The tracer also keeps its own list of the stages, which must
 match `pipeline.STAGES` in order, so a stage added to the table is traced
 too. A sentence vector made after the tracer is installed must land in
-the spans that the per-layer metrics read. The check runs in its own
-process because installing the tracer replaces package functions for the
-rest of that process.
+the spans that the per-layer metrics read. The benchmark's correctness
+check compares sampled outputs with a float64 reference that reads model
+members by name (`ScdModel.masked`, the gate views `Ui` ... `bg`), so the
+reference must agree with the package on a small model of each kind. The
+check runs in its own process because installing the tracer replaces
+package functions for the rest of that process.
 """
 
 import os
@@ -49,6 +52,29 @@ assert raw["language_model.sentence_vector"]["distinct"] == 1, raw
 assert raw["lstm.forward_steps"]["calls"] == 2, raw
 steps = len(encode(tokens, vocab, lm.window))
 assert raw["lstm.forward_steps"]["count"] == 2 * steps, raw
+
+# the benchmark's float64 reference re-derives the sentence vector and the
+# SCD read-out of a chunk that ends before chunk_len, and of one that fills it
+import numpy as np
+import reference
+from chatscreen.preprocessing import tokenize
+index = {tok: i for i, tok in enumerate(vocab.tokens)}
+for text in ["hi", "hi there !", " ".join(["hi"] * 12)]:
+    got = scd_classifier.sentence_vector(lm.read_only(), tokenize(text))
+    err = np.abs(got - reference.sentence_vector(lm, index, text)).max()
+    assert err <= reference.TOLERANCE, (text, err)
+scd = scd_classifier.ScdModel.create(Rng(2), input_dim=4, hidden_dim=3)
+# at the initial scale, reading a chunk after zero padding instead of at its
+# last real row moves a probability by less than TOLERANCE; at 4x, by 3e-3
+for param in scd.param_list():
+    param *= 4
+rng = Rng(3)
+sequences = [scd_classifier.ConversationSequence(
+                 f"c{n}", rng.uniform(-1, 1, (n, 4))) for n in (1, 3, 5, 12)]
+got = scd_classifier.predict_scd(scd, sequences, 5)
+want = [max(reference.chunk_probabilities(scd, seq.matrix, 5))
+        for seq in sequences]
+assert np.abs(got - want).max() <= reference.TOLERANCE, (got, want)
 """
 
 

@@ -106,20 +106,22 @@ class TestConfig:
         with pytest.raises(UsageError, match="bad value for lm.epochs"):
             load_config(path)
 
-    @pytest.mark.parametrize("raw,value", [
-        ("1", True), ("yes", True), ("True", True), ("ON", True),
-        ("0", False), ("No", False), ("false", False), ("off", False)])
-    def test_boolean_spellings(self, tmp_path, raw, value):
-        path = tmp_path / "run.cfg"
-        path.write_text(f"[run]\nuse_bias = {raw}\n[scd]\nmasked = {raw}\n")
-        cfg = load_config(path)
-        assert (cfg.use_bias, cfg.scd_masked) == (value, value)
-
-    @pytest.mark.parametrize("raw", ["maybe", "2", "y", "t"])
-    def test_other_boolean_values_rejected(self, tmp_path, raw):
+    @pytest.mark.parametrize("f", [
+        pytest.param(f, id=f"{f.metadata['section']}."
+                           f"{f.name.removeprefix(f.metadata['section'] + '_')}")
+        for f in fields(PipelineConfig)
+        if f.type in ("int", "float") or f.metadata["bound"] is not None])
+    def test_boolean_word_is_refused_by_every_checked_key(self, tmp_path, f):
+        # no setting is boolean: "true" is neither a number nor an optimizer
+        # name, and the refusal names the key it was given to
+        section = f.metadata["section"]
+        key = f.name.removeprefix(f"{section}_")
         path = tmp_path / "bad.cfg"
-        path.write_text(f"[scd]\nmasked = {raw}\n")
-        with pytest.raises(UsageError, match="not a boolean"):
+        path.write_text(f"[{section}]\n{key} = true\n")
+        message = (f"bad value for {section}.{key}: 'true'"
+                   if f.type in ("int", "float")
+                   else f"[{section}] {key} = true must be sgd or adam")
+        with pytest.raises(UsageError, match=re.escape(message)):
             load_config(path)
 
     @pytest.mark.parametrize("section,key", [
@@ -130,13 +132,16 @@ class TestConfig:
         pytest.param("author", "clip_norm", id="author-clip_norm"),
         pytest.param("preprocessing", "long_word_limit",
                      id="long_word_limit"),
+        pytest.param("run", "use_bias", id="use_bias"),
+        pytest.param("scd", "masked", id="masked"),
     ])
     def test_removed_author_switch_is_unknown_key(self, tmp_path, capsys,
                                                   section, key):
         # the scorer always uses bigrams and class balancing, every
-        # optimizer clips at core_math.CLIP_NORM and normalization caps
-        # words at preprocessing.LONG_WORD_LIMIT; "1" would be a valid value
-        # for each of these keys
+        # optimizer clips at core_math.CLIP_NORM, normalization caps words
+        # at preprocessing.LONG_WORD_LIMIT, every LSTM layer has gate biases
+        # and the SCD head reads each chunk's last real row; "1" would be a
+        # valid value for each of these keys
         cfg_path = write_config(tmp_path / "run.cfg", tmp_path,
                                 **{section: {key: "1"}})
         assert main(["synth", "--config", str(cfg_path)]) == 1
@@ -177,7 +182,6 @@ class TestConfig:
             keys[(section, f.name.removeprefix(f"{section}_"))] = f
         assert len(keys) == len(fields(PipelineConfig))
         changed = {"int": lambda d: d + 1, "float": lambda d: d + 0.5,
-                   "bool": lambda d: not d,
                    "str": lambda d: "adam" if d == "sgd" else d + "x"}
         for (section, key), f in keys.items():
             value = changed[f.type](f.default)
@@ -206,29 +210,6 @@ class TestConfig:
         path = write_config(tmp_path / "run.cfg", tmp_path,
                             scd={"threshold": 0.0})
         assert load_config(path).scd_threshold == 0.0
-
-    def test_strict_paper_mode(self, small_run, tmp_path):
-        # the literal equations, [run] use_bias = false with [scd] masked =
-        # false: no gate biases in either model's LSTM layers, and an SCD
-        # model that reads the padded chunk's last state
-        out, cfg_path = copy_run(small_run, tmp_path,
-                                 run={"use_bias": "false"},
-                                 scd={"masked": "false"})
-        for stage in ("train-lm", "train-scd"):
-            assert main([stage, "--config", str(cfg_path)]) == 0
-        lm, scd = (read_container(out / name)
-                   for name in ("lm.model", "scd.model"))
-        for container in (lm, scd):
-            assert {"layer1.U", "layer1.W", "layer2.U", "layer2.W"} \
-                <= container.tensors.keys()
-            assert not {"layer1.b", "layer2.b"} & container.tensors.keys()
-        assert scd.metas["masked"] == "0"
-        assert load(out / "scd.model").masked is False
-        # the same run without the two keys keeps both
-        default = read_container(small_run / "scd.model")
-        assert default.metas["masked"] == "1"
-        assert "layer1.b" in default.tensors
-        assert "layer1.b" in read_container(small_run / "lm.model").tensors
 
 
 class TestExitCodes:
@@ -517,8 +498,9 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_strict_paper_flag_is_gone(self, small_run, tmp_path, capsys):
-        # [run] use_bias and [scd] masked are the one way to pick the
-        # literal equations, so the config records every run
+        # the literal-equations variant the flag selected is gone, and
+        # every setting of a run is in its config file, not on the
+        # command line
         out, cfg_path = copy_run(small_run, tmp_path)
         (out / "lm.model").unlink()
         assert main(["train-lm", "--config", str(cfg_path),
@@ -780,8 +762,8 @@ class TestStageFiles:
         ("scd.model", "masked", "eval-scd"),
         ("author.model", "bigrams", "score-authors"),
     ])
-    @pytest.mark.parametrize("value", [b"x", b"2", None])
-    def test_boolean_setting_not_0_or_1_is_data_error(
+    @pytest.mark.parametrize("value", [b"0", b"x", b"2", None])
+    def test_setting_not_1_is_data_error(
             self, small_run, tmp_path, capsys, file, key, stage, value):
         # the manifest is outside the checksum; the same length keeps the
         # header's manifest length right
@@ -796,7 +778,8 @@ class TestStageFiles:
         assert len(new) == len(line)
         (out / file).write_bytes(raw.replace(line, new))
         assert main([stage, "--config", str(cfg_path)]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert file in err and key in err
 
     def test_unigram_only_author_model_is_data_error(self, small_run,
                                                       tmp_path, capsys):
@@ -1158,11 +1141,6 @@ class TestPipeline:
         b = self._run(tmp_path, "b")
         for name in ARTIFACTS:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
-    def test_strict_paper_mode_runs(self, tmp_path):
-        out = self._run(tmp_path, "strict", run={"use_bias": "false"},
-                        scd={"masked": "false"})
-        assert (out / "report.txt").exists()
 
     def test_stagewise_equals_pipeline(self, tmp_path):
         # every command in its own process, so the stages share no state

@@ -9,6 +9,7 @@ from chatscreen.core_math import Rng
 from chatscreen.errors import (ContainerCorruptionError, ContainerFormatError,
                                ContainerVersionError, UsageError)
 from chatscreen.language_model import LanguageModel, sentence_vector
+from chatscreen.lstm import LstmLayerParams
 from chatscreen.model_store import (Container, FORMAT_VERSION, MAGIC,
                                     VectorBundle, container_for_model, load,
                                     model_from_container, read_container,
@@ -24,7 +25,7 @@ def lm_fixture():
 
 
 def scd_fixture():
-    return ScdModel.create(Rng(3), input_dim=5, hidden_dim=6, masked=True)
+    return ScdModel.create(Rng(3), input_dim=5, hidden_dim=6)
 
 
 def author_fixture():
@@ -54,7 +55,8 @@ class TestRoundTrip:
         save(model, tmp_path / "scd.model")
         again = load(tmp_path / "scd.model")
         assert isinstance(again, ScdModel)
-        assert again.masked == model.masked
+        assert read_container(tmp_path / "scd.model").metas == \
+            {"masked": "1"}
         for a, b in zip(params_of(model), params_of(again)):
             assert np.array_equal(a, b)
 
@@ -266,6 +268,14 @@ def layer_names(prefix, use_bias=True):
     return [f"{prefix}.{side}" for side in ("UWb" if use_bias else "UW")]
 
 
+def without_biases(model):
+    """model with bias-free LSTM layers, the cells of the paper's literal
+    equations; the pipeline trains none, but a model file may hold one."""
+    model.layer1 = LstmLayerParams(model.layer1.U, model.layer1.W)
+    model.layer2 = LstmLayerParams(model.layer2.U, model.layer2.W)
+    return model
+
+
 class TestLstmLayout:
     """Each LSTM layer is stored as its fused U, W and optional b."""
 
@@ -278,8 +288,8 @@ class TestLstmLayout:
         assert shapes["layer1.U"] == (4, 20)
         assert shapes["layer2.W"] == (5, 20)
         assert shapes["layer2.b"] == (20,)
-        scd = ScdModel.create(Rng(3), input_dim=5, hidden_dim=6,
-                              use_bias=False)
+        scd = without_biases(ScdModel.create(Rng(3), input_dim=5,
+                                             hidden_dim=6))
         assert list(container_for_model(scd).tensors) == (
             layer_names("layer1", False) + layer_names("layer2", False)
             + ["head_w", "head_b"])
@@ -288,10 +298,10 @@ class TestLstmLayout:
     def test_fused_container_round_trip(self, tmp_path, use_bias):
         vocab = Vocabulary(list(RESERVED_TOKENS) + ["alpha", "beta"],
                            min_term_frequency=10)
-        models = [LanguageModel.create(vocab, 4, 5, 7, Rng(9),
-                                       use_bias=use_bias),
-                  ScdModel.create(Rng(3), input_dim=5, hidden_dim=6,
-                                  use_bias=use_bias)]
+        models = [LanguageModel.create(vocab, 4, 5, 7, Rng(9)),
+                  ScdModel.create(Rng(3), input_dim=5, hidden_dim=6)]
+        if not use_bias:
+            models = [without_biases(model) for model in models]
         loaded = []
         for model in models:
             save(model, tmp_path / "fused.model")

@@ -43,7 +43,6 @@ class TestChunkAndPad:
         chunks = chunk_and_pad(seq, chunk_len=100)
         assert len(chunks) == 1
         assert chunks[0].valid_len == 5
-        assert chunks[0].padded_len == 100
         # the zero rows are not stored: they are made when chunks stack
         assert chunks[0].matrix.shape == (5, 4)
 
@@ -51,12 +50,7 @@ class TestChunkAndPad:
         seq = make_sequence(237, seed=9)
         for c in chunk_and_pad(seq, chunk_len=100):
             assert np.shares_memory(c.matrix, seq.matrix)
-            assert c.padded_len == 100
             assert len(c.matrix) == c.valid_len
-
-    def test_padded_len_defaults_to_stored_rows(self):
-        chunk = Chunk("c", 0, np.zeros((6, 4), dtype=np.float32), 3)
-        assert chunk.padded_len == 6
 
     def test_exact_boundary_no_padding(self):
         chunks = chunk_and_pad(make_sequence(100), chunk_len=100)
@@ -157,7 +151,7 @@ class TestPredict:
 
     def test_masked_padding_does_not_change_verdict(self):
         # same sequence evaluated padded to 100 and at its true length
-        model = ScdModel.create(Rng(3), input_dim=4, hidden_dim=4, masked=True)
+        model = ScdModel.create(Rng(3), input_dim=4, hidden_dim=4)
         seq = make_sequence(7, seed=31)
         padded = chunk_and_pad(seq, chunk_len=100)
         exact = chunk_and_pad(seq, chunk_len=7)
@@ -167,23 +161,12 @@ class TestPredict:
         assert np.array_equal(predict_scd(model, [seq], 100),
                               predict_scd(model, [seq], 7))
 
-    def test_unmasked_mode_reads_final_padded_state(self):
-        model = ScdModel.create(Rng(3), input_dim=4, hidden_dim=4,
-                                masked=False)
-        seq = make_sequence(7, seed=31)
-        padded = scd_classifier._chunk_probabilities(
-            model, chunk_and_pad(seq, chunk_len=100))
-        exact = scd_classifier._chunk_probabilities(
-            model, chunk_and_pad(seq, chunk_len=7))
-        assert not np.array_equal(padded, exact)
-
     # 4 and 32 wide: the acceptance recipe's width. At 64 wide and more a
     # bucket's BLAS shape can move the last bits (README, SCD scoring).
     @pytest.mark.parametrize("width", [4, 32])
-    @pytest.mark.parametrize("masked", [True, False])
-    def test_one_pass_equals_per_conversation_maxima(self, width, masked):
+    def test_one_pass_equals_per_conversation_maxima(self, width):
         model = ScdModel.create(Rng(width), input_dim=width,
-                                hidden_dim=width, masked=masked)
+                                hidden_dim=width)
         rng = Rng(5)
         seqs = []
         for n_chunks in [*range(1, 71), 1, 1, 2, 1]:
@@ -244,7 +227,7 @@ def assert_rows_then_zeros(xs, chunks):
 
 def one_pass_probabilities(model, chunks):
     """Every chunk in one forward pass as long as the longest read row."""
-    rows = scd_classifier._read_rows(model, chunks)
+    rows = scd_classifier._read_rows(chunks)
     traces = forward_stack(scd_classifier._stacked_inputs(model, chunks, rows),
                            [model.layer1, model.layer2])
     finals = traces[1].S[rows, np.arange(len(chunks))]
@@ -256,10 +239,8 @@ def one_pass_probabilities(model, chunks):
 class TestBucketedScoring:
     # 65 = one bucket and a lone leftover row; 129 = two buckets and one
     @pytest.mark.parametrize("n", [65, 129])
-    @pytest.mark.parametrize("masked", [True, False])
-    def test_equal_to_one_pass_within_tolerance(self, n, masked):
-        model = ScdModel.create(Rng(n), input_dim=64, hidden_dim=16,
-                                masked=masked)
+    def test_equal_to_one_pass_within_tolerance(self, n):
+        model = ScdModel.create(Rng(n), input_dim=64, hidden_dim=16)
         chunks = mixed_length_chunks(n)
         wide = model.astype(np.float64)
         want = one_pass_probabilities(wide, chunks)
@@ -316,15 +297,6 @@ class TestBucketedScoring:
             assert got.tobytes() != before.tobytes()
             before = got
 
-    def test_unmasked_bucket_runs_the_padded_length(self, monkeypatch):
-        model = ScdModel.create(Rng(2), input_dim=64, hidden_dim=16,
-                                masked=False)
-        seen = spy_inputs(monkeypatch, "top_states")
-        chunks = mixed_length_chunks(10, chunk_len=20)
-        scd_classifier._chunk_probabilities(model, chunks)
-        assert [xs.shape for xs in seen] == [(20, 10, 64)]
-        assert_rows_then_zeros(seen[0], chunks)
-
 
 class TestTrainingBatchInput:
     """A training batch stacks its chunks' valid rows and pads them with
@@ -340,12 +312,10 @@ class TestTrainingBatchInput:
         return chunks + [Chunk("c", 0, stored, 2, False)]
 
     # from the third chunk on, the valid lengths are 5, 3 and 2
-    @pytest.mark.parametrize("masked,first,steps", [
-        (True, 0, 10), (False, 0, 10), (True, 2, 5), (False, 2, 10)])
-    def test_rows_then_zeros_to_the_last_row_read(self, monkeypatch, masked,
-                                                  first, steps):
-        model = ScdModel.create(Rng(2), input_dim=4, hidden_dim=3,
-                                masked=masked)
+    @pytest.mark.parametrize("first,steps", [(0, 10), (2, 5)])
+    def test_rows_then_zeros_to_the_last_row_read(self, monkeypatch, first,
+                                                  steps):
+        model = ScdModel.create(Rng(2), input_dim=4, hidden_dim=3)
         seen = spy_inputs(monkeypatch, "forward_stack")
         chunks = self.batch()[first:]
         training_loss_and_grads(model, chunks)
@@ -468,8 +438,8 @@ class TestGradients:
     def test_tiny_scd_gradient_check(self):
         # hidden 4, chunk length 6
         rng = Rng(41)
-        model = ScdModel.create(rng, input_dim=3, hidden_dim=4,
-                                use_bias=True).astype(np.float64)
+        model = ScdModel.create(rng, input_dim=3,
+                                hidden_dim=4).astype(np.float64)
         chunks = []
         for i in range(3):
             matrix = np.zeros((6, 3))
