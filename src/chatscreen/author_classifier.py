@@ -57,7 +57,6 @@ class AuthorUnit:
     """One author's lines within one conversation, the training unit."""
 
     author: str
-    conversation_id: str
     lines: list[list[str]]
     label: str | None = None
 

@@ -3,20 +3,21 @@
 Row-vector convention throughout: inputs multiply U matrices on the left
 (x @ U), previous hidden states multiply W matrices (s @ W). Gates:
 
-    i = sigmoid(x U_i + s W_i [+ b_i])      input gate
-    f = sigmoid(x U_f + s W_f [+ b_f])      forget gate
-    o = sigmoid(x U_o + s W_o [+ b_o])      output gate
-    g = tanh   (x U_g + s W_g [+ b_g])      candidate state
+    i = sigmoid(x U_i + s W_i + b_i)      input gate
+    f = sigmoid(x U_f + s W_f + b_f)      forget gate
+    o = sigmoid(x U_o + s W_o + b_o)      output gate
+    g = tanh   (x U_g + s W_g + b_g)      candidate state
     c_t = f * c_{t-1} + i * g
     s_t = o * tanh(c_t)
 
 Each layer stores its weights fused, once: U (I, 4H), W (H, 4H) and b (4H,)
 hold the gate blocks side by side in the order i, f, o, g, so one product
 per side gives all four gate pre-activations, and U_i ... b_g are views of
-the blocks. The forward trace keeps the gate activations in one (T, B, 4H)
-tensor in the same layout; gradients come back as fused dU, dW, db, are
-hand-derived and verified by finite differences. Forward and backward never
-mutate parameters.
+the blocks. The paper's bias-free equations are the case b = 0. The
+forward trace keeps the gate activations in one (T, B, 4H) tensor in the
+same layout; gradients come back as fused dU, dW, db, are hand-derived and
+verified by finite differences. Forward and backward never mutate
+parameters.
 """
 
 from __future__ import annotations
@@ -35,42 +36,37 @@ def _gate_view(side: str, j: int) -> property:
     def block(self):
         fused = getattr(self, side)
         h = self.hidden_dim
-        return None if fused is None else fused[..., j * h:(j + 1) * h]
+        return fused[..., j * h:(j + 1) * h]
     return property(block)
 
 
 @dataclass
 class LstmLayerParams:
-    """One layer in the fused gate layout: U (I, 4H), W (H, 4H) and an
-    optional bias b (4H,), gate blocks side by side in the order i, f, o, g.
+    """One layer in the fused gate layout: U (I, 4H), W (H, 4H) and the
+    bias b (4H,), gate blocks side by side in the order i, f, o, g.
 
     Ui ... bg are views of those blocks, not copies. The default
     initialization sets the biases to zero with a +1 forget-gate bias so
-    the cell starts out remembering. Every model the pipeline trains has
-    biases; `init(use_bias=False)` and the `b is None` branches stay for
-    the bias-free cells of the paper's literal equations, which the
-    acceptance suite's single-cell oracle check (criterion 2) builds.
+    the cell starts out remembering.
     """
 
     U: np.ndarray
     W: np.ndarray
-    b: np.ndarray | None = None
+    b: np.ndarray
 
     Ui, Uf, Uo, Ug = (_gate_view("U", j) for j in range(4))
     Wi, Wf, Wo, Wg = (_gate_view("W", j) for j in range(4))
     bi, bf, bo, bg = (_gate_view("b", j) for j in range(4))
 
     @classmethod
-    def init(cls, rng, input_dim: int, hidden_dim: int, use_bias: bool = True,
+    def init(cls, rng, input_dim: int, hidden_dim: int,
              dtype=np.float32) -> "LstmLayerParams":
         u = [init_uniform(rng, input_dim, hidden_dim, fan_in=input_dim,
                           dtype=dtype) for _ in range(4)]
         w = [init_uniform(rng, hidden_dim, hidden_dim, fan_in=hidden_dim,
                           dtype=dtype) for _ in range(4)]
-        b = None
-        if use_bias:
-            b = np.zeros(4 * hidden_dim, dtype=dtype)
-            b[hidden_dim:2 * hidden_dim] = 1.0     # forget gate
+        b = np.zeros(4 * hidden_dim, dtype=dtype)
+        b[hidden_dim:2 * hidden_dim] = 1.0     # forget gate
         return cls(np.concatenate(u, axis=1), np.concatenate(w, axis=1), b)
 
     def __post_init__(self):
@@ -89,11 +85,11 @@ class LstmLayerParams:
         for name, shape in (("W", (self.hidden_dim, h4)),
                             ("U", (self.input_dim, h4)), ("b", (h4,))):
             m = getattr(self, name)
-            if m is not None and m.shape != shape:
+            if m.shape != shape:
                 raise UsageError(f"{name} shape {m.shape}, expected {shape}")
 
     def param_list(self) -> list[np.ndarray]:
-        return [self.U, self.W] + ([] if self.b is None else [self.b])
+        return [self.U, self.W, self.b]
 
     def astype(self, dtype) -> "LstmLayerParams":
         return LstmLayerParams(*(m.astype(dtype) for m in self.param_list()))
@@ -101,8 +97,7 @@ class LstmLayerParams:
     def scaled(self) -> "ScaledGates":
         """U, W and b times the gate constants k, made fresh on each call."""
         k = gate_constants(4 * self.hidden_dim, self.U.dtype, 1)[0][0]
-        return ScaledGates(self.U * k, self.W * k,
-                           None if self.b is None else self.b * k)
+        return ScaledGates(self.U * k, self.W * k, self.b * k)
 
 
 _GATE_ROWS: dict = {}
@@ -137,7 +132,7 @@ class ScaledGates(NamedTuple):
 
     Uk: np.ndarray
     Wk: np.ndarray
-    bk: np.ndarray | None
+    bk: np.ndarray
 
     @property
     def input_dim(self) -> int:
@@ -146,14 +141,6 @@ class ScaledGates(NamedTuple):
     @property
     def hidden_dim(self) -> int:
         return self.Wk.shape[0]
-
-
-@dataclass
-class LstmState:
-    """Hidden state s and cell state c of one layer at one timestep."""
-
-    s: np.ndarray
-    c: np.ndarray
 
 
 @dataclass
@@ -192,8 +179,7 @@ def forward_steps(xs: np.ndarray, s0: np.ndarray, c0: np.ndarray,
     sg = params if isinstance(params, ScaledGates) else params.scaled()
     k, m = gate_constants(4 * H, sg.Uk.dtype, B)
     Z = (xs.reshape(T * B, I) @ sg.Uk).reshape(T, B, 4 * H)
-    if sg.bk is not None:
-        Z += sg.bk
+    Z += sg.bk
     Wk = sg.Wk
     S = np.empty((T, B, H), dtype=xs.dtype)
     C = np.empty_like(S)
@@ -223,7 +209,7 @@ def backward_steps(trace: LstmTrace, d_states: np.ndarray):
 
     d_states (T, B, H) holds the upstream gradient flowing into each
     timestep's hidden state. Returns (grads, d_inputs (T, B, I)), grads
-    being [dU, dW(, db)] in LstmLayerParams.param_list() order.
+    being [dU, dW, db] in LstmLayerParams.param_list() order.
 
     Only the recurrence runs per step: ds, dc, the gate gradients dA,
     dc_next and ds_next = dA @ W.T. Each gate block of dA is one upstream
@@ -279,26 +265,8 @@ def backward_steps(trace: LstmTrace, d_states: np.ndarray):
     DA = K.reshape(T * B, 4 * H)
     s_prev = np.concatenate((trace.s0[None], trace.S[:-1]))
     grads = [trace.xs.reshape(T * B, -1).T @ DA,
-             s_prev.reshape(T * B, H).T @ DA]
-    if p.b is not None:
-        grads.append(DA.sum(axis=0))
+             s_prev.reshape(T * B, H).T @ DA, DA.sum(axis=0)]
     return grads, (DA @ p.U.T).reshape(T, B, -1)
-
-
-def cell_step(x: np.ndarray, prev: LstmState,
-              params: LstmLayerParams) -> LstmState:
-    """One gate update from a single input vector and previous state."""
-    x = np.asarray(x, dtype=params.U.dtype)
-    if x.ndim != 1 or x.shape[0] != params.input_dim:
-        raise UsageError(f"cell_step: input shape {x.shape}, expected "
-                         f"({params.input_dim},)")
-    h = params.hidden_dim
-    if prev.s.shape != (h,) or prev.c.shape != (h,):
-        raise UsageError(f"cell_step: state shapes {prev.s.shape}/{prev.c.shape},"
-                         f" expected ({h},)")
-    trace = forward_steps(x[None, None, :], prev.s[None, :], prev.c[None, :],
-                          params)
-    return LstmState(trace.S[0, 0].copy(), trace.C[0, 0].copy())
 
 
 def forward_stack(xs: np.ndarray, layers, init_states=None):

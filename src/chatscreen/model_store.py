@@ -196,8 +196,7 @@ def read_container(path) -> Container:
 
 
 def _layer_tensors(prefix: str, layer: LstmLayerParams):
-    """An LSTM layer's fused arrays as prefix.U, prefix.W and, with a bias,
-    prefix.b."""
+    """An LSTM layer's fused arrays as prefix.U, prefix.W and prefix.b."""
     return [(f"{prefix}.{side}", m)
             for side, m in zip("UWb", layer.param_list())]
 
@@ -206,7 +205,7 @@ def _layer_from(container: Container, prefix: str) -> LstmLayerParams:
     try:
         return LstmLayerParams(container.tensor(f"{prefix}.U"),
                                container.tensor(f"{prefix}.W"),
-                               container.tensors.get(f"{prefix}.b"))
+                               container.tensor(f"{prefix}.b"))
     except UsageError as exc:   # its message begins with U, W or b
         raise ContainerFormatError(f"tensor {prefix}.{exc}") from exc
 

@@ -24,9 +24,8 @@ from .preprocessing import (NormRuleSet, Vocabulary, build_vocabulary,
                             default_rules, encode, load_abbreviations,
                             load_emoticon_patterns, normalize_text, tokenize,
                             vocab_from_text, vocab_to_text)
-from .scd_classifier import (Chunk, ConversationSequence, ScdModel,
-                             chunk_and_pad, predict_scd, train_scd,
-                             vectorize_conversation)
+from .scd_classifier import (ConversationSequence, ScdModel, chunk_and_pad,
+                             predict_scd, train_scd, vectorize_conversation)
 
 NORMALIZED_XML = "normalized.xml"
 FILTER_REPORT = "filter_report.txt"
@@ -276,8 +275,8 @@ def run_train_scd(cfg: PipelineConfig) -> None:
     order = rng.permutation(len(sequences))
     n_val = int(len(sequences) * cfg.scd_val_fraction)
     val_idx = set(int(i) for i in order[:n_val])
-    train_chunks: list[Chunk] = []
-    val_chunks: list[Chunk] = []
+    train_chunks: list[ConversationSequence] = []
+    val_chunks: list[ConversationSequence] = []
     for i, seq in enumerate(sequences):
         target = val_chunks if i in val_idx else train_chunks
         target.extend(chunk_and_pad(seq, cfg.scd_chunk_len))
@@ -344,8 +343,8 @@ def _author_units(conversations, classes=None) -> list[ac.AuthorUnit]:
             lines_by_author.setdefault(m.author, []).append(tokenize(m.text))
         for author, lines in lines_by_author.items():
             label = classes.get(author) if classes else None
-            units.append(ac.AuthorUnit(author=author, conversation_id=conv.id,
-                                       lines=lines, label=label))
+            units.append(ac.AuthorUnit(author=author, lines=lines,
+                                       label=label))
     return units
 
 

@@ -3,16 +3,15 @@ LSTM layers into a sigmoid head.
 
 Conversations become sequences of sentence vectors (one per message), split
 into fixed-length chunks. A chunk is a view of its conversation's rows, not
-a padded copy: the zero rows past each chunk's valid length are made once
-per training batch or scoring bucket, when its chunks are stacked. The
-head reads the hidden state at the last valid timestep, so padding rows
+a padded copy: the zero rows past each chunk's last row are made once per
+training batch or scoring bucket, when its chunks are stacked. The head
+reads the hidden state at a chunk's last real timestep, so padding rows
 cannot dilute the state. A conversation is positive when any of its chunks
 scores at or above the threshold.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,18 +27,12 @@ from .preprocessing import tokenize
 
 @dataclass
 class ConversationSequence:
-    conversation_id: str
-    matrix: np.ndarray        # (n_messages, H): one sentence vector per row
-    label: bool | None = None
+    """A conversation's sentence vectors, one row per message, or one
+    chunk of them: a view of at most chunk_len of those rows, every one
+    read."""
 
-
-@dataclass
-class Chunk:
     conversation_id: str
-    part_index: int
-    # (n, H), n >= valid_len; only the first valid_len rows are read
-    matrix: np.ndarray
-    valid_len: int
+    matrix: np.ndarray        # (n, H): one sentence vector per row
     label: bool | None = None
 
 
@@ -111,17 +104,15 @@ def vectorize_conversation(conv, lm: LanguageModel,
     return np.stack(vectors)
 
 
-def chunk_and_pad(seq: ConversationSequence, chunk_len: int) -> list[Chunk]:
+def chunk_and_pad(seq: ConversationSequence,
+                  chunk_len: int) -> list[ConversationSequence]:
     """Split into ceil(n/chunk_len) parts, each a view of its rows of
     seq.matrix (zero rows follow the last one only when chunks are
-    stacked); every chunk inherits the conversation label."""
-    chunks = []
-    for part in range(math.ceil(len(seq.matrix) / chunk_len)):
-        rows = seq.matrix[part * chunk_len:(part + 1) * chunk_len]
-        chunks.append(Chunk(conversation_id=seq.conversation_id,
-                            part_index=part, matrix=rows,
-                            valid_len=len(rows), label=seq.label))
-    return chunks
+    stacked); every chunk inherits the conversation id and label."""
+    return [ConversationSequence(seq.conversation_id,
+                                 seq.matrix[start:start + chunk_len],
+                                 seq.label)
+            for start in range(0, len(seq.matrix), chunk_len)]
 
 
 # The largest scoring bucket, when chunks are only scored, not trained on:
@@ -131,18 +122,18 @@ SCORE_BUCKET = (64, 64 * 24)
 
 def _read_rows(chunks) -> np.ndarray:
     """The timestep whose top-layer state the head reads, per chunk: its
-    last valid row."""
-    return np.array([c.valid_len - 1 for c in chunks])
+    last row."""
+    return np.array([len(c.matrix) - 1 for c in chunks])
 
 
 def _stacked_inputs(model: ScdModel, chunks, rows) -> np.ndarray:
     """The (T, B, I) input of a batch or bucket, T = one past the last of
-    its rows read: each chunk's valid rows, then zeros. Steps past the last
-    row read are never run."""
+    its rows read: each chunk's rows, then zeros. Steps past the last row
+    read are never run."""
     xs = np.zeros((rows.max() + 1, len(chunks), model.input_dim),
                   dtype=model.dtype)
     for b, c in enumerate(chunks):
-        xs[:c.valid_len, b] = c.matrix[:c.valid_len]
+        xs[:len(c.matrix), b] = c.matrix
     return xs
 
 

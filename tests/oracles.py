@@ -53,7 +53,7 @@ def scalar_cell_step(x, s_prev, c_prev, params):
     """Loop-per-scalar evaluation of the gate equations.
 
     x, s_prev, c_prev are Python lists; params is any object exposing the
-    eight matrices (and optional biases) as indexable 2-D/1-D arrays.
+    eight matrices and four biases as indexable 2-D/1-D arrays.
     """
     input_dim = len(x)
     hidden_dim = len(s_prev)
@@ -66,8 +66,7 @@ def scalar_cell_step(x, s_prev, c_prev, params):
                 a += x[k] * u[k][j]
             for k in range(hidden_dim):
                 a += s_prev[k] * w[k][j]
-            if b is not None:
-                a += b[j]
+            a += b[j]
             out.append(act(a))
         return out
 
@@ -117,9 +116,7 @@ def step_loop_forward(xs, s0, c0, params):
     Z = np.empty((T, B, 4 * H), dtype=xs.dtype)
     s, c = s0, c0
     for t in range(T):
-        a = xs[t] @ params.U + s @ params.W
-        if params.b is not None:
-            a = a + params.b
+        a = xs[t] @ params.U + s @ params.W + params.b
         z = Z[t]
         z[:, :3 * H] = masked_sigmoid(a[:, :3 * H])
         z[:, 3 * H:] = np.tanh(a[:, 3 * H:])
@@ -151,9 +148,7 @@ def tanh_gate_step_loop(xs, s0, c0, params):
     Z = np.empty((T, B, 4 * H), dtype=xs.dtype)
     s, c = s0, c0
     for t in range(T):
-        a = xU[t]
-        if params.b is not None:
-            a = a + params.b * k
+        a = xU[t] + params.b * k
         a = a + s @ Wk
         z = np.tanh(a) * k + m
         i, f, o, g = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
@@ -194,9 +189,7 @@ def tanh_gate_step_loop_backward(trace, d_states):
     DA = DA.reshape(T * B, 4 * H)
     s_prev = np.concatenate((trace.s0[None], trace.S[:-1]))
     grads = [trace.xs.reshape(T * B, -1).T @ DA,
-             s_prev.reshape(T * B, H).T @ DA]
-    if p.b is not None:
-        grads.append(DA.sum(axis=0))
+             s_prev.reshape(T * B, H).T @ DA, DA.sum(axis=0)]
     return grads, (DA @ p.U.T).reshape(T, B, -1)
 
 
@@ -209,7 +202,7 @@ def step_loop_backward(trace, d_states):
     p = trace.params
     T, B, H = trace.S.shape
     grads = [np.zeros_like(m) for m in p.param_list()]
-    dU, dW = grads[:2]
+    dU, dW, db = grads
     d_xs = np.empty_like(trace.xs)
     ds_next = np.zeros((B, H), dtype=p.U.dtype)
     dc_next = np.zeros((B, H), dtype=p.U.dtype)
@@ -230,8 +223,7 @@ def step_loop_backward(trace, d_states):
         dc_next = dc * f
         dU += trace.xs[t].T @ dA
         dW += s_prev.T @ dA
-        if p.b is not None:
-            grads[2] += dA.sum(axis=0)
+        db += dA.sum(axis=0)
         d_xs[t] = dA @ p.U.T
         ds_next = dA @ p.W.T
     return grads, d_xs

@@ -24,12 +24,13 @@ from chatscreen.config import PipelineConfig
 from chatscreen.language_model import LanguageModel, perplexity, train_lm
 from chatscreen.language_model import \
     training_loss_and_grads as lm_loss_and_grads
-from chatscreen.lstm import LstmLayerParams, LstmState, cell_step
+from chatscreen.lstm import LstmLayerParams, forward_steps
 from chatscreen.metrics import f_beta_from_pr
 from chatscreen.model_store import FORMAT_VERSION
 from chatscreen.preprocessing import (RESERVED_TOKENS, Vocabulary,
                                       build_vocabulary, normalize_text)
-from chatscreen.scd_classifier import (Chunk, ScdModel, chunk_and_pad)
+from chatscreen.scd_classifier import (ConversationSequence, ScdModel,
+                                       chunk_and_pad)
 from chatscreen.scd_classifier import \
     training_loss_and_grads as scd_loss_and_grads
 from chatscreen.corpus_io import parse_ground_truth, parse_pan_corpus
@@ -65,10 +66,8 @@ class TestCriterion1GradientFidelity:
         scd = ScdModel.create(rng, input_dim=3, hidden_dim=4).astype(np.float64)
         chunks = []
         for i in range(3):
-            matrix = np.zeros((6, 3))
-            valid = 3 + i
-            matrix[:valid] = rng.uniform(-1, 1, (valid, 3), dtype=np.float64)
-            chunks.append(Chunk(f"c{i}", 0, matrix, valid, i % 2 == 0))
+            matrix = rng.uniform(-1, 1, (3 + i, 3), dtype=np.float64)
+            chunks.append(ConversationSequence(f"c{i}", matrix, i % 2 == 0))
         scd_err = gradient_check(lambda: scd_loss_and_grads(scd, chunks),
                                  scd.param_list(), 1e-3)
         # author model: 10 features, embedding size 4
@@ -78,7 +77,7 @@ class TestCriterion1GradientFidelity:
         units = []
         for i, label in enumerate(("P", "V", "N", "P", "V")):
             line = [features[int(unit_rng.integers(0, 10))] for _ in range(4)]
-            units.append(AuthorUnit(f"a{i}", f"c{i}", [line], label))
+            units.append(AuthorUnit(f"a{i}", [line], label))
         author_err = gradient_check(
             lambda: author_loss_and_grads(author, units),
             author.param_list(), 1e-3)
@@ -92,20 +91,24 @@ class TestCriterion1GradientFidelity:
 
 class TestCriterion2CellOracle:
     def test_thousand_randomized_cells(self):
+        # one step of the sequence kernel, a (1, 1, 3) input; every other
+        # cell has b = 0, the paper's bias-free equations
         start = time.monotonic()
         rng = Rng(2024)
         worst = 0.0
         for i in range(1000):
-            params = LstmLayerParams.init(rng, 3, 3, use_bias=i % 2 == 0,
-                                          dtype=np.float64)
+            params = LstmLayerParams.init(rng, 3, 3, dtype=np.float64)
+            if i % 2:
+                params.b[:] = 0.0
             x = rng.uniform(-2, 2, (3,), dtype=np.float64)
-            prev = LstmState(rng.uniform(-0.95, 0.95, (3,), dtype=np.float64),
-                             rng.uniform(-2, 2, (3,), dtype=np.float64))
-            got = cell_step(x, prev, params)
-            s, c = scalar_cell_step(x.tolist(), prev.s.tolist(),
-                                    prev.c.tolist(), params)
-            worst = max(worst, float(np.abs(got.s - s).max()),
-                        float(np.abs(got.c - c).max()))
+            s_prev = rng.uniform(-0.95, 0.95, (3,), dtype=np.float64)
+            c_prev = rng.uniform(-2, 2, (3,), dtype=np.float64)
+            trace = forward_steps(x[None, None], s_prev[None], c_prev[None],
+                                  params)
+            s, c = scalar_cell_step(x.tolist(), s_prev.tolist(),
+                                    c_prev.tolist(), params)
+            worst = max(worst, float(np.abs(trace.S[0, 0] - s).max()),
+                        float(np.abs(trace.C[0, 0] - c).max()))
         elapsed = time.monotonic() - start
         gate(2, "cell-equation oracle", worst <= 1e-12 and elapsed < 5.0,
              f"max deviation {worst:.2e} over 1000 instances in {elapsed:.1f}s")
@@ -168,10 +171,9 @@ class TestCriterion6Chunking:
         for n, want_parts in expectations.items():
             chunks = chunk_and_pad(make_sequence(n, dim=3, seed=n), 100)
             observed[n] = len(chunks)
-            valid_total = sum(c.valid_len for c in chunks)
-            clean &= len(chunks) == want_parts and valid_total == n
-            for c in chunks:
-                clean &= bool(np.all(c.matrix[c.valid_len:] == 0.0))
+            rows_total = sum(len(c.matrix) for c in chunks)
+            clean &= len(chunks) == want_parts and rows_total == n
+            clean &= all(len(c.matrix) <= 100 for c in chunks)
         gate(6, "chunking",
              clean and [observed[k] for k in sorted(observed)] ==
              [expectations[k] for k in sorted(expectations)],

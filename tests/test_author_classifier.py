@@ -194,8 +194,7 @@ def make_units(rng, n_per_class, marker):
     for label in ("P", "V", "N"):
         for i in range(n_per_class):
             line = [marker[label]] * 3 + ["filler", "words"]
-            units.append(AuthorUnit(f"{label.lower()}{i}", f"c{label}{i}",
-                                    [line], label))
+            units.append(AuthorUnit(f"{label.lower()}{i}", [line], label))
     return units
 
 
@@ -232,7 +231,7 @@ class TestTrainAuthor:
         assert records[-1].train_accuracy >= 0.99
 
     def test_feature_vocab_min_frequency(self):
-        units = [AuthorUnit("a", "c", [["common"] * 5 + ["rare"]], "N")]
+        units = [AuthorUnit("a", [["common"] * 5 + ["rare"]], "N")]
         # "common common" occurs 4 times, "common rare" once
         features = build_feature_vocab(units, min_freq=5)
         assert features == ["common"]
@@ -245,7 +244,7 @@ class TestTrainAuthor:
         units = []
         for i, label in enumerate(("P", "V", "N", "P", "V")):
             line = [features[int(rng.integers(0, 10))] for _ in range(4)]
-            units.append(AuthorUnit(f"a{i}", f"c{i}", [line], label))
+            units.append(AuthorUnit(f"a{i}", [line], label))
 
         def loss_and_grads():
             return training_loss_and_grads(model, units)
@@ -257,7 +256,7 @@ class TestTrainAuthor:
 def id_units(ids_per_unit, seed=8):
     """Labeled units given by their feature ids (their lines are unused)."""
     rng = Rng(seed)
-    units = [AuthorUnit(f"a{i}", f"c{i}", [], CLASSES[int(rng.integers(0, 3))])
+    units = [AuthorUnit(f"a{i}", [], CLASSES[int(rng.integers(0, 3))])
              for i in range(len(ids_per_unit))]
     return units, [list(ids) for ids in ids_per_unit]
 
@@ -325,7 +324,7 @@ class TestBatchedUnits:
                 (4, 32), (want, ["P"] * 4 + ["V"] * 4 + ["N"] * 3)):
             cfg = PipelineConfig(author_epochs=1, author_lr=0.0,
                                  author_batch_size=batch_size)
-            units = [AuthorUnit(f"a{i}", f"c{i}", unit_lines, label)
+            units = [AuthorUnit(f"a{i}", unit_lines, label)
                      for i, (unit_lines, label) in enumerate(zip(lines,
                                                                  labels))]
             records = train_author(fresh(), units, cfg, Rng(3))
@@ -335,8 +334,8 @@ class TestBatchedUnits:
     def test_predicted_classes_match_score_on_a_trained_model(self):
         units = make_units(Rng(1), 12, MARKERS)
         features = build_feature_vocab(units, min_freq=1)
-        units += [AuthorUnit("x", "cx", [["unheard"]], "N")]
-        units[3] = AuthorUnit("y", "cy", units[3].lines, "N")
+        units += [AuthorUnit("x", [["unheard"]], "N")]
+        units[3] = AuthorUnit("y", units[3].lines, "N")
         model = ShallowModel.create(Rng(2), features, 8)
         records = train_author(model, units,
                                PipelineConfig(author_epochs=3, author_lr=0.5),
@@ -348,7 +347,7 @@ class TestBatchedUnits:
     def test_training_equals_the_per_unit_loop(self, monkeypatch):
         units = make_units(Rng(1), 9, MARKERS)
         features = build_feature_vocab(units, min_freq=1)
-        units[4] = AuthorUnit("y", "cy", [["unheard", "tokens"]], "P")
+        units[4] = AuthorUnit("y", [["unheard", "tokens"]], "P")
         cfg = PipelineConfig(author_epochs=4, author_lr=0.05,
                              author_batch_size=8, author_optimizer="adam")
 

@@ -814,6 +814,20 @@ class TestStageFiles:
         assert main(["eval-scd", "--config", str(cfg_path)]) == 2
         assert "layer1.U" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("file,stage", [("lm.model", "eval-lm"),
+                                            ("scd.model", "eval-scd")])
+    def test_lstm_layer_without_bias_is_data_error(self, small_run, tmp_path,
+                                                   capsys, file, stage):
+        # every LSTM layer has a bias; a file without one is not read as a
+        # bias-free cell
+        out, cfg_path = copy_run(small_run, tmp_path)
+        container = read_container(out / file)
+        del container.tensors["layer1.b"]
+        write_container(container, out / file)
+        assert main([stage, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / file}: ") and "layer1.b" in err
+
     @pytest.mark.parametrize("fault", ["masked", "head_w"])
     def test_invalid_model_names_its_file(self, small_run, tmp_path, capsys,
                                           fault):

@@ -407,8 +407,8 @@ class TestGroupByAuthor:
     def test_author_across_conversations(self):
         units = _author_units([conv("c1", ("a", "one")),
                                conv("c2", ("a", "two"))])
-        assert [(u.author, u.conversation_id) for u in units] == \
-            [("a", "c1"), ("a", "c2")]
+        assert [(u.author, u.lines) for u in units] == \
+            [("a", [["one"]]), ("a", [["two"]])]
 
     def test_interleaved_lines_keep_order(self):
         units = _author_units([conv("c", ("a", "first"), ("b", "noise"),

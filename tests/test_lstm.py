@@ -3,9 +3,9 @@ import pytest
 
 from chatscreen.core_math import Rng, gradient_check, init_uniform
 from chatscreen.errors import UsageError
-from chatscreen.lstm import (LstmLayerParams, LstmState, LstmTrace,
-                             backward_stack, backward_steps, cell_step,
-                             forward_stack, forward_steps, gate_constants)
+from chatscreen.lstm import (LstmLayerParams, LstmTrace, backward_stack,
+                             backward_steps, forward_stack, forward_steps,
+                             gate_constants)
 
 from oracles import (scalar_cell_step, step_loop_backward, step_loop_forward,
                      tanh_gate_step_loop, tanh_gate_step_loop_backward)
@@ -17,30 +17,45 @@ C_ONE_UNIT = 0.5567699411459397
 S_ONE_UNIT = 0.36960635293570576
 
 
-def make_params(rng, input_dim, hidden_dim, use_bias, dtype=np.float64):
-    return LstmLayerParams.init(rng, input_dim, hidden_dim, use_bias=use_bias,
-                                dtype=dtype)
+def make_params(rng, input_dim, hidden_dim, zero_bias=False,
+                dtype=np.float64):
+    """A layer as LstmLayerParams.init draws it; zero_bias sets b = 0, the
+    paper's bias-free equations, without changing the draws of U and W."""
+    params = LstmLayerParams.init(rng, input_dim, hidden_dim, dtype=dtype)
+    if zero_bias:
+        params.b[:] = 0.0
+    return params
 
 
 def all_value_params(value, input_dim, hidden_dim, dtype=np.float64):
     return LstmLayerParams(
         U=np.full((input_dim, 4 * hidden_dim), value, dtype=dtype),
-        W=np.full((hidden_dim, 4 * hidden_dim), value, dtype=dtype))
+        W=np.full((hidden_dim, 4 * hidden_dim), value, dtype=dtype),
+        b=np.zeros(4 * hidden_dim, dtype=dtype))
+
+
+def one_step(x, s, c, params):
+    """forward_steps over a single input vector x (I,) from states s, c
+    (H,); returns the new (s, c)."""
+    trace = forward_steps(np.asarray(x)[None, None], np.asarray(s)[None],
+                          np.asarray(c)[None], params)
+    return trace.S[0, 0], trace.C[0, 0]
 
 
 def zero_state(hidden_dim):
-    return LstmState(np.zeros(hidden_dim), np.zeros(hidden_dim))
+    return np.zeros(hidden_dim), np.zeros(hidden_dim)
 
 
 # The float32 kernels against float64 step loops, at I = 64 for B = 1, 3
 # and 16, and at I = H = 200, where a B = 1 product takes its own BLAS
-# path. Bias 20 and 100 set every other gate lane's bias to +-20 or +-100,
-# so those gates saturate. Forward arrays must agree within TOL, gradients
-# within TOL of the largest reference gradient.
+# path. Bias 0 is the paper's bias-free cell; bias 20 and 100 set every
+# other gate lane's bias to +-20 or +-100, so those gates saturate. Forward
+# arrays must agree within TOL, gradients within TOL of the largest
+# reference gradient.
 CASES = [(1, 64, 24, 9), (3, 64, 24, 9), (16, 64, 24, 9), (1, 200, 200, 3),
          (16, 200, 200, 3)]
-BIASES = [None, 1.0, 20.0, 100.0]
-BIAS_IDS = ["nobias", "bias", "bias20", "bias100"]
+BIASES = [0.0, 1.0, 20.0, 100.0]
+BIAS_IDS = ["zerobias", "bias", "bias20", "bias100"]
 TOL = 2e-6
 
 
@@ -48,9 +63,9 @@ def float32_case(batch, width, hidden, steps, bias):
     """Float32 params, inputs and nonzero initial states; one input step
     holds zero lanes and the last one -0.0 lanes."""
     rng = Rng(60 + batch + width)
-    params = make_params(rng, width, hidden, bias is not None,
+    params = make_params(rng, width, hidden, zero_bias=not bias,
                          dtype=np.float32)
-    if bias is not None:
+    if bias:
         params.b[:] = rng.uniform(-1, 1, params.b.shape)
         if bias > 1:
             params.b[::2] = bias * np.sign(params.b[::2])
@@ -69,50 +84,47 @@ def float64_trace(params, xs, s0, c0):
     return LstmTrace(p, xs, s0, c0, *step_loop_forward(xs, s0, c0, p))
 
 
-class TestCellStep:
+class TestOneStep:
+    """One step of forward_steps, a (1, 1, I) input, against the gate
+    equations."""
+
     def test_all_zero_weights_give_zero_state(self):
         params = all_value_params(0.0, 2, 3)
-        out = cell_step(np.zeros(2), zero_state(3), params)
-        assert np.array_equal(out.s, np.zeros(3))
-        assert np.array_equal(out.c, np.zeros(3))
+        s, c = one_step(np.zeros(2), *zero_state(3), params)
+        assert np.array_equal(s, np.zeros(3))
+        assert np.array_equal(c, np.zeros(3))
 
     def test_one_unit_all_ones_hand_values(self):
         params = all_value_params(1.0, 1, 1)
-        out = cell_step(np.array([1.0]), zero_state(1), params)
-        assert abs(out.c[0] - C_ONE_UNIT) < 1e-12
-        assert abs(out.s[0] - S_ONE_UNIT) < 1e-12
+        s, c = one_step(np.array([1.0]), *zero_state(1), params)
+        assert abs(c[0] - C_ONE_UNIT) < 1e-12
+        assert abs(s[0] - S_ONE_UNIT) < 1e-12
 
-    @pytest.mark.parametrize("use_bias", [False, True])
-    def test_matches_scalar_oracle(self, use_bias):
+    @pytest.mark.parametrize("zero_bias", [True, False],
+                             ids=["zerobias", "bias"])
+    def test_matches_scalar_oracle(self, zero_bias):
         rng = Rng(21)
         for _ in range(25):
-            params = make_params(rng, 4, 3, use_bias)
+            params = make_params(rng, 4, 3, zero_bias)
             x = rng.uniform(-2, 2, (4,), dtype=np.float64)
-            prev = LstmState(rng.uniform(-0.9, 0.9, (3,), dtype=np.float64),
-                             rng.uniform(-1.5, 1.5, (3,), dtype=np.float64))
-            got = cell_step(x, prev, params)
-            s, c = scalar_cell_step(x.tolist(), prev.s.tolist(),
-                                    prev.c.tolist(), params)
-            assert np.abs(got.s - s).max() < 1e-12
-            assert np.abs(got.c - c).max() < 1e-12
+            s_prev = rng.uniform(-0.9, 0.9, (3,), dtype=np.float64)
+            c_prev = rng.uniform(-1.5, 1.5, (3,), dtype=np.float64)
+            got_s, got_c = one_step(x, s_prev, c_prev, params)
+            s, c = scalar_cell_step(x.tolist(), s_prev.tolist(),
+                                    c_prev.tolist(), params)
+            assert np.abs(got_s - s).max() < 1e-12
+            assert np.abs(got_c - c).max() < 1e-12
 
     def test_hidden_state_inside_open_interval(self):
         rng = Rng(8)
         for _ in range(20):
-            params = make_params(rng, 3, 5, use_bias=True)
+            params = make_params(rng, 3, 5)
             x = rng.uniform(-5, 5, (3,), dtype=np.float64)
-            prev = LstmState(rng.uniform(-0.9, 0.9, (5,), dtype=np.float64),
-                             rng.uniform(-3, 3, (5,), dtype=np.float64))
-            out = cell_step(x, prev, params)
-            assert np.all(out.s > -1) and np.all(out.s < 1)
-            assert np.all(np.abs(out.c) <= np.abs(prev.c) + 1 + 1e-12)
-
-    def test_dimension_mismatch(self):
-        params = all_value_params(0.0, 2, 3)
-        with pytest.raises(UsageError, match="cell_step: input shape"):
-            cell_step(np.zeros(5), zero_state(3), params)
-        with pytest.raises(UsageError, match="cell_step: state shapes"):
-            cell_step(np.zeros(2), zero_state(4), params)
+            s_prev = rng.uniform(-0.9, 0.9, (5,), dtype=np.float64)
+            c_prev = rng.uniform(-3, 3, (5,), dtype=np.float64)
+            s, c = one_step(x, s_prev, c_prev, params)
+            assert np.all(s > -1) and np.all(s < 1)
+            assert np.all(np.abs(c) <= np.abs(c_prev) + 1 + 1e-12)
 
 
 class TestLayout:
@@ -130,19 +142,15 @@ class TestLayout:
         assert all(a is b for a, b in zip(
             params.param_list(), [params.U, params.W, params.b], strict=True))
 
-    @pytest.mark.parametrize("use_bias", [False, True])
-    def test_gate_views_are_blocks_sharing_memory(self, use_bias):
-        params = make_params(Rng(6), 3, 4, use_bias)
-        sides = "UWb" if use_bias else "UW"
-        assert len(params.param_list()) == len(sides)
-        for side in sides:
+    def test_gate_views_are_blocks_sharing_memory(self):
+        params = make_params(Rng(6), 3, 4)
+        assert len(params.param_list()) == 3
+        for side in "UWb":
             fused = getattr(params, side)
             for j, gate in enumerate("ifog"):
                 view = getattr(params, side + gate)
                 assert np.array_equal(view, fused[..., 4 * j:4 * j + 4])
                 assert np.shares_memory(view, fused)
-        if not use_bias:
-            assert params.bi is None and params.bg is None
         with pytest.raises(AttributeError):
             params.Ui = np.zeros((3, 4))
 
@@ -151,7 +159,7 @@ class TestLayout:
         ("b", (12,)), ("b", (4,))], ids=["U-width", "U-rank", "W-width",
                                          "W-rows", "b-length", "b-one-gate"])
     def test_validate_rejects_wrong_shape(self, side, shape):
-        params = make_params(Rng(7), 3, 4, use_bias=True)
+        params = make_params(Rng(7), 3, 4)
         setattr(params, side, np.zeros(shape))
         with pytest.raises(UsageError, match=f"^{side} shape"):
             params.validate()
@@ -172,15 +180,6 @@ def upstream(trace, last_only=False):
 
 
 class TestSequenceForward:
-    def test_length_one_equals_cell_step(self):
-        rng = Rng(4)
-        params = make_params(rng, 3, 4, use_bias=True)
-        x = rng.uniform(-1, 1, (3,), dtype=np.float64)
-        trace = unroll([x], params)
-        single = cell_step(x, zero_state(4), params)
-        assert np.array_equal(trace.S[0, 0], single.s)
-        assert np.array_equal(trace.C[0, 0], single.c)
-
     def test_zero_weights_zero_states(self):
         params = all_value_params(0.0, 2, 3)
         trace = unroll(np.zeros((4, 2)), params)
@@ -188,14 +187,14 @@ class TestSequenceForward:
 
     def test_final_state_equals_manual_fold(self):
         rng = Rng(31)
-        params = make_params(rng, 3, 4, use_bias=True)
+        params = make_params(rng, 3, 4)
         xs = rng.uniform(-1, 1, (5, 3), dtype=np.float64)
         trace = unroll(xs, params)
-        folded = zero_state(4)
+        s, c = zero_state(4)
         for t in range(5):
-            folded = cell_step(xs[t], folded, params)
-        assert np.abs(trace.S[-1, 0] - folded.s).max() < 1e-12
-        assert np.abs(trace.C[-1, 0] - folded.c).max() < 1e-12
+            s, c = one_step(xs[t], s, c, params)
+        assert np.abs(trace.S[-1, 0] - s).max() < 1e-12
+        assert np.abs(trace.C[-1, 0] - c).max() < 1e-12
 
     @pytest.mark.parametrize("batch,width,hidden,steps", CASES)
     @pytest.mark.parametrize("bias", BIASES, ids=BIAS_IDS)
@@ -215,13 +214,14 @@ class TestSequenceForward:
     # ScaledGates made once and reused over several calls; tobytes() also
     # tells -0.0 from +0.0
     @pytest.mark.parametrize("batch", [1, 3, 16])
-    @pytest.mark.parametrize("use_bias", [False, True])
+    @pytest.mark.parametrize("zero_bias", [True, False],
+                             ids=["zerobias", "bias"])
     def test_hoisted_projection_matches_step_loop_bit_for_bit(self, batch,
-                                                              use_bias):
+                                                              zero_bias):
         rng = Rng(50 + batch)
         for width, hidden in ((64, 24), (4, 4), (64, 64), (200, 200)):
-            params = make_params(rng, width, hidden, use_bias, np.float32)
-            if use_bias:
+            params = make_params(rng, width, hidden, zero_bias, np.float32)
+            if not zero_bias:
                 params.b[:] = rng.uniform(-1, 1, params.b.shape)
             gates = params.scaled()
             for _ in range(3):
@@ -256,7 +256,7 @@ class TestSequenceForward:
 class TestSequenceBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = Rng(12)
-        params = make_params(rng, 3, 4, use_bias=True)
+        params = make_params(rng, 3, 4)
         trace = unroll(rng.uniform(-1, 1, (6, 3), dtype=np.float64), params)
         grads, d_inputs = backward_steps(trace, np.zeros_like(trace.S))
         assert len(grads) == len(params.param_list())
@@ -267,17 +267,18 @@ class TestSequenceBackward:
 
     def test_gradient_mismatch_rejected(self):
         rng = Rng(12)
-        params = make_params(rng, 3, 4, use_bias=True)
+        params = make_params(rng, 3, 4)
         trace = unroll(np.zeros((6, 3)), params)
         with pytest.raises(UsageError):
             backward_steps(trace, np.zeros((5, 1, 4)))
         with pytest.raises(UsageError):
             backward_steps(trace, np.zeros((6, 1, 3)))
 
-    @pytest.mark.parametrize("use_bias", [False, True])
-    def test_bptt_matches_finite_differences(self, use_bias):
+    @pytest.mark.parametrize("zero_bias", [True, False],
+                             ids=["zerobias", "bias"])
+    def test_bptt_matches_finite_differences(self, zero_bias):
         rng = Rng(77)
-        params = make_params(rng, 3, 4, use_bias)
+        params = make_params(rng, 3, 4, zero_bias)
         xs = rng.uniform(-1, 1, (6, 3), dtype=np.float64)
 
         def loss_and_grads():
@@ -290,7 +291,7 @@ class TestSequenceBackward:
 
     def test_input_gradients_match_finite_differences(self):
         rng = Rng(78)
-        params = make_params(rng, 3, 4, use_bias=True)
+        params = make_params(rng, 3, 4)
         xs = rng.uniform(-1, 1, (5, 3), dtype=np.float64)
 
         def loss_and_grads():
@@ -303,8 +304,8 @@ class TestSequenceBackward:
 
     def test_two_layer_stack_matches_finite_differences(self):
         rng = Rng(99)
-        layer1 = make_params(rng, 3, 4, use_bias=True)
-        layer2 = make_params(rng, 4, 4, use_bias=True)
+        layer1 = make_params(rng, 3, 4)
+        layer2 = make_params(rng, 4, 4)
         xs = rng.uniform(-1, 1, (6, 1, 3), dtype=np.float64)
 
         def loss_and_grads():
@@ -341,13 +342,14 @@ class TestSequenceBackward:
     # and -0.0 upstream patterns above; the float64 comparison cannot see
     # a reordered product, this one can
     @pytest.mark.parametrize("batch", [1, 3, 16])
-    @pytest.mark.parametrize("use_bias", [False, True])
-    def test_backward_matches_step_loop_bit_for_bit(self, batch, use_bias):
+    @pytest.mark.parametrize("zero_bias", [True, False],
+                             ids=["zerobias", "bias"])
+    def test_backward_matches_step_loop_bit_for_bit(self, batch, zero_bias):
         rng = Rng(60 + batch)
         steps = 9
         for width, hidden in ((64, 24), (4, 4), (64, 64), (200, 200)):
-            params = make_params(rng, width, hidden, use_bias, np.float32)
-            if use_bias:
+            params = make_params(rng, width, hidden, zero_bias, np.float32)
+            if not zero_bias:
                 params.b[:] = rng.uniform(-1, 1, params.b.shape)
             xs = rng.uniform(-1, 1, (steps, batch, width))
             s0 = rng.uniform(-0.9, 0.9, (batch, hidden))
@@ -367,7 +369,7 @@ class TestSequenceBackward:
 
     def test_forward_backward_leave_params_unmodified(self):
         rng = Rng(13)
-        params = make_params(rng, 3, 4, use_bias=True)
+        params = make_params(rng, 3, 4)
         before = [p.copy() for p in params.param_list()]
         trace = unroll(rng.uniform(-1, 1, (5, 3), dtype=np.float64), params)
         backward_steps(trace, upstream(trace))

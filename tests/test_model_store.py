@@ -9,7 +9,6 @@ from chatscreen.core_math import Rng
 from chatscreen.errors import (ContainerCorruptionError, ContainerFormatError,
                                ContainerVersionError, UsageError)
 from chatscreen.language_model import LanguageModel, sentence_vector
-from chatscreen.lstm import LstmLayerParams
 from chatscreen.model_store import (Container, FORMAT_VERSION, MAGIC,
                                     VectorBundle, container_for_model, load,
                                     model_from_container, read_container,
@@ -264,20 +263,12 @@ def vectors_blob(manifest: bytes) -> bytes:
             + payload + zlib.crc32(payload).to_bytes(4, "little"))
 
 
-def layer_names(prefix, use_bias=True):
-    return [f"{prefix}.{side}" for side in ("UWb" if use_bias else "UW")]
-
-
-def without_biases(model):
-    """model with bias-free LSTM layers, the cells of the paper's literal
-    equations; the pipeline trains none, but a model file may hold one."""
-    model.layer1 = LstmLayerParams(model.layer1.U, model.layer1.W)
-    model.layer2 = LstmLayerParams(model.layer2.U, model.layer2.W)
-    return model
+def layer_names(prefix):
+    return [f"{prefix}.{side}" for side in "UWb"]
 
 
 class TestLstmLayout:
-    """Each LSTM layer is stored as its fused U, W and optional b."""
+    """Each LSTM layer is stored as its fused U, W and b."""
 
     def test_fused_tensor_names_and_order(self):
         lm = container_for_model(lm_fixture())
@@ -288,31 +279,37 @@ class TestLstmLayout:
         assert shapes["layer1.U"] == (4, 20)
         assert shapes["layer2.W"] == (5, 20)
         assert shapes["layer2.b"] == (20,)
-        scd = without_biases(ScdModel.create(Rng(3), input_dim=5,
-                                             hidden_dim=6))
-        assert list(container_for_model(scd).tensors) == (
-            layer_names("layer1", False) + layer_names("layer2", False)
+        assert list(container_for_model(scd_fixture()).tensors) == (
+            layer_names("layer1") + layer_names("layer2")
             + ["head_w", "head_b"])
 
-    @pytest.mark.parametrize("use_bias", [False, True])
-    def test_fused_container_round_trip(self, tmp_path, use_bias):
+    def test_fused_container_round_trip(self, tmp_path):
         vocab = Vocabulary(list(RESERVED_TOKENS) + ["alpha", "beta"],
                            min_term_frequency=10)
         models = [LanguageModel.create(vocab, 4, 5, 7, Rng(9)),
                   ScdModel.create(Rng(3), input_dim=5, hidden_dim=6)]
-        if not use_bias:
-            models = [without_biases(model) for model in models]
         loaded = []
         for model in models:
             save(model, tmp_path / "fused.model")
             loaded.append(load(tmp_path / "fused.model"))
-            assert (loaded[-1].layer2.b is None) == (not use_bias)
             for a, b in zip(model.param_list(), loaded[-1].param_list(),
                             strict=True):
                 assert a.tobytes() == b.tobytes()
         for tokens in ([], ["alpha", "beta", "zzz"], ["beta"] * 9):
             assert np.array_equal(sentence_vector(loaded[0], tokens),
                                   sentence_vector(models[0], tokens))
+
+    # every layer has a bias: a file without one is refused, not read as
+    # a bias-free cell
+    @pytest.mark.parametrize("fixture", [lm_fixture, scd_fixture],
+                             ids=["language_model", "scd_classifier"])
+    def test_layer_without_bias_is_refused(self, tmp_path, fixture):
+        container = container_for_model(fixture())
+        del container.tensors["layer1.b"]
+        write_container(container, tmp_path / "no_bias.model")
+        with pytest.raises(ContainerFormatError,
+                           match="missing tensor 'layer1.b'"):
+            load(tmp_path / "no_bias.model")
 
     def test_per_gate_container_is_refused(self, tmp_path):
         model = lm_fixture()

@@ -12,7 +12,7 @@ from chatscreen.errors import UsageError
 from chatscreen.language_model import LanguageModel, sentence_vector
 from chatscreen.lstm import forward_stack
 from chatscreen.preprocessing import RESERVED_TOKENS, Vocabulary, tokenize
-from chatscreen.scd_classifier import (Chunk, ConversationSequence, ScdModel,
+from chatscreen.scd_classifier import (ConversationSequence, ScdModel,
                                        chunk_and_pad, predict_scd, train_scd,
                                        training_loss_and_grads,
                                        vectorize_conversation)
@@ -29,11 +29,10 @@ def make_chunks(rng, n_pos, n_neg, dim=8, length=6):
     chunks = []
     for i in range(n_pos + n_neg):
         positive = i < n_pos
-        valid = 2 + int(rng.integers(0, length - 2))
-        matrix = np.zeros((length, dim), dtype=np.float32)
-        noise = rng.uniform(-0.3, 0.3, (valid, dim), dtype=np.float32)
-        matrix[:valid] = noise + (pattern if positive else 0.0)
-        chunks.append(Chunk(f"c{i}", 0, matrix, valid, positive))
+        rows = 2 + int(rng.integers(0, length - 2))
+        noise = rng.uniform(-0.3, 0.3, (rows, dim), dtype=np.float32)
+        chunks.append(ConversationSequence(
+            f"c{i}", noise + (pattern if positive else 0.0), positive))
     return chunks
 
 
@@ -42,7 +41,6 @@ class TestChunkAndPad:
         seq = make_sequence(5)
         chunks = chunk_and_pad(seq, chunk_len=100)
         assert len(chunks) == 1
-        assert chunks[0].valid_len == 5
         # the zero rows are not stored: they are made when chunks stack
         assert chunks[0].matrix.shape == (5, 4)
 
@@ -50,17 +48,17 @@ class TestChunkAndPad:
         seq = make_sequence(237, seed=9)
         for c in chunk_and_pad(seq, chunk_len=100):
             assert np.shares_memory(c.matrix, seq.matrix)
-            assert len(c.matrix) == c.valid_len
+            assert len(c.matrix) <= 100
 
     def test_exact_boundary_no_padding(self):
         chunks = chunk_and_pad(make_sequence(100), chunk_len=100)
         assert len(chunks) == 1
-        assert chunks[0].valid_len == 100
+        assert len(chunks[0].matrix) == 100
 
     def test_three_way_split(self):
         chunks = chunk_and_pad(make_sequence(250), chunk_len=100)
-        assert [c.valid_len for c in chunks] == [100, 100, 50]
-        assert [c.part_index for c in chunks] == [0, 1, 2]
+        assert [len(c.matrix) for c in chunks] == [100, 100, 50]
+        assert [c.conversation_id for c in chunks] == ["conv"] * 3
 
     @pytest.mark.parametrize("n,parts", [(1, 1), (99, 1), (100, 1), (101, 2),
                                          (250, 3), (501, 6)])
@@ -75,7 +73,7 @@ class TestChunkAndPad:
     def test_concatenated_valid_rows_reconstruct_sequence(self):
         seq = make_sequence(237, seed=9)
         chunks = chunk_and_pad(seq, chunk_len=100)
-        rebuilt = np.concatenate([c.matrix[:c.valid_len] for c in chunks])
+        rebuilt = np.concatenate([c.matrix for c in chunks])
         assert np.array_equal(rebuilt, seq.matrix)
 
 
@@ -190,8 +188,8 @@ class TestPredict:
 
 
 def mixed_length_chunks(n, dim=64, chunk_len=20, seed=6):
-    """n one-chunk conversations whose valid_len runs over 1..chunk_len in
-    shuffled order; every valid row is nonzero."""
+    """n one-chunk conversations whose row count runs over 1..chunk_len in
+    shuffled order; every row is nonzero."""
     rng = Rng(seed)
     chunks = []
     for i in range(n):
@@ -217,12 +215,12 @@ def spy_inputs(monkeypatch, name):
 
 
 def assert_rows_then_zeros(xs, chunks):
-    """Column b of a stacked (T, B, I) input is chunk b's valid rows and
-    zeros after them."""
+    """Column b of a stacked (T, B, I) input is chunk b's rows and zeros
+    after them."""
     assert xs.shape[1] == len(chunks)
     for b, c in enumerate(chunks):
-        assert np.array_equal(xs[:c.valid_len, b], c.matrix[:c.valid_len])
-        assert not xs[c.valid_len:, b].any()
+        assert np.array_equal(xs[:len(c.matrix), b], c.matrix)
+        assert not xs[len(c.matrix):, b].any()
 
 
 def one_pass_probabilities(model, chunks):
@@ -258,12 +256,12 @@ class TestBucketedScoring:
         chunks = mixed_length_chunks(n)
         scd_classifier._chunk_probabilities(model, chunks)
         assert [xs.shape[1] for xs in seen] == sizes
-        # buckets take the chunks in order of valid length
-        by_length = sorted(chunks, key=lambda c: c.valid_len)
+        # buckets take the chunks in order of length
+        by_length = sorted(chunks, key=lambda c: len(c.matrix))
         for xs in seen:
             size = xs.shape[1]
             bucket, by_length = by_length[:size], by_length[size:]
-            assert xs.shape[0] == max(c.valid_len for c in bucket)
+            assert xs.shape[0] == max(len(c.matrix) for c in bucket)
             assert_rows_then_zeros(xs, bucket)
 
     # chunks x steps stays within 64 x 24 = 1,536 cells: 30 x 50 fits,
@@ -299,19 +297,17 @@ class TestBucketedScoring:
 
 
 class TestTrainingBatchInput:
-    """A training batch stacks its chunks' valid rows and pads them with
-    zeros to the last row read, whatever a chunk stores past valid_len."""
+    """A training batch stacks its chunks' rows and pads them with zeros
+    to the last row read."""
 
     def batch(self):
         rng = Rng(8)
-        chunks = (chunk_and_pad(ConversationSequence(
-                      "a", rng.uniform(0.1, 1.0, (25, 4)), True), 10)
-                  + chunk_and_pad(ConversationSequence(
-                      "b", rng.uniform(0.1, 1.0, (3, 4)), False), 10))
-        stored = rng.uniform(0.1, 1.0, (6, 4))    # nonzero past valid_len
-        return chunks + [Chunk("c", 0, stored, 2, False)]
+        return [c for name, n, label in (("a", 25, True), ("b", 3, False),
+                                         ("c", 2, False))
+                for c in chunk_and_pad(ConversationSequence(
+                    name, rng.uniform(0.1, 1.0, (n, 4)), label), 10)]
 
-    # from the third chunk on, the valid lengths are 5, 3 and 2
+    # from the third chunk on, the lengths are 5, 3 and 2
     @pytest.mark.parametrize("first,steps", [(0, 10), (2, 5)])
     def test_rows_then_zeros_to_the_last_row_read(self, monkeypatch, first,
                                                   steps):
@@ -442,10 +438,8 @@ class TestGradients:
                                 hidden_dim=4).astype(np.float64)
         chunks = []
         for i in range(3):
-            matrix = np.zeros((6, 3))
-            valid = 3 + i
-            matrix[:valid] = rng.uniform(-1, 1, (valid, 3), dtype=np.float64)
-            chunks.append(Chunk(f"c{i}", 0, matrix, valid, i % 2 == 0))
+            matrix = rng.uniform(-1, 1, (3 + i, 3), dtype=np.float64)
+            chunks.append(ConversationSequence(f"c{i}", matrix, i % 2 == 0))
 
         def loss_and_grads():
             return training_loss_and_grads(model, chunks)
