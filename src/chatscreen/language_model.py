@@ -93,10 +93,12 @@ class LanguageModel:
     def read_only(self) -> "LanguageModel":
         """The model for a pass that only reads it: the same arrays, with
         each LSTM layer's gate weights scaled once (lstm.ScaledGates)
-        instead of on every forward call. The pass makes its own copy and
-        drops it at its end, so no weight update can leave it stale. It
-        must only be read: param_list, astype and model_store.save raise
-        AttributeError on it."""
+        instead of on every forward call, and its step buffers made once
+        for the pass. The pass makes its own copy and drops it at its end,
+        so no weight update can leave it stale. It must only be read:
+        param_list, astype and model_store.save raise AttributeError on
+        it, and a forward trace made with it is valid only until the next
+        forward call on the same layer."""
         return LanguageModel(self.vocab, self.embedding, self.layer1.scaled(),
                              self.layer2.scaled(), self.out_w, self.out_b,
                              self.window)
@@ -108,7 +110,9 @@ def sentence_vector(model: LanguageModel, tokens) -> np.ndarray:
     consumed token."""
     ids = encode(tokens, model.vocab, model.window)
     xs = model.embedding[np.asarray(ids)][:, None, :]
-    return top_states(xs, [model.layer1, model.layer2])[-1, 0].copy()
+    # a copy, not a view that keeps its (1, H) base alive in a caller's memo
+    return top_states(xs, [model.layer1, model.layer2],
+                      [len(ids) - 1])[0].copy()
 
 
 def _windows(model: LanguageModel, documents, batch_size: int):

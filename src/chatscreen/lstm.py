@@ -23,7 +23,6 @@ parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -122,17 +121,47 @@ def gate_constants(width: int, dtype,
     return km[0][:rows], km[1][:rows]
 
 
-class ScaledGates(NamedTuple):
-    """A layer's U, W and b times the gate constants k, the form
-    forward_steps runs on. A pass that only reads the layer makes it once
-    and hands it to each of its forward_steps calls; it is never kept on
-    the layer, where an optimizer step would leave it stale. Its fields
-    are not named U, W and b, so backward_steps cannot take it for the
-    weights it was made from."""
+class StepBuffers:
+    """forward_steps' working arrays for one batch width B and up to T
+    steps: the trace arrays Z (T, B, 4H), S, C and TC (T, B, H), the step
+    scratch sW and ig, zero initial states (read-only), the gate constant
+    rows k and m, and the per-step views the loop walks, each a tuple
+    (z, i, f, o, g, c_t, tc, s_t) of step t. A call over T' <= T steps
+    runs in the first T' steps of each."""
 
-    Uk: np.ndarray
-    Wk: np.ndarray
-    bk: np.ndarray
+    def __init__(self, steps: int, batch: int, hidden: int, dtype,
+                 weight_dtype):
+        gate_dtype = np.result_type(dtype, weight_dtype)
+        self.Z = np.empty((steps, batch, 4 * hidden), dtype=gate_dtype)
+        self.S = np.empty((steps, batch, hidden), dtype=dtype)
+        self.C = np.empty_like(self.S)
+        self.TC = np.empty_like(self.S)
+        self.sW = np.empty((batch, 4 * hidden), dtype=gate_dtype)
+        self.ig = np.empty((batch, hidden), dtype=dtype)
+        self.zeros = np.zeros((batch, hidden), dtype=dtype)
+        self.zeros.flags.writeable = False
+        self.k, self.m = gate_constants(4 * hidden, weight_dtype, batch)
+        gates = self.Z.reshape(steps, batch, 4, hidden)
+        blocks = gates.transpose(2, 0, 1, 3)   # i, f, o, g
+        self.step_views = list(zip(self.Z, *blocks, self.C, self.TC, self.S))
+
+
+class ScaledGates:
+    """A layer's U, W and b times the gate constants k, the form
+    forward_steps runs on, with the one StepBuffers set its calls run in.
+    A pass that only reads the layer makes it once and hands it to each of
+    its forward_steps calls; it is never kept on the layer, where an
+    optimizer step would leave it stale. Its fields are not named U, W and
+    b, so backward_steps cannot take it for the weights it was made from.
+
+    The buffer set is made on first use, grows when a call runs more
+    steps than it holds, and is replaced, never added to, when the batch
+    width or the input dtype changes. So the trace of a call is valid only
+    until the next call on the same ScaledGates."""
+
+    def __init__(self, Uk: np.ndarray, Wk: np.ndarray, bk: np.ndarray):
+        self.Uk, self.Wk, self.bk = Uk, Wk, bk
+        self._buffers = None
 
     @property
     def input_dim(self) -> int:
@@ -141,6 +170,20 @@ class ScaledGates(NamedTuple):
     @property
     def hidden_dim(self) -> int:
         return self.Wk.shape[0]
+
+    def scaled(self) -> "ScaledGates":
+        """Itself: already scaled, as LstmLayerParams.scaled makes it."""
+        return self
+
+    def buffers(self, steps: int, batch: int, dtype) -> StepBuffers:
+        """The buffer set for a call over `steps` steps of `batch` rows of
+        inputs in `dtype`, remade only when the held one cannot take it."""
+        buf = self._buffers
+        if (buf is None or buf.S.shape[0] < steps or buf.S.shape[1] != batch
+                or buf.S.dtype != dtype):
+            buf = self._buffers = StepBuffers(
+                steps, batch, self.hidden_dim, dtype, self.Uk.dtype)
+        return buf
 
 
 @dataclass
@@ -166,29 +209,25 @@ def forward_steps(xs: np.ndarray, s0: np.ndarray, c0: np.ndarray,
     lanes, and m = 1 - k, the gates are m + k * tanh(k * a). U, W and b
     are scaled by k, which is exact: a layer's LstmLayerParams is scaled on
     each call (LstmLayerParams.scaled), its ScaledGates (made once by a
-    pass that only reads the layer) are used as they are. The input
+    pass that only reads the layer) are used as they are. The call runs in
+    the ScaledGates' StepBuffers: fresh arrays when the layer was scaled
+    for this call, the ones its previous call ran in otherwise. The input
     projection and the bias are made for all T steps before the
     recurrence, as one flat (T*B, I) @ (I, 4H) product written into the
     gate tensor Z; each step adds s @ (W*k) to Z[t] in place, runs tanh
     over it, maps it by z*k + m, and writes c, tanh(c) and s into the
-    trace through out=. The loop walks per-step views of Z, of its four
-    gate blocks, and of C, TC and S.
+    trace through out=. The loop walks the buffers' per-step views of Z,
+    of its four gate blocks, and of C, TC and S.
     """
     T, B, I = xs.shape
-    H = params.hidden_dim
-    sg = params if isinstance(params, ScaledGates) else params.scaled()
-    k, m = gate_constants(4 * H, sg.Uk.dtype, B)
-    Z = (xs.reshape(T * B, I) @ sg.Uk).reshape(T, B, 4 * H)
+    sg = params.scaled()
+    buf = sg.buffers(T, B, xs.dtype)
+    Z = buf.Z[:T]
+    np.matmul(xs.reshape(T * B, I), sg.Uk, out=Z.reshape(T * B, -1))
     Z += sg.bk
-    Wk = sg.Wk
-    S = np.empty((T, B, H), dtype=xs.dtype)
-    C = np.empty_like(S)
-    TC = np.empty_like(S)
-    sW = np.empty((B, 4 * H), dtype=Z.dtype)
-    ig = np.empty((B, H), dtype=xs.dtype)
-    blocks = Z.reshape(T, B, 4, H).transpose(2, 0, 1, 3)   # i, f, o, g
+    Wk, k, m, sW, ig = sg.Wk, buf.k, buf.m, buf.sW, buf.ig
     s, c = s0, c0
-    for z, i, f, o, g, c_t, tc, s_t in zip(Z, *blocks, C, TC, S):
+    for z, i, f, o, g, c_t, tc, s_t in buf.step_views[:T]:
         np.dot(s, Wk, out=sW)
         z += sW
         np.tanh(z, out=z)
@@ -200,8 +239,8 @@ def forward_steps(xs: np.ndarray, s0: np.ndarray, c0: np.ndarray,
         np.tanh(c_t, out=tc)
         np.multiply(o, tc, out=s_t)
         s, c = s_t, c_t
-    return LstmTrace(params=params, xs=xs, s0=s0, c0=c0, S=S, C=C, Z=Z,
-                     TC=TC)
+    return LstmTrace(params=params, xs=xs, s0=s0, c0=c0, S=buf.S[:T],
+                     C=buf.C[:T], Z=Z, TC=buf.TC[:T])
 
 
 def backward_steps(trace: LstmTrace, d_states: np.ndarray):
@@ -291,16 +330,19 @@ def forward_stack(xs: np.ndarray, layers, init_states=None):
     return traces
 
 
-def top_states(xs: np.ndarray, layers) -> np.ndarray:
-    """The top layer's hidden states (T, B, H) of a stack run from zero
-    states, as forward_stack computes them. Only each layer's S outlives
-    its own pass, so the gates and cell states of one layer are gone
-    before the next layer runs; for passes that are only read, not
-    backpropagated."""
+def top_states(xs: np.ndarray, layers, rows: np.ndarray) -> np.ndarray:
+    """The top layer's hidden state (B, H) at step rows[b] of each
+    sequence b of xs (T, B, I), the stack run from zero states as
+    forward_stack runs it; for passes that are only read, not
+    backpropagated. Each layer runs in its ScaledGates' buffer set (a
+    LstmLayerParams is scaled for this call), so the gates and cell states
+    of one layer are overwritten by its next call, and only the rows
+    returned, a copy, outlive this one."""
     for layer in layers:
-        s0 = np.zeros((xs.shape[1], layer.hidden_dim), dtype=xs.dtype)
-        xs = forward_steps(xs, s0, np.zeros_like(s0), layer).S
-    return xs
+        sg = layer.scaled()
+        zeros = sg.buffers(*xs.shape[:2], xs.dtype).zeros
+        xs = forward_steps(xs, zeros, zeros, sg).S
+    return xs[rows, np.arange(xs.shape[1])]
 
 
 def backward_stack(traces, d_top: np.ndarray):

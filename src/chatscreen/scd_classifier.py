@@ -155,18 +155,19 @@ def _chunk_probabilities(model: ScdModel, chunks) -> np.ndarray:
     """Sigmoid probability per chunk, in input order. Chunks sorted by read
     row are scored in buckets (_buckets), each run only as far as its own
     longest chunk, so the cost follows the real steps; a bucket keeps only
-    the top layer's states it reads (top_states). Each layer's gate weights
-    are scaled once per call (lstm.ScaledGates), so a call made after an
-    optimizer step reads the new weights."""
+    the top layer's states it reads (top_states). Each bucket scales the
+    layers' gate weights afresh, so a call made after an optimizer step
+    reads the new weights, and runs in fresh step buffers, a layer's gates
+    and cell states freed before the next layer's buffers are made:
+    buckets seldom share a width, so buffers kept across them would only
+    raise the peak."""
     rows = _read_rows(chunks)
     order = np.argsort(rows, kind="stable")
     finals = np.empty((len(chunks), model.hidden_dim), dtype=model.dtype)
-    layers = [model.layer1.scaled(), model.layer2.scaled()]
     for bucket in _buckets(order, rows):
-        states = top_states(
+        finals[bucket] = top_states(
             _stacked_inputs(model, [chunks[i] for i in bucket], rows[bucket]),
-            layers)
-        finals[bucket] = states[rows[bucket], np.arange(len(bucket))]
+            [model.layer1, model.layer2], rows[bucket])
     logits = finals.astype(np.float64) @ model.head_w.astype(np.float64) \
         + float(model.head_b[0])
     probs = sigmoid(logits)

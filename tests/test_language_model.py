@@ -301,6 +301,18 @@ class TestSentenceVector:
         a = sentence_vector(model, ["w0", "w1", "w2"])
         b = sentence_vector(model, ["w0", "w1", "w2"])
         assert np.array_equal(a, b)
+        # one read_only model, whose layers reuse their step buffers, over
+        # messages A, B (longer), A, C (shorter) and D (as long as B)
+        # against a fresh read_only model per message; D overwrites every
+        # step B ran in, so a vector still read from the buffers would change
+        reader = model.read_only()
+        messages = [["w0", "w1"], ["w3", "w1", "w0", "w2"], ["w0", "w1"], [],
+                    ["w2", "w2", "w4", "w5"]]
+        got = [sentence_vector(reader, m) for m in messages]
+        assert got[0].tobytes() == got[2].tobytes()
+        for m, vector in zip(messages, got):
+            assert vector.tobytes() == sentence_vector(model.read_only(),
+                                                       m).tobytes()
 
     def test_unseen_words_map_to_unk(self):
         model = tiny_model(make_vocab(6))

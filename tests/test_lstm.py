@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,70 @@ class TestSequenceForward:
         k16, m16 = gate_constants(8, np.float32, 16)
         k3, m3 = gate_constants(8, np.float32, 3)
         assert np.shares_memory(k3, k16) and np.shares_memory(m3, m16)
+
+
+def held_bytes(obj):
+    """Bytes of the distinct array buffers reachable from obj through the
+    attributes of chatscreen objects, dicts, lists and tuples; a view
+    counts as the array that owns its memory."""
+    owners, seen, todo = {}, set(), [obj]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            owners[id(x)] = x.nbytes
+        elif isinstance(x, (dict, list, tuple)) or \
+                type(x).__module__.startswith("chatscreen."):
+            todo.extend(gc.get_referents(x))
+    return sum(owners.values())
+
+
+class TestReadOnlyStepBuffers:
+    """A ScaledGates runs every call in one set of step buffers, grown for
+    more steps and replaced for another batch width."""
+
+    # (T, B): T grows and shrinks at one width, B goes 1 -> 3 -> 1 -> 16 -> 1
+    CALLS = [(5, 1), (9, 1), (3, 1), (7, 3), (12, 3), (2, 3), (4, 1),
+             (6, 16), (11, 16), (1, 16), (8, 1)]
+
+    @pytest.mark.parametrize("width,hidden", [(32, 32), (200, 200)])
+    def test_reused_buffers_match_fresh_layers_bit_for_bit(self, width,
+                                                           hidden):
+        rng = Rng(width)
+        params = make_params(rng, width, hidden, dtype=np.float32)
+        params.b[:] = rng.uniform(-1, 1, params.b.shape)
+        gates = params.scaled()
+        for steps, batch in self.CALLS:
+            xs = rng.uniform(-1, 1, (steps, batch, width))
+            s0 = rng.uniform(-0.9, 0.9, (batch, hidden))
+            c0 = rng.uniform(-1.5, 1.5, (batch, hidden))
+            got = forward_steps(xs, s0, c0, gates)
+            fresh = forward_steps(xs, s0, c0, params)
+            want = tanh_gate_step_loop(xs, s0, c0, params)
+            for name, ref in zip(("S", "C", "Z", "TC"), want):
+                array = getattr(got, name)
+                assert array.shape == ref.shape, (steps, batch, name)
+                assert array.tobytes() == ref.tobytes(), (steps, batch, name)
+                assert array.tobytes() == getattr(fresh, name).tobytes()
+
+    def test_one_buffer_set_after_several_widths(self):
+        # a layer that kept one set per width would hold the B = 3 and
+        # B = 16 sets as well as the last one
+        rng = Rng(5)
+        params = make_params(rng, 32, 32, dtype=np.float32)
+        gates, last = params.scaled(), params.scaled()
+        for steps, batch in self.CALLS:
+            zeros = np.zeros((batch, 32), dtype=np.float32)
+            forward_steps(rng.uniform(-1, 1, (steps, batch, 32)), zeros,
+                          zeros, gates)
+        forward_steps(np.zeros((steps, batch, 32), dtype=np.float32), zeros,
+                      zeros, last)
+        assert held_bytes(gates) == held_bytes(last) > held_bytes(
+            params.scaled())
 
 
 class TestSequenceBackward:
