@@ -61,10 +61,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def row_softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a 2-D array, in the array's dtype."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis of a 2-D array, in the array's dtype,
+    written over x and returned: the row maximum subtracted, exp taken
+    and the row sums divided out, each in place, so a caller that passes
+    its own logits holds one array, not four."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _clip_scale(params, grads) -> float:

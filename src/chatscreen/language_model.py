@@ -20,6 +20,10 @@ from .errors import NumericError, UsageError
 from .lstm import LstmLayerParams, backward_stack, forward_stack, top_states
 from .preprocessing import Vocabulary, encode
 
+# The rows of a window that perplexity scores at once: its head holds a
+# (BLOCK_ROWS, V) float32 and float64 pair, whatever the batch and window.
+BLOCK_ROWS = 128
+
 
 @dataclass
 class LmEpochRecord:
@@ -157,11 +161,15 @@ def _window_grads(model: LanguageModel, x, y, mask, traces):
     """Masked next-token NLL sum, target count, and the gradients of the
     mean NLL in model.param_list() order, for one window. The output layer
     runs only on the rows that have a target; the other rows get zero
-    gradient, which leaves their inputs' gradient zero too."""
+    gradient, which leaves their inputs' gradient zero too. The head holds
+    one (rows, V) array: the logits, biased and turned into probabilities
+    and then into the logits' gradient, each step in place."""
     valid = np.flatnonzero(mask)
     count = len(valid)
     s2 = traces[1].S.reshape(len(y), model.hidden_dim)[valid]
-    probs = row_softmax(s2 @ model.out_w + model.out_b)
+    logits = s2 @ model.out_w
+    logits += model.out_b
+    probs = row_softmax(logits)
     rows, targets = np.arange(count), y[valid]
     target_p = np.maximum(probs[rows, targets].astype(np.float64), LOG_EPS)
     nll_sum = float(-np.log(target_p).sum())
@@ -209,24 +217,32 @@ def train_lm(documents, model: LanguageModel, cfg: PipelineConfig,
     return records
 
 
-def _target_nll(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Summed float64 cross-entropy of each row's target. The logits are
-    cast to float64 once and worked in place: the row maximum subtracted,
-    the target entries picked, exp taken, and the log of the row sums
-    subtracted from the picked entries only. The copy lives in this frame,
-    so it is freed before perplexity runs the next window."""
+def _target_logp(model: LanguageModel, s2: np.ndarray,
+                 targets: np.ndarray) -> np.ndarray:
+    """Float64 log-probability of each row's target under the output
+    layer. The logits are cast to float64 once and worked in place: the
+    row maximum subtracted, the target entries picked, exp taken, and the
+    log of the row sums subtracted from the picked entries only."""
+    logits = s2 @ model.out_w
+    logits += model.out_b
     z = logits.astype(np.float64)
     z -= z.max(axis=-1, keepdims=True)
     picked = z[np.arange(len(z)), targets]
     np.exp(z, out=z)
-    return float(-(picked - np.log(z.sum(axis=-1))).sum())
+    return picked - np.log(z.sum(axis=-1))
 
 
 def perplexity(model: LanguageModel, documents) -> float:
     """exp(mean next-token cross-entropy) over batches of 32 documents,
     shortest first so the batches pad the least; log-probabilities taken
     in float64 so anchor values hold tightly. A non-finite result, from
-    diverged weights, is a NumericError."""
+    diverged weights, is a NumericError.
+
+    A window's valid rows are scored BLOCK_ROWS at a time into one
+    vector, summed once in row order: the whole window's sum, which sums
+    per block would not give. The last block ends at the window's last
+    row, overlapping the one before, as a BLAS may pick its kernel, and
+    so its rounding, by a product's row count."""
     documents = sorted((list(d) for d in documents if len(d) >= 2), key=len)
     if not documents:
         raise UsageError("perplexity: corpus has no next-token predictions")
@@ -235,8 +251,14 @@ def perplexity(model: LanguageModel, documents) -> float:
         valid = np.flatnonzero(mask)
         s2 = traces[1].S.reshape(len(y), model.hidden_dim)[valid]
         del traces
-        total_nll += _target_nll(s2 @ model.out_w + model.out_b, y[valid])
-        total += len(valid)
+        targets, count = y[valid], len(valid)
+        logp = np.empty(count)
+        for start in range(0, count, BLOCK_ROWS):
+            start = max(min(start, count - BLOCK_ROWS), 0)
+            rows = slice(start, start + BLOCK_ROWS)
+            logp[rows] = _target_logp(model, s2[rows], targets[rows])
+        total_nll += float(-logp.sum())
+        total += count
     with np.errstate(over="ignore"):
         ppl = float(np.exp(total_nll / total))
     if not np.isfinite(ppl):

@@ -11,7 +11,10 @@ tanh_gate_step_loop_backward the float32 backward step loop that
 lstm.backward_steps must match bit for bit;
 masked_head_window_grads is the language model's window loss and gradients
 with the output layer run on every row and the rows without a target
-masked out afterwards; log_softmax_perplexity is the language model's
+masked out afterwards; out_of_place_head_window_grads is the same window
+with the head on the target rows only and every softmax step in a new
+array, the form the in-place head must match bit for bit;
+log_softmax_perplexity is the language model's
 perplexity as a full float64 log-softmax per window, the formula that
 perplexity's in-place form must match bit for bit;
 per_unit_author_loss_and_grads is the author
@@ -249,6 +252,37 @@ def masked_head_window_grads(model, x, y, mask, traces):
     layer_grads, d_xs = backward_stack(traces, d_s2)
     d_emb = np.zeros_like(model.embedding)
     np.add.at(d_emb, x, d_xs.reshape(len(x), model.embedding_dim))
+    return nll_sum, count, ([d_emb] + layer_grads[0] + layer_grads[1]
+                            + [d_out_w, d_out_b])
+
+
+def out_of_place_head_window_grads(model, x, y, mask, traces):
+    """One window's next-token NLL sum, target count and mean-NLL gradients
+    (model.param_list() order) with the head run on the rows that have a
+    target, as language_model._window_grads does, but with the logits, the
+    biased logits, the shifted logits, their exp and the probabilities
+    each a new (rows, V) array: row_softmax(s2 @ out_w + out_b) in its
+    out-of-place form."""
+    valid = np.flatnonzero(mask)
+    count = len(valid)
+    s2 = traces[1].S.reshape(len(y), model.hidden_dim)[valid]
+    logits = s2 @ model.out_w + model.out_b
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    rows, targets = np.arange(count), y[valid]
+    target_p = np.maximum(probs[rows, targets].astype(np.float64), LOG_EPS)
+    nll_sum = float(-np.log(target_p).sum())
+    dlogits = probs
+    dlogits[rows, targets] -= 1.0
+    dlogits /= count
+    d_out_w = s2.T @ dlogits
+    d_out_b = dlogits.sum(axis=0)
+    d_s2 = np.zeros_like(traces[1].S)
+    d_s2.reshape(len(y), model.hidden_dim)[valid] = dlogits @ model.out_w.T
+    layer_grads, d_xs = backward_stack(traces, d_s2)
+    d_emb = np.zeros_like(model.embedding)
+    np.add.at(d_emb, x[valid],
+              d_xs.reshape(len(x), model.embedding_dim)[valid])
     return nll_sum, count, ([d_emb] + layer_grads[0] + layer_grads[1]
                             + [d_out_w, d_out_b])
 

@@ -82,7 +82,19 @@ class TestSoftmax:
 
     def test_shift_invariance(self):
         v = np.array([[0.3, -1.2, 2.0, 0.0]])
-        assert np.abs(row_softmax(v) - row_softmax(v + 11.5)).max() < 1e-12
+        shifted = row_softmax(v + 11.5)
+        assert np.abs(row_softmax(v) - shifted).max() < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_equals_out_of_place_form(self, dtype):
+        # the softmax is written over its argument, with the bits of the
+        # textbook form that allocates a shifted copy, its exp and a quotient
+        x = Rng(6).uniform(-30, 30, (17, 263), dtype=np.float64).astype(dtype)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        out = row_softmax(x)
+        assert out is x
+        assert out.tobytes() == want.tobytes()
 
 
 def bias_only_lm(out_b):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,14 +9,15 @@ from chatscreen import language_model
 from chatscreen.config import PipelineConfig
 from chatscreen.core_math import Rng, gradient_check
 from chatscreen.errors import NumericError, UsageError
-from chatscreen.language_model import (LanguageModel, _window_grads, _windows,
-                                       perplexity, sentence_vector, train_lm,
+from chatscreen.language_model import (BLOCK_ROWS, LanguageModel,
+                                       _window_grads, _windows, perplexity,
+                                       sentence_vector, train_lm,
                                        training_loss_and_grads)
 from chatscreen.preprocessing import (RESERVED_TOKENS, Vocabulary,
                                       build_vocabulary)
 
 from oracles import (log_softmax_perplexity, masked_head_window_grads,
-                     scalar_lm_steps)
+                     out_of_place_head_window_grads, scalar_lm_steps)
 
 
 def make_vocab(n_words):
@@ -27,6 +29,12 @@ def make_vocab(n_words):
 def tiny_model(vocab, d=6, h=8, window=5, seed=11, dtype=np.float32):
     model = LanguageModel.create(vocab, d, h, window, Rng(seed))
     return model.astype(dtype) if dtype != np.float32 else model
+
+
+def valid_rows_per_window(model, docs):
+    """The valid row count of each window perplexity scores for docs."""
+    docs = sorted((d for d in docs if len(d) >= 2), key=len)
+    return [int(mask.sum()) for _, _, _, mask, _ in _windows(model, docs, 32)]
 
 
 def oracle_perplexity(model, doc):
@@ -126,6 +134,28 @@ class TestPerplexity:
         model.out_w *= 8.0    # logits far apart, as in a trained model
         docs = [rng.integers(0, 46, int(rng.integers(1, 31))).tolist()
                 for _ in range(70)]
+        assert perplexity(model, docs) == log_softmax_perplexity(model, docs)
+        # 60 documents of 20-40 tokens: windows of up to 160 valid rows,
+        # more than one block and ending in a part block, each added up
+        # once in row order, not block by block
+        docs = [rng.integers(0, 46, int(rng.integers(20, 41))).tolist()
+                for _ in range(60)]
+        counts = valid_rows_per_window(model, docs)
+        assert any(c > BLOCK_ROWS and c % BLOCK_ROWS for c in counts)
+        assert perplexity(model, docs) == log_softmax_perplexity(model, docs)
+
+    def test_bit_equal_at_the_acceptance_shape(self):
+        # 32 wide, V = 262, 35-step float32 windows of up to 1,120 valid
+        # rows: a last block of fewer rows than a full one would run in
+        # another BLAS kernel than the whole-window product, and round
+        # differently
+        rng = Rng(43)
+        model = LanguageModel.create(make_vocab(256), 32, 32, 35, Rng(43))
+        model.out_w *= 8.0
+        docs = [rng.integers(0, 262, int(rng.integers(2, 120))).tolist()
+                for _ in range(64)]
+        counts = valid_rows_per_window(model, docs)
+        assert {c % BLOCK_ROWS for c in counts if c > BLOCK_ROWS} - {0}
         assert perplexity(model, docs) == log_softmax_perplexity(model, docs)
 
     def test_documents_run_in_the_order_given(self):
@@ -293,6 +323,72 @@ class TestPackedHead:
             nll += window_nll
             count += window_count
         assert abs(perplexity(model, docs) - math.exp(nll / count)) < 1e-10
+
+
+class TestInPlaceHead:
+    @pytest.mark.parametrize("width", [32, 200])
+    @pytest.mark.parametrize("n_words", [256, 257])    # V = 262 and 263
+    def test_window_grads_equal_out_of_place_head(self, width, n_words):
+        # 16 documents of 2-80 tokens in 35-step windows: rows past the
+        # shorter documents' ends are masked out
+        rng = Rng(width + n_words)
+        model = LanguageModel.create(make_vocab(n_words), width, width, 35,
+                                     rng)
+        docs = [rng.integers(0, n_words + 6, int(rng.integers(2, 81))).tolist()
+                for _ in range(16)]
+        masked = 0
+        for _, x, y, mask, traces in _windows(model, docs, 16):
+            nll, count, grads = _window_grads(model, x, y, mask, traces)
+            want_nll, want_count, want = out_of_place_head_window_grads(
+                model, x, y, mask, traces)
+            assert (nll, count) == (want_nll, want_count)
+            assert len(grads) == len(want) == 9
+            for got, ref in zip(grads, want):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+            masked += count < len(mask)
+        assert masked
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak traced bytes (numpy's buffers included) of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHeadMemory:
+    """The LM head at V = 2,000 and 8 wide, over 32 documents of 71 tokens:
+    two 35-step windows of 1,120 valid rows each, so one (rows, V) float32
+    array takes 8.96 MB, against 0.5 MB for the LSTM traces and weights."""
+
+    V, ROWS = 2000, 32 * 35
+
+    def model_and_docs(self):
+        model = LanguageModel.create(make_vocab(self.V - 6), 8, 8, 35, Rng(7))
+        rng = Rng(8)
+        return model, [rng.integers(0, self.V, 71).tolist()
+                       for _ in range(32)]
+
+    def test_perplexity_holds_one_block(self):
+        model, docs = self.model_and_docs()
+        assert valid_rows_per_window(model, docs) == [self.ROWS] * 2
+        # one block's float32 logits and float64 copy (3.1 MB), and half
+        # as much again for the rest; two blocks live at once exceed it,
+        # and a window's pair, scored whole, takes 26.9 MB
+        bound = 3 * BLOCK_ROWS * self.V * (4 + 8) // 2
+        assert self.ROWS * self.V * (4 + 8) > bound
+        assert traced_peak(perplexity, model, docs) < bound
+
+    def test_window_grads_hold_at_most_two_logit_arrays(self):
+        model, docs = self.model_and_docs()
+        _, x, y, mask, traces = next(_windows(model, docs, 32))
+        assert mask.all() and len(mask) == self.ROWS
+        bound = 2 * self.ROWS * self.V * 4
+        assert traced_peak(_window_grads, model, x, y, mask, traces) <= bound
 
 
 class TestSentenceVector:
