@@ -61,10 +61,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def row_softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a 2-D array, in the array's dtype,
-    written over x and returned: the row maximum subtracted, exp taken
-    and the row sums divided out, each in place, so a caller that passes
-    its own logits holds one array, not four."""
+    """OVERWRITES x with its softmax over the last axis and returns it.
+
+    Pass only a 2-D array the caller owns and no longer needs, never a
+    view of a parameter or a cached array. The row maximum is subtracted,
+    exp taken and the row sums divided out, each in place and in x's
+    dtype, so a caller that passes its own logits holds one array, not
+    four."""
     x -= x.max(axis=-1, keepdims=True)
     np.exp(x, out=x)
     x /= x.sum(axis=-1, keepdims=True)

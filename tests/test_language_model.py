@@ -158,6 +158,19 @@ class TestPerplexity:
         assert {c % BLOCK_ROWS for c in counts if c > BLOCK_ROWS} - {0}
         assert perplexity(model, docs) == log_softmax_perplexity(model, docs)
 
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+        "32 wide with V = 200 in float32, a 128-row block stays under "
+        "OpenBLAS's small-matrix size and a whole window does not, so the "
+        "two products round differently; the README's LM numerics name "
+        "this shape. An XPASS means the BLAS now rounds both alike."))
+    def test_bits_move_where_a_block_runs_another_kernel(self):
+        rng = Rng(43)
+        model = LanguageModel.create(make_vocab(194), 32, 32, 35, Rng(43))
+        model.out_w *= 8.0
+        docs = [rng.integers(0, 200, int(rng.integers(2, 120))).tolist()
+                for _ in range(64)]
+        assert perplexity(model, docs) == log_softmax_perplexity(model, docs)
+
     def test_documents_run_in_the_order_given(self):
         # _windows keeps the caller's order; perplexity sorts its own, so
         # any order of documents with distinct lengths gives the same bits

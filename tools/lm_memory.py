@@ -6,15 +6,16 @@
     python3 tools/lm_memory.py --vocab 262 --width 32 --src <checkout>/src
 
 Builds a model of --vocab tokens (the six reserved ones included), with
-embedding and hidden size --width and 35-step windows, on seeded random
-documents of 2 to --max-len tokens. Then two measurements run, each in a
-fresh Python process with the BLAS pinned to one thread: one `perplexity`
-pass over the documents, and one `train_lm` epoch over them with the [lm]
-recipe of configs/synth-accept.cfg (Adam, lr 0.003, batches of 16). Each
-prints how far the call raised the process's peak resident set (VmHWM in
-/proc/self/status, so Linux only), that peak, and the first 16 hex digits
-of a SHA-256 of its result: the perplexity's repr, or the bytes of the
-trained parameters. Equal hashes from two checkouts mean equal results.
+embedding and hidden size --width and 35-step windows, on 96 documents
+of 2 to 120 random tokens drawn from seed 1 (module constants). Then two
+measurements run, each in a fresh Python process with the BLAS pinned to
+one thread: one `perplexity` pass over the documents, and one `train_lm`
+epoch over them with the [lm] recipe of configs/synth-accept.cfg (Adam,
+lr 0.003, batches of 16). Each prints how far the call raised the
+process's peak resident set (VmHWM in /proc/self/status, so Linux only),
+that peak, and the first 16 hex digits of a SHA-256 of its result: the
+perplexity's repr, or the bytes of the trained parameters. Equal hashes
+from two checkouts mean equal results.
 
 --src picks the package source tree to measure (default: this checkout's
 `src/`), so another revision runs under the same script. Standard library
@@ -33,6 +34,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 WINDOW = 35
+N_DOCS = 96
+MAX_LEN = 120
+SEED = 1
 PASSES = ("perplexity", "train_lm")
 
 
@@ -44,8 +48,7 @@ def vm_kb(field: str) -> int:
     raise RuntimeError(f"no {field} in /proc/self/status")
 
 
-def measure(what: str, vocab_size: int, width: int, n_docs: int,
-            max_len: int, seed: int) -> str:
+def measure(what: str, vocab_size: int, width: int) -> str:
     """Run one pass in this process; return its report line."""
     from chatscreen.config import PipelineConfig
     from chatscreen.core_math import Rng
@@ -55,17 +58,17 @@ def measure(what: str, vocab_size: int, width: int, n_docs: int,
     n_reserved = len(RESERVED_TOKENS)
     vocab = Vocabulary(list(RESERVED_TOKENS) + [
         f"w{i}" for i in range(vocab_size - n_reserved)], min_term_frequency=1)
-    model = LanguageModel.create(vocab, width, width, WINDOW, Rng(seed))
-    draw = random.Random(seed)
+    model = LanguageModel.create(vocab, width, width, WINDOW, Rng(SEED))
+    draw = random.Random(SEED)
     docs = [[draw.randrange(n_reserved, vocab_size)
-             for _ in range(draw.randint(2, max_len))] for _ in range(n_docs)]
+             for _ in range(draw.randint(2, MAX_LEN))] for _ in range(N_DOCS)]
     before = vm_kb("VmHWM")
     if what == "perplexity":
         result = repr(perplexity(model, docs)).encode()
     else:
         cfg = PipelineConfig(lm_epochs=1, lm_lr=0.003, lm_optimizer="adam",
                              lm_batch_size=16, lm_window=WINDOW)
-        train_lm(docs, model, cfg, Rng(seed + 1))
+        train_lm(docs, model, cfg, Rng(SEED + 1))
         result = b"".join(p.tobytes() for p in model.param_list())
     after = vm_kb("VmHWM")
     digest = hashlib.sha256(result).hexdigest()[:16]
@@ -80,23 +83,16 @@ def main(argv=None) -> int:
                         help="vocabulary size, reserved tokens included")
     parser.add_argument("--width", type=int, required=True,
                         help="embedding and hidden size")
-    parser.add_argument("--docs", type=int, default=96,
-                        help="number of documents (default 96)")
-    parser.add_argument("--max-len", type=int, default=120,
-                        help="longest document in tokens (default 120)")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--src", type=Path, default=REPO / "src",
                         help="package source tree to measure")
     parser.add_argument("--pass", dest="only", choices=PASSES,
                         help=argparse.SUPPRESS)    # the child's one pass
     args = parser.parse_args(argv)
-    if args.vocab < 7 or args.width < 1 or args.docs < 1 or args.max_len < 2:
-        parser.error("need --vocab >= 7, --width >= 1, --docs >= 1 and "
-                     "--max-len >= 2")
+    if args.vocab < 7 or args.width < 1:
+        parser.error("need --vocab >= 7 and --width >= 1")
     if args.only:
         sys.path.insert(0, str(args.src))
-        print(measure(args.only, args.vocab, args.width, args.docs,
-                      args.max_len, args.seed), flush=True)
+        print(measure(args.only, args.vocab, args.width), flush=True)
         return 0
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
@@ -105,9 +101,8 @@ def main(argv=None) -> int:
     for what in PASSES:
         done = subprocess.run(
             [sys.executable, __file__, "--vocab", str(args.vocab),
-             "--width", str(args.width), "--docs", str(args.docs),
-             "--max-len", str(args.max_len), "--seed", str(args.seed),
-             "--src", str(args.src.resolve()), "--pass", what], env=env)
+             "--width", str(args.width), "--src", str(args.src.resolve()),
+             "--pass", what], env=env)
         failed |= done.returncode != 0
     return int(failed)
 
