@@ -26,7 +26,7 @@ from .errors import DataFormatError
 from .preprocessing import TOKEN_RE
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     author: str
     line_no: int
@@ -34,7 +34,7 @@ class Message:
     text: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Conversation:
     id: str
     messages: list[Message]
@@ -74,6 +74,8 @@ class _PanHandler:
         self._fields: dict[str, str] | None = None    # None outside a message
         self._capture: str | None = None
         self._buf: list[str] = []
+        # one str per distinct author id and timestamp of the parse
+        self._strings: dict[str, str] = {}
 
     def start(self, name, attrs):
         if name == "conversation":
@@ -144,9 +146,11 @@ class _PanHandler:
         if breaks_a_line(author):
             raise DataFormatError(f"conversation {conv.id!r}: author "
                                   f"{author!r} holds a tab or line break")
-        conv.messages.append(Message(author=author, line_no=line_no,
-                                     time=fields.get("time", ""),
-                                     text=fields.get("text", "")))
+        time = fields.get("time", "")
+        conv.messages.append(Message(
+            author=self._strings.setdefault(author, author), line_no=line_no,
+            time=self._strings.setdefault(time, time),
+            text=fields.get("text", "")))
 
 
 def write_atomic(path, data) -> int:

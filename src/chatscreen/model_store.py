@@ -20,8 +20,8 @@ The manifest is line-oriented, tab-separated:
 A meta key, tensor name or string table name appears at most once.
 
 Files are written through corpus_io.write_atomic; loads validate magic,
-version, declared sizes against an allocation cap, and the payload
-checksum before any tensor is materialized.
+version, declared sizes against an allocation cap and the file's size,
+and the payload checksum before any tensor is materialized.
 """
 
 from __future__ import annotations
@@ -147,7 +147,13 @@ def _parse_manifest(text: str):
 
 
 def read_container(path) -> Container:
+    """The container at path. A declared length is checked against the
+    file's size before it is read, so a corrupt manifest cannot make a
+    load allocate more than the file holds. The tensors are writable views
+    into one payload buffer, made after its checksum holds."""
     with open(path, "rb") as fh:
+        size = fh.seek(0, 2)    # the end's offset
+        fh.seek(0)
         head = fh.read(_HEADER_LEN)
         if len(head) < _HEADER_LEN or head[:8] != MAGIC:
             raise ContainerFormatError("not a model container (bad magic)")
@@ -160,9 +166,9 @@ def read_container(path) -> Container:
         if manifest_len > DEFAULT_ALLOC_CAP:
             raise ContainerCorruptionError("declared manifest length "
                                            f"{manifest_len} exceeds cap")
-        manifest_raw = fh.read(manifest_len)
-        if len(manifest_raw) < manifest_len:
+        if _HEADER_LEN + manifest_len > size:
             raise ContainerCorruptionError("truncated manifest")
+        manifest_raw = fh.read(manifest_len)
         try:
             kind, metas, strtabs, specs = _parse_manifest(
                 manifest_raw.decode("utf-8"))
@@ -176,21 +182,24 @@ def read_container(path) -> Container:
             raise ContainerCorruptionError("declared payload "
                                            f"{payload_len} bytes exceeds cap "
                                            f"{DEFAULT_ALLOC_CAP}")
-        payload = fh.read(payload_len)
-        if len(payload) < payload_len:
+        payload_end = _HEADER_LEN + manifest_len + payload_len
+        if payload_end > size:
+            raise ContainerCorruptionError("truncated payload")
+        if payload_end + 4 > size:
+            raise ContainerCorruptionError("missing checksum")
+        if payload_end + 4 < size:
+            raise ContainerCorruptionError("trailing bytes after checksum")
+        payload = bytearray(payload_len)
+        if fh.readinto(payload) < payload_len:  # the file shrank meanwhile
             raise ContainerCorruptionError("truncated payload")
         crc_raw = fh.read(4)
-        if len(crc_raw) < 4:
-            raise ContainerCorruptionError("missing checksum")
-        if fh.read(1):
-            raise ContainerCorruptionError("trailing bytes after checksum")
     if zlib.crc32(payload) != int.from_bytes(crc_raw, "little"):
         raise ContainerCorruptionError("payload checksum mismatch")
     tensors = {}
     offset = 0
     for (name, shape), count in zip(specs.items(), counts):
         tensors[name] = np.frombuffer(payload, dtype="<f4", count=count,
-                                      offset=offset).reshape(shape).copy()
+                                      offset=offset).reshape(shape)
         offset += 4 * count
     return Container(kind=kind, metas=metas, tensors=tensors, strtabs=strtabs)
 

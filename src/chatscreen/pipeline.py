@@ -8,7 +8,7 @@ the composition of the individual stages.
 
 from __future__ import annotations
 
-import functools
+import hashlib
 from pathlib import Path
 
 from . import author_classifier as ac
@@ -81,18 +81,30 @@ def _load_truth(cfg: PipelineConfig) -> set[str]:
     return corpus_io.parse_ground_truth(cfg.ground_truth)
 
 
+# The one corpus this process holds: the SHA-256 of the normalized.xml
+# bytes last parsed, and the tuple _parse_normalized made of them.
+_normalized: tuple[bytes, tuple[corpus_io.Conversation, ...]] | None = None
+
+
 def _load_normalized(cfg: PipelineConfig):
     """normalized.xml's conversations. A process parses the file once and
     hands every later stage the same tuple for as long as the file's bytes
-    stay the same, so stages must not modify the conversations."""
+    stay the same, so stages must not modify the conversations. The cache
+    keeps the bytes' hash, not the bytes; a file that is refused leaves
+    nothing cached."""
+    global _normalized
     path = _artifact(cfg, NORMALIZED_XML)
-    try:
-        return _parse_normalized(path.read_bytes())
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).digest()
+    if _normalized is None or _normalized[0] != digest:
+        _normalized = None      # free the old corpus before parsing anew
+        try:
+            _normalized = (digest, _parse_normalized(data))
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
+    return _normalized[1]
 
 
-@functools.lru_cache(maxsize=1)
 def _parse_normalized(data: bytes) -> tuple[corpus_io.Conversation, ...]:
     """Refuses what preprocess never writes: no conversation, a message the
     parser skips, an empty conversation, a message without a token."""
@@ -142,10 +154,18 @@ def run_preprocess(cfg: PipelineConfig) -> None:
           f"-> {out / NORMALIZED_XML}")
 
 
+def _tokens(text: str, pool: dict[str, str]) -> list[str]:
+    """tokenize(text), each token the one str in pool equal to it, so that
+    a stage holding every message's tokens holds each distinct one once."""
+    tokens = tokenize(text)
+    return list(map(pool.setdefault, tokens, tokens))
+
+
 def run_build_vocab(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     conversations = _load_normalized(cfg)
-    documents = [[t for m in conv.messages for t in tokenize(m.text)]
+    pool: dict[str, str] = {}
+    documents = [[t for m in conv.messages for t in _tokens(m.text, pool)]
                  for conv in conversations]
     vocab = build_vocabulary(documents, min_tf=cfg.min_tf)
     write_atomic(out / VOCAB_FILE, vocab_to_text(vocab))
@@ -337,10 +357,12 @@ def _author_classes(conversations, truth) -> dict[str, str]:
 
 def _author_units(conversations, classes=None) -> list[ac.AuthorUnit]:
     units = []
+    pool: dict[str, str] = {}
     for conv in conversations:
         lines_by_author: dict[str, list[list[str]]] = {}
         for m in conv.messages:
-            lines_by_author.setdefault(m.author, []).append(tokenize(m.text))
+            lines_by_author.setdefault(m.author, []).append(
+                _tokens(m.text, pool))
         for author, lines in lines_by_author.items():
             label = classes.get(author) if classes else None
             units.append(ac.AuthorUnit(author=author, lines=lines,

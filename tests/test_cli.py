@@ -1,5 +1,6 @@
 import configparser
 import errno
+import hashlib
 import inspect
 import os
 import re
@@ -1218,7 +1219,7 @@ class TestPipeline:
             return parse(source)
 
         monkeypatch.setattr(corpus_io, "parse_pan_corpus", counting)
-        pipeline._parse_normalized.cache_clear()
+        monkeypatch.setattr(pipeline, "_normalized", None)
         out = self._run(tmp_path, "once")
         assert len(calls) == 2      # the corpus, then normalized.xml
         # a rewritten normalized.xml is parsed afresh, then reused
@@ -1232,3 +1233,59 @@ class TestPipeline:
         assert (out / "vocab.txt").read_bytes() != vocab
         assert main(["eval-lm", "--config", cfg_path]) == 0
         assert len(calls) == 3
+
+
+class TestOneCorpusPerProcess:
+    """A process holds normalized.xml once: one parsed tuple, keyed by the
+    SHA-256 of the file's bytes, with one str per distinct token in the
+    stages that hold every message's tokens."""
+
+    @pytest.fixture
+    def cfg(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_normalized", None)
+        return PipelineConfig(out=str(tmp_path), min_tf=1)
+
+    @staticmethod
+    def write(cfg, *texts) -> bytes:
+        data = corpus_io.write_pan_corpus(
+            corpus_io.Conversation(f"c{i}", [corpus_io.Message("a", 1, "t",
+                                                                text)])
+            for i, text in enumerate(texts))
+        (Path(cfg.out) / "normalized.xml").write_bytes(data)
+        return data
+
+    def test_same_bytes_same_tuple_changed_bytes_parsed_afresh(self, cfg):
+        data = self.write(cfg, "hello there", "hi")
+        first = pipeline._load_normalized(cfg)
+        assert pipeline._normalized == (hashlib.sha256(data).digest(), first)
+        self.write(cfg, "hello there", "hi")    # rewritten, same bytes
+        assert pipeline._load_normalized(cfg) is first
+        self.write(cfg, "hello there")
+        second = pipeline._load_normalized(cfg)
+        assert [c.id for c in second] == ["c0"]
+        self.write(cfg, "hello there", "hi")    # one entry: parsed again
+        third = pipeline._load_normalized(cfg)
+        assert third == first and third is not first
+
+    def test_refused_file_leaves_nothing_cached(self, cfg):
+        self.write(cfg, "hello")
+        pipeline._load_normalized(cfg)
+        (Path(cfg.out) / "normalized.xml").write_bytes(b"<conversations/>")
+        with pytest.raises(errors.DataFormatError, match="no conversations"):
+            pipeline._load_normalized(cfg)
+        assert pipeline._normalized is None
+
+    def test_build_vocab_documents_share_one_str_per_token(self, cfg,
+                                                           monkeypatch):
+        self.write(cfg, "hello there hello", "there hello")
+        tokens = []
+        build = pipeline.build_vocabulary
+
+        def recording(documents, min_tf):
+            tokens.extend(t for doc in documents for t in doc)
+            return build(documents, min_tf)
+
+        monkeypatch.setattr(pipeline, "build_vocabulary", recording)
+        pipeline.run_build_vocab(cfg)
+        assert len(tokens) == 5
+        assert len({id(t) for t in tokens}) == len(set(tokens)) == 2

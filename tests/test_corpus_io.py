@@ -221,6 +221,29 @@ class TestParsePanCorpus:
         assert parse_pan_corpus(xml).conversations[0].messages[0].author == "x"
 
 
+    def test_equal_authors_and_times_are_one_object(self):
+        # three conversations of the same two authors at two times; the
+        # second author is written padded, and trimmed by the parse
+        data = write_pan_corpus([
+            Conversation(f"c{i}", [Message(a, j + 1, t, "hi") for j, (a, t)
+                                   in enumerate([("alice", "02:31"),
+                                                 (" bob ", "02:31"),
+                                                 ("alice", "02:32")])])
+            for i in range(3)])
+        messages = [m for c in parse_pan_corpus(data).conversations
+                    for m in c.messages]
+        for field in ("author", "time"):
+            values = [getattr(m, field) for m in messages]
+            assert len(values) == 9
+            assert len({id(v) for v in values}) == len(set(values)) == 2
+
+    def test_records_have_no_instance_dict(self):
+        message = Message("a", 1, "t", "hi")
+        conversation = Conversation("c", [message])
+        assert not hasattr(message, "__dict__")
+        assert not hasattr(conversation, "__dict__")
+
+
 class TestArtifactFiles:
     def test_write_replaces_bytes_and_returns_count(self, tmp_path):
         path = tmp_path / "a.txt"
@@ -423,6 +446,13 @@ class TestGroupByAuthor:
         assert sum(len(u.lines) for u in units) == \
             sum(len(c.messages) for c in conversations)
 
+
+    def test_one_object_per_distinct_token(self):
+        units = _author_units([conv("c1", ("a", "hi there"), ("b", "hi")),
+                               conv("c2", ("a", "there hi"))])
+        tokens = [t for u in units for line in u.lines for t in line]
+        assert len(tokens) == 5
+        assert len({id(t) for t in tokens}) == len(set(tokens)) == 2
 
 def test_package_import_loads_no_network_modules():
     # xml.sax.saxutils would pull these in, about 3 MB of every process

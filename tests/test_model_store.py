@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -34,6 +35,34 @@ def author_fixture():
 
 def params_of(model):
     return model.param_list()
+
+
+class TestPayloadViews:
+    def test_tensors_are_writable_views_of_one_buffer(self, tmp_path):
+        save(lm_fixture(), tmp_path / "lm.model")
+        tensors = read_container(tmp_path / "lm.model").tensors
+        buffers = set()
+        for tensor in tensors.values():
+            assert tensor.flags.writeable
+            base = tensor
+            while isinstance(base, np.ndarray):
+                base = base.base
+            buffers.add(id(base.obj))   # base is a memoryview
+        assert len(tensors) == 9 and len(buffers) == 1
+        first = next(iter(tensors.values()))
+        first += 1      # in place; a later load reads the file afresh
+        again = next(iter(read_container(tmp_path / "lm.model")
+                           .tensors.values()))
+        assert np.array_equal(first, again + 1)
+
+    def test_corrupted_payload_fails_the_checksum(self, tmp_path):
+        path = tmp_path / "flip.model"
+        save(lm_fixture(), path)
+        raw = bytearray(path.read_bytes())
+        raw[-5] ^= 0x01     # the payload's last byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ContainerCorruptionError, match="checksum"):
+            read_container(path)
 
 
 class TestRoundTrip:
@@ -158,6 +187,31 @@ class TestContainerFormat:
         monkeypatch.setattr(model_store, "DEFAULT_ALLOC_CAP", 16)
         with pytest.raises(ContainerCorruptionError):
             load(path)
+
+    @pytest.mark.parametrize("edit", ["shape", "manifest length"])
+    def test_declared_size_past_the_file_refused_before_allocating(
+            self, tmp_path, edit):
+        path = tmp_path / "scd.model"
+        save(scd_fixture(), path)
+        raw = path.read_bytes()
+        manifest_len = int.from_bytes(raw[12:20], "little")
+        manifest = raw[20:20 + manifest_len]
+        if edit == "shape":     # 1.6 GB of payload declared
+            manifest = manifest.replace(b"layer1.U\t2\t5,24",
+                                        b"layer1.U\t2\t32000,12800")
+            manifest_len = len(manifest)
+        else:
+            manifest_len = 2 ** 31
+        path.write_bytes(raw[:12] + manifest_len.to_bytes(8, "little")
+                         + manifest + raw[20 + len(manifest):])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContainerCorruptionError, match="truncated"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 ** 2
 
     def test_unknown_kind_rejected(self, tmp_path):
         container = Container(kind="mystery",
